@@ -31,7 +31,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use avf_inject::{
@@ -178,7 +178,9 @@ impl Broker {
             );
         }
         if requeued > 0 {
-            eprintln!("broker: re-queued {requeued} unfinished campaign(s) from the durable log");
+            avf_service::log_line!(
+                "broker: re-queued {requeued} unfinished campaign(s) from the durable log"
+            );
         }
         let inner = Arc::new(Inner {
             opts,
@@ -226,7 +228,7 @@ impl Broker {
         };
         std::thread::spawn(move || {
             if let Err(e) = broker.listen(listener) {
-                eprintln!("broker: accept loop failed: {e}");
+                avf_service::log_line!("broker: accept loop failed: {e}");
             }
         });
         Ok(addr)
@@ -370,7 +372,10 @@ fn spawn_scheduler(inner: Arc<Inner>) {
 }
 
 fn release_slot(inner: &Inner) {
-    let mut sched = inner.sched.lock().expect("sched lock");
+    // Runs from `SlotGuard::drop`, possibly while unwinding, where a
+    // second panic would abort the whole broker. Decrementing `running`
+    // is valid whatever state a poisoning panic left the queue in.
+    let mut sched = inner.sched.lock().unwrap_or_else(PoisonError::into_inner);
     sched.running = sched.running.saturating_sub(1);
     drop(sched);
     inner.wake.notify_all();
@@ -433,7 +438,7 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
         }
         Err(e) => {
             BrokerStats::bump(&inner.stats.failed, 1);
-            eprintln!("broker: campaign {id} failed: {e}");
+            avf_service::log_line!("broker: campaign {id} failed: {e}");
             (
                 crate::protocol::LogRecord::Failed {
                     id,
@@ -447,7 +452,7 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
         }
     };
     if let Err(e) = inner.store.lock().expect("store lock").append(&record) {
-        eprintln!("broker: durable log append failed for campaign {id}: {e}");
+        avf_service::log_line!("broker: durable log append failed for campaign {id}: {e}");
     }
     {
         let mut registry = inner.registry.lock().expect("registry lock");
@@ -598,7 +603,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                     }
                     .to_wire(),
                 );
-                eprintln!("broker: driver connection failed: {e}");
+                avf_service::log_line!("broker: driver connection failed: {e}");
                 return;
             }
         };
@@ -740,7 +745,7 @@ fn admit_spec(
             })
     {
         drop(sched);
-        eprintln!("broker: durable log append failed for campaign {id}: {e}");
+        avf_service::log_line!("broker: durable log append failed for campaign {id}: {e}");
         BrokerStats::bump(&inner.stats.rejected, 1);
         return Reply::Failed {
             id: 0,
@@ -817,11 +822,24 @@ fn mux_error(tag: u64, msg: &str) -> Vec<u8> {
     Mux::wrap(tag, ServerMessage::Error(msg.to_owned()).to_wire()).to_wire()
 }
 
-/// Releases the scheduler slot when the relay exits by any path.
-struct SlotGuard<'a>(&'a Inner);
+/// Releases the scheduler slot when the relay exits by any path. A
+/// relay that exits by panicking also sends the driver an error frame
+/// for its tag, so the driver's session fails instead of waiting
+/// forever on a reply that will never come.
+struct SlotGuard<'a> {
+    inner: &'a Inner,
+    tag: u64,
+    outbox: &'a mpsc::Sender<Vec<u8>>,
+}
+
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        release_slot(self.0);
+        if std::thread::panicking() {
+            let _ = self
+                .outbox
+                .send(mux_error(self.tag, "broker relay failed mid-session"));
+        }
+        release_slot(self.inner);
     }
 }
 
@@ -881,7 +899,7 @@ fn relay_interactive(
     if grant_rx.recv().is_err() {
         return; // scheduler gone — broker shutting down
     }
-    let _slot = SlotGuard(inner);
+    let _slot = SlotGuard { inner, tag, outbox };
 
     let fleet = match inner.opts.auth {
         Some(key) => RemoteBackend::with_auth(inner.opts.workers.clone(), key),
@@ -1010,7 +1028,7 @@ fn relay_eval(
     if grant_rx.recv().is_err() {
         return; // scheduler gone — broker shutting down
     }
-    let _slot = SlotGuard(inner);
+    let _slot = SlotGuard { inner, tag, outbox };
 
     let mut fleet = match EvalFleet::connect(&inner.opts.workers, inner.opts.auth) {
         Ok(fleet) => fleet,
@@ -1088,5 +1106,72 @@ fn relay_eval(
             Ok(next) => next,
             Err(_) => return,
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A broker whose scheduler runs but whose fleet is never contacted.
+    fn idle_broker(name: &str) -> (Broker, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("avf-broker-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let broker = Broker::start(BrokerOptions {
+            workers: vec!["127.0.0.1:1".to_owned()],
+            store_path: dir.join("campaigns.log"),
+            ..BrokerOptions::default()
+        })
+        .expect("broker starts");
+        (broker, dir)
+    }
+
+    fn running(inner: &Inner) -> usize {
+        inner.sched.lock().expect("sched lock").running
+    }
+
+    #[test]
+    fn a_panicking_relay_fails_its_driver_session_and_frees_the_slot() {
+        let (broker, dir) = idle_broker("guard-panic");
+        let inner = &*broker.inner;
+        inner.sched.lock().expect("sched lock").running = 1;
+        let (outbox, frames) = mpsc::channel();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = SlotGuard {
+                inner,
+                tag: 9,
+                outbox: &outbox,
+            };
+            panic!("relay bug");
+        }));
+        assert!(unwound.is_err());
+        let frame = frames.try_recv().expect("the driver hears of the failure");
+        let mux = Mux::from_wire(&frame).expect("a MUX frame");
+        assert_eq!(mux.tag, 9);
+        assert!(matches!(
+            ServerMessage::from_wire(&mux.inner),
+            Ok(ServerMessage::Error(_))
+        ));
+        assert_eq!(running(inner), 0, "slot released");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_relay_that_returns_sends_no_error() {
+        let (broker, dir) = idle_broker("guard-return");
+        let inner = &*broker.inner;
+        inner.sched.lock().expect("sched lock").running = 1;
+        let (outbox, frames) = mpsc::channel();
+        drop(SlotGuard {
+            inner,
+            tag: 9,
+            outbox: &outbox,
+        });
+        assert!(frames.try_recv().is_err());
+        assert_eq!(running(inner), 0, "slot released");
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

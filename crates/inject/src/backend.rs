@@ -468,7 +468,32 @@ pub fn shard_trials(trials: &[Trial], workers: usize) -> Vec<Vec<Trial>> {
 /// classified [`Outcome::Unreached`] — an explicit invalid-sample
 /// verdict rather than the old `debug_assert!`, which in release builds
 /// silently injected at whatever earlier cycle the run ended on.
+///
+/// Armed trials simulate the whole tail; see [`classify_trial_against`]
+/// for the same verdict with early termination at golden checkpoints.
 pub fn classify_trial(sim: &mut InjectionSim<'_>, trial: &Trial, golden_digest: u64) -> Outcome {
+    classify_trial_against(sim, trial, golden_digest, None)
+}
+
+/// [`classify_trial`], stopping an armed trial early once it rejoins the
+/// fault-free run.
+///
+/// At each `golden` checkpoint after the injection cycle the faulty
+/// machine is compared with the golden snapshot of that cycle
+/// ([`InjectionSim::matches_snapshot`]). On an exact match the trial is
+/// [`Outcome::Masked`] without simulating the rest of the tail: stepping
+/// is deterministic, so from equal states the faulty run repeats the
+/// golden future, which completes cleanly with `golden_digest`. The
+/// verdict is therefore always the full-tail one, provided `golden` holds
+/// the checkpoints of the golden pass of `sim`'s machine, program and
+/// instruction budget, and `sim`'s cycle budget covers the golden run
+/// (as [`cycle_budget_of`] does). `None` simulates every tail in full.
+pub fn classify_trial_against(
+    sim: &mut InjectionSim<'_>,
+    trial: &Trial,
+    golden_digest: u64,
+    golden: Option<&DecodedCheckpoints>,
+) -> Outcome {
     if !sim.run_to_cycle(trial.cycle) {
         return Outcome::Unreached;
     }
@@ -484,19 +509,34 @@ pub fn classify_trial(sim: &mut InjectionSim<'_>, trial: &Trial, golden_digest: 
             let snap = sim.snapshot();
             let armed = sim.flip_bit(trial.target, trial.entry, trial.bit);
             debug_assert_eq!(armed, FlipEffect::Armed, "probe and flip must agree");
-            let outcome = match sim.run_to_end() {
-                RunEnd::Trapped | RunEnd::Timeout => Outcome::Due,
-                RunEnd::Completed => {
-                    if sim.memory_digest() == golden_digest {
-                        Outcome::Masked
-                    } else {
-                        Outcome::Sdc
-                    }
-                }
-            };
+            let outcome = run_armed_tail(sim, trial.cycle, golden_digest, golden);
             sim.restore(&snap);
             outcome
         }
+    }
+}
+
+/// Runs a flipped machine to its verdict, checking for reconvergence at
+/// each golden checkpoint after `injected_at`.
+fn run_armed_tail(
+    sim: &mut InjectionSim<'_>,
+    injected_at: u64,
+    golden_digest: u64,
+    golden: Option<&DecodedCheckpoints>,
+) -> Outcome {
+    for (cycle, state) in golden.into_iter().flat_map(|g| g.after(injected_at)) {
+        // A run that ends (or times out) first is settled by `run_to_end`.
+        if !sim.run_to_cycle(cycle) {
+            break;
+        }
+        if sim.matches_snapshot(state) {
+            return Outcome::Masked;
+        }
+    }
+    match sim.run_to_end() {
+        RunEnd::Trapped | RunEnd::Timeout => Outcome::Due,
+        RunEnd::Completed if sim.memory_digest() == golden_digest => Outcome::Masked,
+        RunEnd::Completed => Outcome::Sdc,
     }
 }
 
@@ -531,7 +571,8 @@ impl LocalJob {
                 s.restore(snap);
                 s
             });
-            let outcome = classify_trial(sim, trial, self.golden_digest);
+            let outcome =
+                classify_trial_against(sim, trial, self.golden_digest, Some(&self.checkpoints));
             let event = TrialEvent {
                 index: trial.index,
                 target: trial.target,

@@ -67,7 +67,7 @@ impl Outcome {
 
 /// Architected state of the functional machine: 32 registers and a PC
 /// expressed as an instruction index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecState {
     /// Register file; index 31 always reads zero.
     pub regs: [u64; 32],

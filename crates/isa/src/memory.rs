@@ -10,7 +10,11 @@ const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 ///
 /// Pages are allocated on demand and zero-filled, so programs may touch any
 /// address. Accesses that straddle a page boundary are handled bytewise.
-#[derive(Debug, Clone, Default)]
+///
+/// Equality is structural: a page materialized with zeroes differs from
+/// a missing page, even though both read (and digest) the same. That
+/// makes `==` a sufficient, not a necessary, test of equal contents.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
     pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }

@@ -486,7 +486,7 @@ pub(crate) fn handle_eval_session(
             let bits = genome_bits(genes);
             let key = genome_key(genes);
             if let Some(score) = opts.eval_cache.lookup(fingerprint, &bits) {
-                eprintln!(
+                crate::log_line!(
                     "serve: eval gen {} genome {key:016x} fitness HIT (cache)",
                     batch.generation
                 );
@@ -496,7 +496,7 @@ pub(crate) fn handle_eval_session(
                     cached: true,
                 });
             } else {
-                eprintln!(
+                crate::log_line!(
                     "serve: eval gen {} genome {key:016x} fitness MISS (simulating)",
                     batch.generation
                 );
@@ -522,7 +522,7 @@ pub(crate) fn handle_eval_session(
                 writer.push(&score.to_wire())?;
             }
             writer.flush()?;
-            eprintln!("serve: injected fault — aborting connection mid-generation {served}");
+            crate::log_line!("serve: injected fault — aborting connection mid-generation {served}");
             let _ = stream.shutdown(Shutdown::Both);
             return Ok(());
         }
@@ -729,7 +729,7 @@ impl EvalFleet {
     }
 
     fn kill(&mut self, slot: usize, error: BackendError) {
-        eprintln!("search: worker {} died: {error}", self.workers[slot].addr);
+        crate::log_line!("search: worker {} died: {error}", self.workers[slot].addr);
         self.workers[slot].stream = None;
         self.last_error = Some(error);
     }
@@ -765,7 +765,7 @@ impl EvalFleet {
                 return Err(self.all_dead());
             }
             if round > 0 {
-                eprintln!(
+                crate::log_line!(
                     "search: re-dispatching {} unacknowledged individuals to {} survivors",
                     pending.len(),
                     live.len()

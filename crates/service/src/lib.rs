@@ -32,6 +32,8 @@
 //!   sequence-numbered tags reject tampered, replayed, reflected, and
 //!   unauthenticated frames with a typed error, closing the
 //!   trusted-peers gap recorded since PR 3;
+//! * [`log`] — stderr diagnostics that ignore write errors, so a
+//!   closed stderr cannot kill a session or relay thread;
 //! * [`metrics`] — a plaintext `GET /metrics` + `GET /healthz`
 //!   endpoint (workers expose their [`StoreCache`] and session
 //!   counters; the broker in `avf-broker` exposes queue depths and
@@ -59,6 +61,7 @@ pub mod auth;
 pub mod cache;
 pub mod eval;
 pub mod frame;
+pub mod log;
 pub mod metrics;
 pub mod protocol;
 mod remote;

@@ -126,7 +126,7 @@ pub fn serve(listener: TcpListener, opts: &ServeOptions) -> std::io::Result<()> 
                         auth.as_ref().map(|a| a.signer.as_ref()),
                     );
                     let _ = w.flush();
-                    eprintln!("serve: session with {peer} failed: {e}");
+                    crate::log_line!("serve: session with {peer} failed: {e}");
                 }
             }
         });
@@ -146,7 +146,7 @@ pub fn spawn_local(opts: ServeOptions) -> std::io::Result<std::net::SocketAddr> 
     let addr = listener.local_addr()?;
     std::thread::spawn(move || {
         if let Err(e) = serve(listener, &opts) {
-            eprintln!("serve: accept loop failed: {e}");
+            crate::log_line!("serve: accept loop failed: {e}");
         }
     });
     Ok(addr)
@@ -175,7 +175,7 @@ fn resolve_store(
     // top of the store (shipped-mode pruning is driver-side only).
     let wants_evidence = setup.prune && matches!(setup.mode, SetupMode::Delegated { .. });
     if let Some(mut entry) = cache.get(key, geometry) {
-        eprintln!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
+        crate::log_line!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
         writer.push(&ServerMessage::StoreHave { hash: key }.to_wire())?;
         writer.flush()?;
         if wants_evidence && entry.evidence.is_none() {
@@ -189,7 +189,9 @@ fn resolve_store(
             else {
                 unreachable!("wants_evidence implies delegated mode");
             };
-            eprintln!("serve: job {key:016x} regenerating prune evidence (instrumented pass)");
+            crate::log_line!(
+                "serve: job {key:016x} regenerating prune evidence (instrumented pass)"
+            );
             let (golden, _, evidence) = golden_run_with_evidence(
                 &setup.machine,
                 &setup.program,
@@ -215,7 +217,7 @@ fn resolve_store(
         SetupMode::Shipped {
             store_hash, golden, ..
         } => {
-            eprintln!("serve: job {key:016x} checkpoint store NEED (awaiting shipment)");
+            crate::log_line!("serve: job {key:016x} checkpoint store NEED (awaiting shipment)");
             let Some(payload) = read_frame_verified(reader, verifier)? else {
                 return Err(BackendError::Disconnected {
                     worker: "client".to_owned(),
@@ -237,7 +239,7 @@ fn resolve_store(
         SetupMode::Delegated {
             checkpoint_interval,
         } => {
-            eprintln!("serve: job {key:016x} checkpoint store NEED (running golden pass)");
+            crate::log_line!("serve: job {key:016x} checkpoint store NEED (running golden pass)");
             if setup.prune {
                 let (golden, store, evidence) = golden_run_with_evidence(
                     &setup.machine,
@@ -375,7 +377,7 @@ fn handle_connection(
                 writer.push(&ServerMessage::Event(event?).to_wire())?;
             }
             writer.flush()?;
-            eprintln!("serve: injected fault — aborting connection mid-batch {served}");
+            crate::log_line!("serve: injected fault — aborting connection mid-batch {served}");
             let _ = stream.shutdown(Shutdown::Both);
             return Ok(());
         }

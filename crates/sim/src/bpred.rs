@@ -22,7 +22,7 @@ fn counter_update(counter: &mut u8, taken: bool, max: u8) {
 /// updated at commit with the resolved outcome, a common simplification
 /// that leaves highly-biased branches — the only kind the stressmark
 /// generator emits — perfectly predicted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     global: Vec<u8>,
     local_hist: Vec<u16>,

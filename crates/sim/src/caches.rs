@@ -8,7 +8,7 @@ use avf_isa::wire::{WireError, WireReader, WireWriter};
 
 use crate::config::CacheConfig;
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -173,6 +173,13 @@ impl Cache {
         } else {
             self.misses as f64 / self.accesses as f64
         }
+    }
+
+    /// Whether `self` and `other` behave identically from here on: the
+    /// LRU clock and every line match. The `accesses`/`misses` counters
+    /// never feed back into behavior and are not compared.
+    pub(crate) fn same_state(&self, other: &Cache) -> bool {
+        self.tick == other.tick && self.lines == other.lines
     }
 
     /// Serializes the timing state for checkpoint snapshots. Only valid

@@ -135,6 +135,17 @@ impl Dtlb {
         }
     }
 
+    /// Whether `self` and `other` behave identically from here on: the
+    /// LRU clock, the poison and tripped flags, and every resident entry
+    /// (in slot order) match. The `accesses`/`misses` counters never
+    /// feed back into behavior and are not compared.
+    pub(crate) fn same_state(&self, other: &Dtlb) -> bool {
+        self.tick == other.tick
+            && self.poisoned == other.poisoned
+            && self.tripped == other.tripped
+            && self.entries == other.entries
+    }
+
     /// Serializes the TLB state for checkpoint snapshots.
     pub(crate) fn encode(&self, w: &mut WireWriter) {
         w.usize(self.entries.len());

@@ -13,7 +13,7 @@ pub enum Stage {
 }
 
 /// One in-flight dynamic instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynInst {
     /// Fetch sequence number (program-order identity).
     pub seq: u64,

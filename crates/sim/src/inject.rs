@@ -443,6 +443,16 @@ impl<'a> InjectionSim<'a> {
         self.pipe.restore(snap);
     }
 
+    /// Whether the machine state equals `snap` exactly, up to pure
+    /// statistics counters that never feed back into behavior. Because
+    /// stepping is deterministic, a faulty run that matches a golden
+    /// checkpoint at that checkpoint's cycle has rejoined the golden run:
+    /// its future, ending included, is the golden one.
+    #[must_use]
+    pub fn matches_snapshot(&self, snap: &PipelineSnapshot) -> bool {
+        self.pipe.matches(snap)
+    }
+
     /// Serializes the complete machine state to a self-contained blob
     /// (see [`PipelineSnapshot::to_wire`]).
     #[must_use]
@@ -1196,6 +1206,12 @@ impl DecodedCheckpoints {
         let (c, snap) = self.checkpoints.get(idx.checked_sub(1)?)?;
         Some((*c, snap))
     }
+
+    /// The checkpoints strictly after `cycle`, in ascending cycle order.
+    pub fn after(&self, cycle: u64) -> impl Iterator<Item = (u64, &PipelineSnapshot)> {
+        let idx = self.checkpoints.partition_point(|&(c, _)| c <= cycle);
+        self.checkpoints[idx..].iter().map(|(c, snap)| (*c, snap))
+    }
 }
 
 /// Runs the fault-free reference execution for `program` bounded by
@@ -1542,6 +1558,57 @@ mod tests {
                 sim.restore(snap);
                 assert_eq!(sim.cycle(), c);
             }
+        }
+    }
+
+    #[test]
+    fn a_fault_free_run_matches_every_later_checkpoint() {
+        let cfg = MachineConfig::baseline();
+        let p = counted_loop();
+        let (_, store) = golden_run_checkpointed(&cfg, &p, 10_000, 40);
+        let decoded = store.decode_all(&cfg, &p).expect("own store decodes");
+        let (_, start) = decoded.nearest(45).expect("checkpoint at 40");
+        let mut sim = InjectionSim::new(&cfg, &p, 10_000);
+        sim.restore(start);
+        let mut matched = 0;
+        for (cycle, snap) in decoded.after(40) {
+            assert!(cycle > 40, "after() is strictly later");
+            assert!(sim.run_to_cycle(cycle));
+            assert!(sim.matches_snapshot(snap), "diverged at cycle {cycle}");
+            matched += 1;
+        }
+        assert_eq!(matched, decoded.len() - 2, "all but cycles 0 and 40");
+    }
+
+    #[test]
+    fn snapshot_matching_skips_counters_only() {
+        let cfg = MachineConfig::baseline();
+        let p = counted_loop();
+        let golden = golden_run(&cfg, &p, 10_000);
+        let mut sim = InjectionSim::new(&cfg, &p, 10_000);
+        assert!(sim.run_to_cycle(golden.cycles / 2));
+        let snap = sim.snapshot();
+        // Pure counters never feed back into behavior.
+        sim.pipe.stats.cycles += 1;
+        sim.pipe.stats.dl1_misses += 1;
+        sim.pipe.dl1.accesses += 1;
+        sim.pipe.l2.misses += 1;
+        sim.pipe.dtlb.accesses += 1;
+        assert!(sim.matches_snapshot(&snap));
+        // Anything the future depends on breaks the match.
+        let edits: [fn(&mut Pipeline<'_>); 5] = [
+            |p| p.stats.committed += 1,
+            |p| p.oracle.regs[2] ^= 1,
+            |p| p.oracle_mem.write_u8(avf_isa::DATA_BASE + 8, 0xAA),
+            |p| {
+                p.dtlb.poison_entry(0);
+            },
+            |p| p.trapped = true,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            sim.restore(&snap);
+            edit(&mut sim.pipe);
+            assert!(!sim.matches_snapshot(&snap), "edit {i} went unnoticed");
         }
     }
 

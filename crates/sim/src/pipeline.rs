@@ -50,7 +50,7 @@ pub(crate) enum ReplayEnd {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Recovery {
     resume_cycle: u64,
     pc: u32,
@@ -60,7 +60,7 @@ pub(crate) struct Recovery {
 /// eviction writes the corruption back (it persists), a clean eviction
 /// discards it (the next fill restores clean data), so the flip must be
 /// reverted from the merged oracle memory image.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CacheFault {
     /// `true` for DL1, `false` for L2.
     pub(crate) dl1: bool,
@@ -1168,6 +1168,42 @@ impl Pipeline<'_> {
         self.last_commit_cycle = snap.last_commit_cycle;
         self.cache_faults = snap.cache_faults.clone();
         self.stats = snap.stats.clone();
+    }
+
+    /// Whether the machine is in exactly the state `snap` captured, so
+    /// that (`tick` being deterministic) its future is the snapshot's.
+    ///
+    /// Pure counters are skipped because nothing reads them back: every
+    /// [`SimStats`] field except `committed` (the run's end condition)
+    /// and the caches' and DTLB's access/miss counts. Scalars and small
+    /// structures are compared first, the memory image last.
+    pub(crate) fn matches(&self, snap: &PipelineSnapshot) -> bool {
+        self.cycle == snap.cycle
+            && self.seq == snap.seq
+            && self.fetch_pc == snap.fetch_pc
+            && self.fetch_stalled_until == snap.fetch_stalled_until
+            && self.last_fetch_line == snap.last_fetch_line
+            && self.wrong_path_mode == snap.wrong_path_mode
+            && self.recovery == snap.recovery
+            && self.fetch_done == snap.fetch_done
+            && self.halted == snap.halted
+            && self.trapped == snap.trapped
+            && self.last_commit_cycle == snap.last_commit_cycle
+            && self.iq_count == snap.iq_count
+            && self.lq_count == snap.lq_count
+            && self.sq_count == snap.sq_count
+            && self.stats.committed == snap.stats.committed
+            && self.cache_faults == snap.cache_faults
+            && self.oracle == snap.oracle
+            && self.dtlb.same_state(&snap.dtlb)
+            && self.fetch_queue == snap.fetch_queue
+            && self.rob == snap.rob
+            && self.rf == snap.rf
+            && self.bpred == snap.bpred
+            && self.l1i.same_state(&snap.l1i)
+            && self.dl1.same_state(&snap.dl1)
+            && self.l2.same_state(&snap.l2)
+            && self.oracle_mem == snap.oracle_mem
     }
 }
 

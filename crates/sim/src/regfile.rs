@@ -12,7 +12,7 @@ use avf_isa::wire::{WireError, WireReader, WireWriter};
 
 const ARCH_REGS: usize = 31;
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Preg {
     ready: bool,
     write_cycle: u64,
@@ -20,7 +20,7 @@ struct Preg {
 }
 
 /// Merged physical register file with speculative and committed rename maps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysRegFile {
     pregs: Vec<Preg>,
     free: Vec<u32>,
