@@ -193,8 +193,7 @@ fn sorted_rates(
 /// in-process broker fronting two loopback workers, sorted ascending.
 /// Every frame crosses two real TCP hops (driver → broker → worker),
 /// so this series prices the whole brokered path: MUX wrapping, the
-/// scheduler grant, and the relay copy. Delegated golden only — the
-/// brokered plane does not ship checkpoint stores.
+/// scheduler grant, and the relay copy.
 fn brokered_rates(
     machine: &MachineConfig,
     program: &avf_isa::Program,
@@ -235,7 +234,6 @@ fn brokered_rates(
             seed: 42,
             threads: 1,
             instr_budget,
-            golden_mode: avf_inject::GoldenMode::Worker,
             ..CampaignConfig::default()
         };
         let start = Instant::now();

@@ -8,10 +8,8 @@
 //! its own fleet session, which means re-dispatch supervision,
 //! StoreCache reuse, and golden-run cross-checking all come from the
 //! existing [`avf_service::RemoteBackend`] machinery on the far side.
-//!
-//! Brokered campaigns are delegated-golden only (`GoldenMode::Worker`):
-//! shipping a checkpoint store through the broker would buy nothing
-//! over direct worker connections and would double its transfer.
+//! As on every remote path, the fleet workers run the golden pass
+//! themselves; the broker relays only the setup and its `JOB_READY`.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -21,10 +19,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use avf_ga::{EvalError, FitnessEvaluator};
 use avf_inject::{
     encode_trial_batch, BackendError, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec,
-    JobSpec, OpenedJob, StoreSource, Trial, TrialStream, WorkerProvision,
+    JobSpec, OpenedJob, Trial, TrialStream, WorkerProvision,
 };
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use avf_service::protocol::{JobSetup, Mux, ServerMessage, SetupMode};
+use avf_service::protocol::{JobSetup, Mux, ServerMessage};
 use avf_service::{DistinctCounter, EvalBatch, EvalContext, EvalReply};
 
 use crate::protocol::{Reply, Request};
@@ -171,7 +169,9 @@ impl CampaignBackend for BrokeredBackend {
         } = spec.golden
         else {
             return Err(BackendError::Protocol(
-                "brokered campaigns are delegated-golden only (golden mode `worker`)".to_owned(),
+                "the broker's fleet runs the golden pass itself; \
+                 a resolved golden spec cannot cross the wire"
+                    .to_owned(),
             ));
         };
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
@@ -181,16 +181,14 @@ impl CampaignBackend for BrokeredBackend {
             instr_budget: spec.instr_budget,
             fault_model: spec.fault_model,
             prune: spec.prune,
-            mode: SetupMode::Delegated {
-                checkpoint_interval,
-            },
+            checkpoint_interval,
         };
         self.conn
             .send_payload(&Mux::wrap(tag, setup.to_wire()).to_wire())?;
-        let ready = {
+        let (ready, source) = {
             let mut reader = self.conn.reader.lock().expect("reader lock");
             match self.conn.recv_mux(&mut reader, tag)? {
-                ServerMessage::Ready(ready) => ready,
+                ServerMessage::Ready { ready, source } => (ready, source),
                 ServerMessage::Error(msg) => return Err(BackendError::Remote(msg)),
                 other => {
                     return Err(BackendError::Protocol(format!(
@@ -199,12 +197,12 @@ impl CampaignBackend for BrokeredBackend {
                 }
             }
         };
-        // One provision entry per fleet worker: the broker's fleet ran
-        // (or cache-hit) the golden pass; the driver shipped nothing.
+        // One provision entry per fleet worker, as the broker summarized
+        // the fleet's setup.
         let provisioning = (0..self.workers)
             .map(|i| WorkerProvision {
                 worker: format!("broker({}) worker {i}", self.conn.addr),
-                source: StoreSource::GoldenRun,
+                source,
             })
             .collect();
         Ok(OpenedJob {

@@ -19,7 +19,7 @@
 //! stale peer fails with a typed version error before any broker field
 //! is read.
 
-use avf_inject::{CampaignConfig, CampaignReport, GoldenMode};
+use avf_inject::{CampaignConfig, CampaignReport};
 use avf_isa::wire::{kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMode;
@@ -94,7 +94,6 @@ impl CampaignSpec {
             ci_target: self.ci_target,
             batch_size: self.batch_size.max(1),
             checkpoint_interval: self.checkpoint_interval,
-            golden_mode: GoldenMode::Worker,
             fault_model: self.fault_model,
             prune: self.prune,
             ..CampaignConfig::default()
@@ -183,9 +182,6 @@ pub enum RejectReason {
     QuotaExceeded,
     /// The broker's global queue is full.
     QueueFull,
-    /// The spec itself is unusable (e.g. a non-delegated golden mode
-    /// on the interactive path).
-    BadSpec,
 }
 
 impl RejectReason {
@@ -193,7 +189,6 @@ impl RejectReason {
         match self {
             RejectReason::QuotaExceeded => 0,
             RejectReason::QueueFull => 1,
-            RejectReason::BadSpec => 2,
         }
     }
 
@@ -201,7 +196,6 @@ impl RejectReason {
         match code {
             0 => Ok(RejectReason::QuotaExceeded),
             1 => Ok(RejectReason::QueueFull),
-            2 => Ok(RejectReason::BadSpec),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -212,7 +206,6 @@ impl std::fmt::Display for RejectReason {
         match self {
             RejectReason::QuotaExceeded => write!(f, "tenant quota exceeded"),
             RejectReason::QueueFull => write!(f, "queue full"),
-            RejectReason::BadSpec => write!(f, "bad spec"),
         }
     }
 }

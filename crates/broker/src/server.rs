@@ -36,11 +36,11 @@ use std::time::Duration;
 
 use avf_inject::{
     BackendError, Campaign, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec,
-    OpenedJob, Trial, TrialStream,
+    OpenedJob, StoreSource, Trial, TrialStream,
 };
 use avf_isa::wire::kind;
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage, SetupMode};
+use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage};
 use avf_service::{EvalBatch, EvalFleet, EvalScore, RemoteBackend};
 
 use crate::metrics::BrokerStats;
@@ -722,7 +722,6 @@ fn admit_spec(
                 sched.queue.len(),
                 inner.opts.max_pending
             ),
-            crate::protocol::RejectReason::BadSpec => "unusable spec".to_owned(),
         };
         drop(sched);
         BrokerStats::bump(&inner.stats.rejected, 1);
@@ -867,19 +866,6 @@ fn relay_interactive(
             return;
         }
     };
-    let SetupMode::Delegated {
-        checkpoint_interval,
-    } = setup.mode
-    else {
-        // Shipped mode would make the broker an N-worker store relay;
-        // the brokered path is delegated-golden by design.
-        let _ = outbox.send(mux_error(
-            tag,
-            "brokered sessions are delegated-golden only (golden mode `worker`)",
-        ));
-        return;
-    };
-
     // Admission + a run slot: interactive sessions pay a full quantum
     // so the DRR never lets them crowd out queued spec campaigns.
     let (grant_tx, grant_rx) = mpsc::channel();
@@ -911,7 +897,7 @@ fn relay_interactive(
         instr_budget: setup.instr_budget,
         fault_model: setup.fault_model,
         golden: GoldenSpec::Delegated {
-            checkpoint_interval,
+            checkpoint_interval: setup.checkpoint_interval,
         },
         prune: setup.prune,
     }) {
@@ -921,15 +907,27 @@ fn relay_interactive(
             return;
         }
     };
-    let ready = JobReady {
-        store_hash: 0, // no store crosses the broker plane
-        golden: opened.golden,
-        checkpoints: opened.checkpoints as u64,
-        prune: opened.prune.as_deref().cloned(),
+    // The fleet counts as cached only if every worker was.
+    let cached = opened
+        .provisioning
+        .iter()
+        .all(|p| p.source == StoreSource::Cached);
+    let ready = ServerMessage::Ready {
+        ready: JobReady {
+            store_hash: 0, // no store crosses the broker plane
+            golden: opened.golden,
+            checkpoints: opened.checkpoints as u64,
+            prune: opened.prune.as_deref().cloned(),
+        },
+        source: if cached {
+            StoreSource::Cached
+        } else {
+            StoreSource::GoldenRun
+        },
     };
     let mut session = opened.session;
     if outbox
-        .send(Mux::wrap(tag, ServerMessage::Ready(ready).to_wire()).to_wire())
+        .send(Mux::wrap(tag, ready.to_wire()).to_wire())
         .is_err()
     {
         return;

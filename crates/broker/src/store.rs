@@ -161,12 +161,7 @@ mod tests {
     }
 
     fn run_report(spec: &CampaignSpec) -> CampaignReport {
-        let config = spec.to_config();
-        let config = avf_inject::CampaignConfig {
-            golden_mode: avf_inject::GoldenMode::Driver,
-            ..config
-        };
-        avf_inject::Campaign::new(&spec.machine, &spec.program, config).run()
+        avf_inject::Campaign::new(&spec.machine, &spec.program, spec.to_config()).run()
     }
 
     #[test]

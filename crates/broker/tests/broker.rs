@@ -12,7 +12,7 @@ use avf_broker::{
     Broker, BrokerClient, BrokerOptions, BrokeredBackend, CampaignSpec, CampaignStore, LogRecord,
     RejectReason, SubmitError,
 };
-use avf_inject::{Campaign, CampaignConfig, CampaignReport, GoldenMode, LocalBackend};
+use avf_inject::{Campaign, CampaignConfig, CampaignReport, LocalBackend};
 use avf_service::{spawn_local, AuthKey, ServeOptions};
 use avf_sim::MachineConfig;
 
@@ -44,7 +44,6 @@ fn config(seed: u64, injections: u64) -> CampaignConfig {
         threads: 1,
         instr_budget: 3_000,
         batch_size: 64,
-        golden_mode: GoldenMode::Worker,
         ..CampaignConfig::default()
     }
 }

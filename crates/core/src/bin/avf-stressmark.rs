@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use avf_ace::FaultRates;
 use avf_broker::{Broker, BrokerClient, BrokerOptions, BrokeredBackend, CampaignSpec, SubmitError};
 use avf_ga::GaParams;
-use avf_inject::{CampaignConfig, FaultModel, GoldenMode, LocalBackend, PruneMode};
+use avf_inject::{CampaignConfig, FaultModel, LocalBackend, PruneMode};
 use avf_isa::Program;
 use avf_service::{serve, spawn_metrics, AuthKey, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
@@ -76,7 +76,6 @@ const VALIDATE_FLAGS: &[FlagSpec] = &[
     value_flag("batch"),
     value_flag("checkpoint-interval"),
     value_flag("workers"),
-    value_flag("golden"),
     value_flag("fault-model"),
     value_flag("prune"),
     value_flag("broker"),
@@ -368,11 +367,6 @@ fn cmd_bounds(args: &Args) -> Result<(), String> {
 
 fn cmd_validate(args: &Args) -> Result<(), String> {
     let machine = machine_of(args)?;
-    let golden_mode = match args.flag("golden").unwrap_or("worker") {
-        "worker" => GoldenMode::Worker,
-        "driver" => GoldenMode::Driver,
-        other => return Err(format!("unknown golden mode `{other}` (worker|driver)")),
-    };
     let fault_model = {
         let spelled = args.flag("fault-model").unwrap_or("replay");
         FaultModel::parse(spelled)
@@ -391,7 +385,6 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         ci_target: args.parse_f64_opt("ci-target").map_err(|e| e.0)?,
         batch_size: args.parse_u64("batch", 128).map_err(|e| e.0)?.max(1),
         checkpoint_interval: args.parse_u64("checkpoint-interval", 0).map_err(|e| e.0)?,
-        golden_mode,
         fault_model,
         prune,
         ..CampaignConfig::default()
@@ -421,13 +414,6 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             return Err(
                 "--threads selects local worker threads and has no effect with \
                  --broker; set --threads on each `serve` process instead"
-                    .to_owned(),
-            );
-        }
-        if golden_mode != GoldenMode::Worker {
-            return Err(
-                "--broker requires --golden worker: the broker delegates golden \
-                 runs to its fleet"
                     .to_owned(),
             );
         }
@@ -622,7 +608,6 @@ fn spec_of(args: &Args) -> Result<CampaignSpec, String> {
         ci_target: args.parse_f64_opt("ci-target").map_err(|e| e.0)?,
         batch_size: args.parse_u64("batch", 128).map_err(|e| e.0)?.max(1),
         checkpoint_interval: args.parse_u64("checkpoint-interval", 0).map_err(|e| e.0)?,
-        golden_mode: GoldenMode::Worker,
         fault_model,
         prune,
         ..CampaignConfig::default()
@@ -716,11 +701,10 @@ commands:
             execution: --workers host:port,... fans trial batches out
             to `serve` processes instead of local threads, re-dispatching
             a worker's trials to survivors if its connection dies
-            mid-batch; --golden worker|driver picks who runs the golden
-            pass — workers in parallel [default, digests cross-checked]
-            or the driver, shipping checkpoints behind the content-hash
-            cache handshake; --fault-model replay|trap picks how
-            ROB/IQ/LQ/SQ control/tag flips resolve — the micro-op
+            mid-batch; each worker runs the golden pass itself, in
+            parallel, and the driver cross-checks their digests;
+            --fault-model replay|trap picks how ROB/IQ/LQ/SQ
+            control/tag flips resolve — the micro-op
             replay oracle [default: corrupted entries re-decode and
             re-execute, outcomes classified architecturally] or the
             coarse control-corruption-is-DUE trap model; --prune
@@ -730,9 +714,9 @@ commands:
             `audit` additionally injects into a deterministic sample of
             pruned sites and hard-fails on any non-masked outcome)
   serve     run a long-lived campaign worker: accepts (program, machine,
-            store-hash) jobs over TCP, resolves checkpoint stores
-            through a bounded LRU cache (HAVE/NEED handshake) or its own
-            golden run, and streams per-trial outcomes back (options:
+            budget, checkpoint interval) jobs over TCP, runs each job's
+            golden pass itself unless its bounded LRU cache already
+            holds it, and streams per-trial outcomes back (options:
             --listen host:port, --threads; --auth-key-file F requires a
             valid frame tag on every connection; --metrics host:port
             serves plaintext session/cache counters over HTTP;

@@ -9,15 +9,15 @@
 //!
 //! * [`JobSpec`] — everything a worker needs to execute trials for one
 //!   campaign: the program, the machine configuration, the instruction
-//!   budget, and a [`GoldenSpec`] saying where the fault-free reference
-//!   comes from — either a [`CheckpointStore`] the driver already
-//!   captured ([`GoldenSpec::Shipped`]) or an instruction to the venue
-//!   to execute the golden pass itself ([`GoldenSpec::Delegated`], the
-//!   default: N remote workers warm up in parallel and the driver
-//!   never simulates the prefix locally).
+//!   budget, and a [`GoldenSpec`]. The driver always sends
+//!   [`GoldenSpec::Delegated`]: the venue runs the golden pass itself
+//!   ([`run_golden_pass`]), so N remote workers warm up in parallel and
+//!   the driver never simulates the prefix. A `serve` worker that
+//!   already holds the pass in its cache hands it to its local backend
+//!   as [`GoldenSpec::Resolved`].
 //! * [`CampaignBackend::open`] — binds a job to an execution venue and
 //!   returns an [`OpenedJob`]: the [`CampaignSession`] plus the golden
-//!   run the venue resolved (measured or received) and a per-worker
+//!   run the venue resolved (measured or cached) and a per-worker
 //!   record of how each worker obtained the checkpoint store.
 //! * [`CampaignSession::submit`] — hands the session one batch of
 //!   [`Trial`]s and returns a [`TrialStream`]: an iterator of
@@ -42,8 +42,8 @@ use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
     golden_run_checkpointed, golden_run_with_evidence, CheckpointStore, DecodedCheckpoints,
-    FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MachineConfig, RunEnd,
-    PRUNE_WINDOW,
+    FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MachineConfig, PruneEvidence,
+    RunEnd, PRUNE_WINDOW,
 };
 
 use crate::plan::Trial;
@@ -121,36 +121,27 @@ impl From<std::io::Error> for BackendError {
     }
 }
 
-/// Where a job's fault-free reference (golden run + checkpoint store)
-/// comes from.
+/// Where a job's fault-free reference (golden run + checkpoints) comes
+/// from.
 #[derive(Debug, Clone)]
 pub enum GoldenSpec {
-    /// The driver already executed the golden pass and hands the
-    /// results over. Over the wire only the store's *content hash*
-    /// travels with the setup — a worker that already caches the store
-    /// replies `HAVE` and the bytes are never re-shipped.
-    Shipped {
-        /// Serialized fault-free checkpoints (`Arc` so a cache or a
-        /// multi-worker fan-out never deep-copies the blobs).
-        store: Arc<CheckpointStore>,
-        /// Already-decoded snapshots of the same store, when the venue
-        /// has them at hand (a worker's decoded-checkpoint cache): the
-        /// local backend then skips the per-campaign `decode_all`.
-        /// `None` means "decode from the bytes".
-        decoded: Option<Arc<DecodedCheckpoints>>,
-        /// The fault-free reference run the store was captured from.
-        golden: GoldenRun,
-        /// Cycle watchdog budget of every trial (hang ⇒ DUE).
-        cycle_budget: u64,
-    },
-    /// The execution venue runs [`avf_sim::golden_run_checkpointed`]
-    /// itself from the shipped program/machine. N remote workers warm
-    /// up in parallel, the driver never simulates the prefix, and the
-    /// driver cross-checks that every worker reports the identical
-    /// golden digest.
+    /// The execution venue runs [`run_golden_pass`] itself from the
+    /// shipped program/machine. N remote workers warm up in parallel,
+    /// the driver never simulates the prefix, and the driver
+    /// cross-checks that every worker reports the identical golden
+    /// digest.
     Delegated {
         /// Golden-run checkpoint spacing in cycles (must be positive).
         checkpoint_interval: u64,
+    },
+    /// The venue already holds the golden pass (a `serve` worker's
+    /// cache entry) and skips it.
+    Resolved {
+        /// The pass's checkpoints, decoded (`Arc` so a cache never
+        /// deep-copies them).
+        checkpoints: Arc<DecodedCheckpoints>,
+        /// The fault-free reference run they were captured from.
+        golden: GoldenRun,
     },
 }
 
@@ -173,11 +164,9 @@ pub struct JobSpec {
     pub fault_model: FaultModel,
     /// Where the fault-free reference comes from.
     pub golden: GoldenSpec,
-    /// Whether the campaign samples under a prune map. In delegated
-    /// golden mode this asks the venue to capture ACE evidence during
-    /// its golden pass and return the classifier's [`PruneMap`] in the
-    /// opened job; in shipped mode the driver built the map alongside
-    /// the store it ships, so the venue has nothing to add.
+    /// Whether the campaign samples under a prune map: the venue
+    /// captures ACE evidence during its golden pass and returns the
+    /// classifier's [`PruneMap`] in the opened job.
     pub prune: bool,
 }
 
@@ -191,22 +180,71 @@ pub fn cycle_budget_of(golden_cycles: u64) -> u64 {
     golden_cycles.saturating_mul(4).saturating_add(50_000)
 }
 
+/// Runs a job's golden pass: the instrumented
+/// [`golden_run_with_evidence`] when `prune` (it captures the ACE
+/// evidence the site classifier needs), else the cheaper uninstrumented
+/// [`golden_run_checkpointed`]. Both produce the identical golden run
+/// and checkpoint stream. Every venue — the local backend and each
+/// `serve` worker — obtains the golden run through this one function.
+#[must_use]
+pub fn run_golden_pass(
+    machine: &MachineConfig,
+    program: &Program,
+    instr_budget: u64,
+    checkpoint_interval: u64,
+    prune: bool,
+) -> (GoldenRun, CheckpointStore, Option<PruneEvidence>) {
+    if prune {
+        let (golden, store, evidence) = golden_run_with_evidence(
+            machine,
+            program,
+            instr_budget,
+            checkpoint_interval,
+            PRUNE_WINDOW,
+        );
+        (golden, store, Some(evidence))
+    } else {
+        let (golden, store) =
+            golden_run_checkpointed(machine, program, instr_budget, checkpoint_interval);
+        (golden, store, None)
+    }
+}
+
 /// How one worker obtained the job's checkpoint store at `open`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreSource {
-    /// The worker already held the store (content-hash cache hit).
+    /// The worker already held the store (cache hit).
     Cached,
-    /// The store was shipped to the worker over the session.
-    Shipped,
     /// The worker executed the golden run itself.
     GoldenRun,
+}
+
+impl StoreSource {
+    /// Stable wire code (1 was the driver-shipped store, retired in
+    /// wire v8).
+    #[must_use]
+    pub fn wire_code(self) -> u8 {
+        match self {
+            StoreSource::Cached => 0,
+            StoreSource::GoldenRun => 2,
+        }
+    }
+
+    /// Inverse of [`StoreSource::wire_code`].
+    #[must_use]
+    pub fn from_wire_code(code: u8) -> Option<StoreSource> {
+        match code {
+            0 => Some(StoreSource::Cached),
+            2 => Some(StoreSource::GoldenRun),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for StoreSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             StoreSource::Cached => "cached",
-            StoreSource::Shipped => "shipped",
             StoreSource::GoldenRun => "golden-run",
         })
     }
@@ -242,18 +280,16 @@ pub struct DispatchRecord {
 pub struct OpenedJob {
     /// The session trial batches are submitted through.
     pub session: Box<dyn CampaignSession>,
-    /// The fault-free reference — measured by the venue in delegated
-    /// mode, echoed back in shipped mode.
+    /// The fault-free reference the venue measured (or cache-hit).
     pub golden: GoldenRun,
     /// Checkpoints in the job's store.
     pub checkpoints: usize,
     /// How each worker obtained the store.
     pub provisioning: Vec<WorkerProvision>,
-    /// The prune map the venue built during a delegated golden pass
-    /// (`None` when the job did not request pruning, or when the driver
-    /// shipped the reference and therefore already holds the map). When
-    /// multiple workers build it independently, the backend must
-    /// cross-check they agree bit-for-bit before returning one.
+    /// The prune map the venue built from its golden pass (`None` when
+    /// the job did not request pruning). When multiple workers build it
+    /// independently, the backend must cross-check they agree
+    /// bit-for-bit before returning one.
     pub prune: Option<Arc<PruneMap>>,
 }
 
@@ -614,14 +650,11 @@ impl CampaignBackend for LocalBackend {
     }
 
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
-        let mut prune = None;
-        let (store, decoded, golden, cycle_budget, source) = match spec.golden {
-            GoldenSpec::Shipped {
-                store,
-                decoded,
+        let (checkpoints, golden, source, prune) = match spec.golden {
+            GoldenSpec::Resolved {
+                checkpoints,
                 golden,
-                cycle_budget,
-            } => (store, decoded, golden, cycle_budget, StoreSource::Shipped),
+            } => (checkpoints, golden, StoreSource::Cached, None),
             GoldenSpec::Delegated {
                 checkpoint_interval,
             } => {
@@ -630,51 +663,28 @@ impl CampaignBackend for LocalBackend {
                         "delegated golden run needs a positive checkpoint interval".to_owned(),
                     ));
                 }
-                let (golden, store) = if spec.prune {
-                    // The instrumented golden pass captures ACE evidence
-                    // for the site classifier while producing the exact
-                    // same checkpoint stream.
-                    let (golden, store, evidence) = golden_run_with_evidence(
-                        &spec.machine,
-                        &spec.program,
-                        spec.instr_budget,
-                        checkpoint_interval,
-                        PRUNE_WINDOW,
-                    );
-                    prune = Some(Arc::new(PruneMap::build(
+                let (golden, store, evidence) = run_golden_pass(
+                    &spec.machine,
+                    &spec.program,
+                    spec.instr_budget,
+                    checkpoint_interval,
+                    spec.prune,
+                );
+                let prune = evidence.map(|evidence| {
+                    Arc::new(PruneMap::build(
                         &spec.machine,
                         &spec.program,
                         spec.fault_model,
                         &evidence,
-                    )));
-                    (golden, store)
-                } else {
-                    golden_run_checkpointed(
-                        &spec.machine,
-                        &spec.program,
-                        spec.instr_budget,
-                        checkpoint_interval,
-                    )
-                };
-                (
-                    Arc::new(store),
-                    None,
-                    golden,
-                    cycle_budget_of(golden.cycles),
-                    StoreSource::GoldenRun,
-                )
+                    ))
+                });
+                // Decode each checkpoint once per campaign: workers
+                // restore by deep clone instead of re-parsing blobs.
+                let checkpoints = Arc::new(store.decode_all(&spec.machine, &spec.program)?);
+                (checkpoints, golden, StoreSource::GoldenRun, prune)
             }
         };
-        let checkpoints_total = store.len();
-        // Decode each checkpoint once per campaign (workers restore by
-        // deep clone instead of re-parsing blobs per batch) — unless the
-        // venue already holds the decoded snapshots (a cache hit in a
-        // long-lived worker), in which case even that single decode is
-        // skipped.
-        let checkpoints = match decoded {
-            Some(decoded) => decoded,
-            None => Arc::new(store.decode_all(&spec.machine, &spec.program)?),
-        };
+        let checkpoints_total = checkpoints.len();
         Ok(OpenedJob {
             session: Box::new(LocalSession {
                 job: Arc::new(LocalJob {
@@ -682,7 +692,7 @@ impl CampaignBackend for LocalBackend {
                     program: spec.program,
                     checkpoints,
                     instr_budget: spec.instr_budget,
-                    cycle_budget,
+                    cycle_budget: cycle_budget_of(golden.cycles),
                     fault_model: spec.fault_model,
                     golden_digest: golden.digest,
                 }),

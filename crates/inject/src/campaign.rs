@@ -6,9 +6,9 @@
 //! through the [`CampaignBackend`] protocol: the driver opens a
 //! session with a [`JobSpec`] (program + machine + budget + golden-run
 //! source), submits trial batches, and folds the [`TrialEvent`] stream
-//! into outcome counts. Even the golden pass belongs to the venue by
-//! default ([`GoldenMode::Worker`]): remote workers execute it in
-//! parallel and the driver simulates nothing. [`LocalBackend`] gives
+//! into outcome counts. Even the golden pass belongs to the venue:
+//! remote workers execute it in parallel and the driver simulates
+//! nothing but the ACE reference. [`LocalBackend`] gives
 //! the classic in-process thread pool; `avf-service`'s `RemoteBackend`
 //! fans the same batches out over TCP — with a fixed seed both produce
 //! identical reports, because every sample is a pure function of
@@ -23,14 +23,10 @@ use std::time::Instant;
 
 use avf_isa::Program;
 use avf_prune::{PruneMap, PruneMode};
-use avf_sim::{
-    golden_run_checkpointed, golden_run_with_evidence, simulate, MachineConfig, PRUNE_WINDOW,
-};
+use avf_sim::{simulate, MachineConfig};
 
 use crate::adaptive::allocate_batch;
-use crate::backend::{
-    cycle_budget_of, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend,
-};
+use crate::backend::{BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend};
 use crate::plan::SamplingPlan;
 use crate::report::{ace_avf_of, BatchProgress, CampaignReport, StopReason, TargetReport};
 use crate::stats::OutcomeCounts;
@@ -39,23 +35,6 @@ use crate::Outcome;
 /// Deterministic audit trials drawn per target from the pruned strata
 /// under [`PruneMode::Audit`] — every one must observe masked.
 const AUDIT_TRIALS_PER_TARGET: u64 = 64;
-
-/// Who executes the fault-free golden pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GoldenMode {
-    /// The execution venue runs the golden pass itself
-    /// ([`GoldenSpec::Delegated`]): remote workers warm up in parallel
-    /// and the driver never simulates the prefix locally. The driver
-    /// cross-checks that every worker reports the identical golden
-    /// digest.
-    #[default]
-    Worker,
-    /// The driver runs the golden pass locally and ships the
-    /// checkpoint store ([`GoldenSpec::Shipped`]) — subject to the
-    /// content-hash cache handshake, so a worker that already holds
-    /// the store never receives the bytes again.
-    Driver,
-}
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -84,10 +63,6 @@ pub struct CampaignConfig {
     /// the instruction budget, which lands near 4–16 checkpoints at
     /// typical IPC).
     pub checkpoint_interval: u64,
-    /// Who executes the golden pass (default: the execution venue).
-    /// Either mode yields a bit-identical report at a fixed seed — the
-    /// golden run is deterministic, so only *where* it executes moves.
-    pub golden_mode: GoldenMode,
     /// How queueing-structure control/tag flips are resolved (default:
     /// the micro-op replay oracle; `trap` restores the coarse
     /// control-corruption-is-DUE model for comparison).
@@ -111,7 +86,6 @@ impl Default for CampaignConfig {
             ci_target: None,
             batch_size: 128,
             checkpoint_interval: 0,
-            golden_mode: GoldenMode::Worker,
             fault_model: avf_sim::FaultModel::default(),
             prune: PruneMode::Off,
         }
@@ -177,53 +151,14 @@ impl<'a> Campaign<'a> {
     pub fn run_on(&self, backend: &dyn CampaignBackend) -> Result<CampaignReport, BackendError> {
         let start = Instant::now();
         let prune_requested = self.config.prune.enabled();
-        // In driver golden mode the driver runs the (instrumented)
-        // golden pass itself and builds the prune map locally; in worker
-        // mode the venue builds it during its delegated golden run and
-        // returns it in the opened job.
-        let mut driver_map: Option<Arc<PruneMap>> = None;
-        let golden_spec = match self.config.golden_mode {
-            GoldenMode::Worker => GoldenSpec::Delegated {
-                checkpoint_interval: self.config.effective_checkpoint_interval(),
-            },
-            GoldenMode::Driver => {
-                let (golden, store) = if prune_requested {
-                    let (golden, store, evidence) = golden_run_with_evidence(
-                        self.machine,
-                        self.program,
-                        self.config.instr_budget,
-                        self.config.effective_checkpoint_interval(),
-                        PRUNE_WINDOW,
-                    );
-                    driver_map = Some(Arc::new(PruneMap::build(
-                        self.machine,
-                        self.program,
-                        self.config.fault_model,
-                        &evidence,
-                    )));
-                    (golden, store)
-                } else {
-                    golden_run_checkpointed(
-                        self.machine,
-                        self.program,
-                        self.config.instr_budget,
-                        self.config.effective_checkpoint_interval(),
-                    )
-                };
-                GoldenSpec::Shipped {
-                    store: Arc::new(store),
-                    decoded: None,
-                    golden,
-                    cycle_budget: cycle_budget_of(golden.cycles),
-                }
-            }
-        };
         let opened = backend.open(JobSpec {
             machine: self.machine.clone(),
             program: self.program.clone(),
             instr_budget: self.config.instr_budget,
             fault_model: self.config.fault_model,
-            golden: golden_spec,
+            golden: GoldenSpec::Delegated {
+                checkpoint_interval: self.config.effective_checkpoint_interval(),
+            },
             prune: prune_requested,
         })?;
         let golden = opened.golden;
@@ -232,10 +167,9 @@ impl<'a> Campaign<'a> {
         let mut session = opened.session;
 
         let prune_map: Option<Arc<PruneMap>> = if prune_requested {
-            let map = driver_map.or(opened.prune).ok_or_else(|| {
+            let map = opened.prune.ok_or_else(|| {
                 BackendError::Protocol(
-                    "pruning requested but neither the driver nor the venue produced a prune map"
-                        .to_owned(),
+                    "pruning requested but the venue produced no prune map".to_owned(),
                 )
             })?;
             if map.cycles() != golden.cycles {

@@ -24,24 +24,23 @@
 //!   (every trial's sample is a pure function of `(seed, batch, trial
 //!   index)` through a SplitMix64 finalizer, so campaign results are
 //!   identical for any thread count and nearby seeds are uncorrelated);
-//! * [`Campaign`] — the driver: the golden pass serializes periodic
-//!   checkpoints ([`avf_sim::CheckpointStore`]), then batches of trials
-//!   are submitted through the [`CampaignBackend`] protocol while the
+//! * [`Campaign`] — the driver: the venue's golden pass serializes
+//!   periodic checkpoints ([`avf_sim::CheckpointStore`]), then batches
+//!   of trials are submitted through the [`CampaignBackend`] protocol while the
 //!   ACE reference simulation runs concurrently. With
 //!   [`CampaignConfig::ci_target`] set, trials are planned in batches
 //!   allocated to the structures with the widest Wilson intervals,
 //!   stopping as soon as every target reaches the precision target
 //!   (sequential sampling);
 //! * [`CampaignBackend`] / [`CampaignSession`] — the execution seam: a
-//!   backend binds a [`JobSpec`] (program, machine, budget, and a
-//!   [`GoldenSpec`] saying whether the venue receives the checkpoint
-//!   store or executes the golden pass itself) and streams per-trial
-//!   [`TrialEvent`]s back as they complete. [`LocalBackend`] is the
+//!   backend binds a [`JobSpec`] (program, machine, budget, and the
+//!   [`GoldenSpec`] the venue runs its golden pass from) and streams
+//!   per-trial [`TrialEvent`]s back as they complete. [`LocalBackend`] is the
 //!   in-process thread pool (cycle-sorted strided shards, each worker
 //!   restoring the nearest checkpoint and forking with
 //!   [`avf_sim::InjectionSim::snapshot`]/`restore` at each injection
 //!   point); `avf-service` adds a TCP `RemoteBackend` plus the matching
-//!   long-running server — with content-hash checkpoint caching,
+//!   long-running server — with job-keyed checkpoint caching,
 //!   parallel worker-side golden runs (digest cross-checked), and
 //!   re-dispatch of a dead worker's unacknowledged trials — and a
 //!   fixed seed yields identical reports on any of them, worker
@@ -76,11 +75,11 @@ mod stats;
 
 pub use backend::{
     classify_trial, classify_trial_against, cycle_budget_of, decode_trial_batch,
-    encode_trial_batch, shard_trials, BackendError, CampaignBackend, CampaignSession,
-    DispatchRecord, GoldenSpec, JobSpec, LocalBackend, OpenedJob, StoreSource, TrialEvent,
-    TrialStream, WorkerProvision,
+    encode_trial_batch, run_golden_pass, shard_trials, BackendError, CampaignBackend,
+    CampaignSession, DispatchRecord, GoldenSpec, JobSpec, LocalBackend, OpenedJob, StoreSource,
+    TrialEvent, TrialStream, WorkerProvision,
 };
-pub use campaign::{Campaign, CampaignConfig, GoldenMode};
+pub use campaign::{Campaign, CampaignConfig};
 pub use plan::{SamplingPlan, Trial, AUDIT_BATCH};
 pub use report::{BatchProgress, CampaignReport, StopReason, TargetReport, Verdict};
 pub use stats::{wilson_interval, OutcomeCounts};

@@ -242,7 +242,7 @@ pub struct CampaignReport {
     /// Golden-run checkpoints the trial workers restored from.
     pub checkpoints: usize,
     /// How each worker obtained the checkpoint store at job setup
-    /// (cache hit, shipped bytes, or its own golden run).
+    /// (cache hit, or its own golden run).
     pub provisioning: Vec<WorkerProvision>,
     /// Every dispatch of trials to a worker, in dispatch order — the
     /// per-worker trajectory, including re-dispatches of shards whose
@@ -370,7 +370,7 @@ impl CampaignReport {
         w.usize(self.provisioning.len());
         for p in &self.provisioning {
             w.str(&p.worker);
-            w.u8(store_source_wire_code(p.source));
+            w.u8(p.source.wire_code());
         }
         w.usize(self.dispatches.len());
         for d in &self.dispatches {
@@ -451,7 +451,7 @@ impl CampaignReport {
         for _ in 0..n_prov {
             let worker = r.str()?;
             let code = r.u8()?;
-            let source = store_source_from_wire_code(code).ok_or(WireError::BadTag(code))?;
+            let source = StoreSource::from_wire_code(code).ok_or(WireError::BadTag(code))?;
             provisioning.push(WorkerProvision { worker, source });
         }
         let n_disp = r.seq_len(1)?;
@@ -501,23 +501,6 @@ fn prune_from_wire_code(code: u8) -> Option<PruneMode> {
         0 => Some(PruneMode::Off),
         1 => Some(PruneMode::On),
         2 => Some(PruneMode::Audit),
-        _ => None,
-    }
-}
-
-fn store_source_wire_code(source: StoreSource) -> u8 {
-    match source {
-        StoreSource::Cached => 0,
-        StoreSource::Shipped => 1,
-        StoreSource::GoldenRun => 2,
-    }
-}
-
-fn store_source_from_wire_code(code: u8) -> Option<StoreSource> {
-    match code {
-        0 => Some(StoreSource::Cached),
-        1 => Some(StoreSource::Shipped),
-        2 => Some(StoreSource::GoldenRun),
         _ => None,
     }
 }

@@ -28,8 +28,8 @@ pub const WIRE_MAGIC: [u8; 4] = *b"AVFW";
 ///
 /// v3: `JOB_SETUP` no longer embeds the checkpoint store inline — it
 /// carries a content hash plus a golden-run mode, with the store (when
-/// needed at all) following in a separate `STORE_DATA` frame after a
-/// `STORE_NEED` reply.
+/// needed at all) following in a separate frame after a cache-miss
+/// reply.
 ///
 /// v4: the micro-op replay oracle. Snapshot `DynInst` records now carry
 /// the fetch-time source-operand values the oracle replays corrupted
@@ -60,7 +60,14 @@ pub const WIRE_MAGIC: [u8; 4] = *b"AVFW";
 /// scope, and evaluation budget; `EVAL_RESULT` streams back one
 /// individual's score with a cache flag, terminated by the existing
 /// `BATCH_DONE` marker.
-pub const WIRE_VERSION: u8 = 7;
+///
+/// v8: one golden-run path. The driver no longer ships checkpoint
+/// stores: `JOB_SETUP` carries the checkpoint interval and every
+/// worker runs (or cache-hits) the golden pass itself. The three
+/// store-handshake kinds (7, 8, 9) are gone, and `JOB_READY` — now the
+/// single reply to `JOB_SETUP` — carries whether the worker's cache
+/// already held the job.
+pub const WIRE_VERSION: u8 = 8;
 
 /// Bytes an envelope occupies on the wire: magic + version + kind.
 pub const ENVELOPE_BYTES: usize = 6;
@@ -70,7 +77,8 @@ pub const ENVELOPE_BYTES: usize = 6;
 pub mod kind {
     /// A serialized [`avf-sim`] pipeline snapshot (checkpoint blob).
     pub const SNAPSHOT: u8 = 1;
-    /// A campaign job specification (program + machine + store hash).
+    /// A campaign job specification (program, machine, budgets,
+    /// checkpoint interval).
     pub const JOB_SETUP: u8 = 2;
     /// One batch of planned injection trials.
     pub const TRIAL_BATCH: u8 = 3;
@@ -80,12 +88,8 @@ pub mod kind {
     pub const BATCH_DONE: u8 = 5;
     /// A fatal error reported by a campaign worker.
     pub const SERVICE_ERROR: u8 = 6;
-    /// Worker already holds the job's checkpoint store (cache hit).
-    pub const STORE_HAVE: u8 = 7;
-    /// Worker needs the job's checkpoint store (cache miss).
-    pub const STORE_NEED: u8 = 8;
-    /// A full checkpoint store shipped in response to [`STORE_NEED`].
-    pub const STORE_DATA: u8 = 9;
+    // Kinds 7-9 carried the v3-v7 checkpoint-store handshake; retired
+    // in v8 and not to be reused.
     /// Worker finished job setup (store resolved, golden run known).
     pub const JOB_READY: u8 = 10;
     /// Driver submits a campaign spec to the broker for queued execution.
@@ -124,8 +128,8 @@ pub mod kind {
 /// 64-bit FNV-1a content hash with a leading domain byte.
 ///
 /// This keys the worker-side checkpoint-store cache: hashes over
-/// different byte streams in different *domains* (store contents vs.
-/// delegated-job parameters) must not collide structurally, so every
+/// different byte streams in different *domains* (job parameters vs.
+/// machine geometry vs. fitness content) must not collide structurally, so every
 /// hash mixes in a domain tag first. Not cryptographic — the cache is a
 /// bandwidth optimization between trusted peers, and a mismatch is
 /// re-verified by the worker before use.

@@ -198,8 +198,10 @@ impl TargetPrune {
 
     /// Recomputes `pruned`/`total` from the strata — called after build
     /// and after decode, so the masses are always consistent with the
-    /// masks and never trusted from the wire.
-    fn finalize(&mut self, cycles: u64, window: u64) {
+    /// masks and never trusted from the wire. `None` when the geometry
+    /// cannot describe a real map: a site count past `u64`, static masks
+    /// wider than the entry, or more pruned sites than exist.
+    fn finalize(&mut self, cycles: u64, window: u64) -> Option<()> {
         let span = cycles.saturating_sub(1);
         let mut static_bits = 0u64;
         for i in 0..self.static_words() {
@@ -207,25 +209,29 @@ impl TargetPrune {
             let b = self.narrow_mask.get(i).copied().unwrap_or(0);
             static_bits += u64::from((a | b).count_ones());
         }
-        let live_bits = u64::from(self.entry_bits) - static_bits;
-        self.total = span * self.entries * u64::from(self.entry_bits);
-        let mut pruned = span * self.entries * static_bits;
+        let live_bits = u64::from(self.entry_bits).checked_sub(static_bits)?;
+        let cycle_entries = span.checked_mul(self.entries)?;
+        self.total = cycle_entries.checked_mul(u64::from(self.entry_bits))?;
+        let mut pruned = cycle_entries.checked_mul(static_bits)?;
         for w in 0..self.occ_max.len().max(self.dead_windows.len()) {
-            let lo = (w as u64) * window + 1;
+            let lo = (w as u64).checked_mul(window)?.checked_add(1)?;
             if lo > span {
                 break;
             }
-            let hi = span.min((w as u64 + 1) * window);
+            let hi = span.min((w as u64 + 1).saturating_mul(window));
             let n = hi - lo + 1;
+            let mut vacant = 0u64;
             if let Some(&occ) = self.occ_max.get(w) {
-                pruned += n * self.entries.saturating_sub(occ) * live_bits;
+                vacant = vacant.checked_add(self.entries.saturating_sub(occ))?;
             }
             if let Some(dead) = self.dead_windows.get(w) {
                 let dead_entries: u64 = dead.iter().map(|d| u64::from(d.count_ones())).sum();
-                pruned += n * dead_entries.min(self.entries) * live_bits;
+                vacant = vacant.checked_add(dead_entries.min(self.entries))?;
             }
+            pruned = pruned.checked_add(n.checked_mul(vacant)?.checked_mul(live_bits)?)?;
         }
         self.pruned = pruned;
+        (pruned <= self.total).then_some(())
     }
 
     fn encode(&self, w: &mut WireWriter) {
@@ -421,7 +427,8 @@ impl PruneMap {
                 // as the next fidelity frontier).
                 InjectionTarget::Dl1 | InjectionTarget::L2 => {}
             }
-            t.finalize(evidence.cycles, evidence.window);
+            t.finalize(evidence.cycles, evidence.window)
+                .expect("a map built from a golden pass describes a real site space");
             targets.push(t);
         }
         PruneMap {
@@ -522,8 +529,9 @@ impl PruneMap {
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncation, an unknown target code,
-    /// targets out of [`InjectionTarget::ALL`] order, or masks that do
-    /// not match the declared geometry.
+    /// targets out of [`InjectionTarget::ALL`] order, masks that do not
+    /// match the declared geometry, or strata whose masses overflow or
+    /// exceed the site space.
     pub fn decode(r: &mut WireReader<'_>) -> Result<PruneMap, WireError> {
         let window = r.u64()?;
         if window == 0 {
@@ -540,7 +548,9 @@ impl PruneMap {
             if t.target != expected {
                 return Err(WireError::Invalid("prune map targets out of order"));
             }
-            t.finalize(cycles, window);
+            t.finalize(cycles, window).ok_or(WireError::Invalid(
+                "prune map geometry describes no real site space",
+            ))?;
             targets.push(t);
         }
         Ok(PruneMap {

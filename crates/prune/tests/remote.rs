@@ -3,12 +3,12 @@
 //! requires the prune map itself to survive the wire, since the
 //! residual sampler is a pure function of `(seed, PruneMap)`.
 
-use avf_inject::{Campaign, CampaignConfig, GoldenMode, LocalBackend, PruneMode};
+use avf_inject::{Campaign, CampaignConfig, LocalBackend, PruneMode};
 use avf_service::{spawn_local, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
 use avf_workloads::testkit::register_chain;
 
-fn pruned_config(golden_mode: GoldenMode) -> CampaignConfig {
+fn pruned_config() -> CampaignConfig {
     CampaignConfig {
         injections: 2_000,
         seed: 11,
@@ -17,7 +17,6 @@ fn pruned_config(golden_mode: GoldenMode) -> CampaignConfig {
         ci_target: Some(0.16),
         batch_size: 64,
         prune: PruneMode::On,
-        golden_mode,
         ..CampaignConfig::default()
     }
 }
@@ -48,12 +47,12 @@ fn assert_identical(a: &avf_inject::CampaignReport, b: &avf_inject::CampaignRepo
 
 #[test]
 fn delegated_pruned_campaign_matches_local_with_the_map_shipped_back() {
-    // Worker golden mode: the worker captures the evidence during its
-    // own golden pass, builds the map, and returns it in JOB_READY —
-    // the driver samples from a map that crossed the wire.
+    // The worker captures the evidence during its own golden pass,
+    // builds the map, and returns it in JOB_READY — the driver samples
+    // from a map that crossed the wire.
     let machine = MachineConfig::baseline();
     let program = register_chain();
-    let config = pruned_config(GoldenMode::Worker);
+    let config = pruned_config();
 
     let local = Campaign::new(&machine, &program, config.clone())
         .run_on(&LocalBackend::new(2))
@@ -62,30 +61,6 @@ fn delegated_pruned_campaign_matches_local_with_the_map_shipped_back() {
 
     let addr = spawn_local(ServeOptions {
         threads: 2,
-        ..ServeOptions::default()
-    })
-    .expect("bind loopback server");
-    let remote = Campaign::new(&machine, &program, config)
-        .run_on(&RemoteBackend::new(vec![addr.to_string()]))
-        .expect("remote pruned run");
-    assert_identical(&local, &remote);
-}
-
-#[test]
-fn driver_golden_pruned_campaign_matches_over_the_wire_too() {
-    // Driver golden mode: the driver builds the map from its own
-    // instrumented pass and ships only the store — the worker never
-    // sees the map, trials arrive as explicit residual sites.
-    let machine = MachineConfig::baseline();
-    let program = register_chain();
-    let config = pruned_config(GoldenMode::Driver);
-
-    let local = Campaign::new(&machine, &program, config.clone())
-        .run_on(&LocalBackend::new(1))
-        .expect("local pruned run");
-
-    let addr = spawn_local(ServeOptions {
-        threads: 1,
         ..ServeOptions::default()
     })
     .expect("bind loopback server");

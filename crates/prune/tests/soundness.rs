@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use avf_inject::{
-    cycle_budget_of, CampaignBackend, GoldenSpec, JobSpec, LocalBackend, Outcome, Trial,
-};
+use avf_inject::{CampaignBackend, GoldenSpec, JobSpec, LocalBackend, Outcome, Trial};
 use avf_prune::{ProofTag, PruneMap};
 use avf_sim::{golden_run_with_evidence, FaultModel, InjectionTarget, MachineConfig, PRUNE_WINDOW};
 use avf_workloads::testkit::{idle_loop, register_chain};
@@ -105,15 +103,13 @@ fn assert_sweep_masked(program: &avf_isa::Program, model: FaultModel) -> [bool; 
             program: program.clone(),
             instr_budget: INSTR_BUDGET,
             fault_model: model,
-            golden: GoldenSpec::Shipped {
-                store: Arc::new(store),
-                decoded: None,
+            golden: GoldenSpec::Resolved {
+                checkpoints: Arc::new(store.decode_all(&machine, program).expect("own store")),
                 golden,
-                cycle_budget: cycle_budget_of(golden.cycles),
             },
             prune: false,
         })
-        .expect("local backend opens a shipped store");
+        .expect("local backend opens a resolved golden pass");
     let mut session = opened.session;
     let trials: Vec<Trial> = sites.iter().map(|&(t, _)| t).collect();
     let mut seen = 0usize;

@@ -1,43 +1,43 @@
 //! Bounded worker-side checkpoint-store cache.
 //!
-//! Re-shipping a multi-megabyte [`CheckpointStore`] to every worker on
-//! every campaign is the single biggest waste on a real network: the
-//! store is a pure function of `(machine, program, instruction budget,
-//! checkpoint interval)`, and a validation sweep re-runs the same four
-//! programs per invocation. The service therefore keys every job by a
-//! 64-bit content hash ([`avf_isa::wire::content_hash64`]) and a worker
-//! answers the `JOB_SETUP` handshake with `HAVE` (skip the bytes / the
-//! golden re-run entirely) or `NEED`.
+//! Re-running the golden pass for every campaign is the biggest fixed
+//! cost of a worker: the pass is a pure function of `(machine, program,
+//! instruction budget, checkpoint interval)`, and a validation sweep
+//! re-runs the same four programs per invocation. The service therefore
+//! keys every job by a 64-bit content hash of those parameters
+//! ([`avf_isa::wire::content_hash64`]), and a worker that finds the job
+//! here skips the golden pass and the checkpoint decode entirely.
 //!
-//! The cache is bounded both by entry count and by total serialized
+//! The cache is bounded both by entry count and by total checkpoint
 //! bytes, evicting least-recently-used entries first, so a long-lived
 //! `serve` process cannot grow without limit no matter how many
 //! distinct campaigns pass through it. One cache is shared by every
 //! connection of a server (`Arc` + mutex — entries hold `Arc`s, so a
-//! hit never copies blob bytes under the lock).
+//! hit never copies snapshots under the lock).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use avf_sim::{CheckpointStore, DecodedCheckpoints, GoldenRun, PruneEvidence};
+use avf_sim::{DecodedCheckpoints, GoldenRun, PruneEvidence};
 
 /// Default entry bound of a server's cache.
 pub const DEFAULT_CACHE_ENTRIES: usize = 16;
 
-/// Default byte bound of a server's cache (serialized store bytes).
+/// Default byte bound of a server's cache ([`CacheEntry::footprint`]).
 pub const DEFAULT_CACHE_BYTES: usize = 512 << 20;
 
-/// One cached job setup: the checkpoint store, the golden run it was
-/// captured from, and the *decoded* snapshots — so a cache hit pays
-/// neither the golden pass nor the per-campaign `decode_all`.
+/// One cached job setup: the golden run and its *decoded* checkpoints —
+/// so a cache hit pays neither the golden pass nor the per-campaign
+/// `decode_all`.
 #[derive(Clone)]
 pub struct CacheEntry {
-    /// Serialized fault-free checkpoints.
-    pub store: Arc<CheckpointStore>,
-    /// The same checkpoints decoded once at insertion; every later
-    /// session on this worker restores from these by deep clone.
+    /// Serialized size of the pass's checkpoint store, measured before
+    /// it was decoded and dropped.
+    pub store_bytes: usize,
+    /// The checkpoints decoded once at insertion; every later session
+    /// on this worker restores from these by deep clone.
     pub decoded: Arc<DecodedCheckpoints>,
-    /// The golden run the store belongs to.
+    /// The golden run the checkpoints belong to.
     pub golden: GoldenRun,
     /// Fingerprint of the machine/program pair the snapshots were
     /// decoded against ([`crate::protocol::geometry_fingerprint`]).
@@ -57,15 +57,13 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Bytes this entry is charged against the cache's byte bound: the
-    /// serialized store plus an equal estimate for the decoded
-    /// snapshots it pins (a decoded checkpoint materializes the same
-    /// state the blob serializes, so the serialized size is the right
-    /// order of magnitude — the bound must track what the worker
-    /// actually holds resident, not just the wire bytes).
+    /// Bytes this entry is charged against the cache's byte bound: an
+    /// estimate of the decoded snapshots it pins. A decoded checkpoint
+    /// materializes the same state its blob serialized, so the
+    /// serialized size is the right order of magnitude.
     #[must_use]
     pub fn footprint(&self) -> usize {
-        self.store.total_bytes() * 2
+        self.store_bytes
     }
 }
 
@@ -81,8 +79,7 @@ pub struct CacheStats {
     /// Entries currently held.
     pub entries: usize,
     /// Bytes currently charged against the bound
-    /// ([`CacheEntry::footprint`]: serialized store plus the
-    /// decoded-snapshot estimate).
+    /// ([`CacheEntry::footprint`]).
     pub bytes: usize,
 }
 
@@ -107,7 +104,7 @@ pub struct StoreCache {
 
 impl StoreCache {
     /// A cache bounded by `max_entries` entries and `max_bytes` total
-    /// serialized store bytes (both clamped to at least one entry's
+    /// footprint bytes (both clamped to at least one entry's
     /// worth so a cache can never refuse everything).
     #[must_use]
     pub fn new(max_entries: usize, max_bytes: usize) -> StoreCache {
@@ -157,8 +154,8 @@ impl StoreCache {
 
     /// Inserts (or refreshes) `hash`, evicting least-recently-used
     /// entries until both bounds hold. An entry larger than the byte
-    /// bound is still admitted alone — the handshake already paid for
-    /// it, so refusing would only force an immediate re-ship.
+    /// bound is still admitted alone — its golden pass is already paid
+    /// for, so refusing would only force the next session to re-run it.
     pub fn insert(&self, hash: u64, entry: CacheEntry) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
@@ -216,7 +213,7 @@ mod tests {
         let (golden, store) = golden_run_checkpointed(&machine, &program, 400, 50 + seed);
         let decoded = store.decode_all(&machine, &program).expect("own store");
         CacheEntry {
-            store: Arc::new(store),
+            store_bytes: store.total_bytes(),
             decoded: Arc::new(decoded),
             golden,
             geometry: GEO,
@@ -243,7 +240,7 @@ mod tests {
     #[test]
     fn byte_bound_evicts_but_never_refuses_the_newest() {
         let e = entry(0);
-        let size = e.store.total_bytes();
+        let size = e.footprint();
         assert!(size > 0);
         // Bound below one store: the newest entry is still admitted.
         let cache = StoreCache::new(8, size / 2);
@@ -261,10 +258,7 @@ mod tests {
         let cache = StoreCache::new(4, usize::MAX);
         let e = entry(0);
         let footprint = e.footprint();
-        assert!(
-            footprint > e.store.total_bytes(),
-            "the decoded snapshots must be charged too"
-        );
+        assert!(footprint > 0, "the decoded snapshots are charged");
         cache.insert(7, e.clone());
         cache.insert(7, e);
         assert_eq!(cache.stats().bytes, footprint);

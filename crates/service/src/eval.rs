@@ -46,7 +46,7 @@ use avf_sim::{simulate, MachineConfig};
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, AuthVerifier, ConnectionAuth};
 use crate::frame::FrameBatcher;
-use crate::protocol::{remote_error, ServerMessage, HASH_DOMAIN_EVAL};
+use crate::protocol::{ServerMessage, HASH_DOMAIN_EVAL};
 use crate::server::ServeOptions;
 
 /// Derives code-generator target parameters from a machine configuration.
@@ -654,7 +654,7 @@ fn drain_eval_shard(
                 }
                 return EvalShardFate::Clean(scored);
             }
-            Ok(EvalReply::Error(msg)) => return EvalShardFate::Fatal(remote_error(msg)),
+            Ok(EvalReply::Error(msg)) => return EvalShardFate::Fatal(BackendError::Remote(msg)),
             Err(e) => return EvalShardFate::Fatal(BackendError::Wire(e)),
         }
     }

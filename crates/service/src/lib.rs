@@ -11,13 +11,13 @@
 //! * [`frame`] — length-prefixed framing with an allocation-bounding
 //!   size limit, plus a count/time-window [`frame::FrameBatcher`] so
 //!   the event hot path does not pay one syscall per 16-byte frame;
-//! * [`protocol`] — the session schema (job setup → store handshake →
+//! * [`protocol`] — the session schema (job setup → job ready →
 //!   batches → streamed events), every payload wrapped in the
 //!   `avf_isa::wire` magic + version envelope so stale or foreign
 //!   peers fail typed;
-//! * [`cache`] — the bounded worker-side LRU of checkpoint stores
-//!   keyed by content hash, behind the `HAVE`/`NEED` handshake that
-//!   keeps identical stores from ever being re-shipped;
+//! * [`cache`] — the bounded worker-side LRU of decoded golden passes
+//!   keyed by a content hash of the job, so an identical job never
+//!   re-runs the golden pass on the same worker;
 //! * [`serve`] / [`spawn_local`] — the long-running job server
 //!   (`avf-stressmark serve`), a thin wire adapter over the same
 //!   `LocalBackend` the in-process path uses — including worker-side

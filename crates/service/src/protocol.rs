@@ -3,10 +3,8 @@
 //! One connection carries one campaign session:
 //!
 //! ```text
-//! client → server   JOB_SETUP    (machine, program, budget, golden mode + store hash)
-//! server → client   STORE_HAVE | STORE_NEED   (checkpoint-store cache handshake)
-//! client → server   STORE_DATA   (full store — only after NEED in shipped mode)
-//! server → client   JOB_READY    (store hash + golden run + checkpoint count)
+//! client → server   JOB_SETUP    (machine, program, budget, checkpoint interval)
+//! server → client   JOB_READY    (job key + golden run + checkpoint count + cache provenance)
 //! client → server   TRIAL_BATCH  (one adaptive batch of planned trials)
 //! server → client   TRIAL_EVENT* (one per trial, streamed as classified)
 //! server → client   BATCH_DONE   (event count for the batch, a sanity check)
@@ -15,27 +13,25 @@
 //! server → client   SERVICE_ERROR (any time: fatal, connection closes)
 //! ```
 //!
-//! The `JOB_SETUP` frame never carries checkpoint bytes: it names the
-//! store by content hash (shipped mode) or by the delegated-job key
-//! (worker-side golden run), and the worker answers `HAVE` from its
-//! bounded LRU ([`crate::cache::StoreCache`]) or `NEED`. Only a `NEED`
-//! in shipped mode moves store bytes; a `NEED` in delegated mode means
-//! the worker is executing the golden pass itself. Either way the
-//! worker closes setup with `JOB_READY`, and a driver fanning one job
-//! across N workers cross-checks that every `JOB_READY` is identical —
-//! golden-run divergence between workers is a hard protocol error.
+//! Setup is one request and one reply. The worker looks the job up by
+//! its key ([`delegated_job_key`]) in its bounded LRU
+//! ([`crate::cache::StoreCache`]); on a miss it runs the golden pass
+//! itself. Either way it answers `JOB_READY`, and a driver fanning one
+//! job across N workers cross-checks that every [`JobReady`] is
+//! identical — golden-run divergence between workers is a hard protocol
+//! error. Whether the worker's cache held the job travels beside the
+//! `JobReady`, not inside it, so workers in different cache states
+//! still agree.
 //!
 //! Every payload opens with the [`avf_isa::wire`] envelope, so a stale
 //! worker build or a foreign peer fails with a typed magic/version
 //! error instead of a confusing mid-payload decode failure.
 
-use std::sync::Arc;
-
-use avf_inject::{decode_trial_batch, BackendError, Trial, TrialEvent};
-use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter, ENVELOPE_BYTES};
+use avf_inject::{decode_trial_batch, StoreSource, Trial, TrialEvent};
+use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
-use avf_sim::{CheckpointStore, FaultModel, GoldenRun, MachineConfig};
+use avf_sim::{FaultModel, GoldenRun, MachineConfig};
 
 fn encode_golden(w: &mut WireWriter, golden: &GoldenRun) {
     w.u64(golden.cycles);
@@ -51,10 +47,8 @@ fn decode_golden(r: &mut WireReader<'_>) -> Result<GoldenRun, WireError> {
     })
 }
 
-/// Hash domain of checkpoint-store content (shipped mode).
-pub const HASH_DOMAIN_STORE: u8 = 0;
-
-/// Hash domain of delegated-job parameters (worker-side golden runs).
+/// Hash domain of job parameters (the worker cache key). Domain 0
+/// hashed driver-shipped stores until wire v8.
 pub const HASH_DOMAIN_DELEGATED_JOB: u8 = 1;
 
 /// Hash domain of a job's machine/program geometry fingerprint (guards
@@ -77,28 +71,6 @@ pub fn geometry_fingerprint(machine: &MachineConfig, program: &Program) -> u64 {
     content_hash64(HASH_DOMAIN_GEOMETRY, &w.into_bytes())
 }
 
-/// Golden-run mode of a [`JobSetup`], mirroring
-/// [`avf_inject::GoldenSpec`] without the store bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetupMode {
-    /// The driver holds the store; the worker caches it by content
-    /// hash and asks for the bytes only on a miss.
-    Shipped {
-        /// Content hash of the store's `STORE_DATA` payload.
-        store_hash: u64,
-        /// The driver's golden run (echoed back in `JOB_READY` so the
-        /// cross-check is uniform across modes).
-        golden: GoldenRun,
-        /// Cycle watchdog budget of every trial.
-        cycle_budget: u64,
-    },
-    /// The worker executes `golden_run_checkpointed` itself.
-    Delegated {
-        /// Golden-run checkpoint spacing in cycles.
-        checkpoint_interval: u64,
-    },
-}
-
 /// The session-opening frame: everything a worker needs to set a
 /// campaign up, minus any checkpoint bytes.
 #[derive(Debug, Clone)]
@@ -107,8 +79,8 @@ pub struct JobSetup {
     pub machine: MachineConfig,
     /// Program under injection.
     pub program: Program,
-    /// Committed-instruction budget of every trial (and of a delegated
-    /// golden run).
+    /// Committed-instruction budget of every trial and of the golden
+    /// run.
     pub instr_budget: u64,
     /// How the worker resolves queueing-structure control/tag flips.
     /// Deliberately *not* part of the store cache key: the golden pass
@@ -116,33 +88,25 @@ pub struct JobSetup {
     /// (machine, program, budget, interval) share one checkpoint store.
     pub fault_model: FaultModel,
     /// Whether the campaign samples under pre-campaign site pruning
-    /// (wire v5). In delegated mode a pruning worker captures ACE
-    /// evidence during its golden pass and ships the classifier's
-    /// [`PruneMap`] back in `JOB_READY`; in shipped mode the driver
-    /// already holds the map, so the flag changes nothing worker-side.
-    /// Not part of the cache key either: the checkpoint stream is
-    /// bit-identical with and without evidence capture.
+    /// (wire v5): a pruning worker captures ACE evidence during its
+    /// golden pass and ships the classifier's [`PruneMap`] back in
+    /// `JOB_READY`. Not part of the cache key either: the checkpoint
+    /// stream is bit-identical with and without evidence capture.
     pub prune: bool,
-    /// Golden-run mode.
-    pub mode: SetupMode,
+    /// Golden-run checkpoint spacing in cycles (positive).
+    pub checkpoint_interval: u64,
 }
 
 impl JobSetup {
-    /// The cache key this setup resolves to: the store's content hash
-    /// in shipped mode, the delegated-job key otherwise.
+    /// The cache key this setup resolves to ([`delegated_job_key`]).
     #[must_use]
     pub fn cache_key(&self) -> u64 {
-        match self.mode {
-            SetupMode::Shipped { store_hash, .. } => store_hash,
-            SetupMode::Delegated {
-                checkpoint_interval,
-            } => delegated_job_key(
-                &self.machine,
-                &self.program,
-                self.instr_budget,
-                checkpoint_interval,
-            ),
-        }
+        delegated_job_key(
+            &self.machine,
+            &self.program,
+            self.instr_budget,
+            self.checkpoint_interval,
+        )
     }
 
     /// Serializes the setup to an enveloped frame payload.
@@ -155,24 +119,7 @@ impl JobSetup {
         w.u64(self.instr_budget);
         w.u8(self.fault_model.wire_code());
         w.u8(u8::from(self.prune));
-        match &self.mode {
-            SetupMode::Shipped {
-                store_hash,
-                golden,
-                cycle_budget,
-            } => {
-                w.u8(0);
-                w.u64(*store_hash);
-                encode_golden(&mut w, golden);
-                w.u64(*cycle_budget);
-            }
-            SetupMode::Delegated {
-                checkpoint_interval,
-            } => {
-                w.u8(1);
-                w.u64(*checkpoint_interval);
-            }
-        }
+        w.u64(self.checkpoint_interval);
         w.into_bytes()
     }
 
@@ -188,41 +135,29 @@ impl JobSetup {
             1 => true,
             t => return Err(WireError::BadTag(t)),
         };
-        let mode = match r.u8()? {
-            0 => SetupMode::Shipped {
-                store_hash: r.u64()?,
-                golden: decode_golden(r)?,
-                cycle_budget: r.u64()?,
-            },
-            1 => {
-                let checkpoint_interval = r.u64()?;
-                if checkpoint_interval == 0 {
-                    return Err(WireError::Invalid("checkpoint interval must be positive"));
-                }
-                SetupMode::Delegated {
-                    checkpoint_interval,
-                }
-            }
-            t => return Err(WireError::BadTag(t)),
-        };
+        let checkpoint_interval = r.u64()?;
+        if checkpoint_interval == 0 {
+            return Err(WireError::Invalid("checkpoint interval must be positive"));
+        }
         Ok(JobSetup {
             machine,
             program,
             instr_budget,
             fault_model,
             prune,
-            mode,
+            checkpoint_interval,
         })
     }
 }
 
-/// The worker's end-of-setup report: which store it is running on and
-/// the golden run it resolved (its own measurement in delegated mode,
-/// the driver's echo in shipped mode).
+/// The worker's end-of-setup report: which job it is running and the
+/// golden run it resolved.
 ///
 /// `Eq` is load-bearing: a driver fanning one job over N workers
 /// compares their `JobReady`s bit-for-bit, so when workers build prune
-/// maps independently the cross-check covers the maps too.
+/// maps independently the cross-check covers the maps too. It therefore
+/// holds nothing that may legitimately differ between workers, such as
+/// their cache state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobReady {
     /// Cache key the worker stored/found the job under.
@@ -231,8 +166,8 @@ pub struct JobReady {
     pub golden: GoldenRun,
     /// Checkpoints in the store.
     pub checkpoints: u64,
-    /// The prune map the worker built during a delegated golden pass
-    /// with pruning requested (wire v5); `None` otherwise. Masses are
+    /// The prune map the worker built during its golden pass with
+    /// pruning requested (wire v5); `None` otherwise. Masses are
     /// recomputed at decode, never trusted from the wire.
     pub prune: Option<PruneMap>,
 }
@@ -245,19 +180,11 @@ pub enum ClientMessage {
     Setup(Box<JobSetup>),
     /// One batch of planned trials.
     Batch(Vec<Trial>),
-    /// The checkpoint store, shipped after a `STORE_NEED` reply.
-    Store {
-        /// Decoded store.
-        store: Arc<CheckpointStore>,
-        /// Content hash of the payload as it crossed the wire — the
-        /// receiver verifies it against the hash announced in setup.
-        hash: u64,
-    },
 }
 
 impl ClientMessage {
     /// Decodes a frame payload written by one of the client-side
-    /// encoders ([`JobSetup::to_wire`], [`encode_store_data`],
+    /// encoders ([`JobSetup::to_wire`],
     /// [`avf_inject::encode_trial_batch`]).
     ///
     /// # Errors
@@ -273,15 +200,6 @@ impl ClientMessage {
                 Ok(ClientMessage::Setup(Box::new(setup)))
             }
             kind::TRIAL_BATCH => Ok(ClientMessage::Batch(decode_trial_batch(bytes)?)),
-            kind::STORE_DATA => {
-                let hash = content_hash64(HASH_DOMAIN_STORE, &bytes[ENVELOPE_BYTES..]);
-                let store = CheckpointStore::decode(&mut r)?;
-                r.finish()?;
-                Ok(ClientMessage::Store {
-                    store: Arc::new(store),
-                    hash,
-                })
-            }
             found => Err(WireError::WrongKind {
                 found,
                 expected: kind::JOB_SETUP,
@@ -293,19 +211,14 @@ impl ClientMessage {
 /// One server-to-client message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerMessage {
-    /// Worker already caches the job's store under this key.
-    StoreHave {
-        /// The cache key (echoed for cross-checking).
-        hash: u64,
-    },
-    /// Worker needs the store (shipped mode: send `STORE_DATA`;
-    /// delegated mode: the worker is running the golden pass itself).
-    StoreNeed {
-        /// The cache key (echoed for cross-checking).
-        hash: u64,
-    },
     /// Job setup is complete; trial batches may flow.
-    Ready(JobReady),
+    Ready {
+        /// What the worker resolved (cross-checked across workers).
+        ready: JobReady,
+        /// Whether the worker's cache held the job or it ran the
+        /// golden pass (per worker; never cross-checked).
+        source: StoreSource,
+    },
     /// A classified trial outcome.
     Event(TrialEvent),
     /// The current batch is complete; `events` outcomes were streamed.
@@ -323,21 +236,10 @@ impl ServerMessage {
     pub fn to_wire(&self) -> Vec<u8> {
         match self {
             ServerMessage::Event(ev) => ev.to_wire(),
-            ServerMessage::StoreHave { hash } => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::STORE_HAVE);
-                w.u64(*hash);
-                w.into_bytes()
-            }
-            ServerMessage::StoreNeed { hash } => {
-                let mut w = WireWriter::new();
-                w.envelope(kind::STORE_NEED);
-                w.u64(*hash);
-                w.into_bytes()
-            }
-            ServerMessage::Ready(ready) => {
+            ServerMessage::Ready { ready, source } => {
                 let mut w = WireWriter::new();
                 w.envelope(kind::JOB_READY);
+                w.u8(source.wire_code());
                 w.u64(ready.store_hash);
                 encode_golden(&mut w, &ready.golden);
                 w.u64(ready.checkpoints);
@@ -375,9 +277,9 @@ impl ServerMessage {
         let mut r = WireReader::new(bytes);
         let msg = match r.envelope()? {
             kind::TRIAL_EVENT => ServerMessage::Event(TrialEvent::decode_body(&mut r)?),
-            kind::STORE_HAVE => ServerMessage::StoreHave { hash: r.u64()? },
-            kind::STORE_NEED => ServerMessage::StoreNeed { hash: r.u64()? },
             kind::JOB_READY => {
+                let code = r.u8()?;
+                let source = StoreSource::from_wire_code(code).ok_or(WireError::BadTag(code))?;
                 let store_hash = r.u64()?;
                 let golden = decode_golden(&mut r)?;
                 let checkpoints = r.u64()?;
@@ -386,12 +288,15 @@ impl ServerMessage {
                     1 => Some(PruneMap::decode(&mut r)?),
                     t => return Err(WireError::BadTag(t)),
                 };
-                ServerMessage::Ready(JobReady {
-                    store_hash,
-                    golden,
-                    checkpoints,
-                    prune,
-                })
+                ServerMessage::Ready {
+                    ready: JobReady {
+                        store_hash,
+                        golden,
+                        checkpoints,
+                        prune,
+                    },
+                    source,
+                }
             }
             kind::BATCH_DONE => ServerMessage::Done { events: r.u64()? },
             kind::SERVICE_ERROR => ServerMessage::Error(r.str()?),
@@ -407,24 +312,7 @@ impl ServerMessage {
     }
 }
 
-/// Serializes a checkpoint store to a `STORE_DATA` frame payload.
-#[must_use]
-pub fn encode_store_data(store: &CheckpointStore) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.envelope(kind::STORE_DATA);
-    store.encode(&mut w);
-    w.into_bytes()
-}
-
-/// Content hash of a `STORE_DATA` frame payload — over exactly the
-/// bytes after the envelope, so both ends hash the same span without a
-/// second serialization pass.
-#[must_use]
-pub fn store_frame_hash(frame: &[u8]) -> u64 {
-    content_hash64(HASH_DOMAIN_STORE, &frame[ENVELOPE_BYTES.min(frame.len())..])
-}
-
-/// The cache key of a delegated (worker-side golden run) job: a content
+/// The cache key of a job (a worker-side golden run): a content
 /// hash over the job's defining parameters. Two jobs with the same key
 /// provably produce the same store and golden run — the golden pass is
 /// a deterministic function of exactly these inputs.
@@ -441,13 +329,6 @@ pub fn delegated_job_key(
     w.u64(instr_budget);
     w.u64(checkpoint_interval);
     content_hash64(HASH_DOMAIN_DELEGATED_JOB, &w.into_bytes())
-}
-
-/// Maps a server-reported [`ServerMessage::Error`] into the backend
-/// error the driver surfaces.
-#[must_use]
-pub fn remote_error(msg: String) -> BackendError {
-    BackendError::Remote(msg)
 }
 
 /// A campaign-tagged frame: one inner protocol frame multiplexed onto a
@@ -532,14 +413,15 @@ mod tests {
                 target: InjectionTarget::Iq,
                 outcome: Outcome::Sdc,
             }),
-            ServerMessage::StoreHave { hash: 7 },
-            ServerMessage::StoreNeed { hash: u64::MAX },
-            ServerMessage::Ready(JobReady {
-                store_hash: 99,
-                golden: golden(),
-                checkpoints: 12,
-                prune: None,
-            }),
+            ServerMessage::Ready {
+                ready: JobReady {
+                    store_hash: 99,
+                    golden: golden(),
+                    checkpoints: 12,
+                    prune: None,
+                },
+                source: StoreSource::Cached,
+            },
             ServerMessage::Done { events: 128 },
             ServerMessage::Error("checkpoint store rejected".to_owned()),
         ];
@@ -555,50 +437,43 @@ mod tests {
         let (run, _, evidence) =
             avf_sim::golden_run_with_evidence(&machine, &program, 600, 128, avf_sim::PRUNE_WINDOW);
         let map = PruneMap::build(&machine, &program, FaultModel::Replay, &evidence);
-        let msg = ServerMessage::Ready(JobReady {
-            store_hash: 0xC0FFEE,
-            golden: run,
-            checkpoints: 3,
-            prune: Some(map),
-        });
+        let msg = ServerMessage::Ready {
+            ready: JobReady {
+                store_hash: 0xC0FFEE,
+                golden: run,
+                checkpoints: 3,
+                prune: Some(map),
+            },
+            source: StoreSource::GoldenRun,
+        };
         let back = ServerMessage::from_wire(&msg.to_wire()).unwrap();
         assert_eq!(back, msg, "map equality over the wire is exact");
     }
 
     #[test]
     fn job_setup_round_trips_in_both_modes() {
+        // Both prune modes: off and on.
         let machine = MachineConfig::baseline();
         let program = avf_workloads::testkit::idle_loop();
-        for mode in [
-            SetupMode::Shipped {
-                store_hash: 0xABCD,
-                golden: golden(),
-                cycle_budget: 77_777,
-            },
-            SetupMode::Delegated {
+        for prune in [false, true] {
+            let setup = JobSetup {
+                machine: machine.clone(),
+                program: program.clone(),
+                instr_budget: 4_000,
+                fault_model: FaultModel::Trap,
+                prune,
                 checkpoint_interval: 512,
-            },
-        ] {
-            for prune in [false, true] {
-                let setup = JobSetup {
-                    machine: machine.clone(),
-                    program: program.clone(),
-                    instr_budget: 4_000,
-                    fault_model: FaultModel::Trap,
-                    prune,
-                    mode,
-                };
-                let bytes = setup.to_wire();
-                match ClientMessage::from_wire(&bytes).unwrap() {
-                    ClientMessage::Setup(back) => {
-                        assert_eq!(back.instr_budget, setup.instr_budget);
-                        assert_eq!(back.fault_model, setup.fault_model);
-                        assert_eq!(back.prune, setup.prune);
-                        assert_eq!(back.mode, setup.mode);
-                        assert_eq!(back.cache_key(), setup.cache_key());
-                    }
-                    other => panic!("expected a setup, got {other:?}"),
+            };
+            let bytes = setup.to_wire();
+            match ClientMessage::from_wire(&bytes).unwrap() {
+                ClientMessage::Setup(back) => {
+                    assert_eq!(back.instr_budget, setup.instr_budget);
+                    assert_eq!(back.fault_model, setup.fault_model);
+                    assert_eq!(back.prune, setup.prune);
+                    assert_eq!(back.checkpoint_interval, setup.checkpoint_interval);
+                    assert_eq!(back.cache_key(), setup.cache_key());
                 }
+                other => panic!("expected a setup, got {other:?}"),
             }
         }
     }
@@ -614,29 +489,11 @@ mod tests {
         w.u64(1_000);
         w.u8(FaultModel::Replay.wire_code());
         w.u8(0); // prune off
-        w.u8(1);
         w.u64(0); // zero interval: the golden pass would never checkpoint
         assert_eq!(
             ClientMessage::from_wire(&w.into_bytes()).map(|_| ()),
             Err(WireError::Invalid("checkpoint interval must be positive"))
         );
-    }
-
-    #[test]
-    fn store_data_hash_matches_on_both_ends() {
-        let machine = MachineConfig::baseline();
-        let program = avf_workloads::testkit::idle_loop();
-        let (_, store) = avf_sim::golden_run_checkpointed(&machine, &program, 500, 64);
-        let frame = encode_store_data(&store);
-        let sender_side = store_frame_hash(&frame);
-        match ClientMessage::from_wire(&frame).unwrap() {
-            ClientMessage::Store { store: back, hash } => {
-                assert_eq!(hash, sender_side, "receiver hashes the same span");
-                assert_eq!(back.len(), store.len());
-                assert_eq!(back.interval(), store.interval());
-            }
-            other => panic!("expected store data, got {other:?}"),
-        }
     }
 
     #[test]
@@ -671,9 +528,9 @@ mod tests {
                 expected: avf_isa::wire::WIRE_VERSION,
             })
         );
-        // A pre-eval v6 build talking to this v7 build fails with the
+        // A pre-eval v6 build talking to this v8 build fails with the
         // typed version error at the envelope — long before the decoder
-        // could misinterpret the eval frame kinds it does not know.
+        // could misinterpret frame kinds it does not know.
         let mut v6 = Vec::from(avf_isa::wire::WIRE_MAGIC);
         v6.push(6);
         v6.push(kind::JOB_READY);
@@ -682,7 +539,7 @@ mod tests {
             ServerMessage::from_wire(&v6),
             Err(WireError::UnsupportedVersion {
                 found: 6,
-                expected: 7,
+                expected: 8,
             })
         );
         // A client-side frame kind arriving where a server message belongs.

@@ -1,14 +1,12 @@
 //! [`RemoteBackend`]: the TCP client side of the campaign service.
 //!
 //! One backend fans a campaign out over one or more `serve` workers.
-//! `open` runs the setup handshake against every worker *in parallel*:
-//! the setup frame names the checkpoint store by content hash, each
-//! worker answers `HAVE` (cached) or `NEED` (ship the bytes, or — in
-//! delegated mode — run the golden pass itself), and every worker
-//! closes with `JOB_READY`. The driver then cross-checks that all
-//! workers resolved the *identical* golden run; divergence is a hard
-//! protocol error, because a worker disagreeing about the fault-free
-//! reference would silently corrupt every classification it returns.
+//! `open` sends the same setup frame to every worker *in parallel*;
+//! each worker runs (or cache-hits) the golden pass and answers
+//! `JOB_READY`. The driver then cross-checks that all workers resolved
+//! the *identical* golden run; divergence is a hard protocol error,
+//! because a worker disagreeing about the fault-free reference would
+//! silently corrupt every classification it returns.
 //!
 //! `submit` strides the batch's cycle-sorted trials across live
 //! workers and merges their event streams into one [`TrialStream`].
@@ -33,9 +31,7 @@ use avf_inject::{
 };
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use crate::protocol::{
-    encode_store_data, store_frame_hash, JobReady, JobSetup, ServerMessage, SetupMode,
-};
+use crate::protocol::{JobReady, JobSetup, ServerMessage};
 
 /// A campaign backend executing trials on remote `serve` workers.
 pub struct RemoteBackend {
@@ -103,23 +99,8 @@ fn cross_check_ready(readys: &[(String, JobReady)]) -> Result<(), BackendError> 
     Ok(())
 }
 
-/// Reads one handshake frame, mapping a clean close to a typed error —
-/// a worker that hangs up during setup is a failed open, not EOF.
-fn handshake_frame(
-    reader: &mut BufReader<&TcpStream>,
-    addr: &str,
-    auth: Option<&ConnectionAuth>,
-) -> Result<Vec<u8>, BackendError> {
-    read_frame_verified(reader, auth.map(|a| a.verifier.as_ref()))?.ok_or_else(|| {
-        BackendError::Disconnected {
-            worker: addr.to_owned(),
-            detail: "connection closed during the setup handshake".to_owned(),
-        }
-    })
-}
-
-/// One worker's completed setup handshake: its live connection plus
-/// what it reported.
+/// One worker's completed setup: its live connection plus what it
+/// reported.
 struct OpenedWorker {
     stream: TcpStream,
     auth: Option<Arc<ConnectionAuth>>,
@@ -127,11 +108,10 @@ struct OpenedWorker {
     source: StoreSource,
 }
 
-/// Runs the full setup handshake against one worker.
+/// Sends the setup frame to one worker and reads its `JOB_READY`.
 fn open_worker(
     addr: &str,
     setup_frame: &[u8],
-    store_frame: Option<&[u8]>,
     key: Option<AuthKey>,
 ) -> Result<OpenedWorker, BackendError> {
     let stream =
@@ -139,35 +119,25 @@ fn open_worker(
     // Event frames are tiny; don't let Nagle batch them up.
     let _ = stream.set_nodelay(true);
     let auth = key.map(|k| Arc::new(ConnectionAuth::client(k)));
-    let signer = auth.as_ref().map(|a| a.signer.as_ref());
     let mut w = BufWriter::new(&stream);
-    write_frame_signed(&mut w, setup_frame, signer)?;
+    write_frame_signed(
+        &mut w,
+        setup_frame,
+        auth.as_ref().map(|a| a.signer.as_ref()),
+    )?;
     w.flush().map_err(BackendError::from)?;
+    drop(w);
 
+    // A worker that hangs up during setup is a failed open, not EOF.
     let mut r = BufReader::new(&stream);
-    let reply = handshake_frame(&mut r, addr, auth.as_deref())?;
-    let source = match ServerMessage::from_wire(&reply)? {
-        ServerMessage::StoreHave { .. } => StoreSource::Cached,
-        ServerMessage::StoreNeed { .. } => match store_frame {
-            Some(frame) => {
-                write_frame_signed(&mut w, frame, signer)?;
-                w.flush().map_err(BackendError::from)?;
-                StoreSource::Shipped
-            }
-            // Delegated mode: the worker is running the golden pass.
-            None => StoreSource::GoldenRun,
-        },
-        ServerMessage::Error(msg) => return Err(crate::protocol::remote_error(msg)),
-        other => {
-            return Err(BackendError::Protocol(format!(
-                "worker {addr} answered setup with {other:?} instead of HAVE/NEED"
-            )))
-        }
-    };
-    let reply = handshake_frame(&mut r, addr, auth.as_deref())?;
-    let ready = match ServerMessage::from_wire(&reply)? {
-        ServerMessage::Ready(ready) => ready,
-        ServerMessage::Error(msg) => return Err(crate::protocol::remote_error(msg)),
+    let reply = read_frame_verified(&mut r, auth.as_ref().map(|a| a.verifier.as_ref()))?
+        .ok_or_else(|| BackendError::Disconnected {
+            worker: addr.to_owned(),
+            detail: "connection closed during setup".to_owned(),
+        })?;
+    let (ready, source) = match ServerMessage::from_wire(&reply)? {
+        ServerMessage::Ready { ready, source } => (ready, source),
+        ServerMessage::Error(msg) => return Err(BackendError::Remote(msg)),
         other => {
             return Err(BackendError::Protocol(format!(
                 "worker {addr} answered setup with {other:?} instead of JOB_READY"
@@ -177,7 +147,6 @@ fn open_worker(
     // The server sends nothing after JOB_READY until our next batch
     // frame, so dropping the BufReader here cannot strand reply bytes.
     drop(r);
-    drop(w);
     Ok(OpenedWorker {
         stream,
         auth,
@@ -192,45 +161,18 @@ impl CampaignBackend for RemoteBackend {
     }
 
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
-        // Serialize the setup (and, in shipped mode, the store) once;
-        // every worker receives the identical bytes.
-        let (mode, store_frame, expected) = match &spec.golden {
-            GoldenSpec::Shipped {
-                store,
-                golden,
-                cycle_budget,
-                ..
-            } => {
-                let frame = encode_store_data(store);
-                let hash = store_frame_hash(&frame);
-                let expected = JobReady {
-                    store_hash: hash,
-                    golden: *golden,
-                    checkpoints: store.len() as u64,
-                    // Shipped mode: the driver built any prune map
-                    // alongside the store; workers have nothing to add.
-                    prune: None,
-                };
-                (
-                    SetupMode::Shipped {
-                        store_hash: hash,
-                        golden: *golden,
-                        cycle_budget: *cycle_budget,
-                    },
-                    Some(Arc::new(frame)),
-                    Some(expected),
-                )
-            }
-            GoldenSpec::Delegated {
-                checkpoint_interval,
-            } => (
-                SetupMode::Delegated {
-                    checkpoint_interval: *checkpoint_interval,
-                },
-                None,
-                None,
-            ),
+        let GoldenSpec::Delegated {
+            checkpoint_interval,
+        } = spec.golden
+        else {
+            return Err(BackendError::Protocol(
+                "remote workers run the golden pass themselves; \
+                 a resolved golden spec cannot cross the wire"
+                    .to_owned(),
+            ));
         };
+        // Serialize the setup once; every worker receives the identical
+        // bytes.
         let setup_frame = Arc::new(
             JobSetup {
                 machine: spec.machine,
@@ -238,36 +180,27 @@ impl CampaignBackend for RemoteBackend {
                 instr_budget: spec.instr_budget,
                 fault_model: spec.fault_model,
                 prune: spec.prune,
-                mode,
+                checkpoint_interval,
             }
             .to_wire(),
         );
 
-        // N workers handshake — and, in delegated mode, execute their
-        // golden passes — in parallel.
+        // N workers run their golden passes in parallel.
         let handles: Vec<_> = self
             .addrs
             .iter()
             .map(|addr| {
                 let addr = addr.clone();
                 let setup_frame = Arc::clone(&setup_frame);
-                let store_frame = store_frame.clone();
                 let key = self.auth;
-                std::thread::spawn(move || {
-                    open_worker(
-                        &addr,
-                        &setup_frame,
-                        store_frame.as_deref().map(Vec::as_slice),
-                        key,
-                    )
-                })
+                std::thread::spawn(move || open_worker(&addr, &setup_frame, key))
             })
             .collect();
         let mut workers = Vec::with_capacity(self.addrs.len());
         let mut readys = Vec::with_capacity(self.addrs.len());
         let mut provisioning = Vec::with_capacity(self.addrs.len());
         for (handle, addr) in handles.into_iter().zip(&self.addrs) {
-            let opened = handle.join().expect("handshake thread panicked")?;
+            let opened = handle.join().expect("setup thread panicked")?;
             workers.push(RemoteWorker {
                 addr: addr.clone(),
                 stream: Some(opened.stream),
@@ -283,19 +216,7 @@ impl CampaignBackend for RemoteBackend {
         // Cross-check passed: every worker reported this identical
         // ready, prune map included — adopting worker 0's is adopting
         // all of them.
-        let ready = readys[0].1.clone();
-        if let Some(expected) = expected {
-            if ready != expected {
-                return Err(BackendError::Protocol(format!(
-                    "workers acknowledged store {:016x} / digest {:016x}, driver shipped \
-                     store {:016x} / digest {:016x}",
-                    ready.store_hash,
-                    ready.golden.digest,
-                    expected.store_hash,
-                    expected.golden.digest,
-                )));
-            }
-        }
+        let ready = readys.swap_remove(0).1;
         Ok(OpenedJob {
             session: Box::new(RemoteSession {
                 workers: Arc::new(Mutex::new(workers)),
@@ -561,9 +482,7 @@ fn drain_shard(
                 }
                 return ShardFate::Clean;
             }
-            Ok(ServerMessage::Error(msg)) => {
-                return ShardFate::Fatal(crate::protocol::remote_error(msg))
-            }
+            Ok(ServerMessage::Error(msg)) => return ShardFate::Fatal(BackendError::Remote(msg)),
             Ok(other) => {
                 return ShardFate::Fatal(BackendError::Protocol(format!(
                     "worker {addr} sent {other:?} mid-batch"

@@ -3,8 +3,8 @@
 //! `avf-stressmark serve --listen <addr>` runs [`serve`]: an accept
 //! loop that gives every connection its own handler thread. A handler
 //! is a thin wire adapter over [`LocalBackend`] — it resolves the
-//! job's checkpoint store through the shared [`StoreCache`] (cache
-//! hit, shipped bytes, or its own golden run), opens a local session,
+//! job's golden pass through the shared [`StoreCache`] (cache hit, or
+//! its own golden run), opens a local session,
 //! then turns every trial-batch frame into a `submit` and streams the
 //! resulting trial events back as length-prefixed frames *as they
 //! complete* (coalesced through a [`FrameBatcher`] so a fast stream
@@ -25,17 +25,16 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use avf_inject::{
-    cycle_budget_of, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend,
+    run_golden_pass, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend, StoreSource,
 };
 use avf_prune::PruneMap;
-use avf_sim::{golden_run_checkpointed, golden_run_with_evidence, PRUNE_WINDOW};
 
-use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, AuthVerifier, ConnectionAuth};
+use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
 use crate::cache::{CacheEntry, StoreCache};
 use crate::eval::{handle_eval_session, EvalCache};
 use crate::frame::FrameBatcher;
 use crate::metrics::ServeStats;
-use crate::protocol::{geometry_fingerprint, ClientMessage, JobReady, ServerMessage, SetupMode};
+use crate::protocol::{geometry_fingerprint, ClientMessage, JobReady, JobSetup, ServerMessage};
 
 /// Server tuning.
 #[derive(Clone)]
@@ -152,53 +151,35 @@ pub fn spawn_local(opts: ServeOptions) -> std::io::Result<std::net::SocketAddr> 
     Ok(addr)
 }
 
-/// Resolves the job's checkpoint store and golden run through the
-/// cache, answering the handshake on `writer`. On a shipped-mode miss
-/// this reads the `STORE_DATA` frame from `reader` and verifies its
-/// content hash against the one announced in setup.
+/// Resolves the job's golden pass through the cache under `key`: a hit
+/// reuses the cached checkpoints, a miss runs the pass here and caches
+/// it.
 fn resolve_store(
-    setup: ClientMessage,
-    reader: &mut BufReader<&TcpStream>,
-    writer: &mut FrameBatcher<&TcpStream>,
+    setup: &JobSetup,
+    key: u64,
     cache: &StoreCache,
-    verifier: Option<&AuthVerifier>,
-) -> Result<(crate::protocol::JobSetup, CacheEntry, u64), BackendError> {
-    let ClientMessage::Setup(setup) = setup else {
-        return Err(BackendError::Protocol(
-            "session must open with a job setup frame".to_owned(),
-        ));
-    };
-    let setup = *setup;
-    let key = setup.cache_key();
+) -> Result<(CacheEntry, StoreSource), BackendError> {
     let geometry = geometry_fingerprint(&setup.machine, &setup.program);
-    // A pruning delegated job needs the golden pass's ACE evidence on
-    // top of the store (shipped-mode pruning is driver-side only).
-    let wants_evidence = setup.prune && matches!(setup.mode, SetupMode::Delegated { .. });
+    let pass = |prune| {
+        run_golden_pass(
+            &setup.machine,
+            &setup.program,
+            setup.instr_budget,
+            setup.checkpoint_interval,
+            prune,
+        )
+    };
     if let Some(mut entry) = cache.get(key, geometry) {
         crate::log_line!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
-        writer.push(&ServerMessage::StoreHave { hash: key }.to_wire())?;
-        writer.flush()?;
-        if wants_evidence && entry.evidence.is_none() {
+        if setup.prune && entry.evidence.is_none() {
             // The cached store came from an uninstrumented pass: re-run
             // instrumented to capture evidence, cross-check it resolved
             // the identical reference, and refresh the entry so the
             // next pruning session hits outright.
-            let SetupMode::Delegated {
-                checkpoint_interval,
-            } = setup.mode
-            else {
-                unreachable!("wants_evidence implies delegated mode");
-            };
             crate::log_line!(
                 "serve: job {key:016x} regenerating prune evidence (instrumented pass)"
             );
-            let (golden, _, evidence) = golden_run_with_evidence(
-                &setup.machine,
-                &setup.program,
-                setup.instr_budget,
-                checkpoint_interval,
-                PRUNE_WINDOW,
-            );
+            let (golden, _, evidence) = pass(true);
             if golden != entry.golden {
                 return Err(BackendError::Protocol(format!(
                     "instrumented golden pass diverged from the cached reference: \
@@ -206,74 +187,25 @@ fn resolve_store(
                     golden.digest, entry.golden.digest
                 )));
             }
-            entry.evidence = Some(Arc::new(evidence));
+            entry.evidence = evidence.map(Arc::new);
             cache.insert(key, entry.clone());
         }
-        return Ok((setup, entry, key));
+        return Ok((entry, StoreSource::Cached));
     }
-    writer.push(&ServerMessage::StoreNeed { hash: key }.to_wire())?;
-    writer.flush()?;
-    let (store, golden, evidence) = match setup.mode {
-        SetupMode::Shipped {
-            store_hash, golden, ..
-        } => {
-            crate::log_line!("serve: job {key:016x} checkpoint store NEED (awaiting shipment)");
-            let Some(payload) = read_frame_verified(reader, verifier)? else {
-                return Err(BackendError::Disconnected {
-                    worker: "client".to_owned(),
-                    detail: "connection closed before the checkpoint store arrived".to_owned(),
-                });
-            };
-            let ClientMessage::Store { store, hash } = ClientMessage::from_wire(&payload)? else {
-                return Err(BackendError::Protocol(
-                    "expected a STORE_DATA frame after STORE_NEED".to_owned(),
-                ));
-            };
-            if hash != store_hash {
-                return Err(BackendError::Protocol(format!(
-                    "shipped store hashes to {hash:016x}, setup announced {store_hash:016x}"
-                )));
-            }
-            (store, golden, None)
-        }
-        SetupMode::Delegated {
-            checkpoint_interval,
-        } => {
-            crate::log_line!("serve: job {key:016x} checkpoint store NEED (running golden pass)");
-            if setup.prune {
-                let (golden, store, evidence) = golden_run_with_evidence(
-                    &setup.machine,
-                    &setup.program,
-                    setup.instr_budget,
-                    checkpoint_interval,
-                    PRUNE_WINDOW,
-                );
-                (Arc::new(store), golden, Some(Arc::new(evidence)))
-            } else {
-                let (golden, store) = golden_run_checkpointed(
-                    &setup.machine,
-                    &setup.program,
-                    setup.instr_budget,
-                    checkpoint_interval,
-                );
-                (Arc::new(store), golden, None)
-            }
-        }
-    };
+    crate::log_line!("serve: job {key:016x} checkpoint store MISS (running golden pass)");
+    let (golden, store, evidence) = pass(setup.prune);
     // Decode once at insertion: every later campaign on this worker —
     // this connection included — restores straight from the decoded
-    // snapshots, so a cache hit no longer pays `decode_all`. Doubles as
-    // the geometry verification of a shipped store.
-    let decoded = Arc::new(store.decode_all(&setup.machine, &setup.program)?);
+    // snapshots, so a cache hit no longer pays `decode_all`.
     let entry = CacheEntry {
-        store,
-        decoded,
+        store_bytes: store.total_bytes(),
+        decoded: Arc::new(store.decode_all(&setup.machine, &setup.program)?),
         golden,
         geometry,
-        evidence,
+        evidence: evidence.map(Arc::new),
     };
     cache.insert(key, entry.clone());
-    Ok((setup, entry, key))
+    Ok((entry, StoreSource::GoldenRun))
 }
 
 /// Drives one campaign session over one connection.
@@ -294,26 +226,26 @@ fn handle_connection(
     if payload.get(5) == Some(&avf_isa::wire::kind::EVAL_BATCH) {
         return handle_eval_session(stream, &mut reader, &mut writer, payload, opts, verifier);
     }
-    let first = ClientMessage::from_wire(&payload)?;
-    let (setup, entry, key) =
-        resolve_store(first, &mut reader, &mut writer, &opts.cache, verifier)?;
-
-    let cycle_budget = match setup.mode {
-        SetupMode::Shipped { cycle_budget, .. } => cycle_budget,
-        SetupMode::Delegated { .. } => cycle_budget_of(entry.golden.cycles),
+    let ClientMessage::Setup(setup) = ClientMessage::from_wire(&payload)? else {
+        return Err(BackendError::Protocol(
+            "session must open with a job setup frame".to_owned(),
+        ));
     };
+    let key = setup.cache_key();
+    let (entry, source) = resolve_store(&setup, key, &opts.cache)?;
+
     // Keep the job's geometry for batch validation: the simulator
     // *asserts* entry/bit bounds, so an out-of-geometry trial smuggled
     // over the wire must be rejected here with an error frame, not
     // allowed to panic a worker thread.
     let machine = setup.machine.clone();
     let sizes = machine.structure_sizes();
-    // A pruning delegated job ships the classifier's map back with
-    // JOB_READY: the driver never simulated the golden pass, so the
-    // worker's evidence is the only source. The map derives from the
-    // session's fault model; the cached evidence is model-independent.
-    let prune = match (&setup.mode, entry.evidence.as_deref()) {
-        (SetupMode::Delegated { .. }, Some(evidence)) if setup.prune => Some(PruneMap::build(
+    // A pruning job ships the classifier's map back with JOB_READY:
+    // the driver never simulated the golden pass, so the worker's
+    // evidence is the only source. The map derives from the session's
+    // fault model; the cached evidence is model-independent.
+    let prune = match entry.evidence.as_deref() {
+        Some(evidence) if setup.prune => Some(PruneMap::build(
             &machine,
             &setup.program,
             setup.fault_model,
@@ -323,26 +255,28 @@ fn handle_connection(
     };
     let backend = LocalBackend::new(opts.threads);
     let golden = entry.golden;
+    let setup = *setup;
     let opened = backend.open(JobSpec {
         machine: setup.machine,
         program: setup.program,
         instr_budget: setup.instr_budget,
         fault_model: setup.fault_model,
-        golden: GoldenSpec::Shipped {
-            store: entry.store,
-            decoded: Some(entry.decoded),
+        golden: GoldenSpec::Resolved {
+            checkpoints: entry.decoded,
             golden,
-            cycle_budget,
         },
-        prune: false, // the store (and map) are already resolved here
+        prune: false, // the pass (and map) are already resolved here
     })?;
     writer.push(
-        &ServerMessage::Ready(JobReady {
-            store_hash: key,
-            golden,
-            checkpoints: opened.checkpoints as u64,
-            prune,
-        })
+        &ServerMessage::Ready {
+            ready: JobReady {
+                store_hash: key,
+                golden,
+                checkpoints: opened.checkpoints as u64,
+                prune,
+            },
+            source,
+        }
         .to_wire(),
     )?;
     writer.flush()?;
@@ -404,7 +338,6 @@ fn handle_connection(
 mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
-    use crate::protocol::JobSetup;
     use avf_sim::MachineConfig;
 
     #[test]
@@ -421,8 +354,7 @@ mod tests {
         drop(TcpStream::connect(addr).unwrap());
     }
 
-    /// Opens a delegated-mode session on `addr` and drains the
-    /// handshake up to (and including) JOB_READY.
+    /// Opens a session on `addr` and reads its JOB_READY.
     fn open_session(addr: std::net::SocketAddr, instr_budget: u64) -> TcpStream {
         let machine = MachineConfig::baseline();
         let program = avf_workloads::testkit::idle_loop();
@@ -435,21 +367,14 @@ mod tests {
                 instr_budget,
                 fault_model: avf_inject::FaultModel::default(),
                 prune: false,
-                mode: SetupMode::Delegated {
-                    checkpoint_interval: 256,
-                },
+                checkpoint_interval: 256,
             };
             write_frame(&mut w, &setup.to_wire()).unwrap();
             w.flush().unwrap();
             let mut r = BufReader::new(&stream);
-            let reply = read_frame(&mut r).unwrap().expect("handshake reply");
-            assert!(matches!(
-                ServerMessage::from_wire(&reply).unwrap(),
-                ServerMessage::StoreHave { .. } | ServerMessage::StoreNeed { .. }
-            ));
             let ready = read_frame(&mut r).unwrap().expect("ready frame");
             match ServerMessage::from_wire(&ready).unwrap() {
-                ServerMessage::Ready(ready) => assert!(ready.checkpoints > 0),
+                ServerMessage::Ready { ready, .. } => assert!(ready.checkpoints > 0),
                 other => panic!("expected JOB_READY, got {other:?}"),
             }
         }

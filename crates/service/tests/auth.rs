@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use avf_inject::{BackendError, Campaign, CampaignConfig, LocalBackend};
 use avf_service::auth::{write_frame_signed, ConnectionAuth};
 use avf_service::frame::{read_frame, write_frame};
-use avf_service::protocol::{JobSetup, ServerMessage, SetupMode};
+use avf_service::protocol::{JobSetup, ServerMessage};
 use avf_service::{spawn_local, AuthKey, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
 use avf_workloads::testkit::register_chain;
@@ -56,9 +56,7 @@ fn delegated_setup() -> JobSetup {
         instr_budget: 4_000,
         fault_model: avf_inject::FaultModel::default(),
         prune: false,
-        mode: SetupMode::Delegated {
-            checkpoint_interval: 512,
-        },
+        checkpoint_interval: 512,
     }
 }
 
@@ -206,10 +204,10 @@ fn replayed_setup_frame_is_rejected_after_the_original_verifies() {
     let mut w = BufWriter::new(&stream);
     w.write_all(&signed).unwrap();
     w.flush().unwrap();
-    // The original authenticates: the worker answers the store
-    // handshake (NEED/HAVE) and runs its golden pass toward Ready.
+    // The original authenticates: the worker runs its golden pass and
+    // answers Ready.
     let first = read_frame(&mut reader)
-        .expect("handshake reply")
+        .expect("setup reply")
         .expect("frame");
     assert!(!first.is_empty());
     // Now the replay, in place of the trial batch the worker expects.

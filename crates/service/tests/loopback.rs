@@ -7,7 +7,7 @@
 //! produce the same outcome counts, intervals, batch trajectory, and
 //! stop reason over either.
 
-use avf_inject::{Campaign, CampaignConfig, GoldenMode, LocalBackend, StoreSource};
+use avf_inject::{Campaign, CampaignConfig, LocalBackend, StoreSource};
 use avf_service::{spawn_local, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
 
@@ -53,28 +53,27 @@ fn loopback_remote_matches_local_adaptive_campaign() {
 
     assert!(local.injections > 0, "campaign actually ran");
     assert_reports_identical(&local, &remote);
-    // Default mode: the worker executed the golden pass itself.
+    // A fresh worker executed the golden pass itself.
     assert_eq!(remote.provisioning.len(), 1);
     assert_eq!(remote.provisioning[0].source, StoreSource::GoldenRun);
 }
 
 #[test]
-fn driver_golden_mode_ships_the_store_and_still_matches() {
+fn second_identical_campaign_hits_the_worker_cache_and_still_matches() {
     let machine = MachineConfig::baseline();
     let program = register_chain();
     let mut config = adaptive_config();
     config.ci_target = Some(0.2);
     config.injections = 256;
 
-    // Reference: default worker-side golden pass, local venue.
+    // Reference: the same campaign on the local venue.
     let local = Campaign::new(&machine, &program, config.clone())
         .run_on(&LocalBackend::new(1))
         .expect("local run");
 
-    // Driver-side golden pass over the wire: the store ships once
-    // (NEED), and a second campaign against the same worker hits the
-    // content-hash cache instead of re-shipping.
-    config.golden_mode = GoldenMode::Driver;
+    // Over the wire the worker runs the golden pass once, and a second
+    // campaign against the same worker hits its cache instead of
+    // re-running it.
     let opts = serve_options(1);
     let cache = std::sync::Arc::clone(&opts.cache);
     let addr = spawn_local(opts).expect("bind loopback server");
@@ -82,9 +81,9 @@ fn driver_golden_mode_ships_the_store_and_still_matches() {
 
     let first = Campaign::new(&machine, &program, config.clone())
         .run_on(&backend)
-        .expect("shipped-store remote run");
+        .expect("golden-run remote run");
     assert_reports_identical(&local, &first);
-    assert_eq!(first.provisioning[0].source, StoreSource::Shipped);
+    assert_eq!(first.provisioning[0].source, StoreSource::GoldenRun);
     assert_eq!(cache.stats().hits, 0);
 
     let second = Campaign::new(&machine, &program, config)
@@ -94,7 +93,7 @@ fn driver_golden_mode_ships_the_store_and_still_matches() {
     assert_eq!(
         second.provisioning[0].source,
         StoreSource::Cached,
-        "identical store must not be re-shipped"
+        "an identical job must not re-run the golden pass"
     );
     assert_eq!(cache.stats().hits, 1);
 }
@@ -156,7 +155,6 @@ fn metrics_endpoint_tracks_cache_hits_and_sessions_across_campaigns() {
     let mut config = adaptive_config();
     config.ci_target = Some(0.2);
     config.injections = 256;
-    config.golden_mode = GoldenMode::Driver;
 
     let opts = serve_options(1);
     let cache = std::sync::Arc::clone(&opts.cache);
@@ -170,8 +168,8 @@ fn metrics_endpoint_tracks_cache_hits_and_sessions_across_campaigns() {
     assert_eq!(metric(&before, "avf_store_cache_misses"), 0);
     assert_eq!(metric(&before, "avf_serve_sessions_ok"), 0);
 
-    // First campaign ships the store (a miss), the second re-uses it
-    // (a hit) — both visible through the scrape, not just in-process.
+    // First campaign runs the golden pass (a miss), the second re-uses
+    // it (a hit) — both visible through the scrape, not just in-process.
     let backend = RemoteBackend::new(vec![worker.to_string()]);
     for _ in 0..2 {
         Campaign::new(&machine, &program, config.clone())

@@ -156,8 +156,11 @@ fn scripted_worker(
             prune: None,
         };
         let mut w = std::io::BufWriter::new(&stream);
-        write_frame(&mut w, &ServerMessage::StoreNeed { hash: 0xFA4E }.to_wire()).unwrap();
-        write_frame(&mut w, &ServerMessage::Ready(ready).to_wire()).unwrap();
+        let reply = ServerMessage::Ready {
+            ready,
+            source: avf_inject::StoreSource::GoldenRun,
+        };
+        write_frame(&mut w, &reply.to_wire()).unwrap();
         w.flush().unwrap();
         drop(w);
         let batch = read_frame(&mut reader)

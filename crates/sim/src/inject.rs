@@ -1044,8 +1044,8 @@ impl<'a> InjectionSim<'a> {
 /// call [`InjectionSim::restore_nearest`] to jump to the checkpoint at or
 /// before their injection cycle, turning per-trial setup from `O(cycle)`
 /// prefix replay into `O(interval)`. Checkpoints are plain byte blobs
-/// ([`PipelineSnapshot::to_wire`]), so a store can also be handed to
-/// another process or machine holding the same configuration and program.
+/// ([`PipelineSnapshot::to_wire`]), decoded once per campaign by
+/// [`decode_all`](Self::decode_all).
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     interval: u64,
@@ -1085,56 +1085,6 @@ impl CheckpointStore {
         let idx = self.checkpoints.partition_point(|&(c, _)| c <= cycle);
         let (c, bytes) = self.checkpoints.get(idx.checked_sub(1)?)?;
         Some((*c, bytes.as_slice()))
-    }
-
-    /// Serializes the whole store (interval plus every checkpoint blob)
-    /// into a wire writer — the payload a campaign service ships to a
-    /// remote worker so trial execution there starts from checkpoints
-    /// instead of replaying the fault-free prefix.
-    pub fn encode(&self, w: &mut avf_isa::wire::WireWriter) {
-        w.u64(self.interval);
-        w.usize(self.checkpoints.len());
-        for (cycle, blob) in &self.checkpoints {
-            w.u64(*cycle);
-            w.usize(blob.len());
-            w.bytes(blob);
-        }
-    }
-
-    /// Decodes a store written by [`CheckpointStore::encode`],
-    /// validating the structural invariants `nearest` relies on (a
-    /// cycle-0 checkpoint first, strictly ascending cycles). The blobs
-    /// themselves are validated lazily by [`CheckpointStore::decode_all`]
-    /// against the worker's machine and program.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation or a store whose cycle
-    /// index is unusable.
-    pub fn decode(r: &mut avf_isa::wire::WireReader<'_>) -> Result<CheckpointStore, WireError> {
-        let interval = r.u64()?;
-        if interval == 0 {
-            return Err(WireError::Invalid("checkpoint interval must be positive"));
-        }
-        // Each checkpoint costs at least cycle (8) + blob length (8).
-        let n = r.seq_len(16)?;
-        let mut checkpoints = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cycle = r.u64()?;
-            let len = r.seq_len(1)?;
-            checkpoints.push((cycle, r.bytes(len)?.to_vec()));
-        }
-        let starts_at_zero = checkpoints.first().is_some_and(|&(c, _)| c == 0);
-        let ascending = checkpoints.windows(2).all(|w| w[0].0 < w[1].0);
-        if !starts_at_zero || !ascending {
-            return Err(WireError::Invalid(
-                "checkpoint store must start at cycle 0 with ascending cycles",
-            ));
-        }
-        Ok(CheckpointStore {
-            interval,
-            checkpoints,
-        })
     }
 
     /// Decodes every checkpoint once for in-process use, so a campaign
@@ -1663,27 +1613,6 @@ mod tests {
         assert!(c <= golden.cycles);
         let (c49, _) = store.nearest(49).expect("floor of 49");
         assert_eq!(c49, 0, "no checkpoint strictly between 0 and 50");
-    }
-
-    #[test]
-    fn checkpoint_store_wire_round_trips() {
-        let cfg = MachineConfig::baseline();
-        let p = counted_loop();
-        let (_, store) = golden_run_checkpointed(&cfg, &p, 10_000, 40);
-        let mut w = avf_isa::wire::WireWriter::new();
-        store.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = avf_isa::wire::WireReader::new(&bytes);
-        let back = CheckpointStore::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.interval(), store.interval());
-        assert_eq!(back.len(), store.len());
-        // The decoded store restores simulators exactly like the original.
-        back.decode_all(&cfg, &p).expect("blobs decode");
-        for cut in [0, 8, bytes.len() - 1] {
-            let mut r = avf_isa::wire::WireReader::new(&bytes[..cut]);
-            assert!(CheckpointStore::decode(&mut r).is_err(), "cut at {cut}");
-        }
     }
 
     #[test]
