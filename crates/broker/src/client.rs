@@ -6,13 +6,18 @@
 //! The connection is persistent; Status pushes for every campaign this
 //! client submitted or attached to interleave on it and are surfaced
 //! through the progress callback of [`BrokerClient::wait_with`].
+//!
+//! Its connection type is also what the interactive plane's MUX sessions
+//! ([`crate::BrokeredBackend`], [`crate::BrokeredEvaluator`]) ride on.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::AtomicU64;
+use std::sync::Mutex;
 
 use avf_inject::{BackendError, CampaignReport};
-use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
+use avf_service::fleet::Slot;
+use avf_service::AuthKey;
 
 use crate::protocol::{CampaignPhase, CampaignSpec, RejectReason, Reply, Request};
 
@@ -49,12 +54,64 @@ impl From<BackendError> for SubmitError {
     }
 }
 
+/// One persistent, authenticated broker connection, opened with a
+/// tenant hello. The read half is locked: one reader at a time.
+pub(crate) struct BrokerConn {
+    pub(crate) slot: Slot,
+    pub(crate) reader: Mutex<BufReader<TcpStream>>,
+    /// Workers the broker fronts, from its hello acknowledgement.
+    pub(crate) workers: u64,
+    /// The next free MUX session tag.
+    pub(crate) next_tag: AtomicU64,
+}
+
+impl BrokerConn {
+    /// Connects, authenticates, and says hello as `tenant`.
+    pub(crate) fn connect(
+        addr: &str,
+        tenant: &str,
+        key: Option<AuthKey>,
+    ) -> Result<BrokerConn, BackendError> {
+        let slot = Slot::connect(addr, key)?;
+        let reader = BufReader::new(slot.stream().try_clone()?);
+        let conn = BrokerConn {
+            slot,
+            reader: Mutex::new(reader),
+            workers: 0,
+            next_tag: AtomicU64::new(1),
+        };
+        let hello = Request::Hello {
+            tenant: tenant.to_owned(),
+        };
+        conn.slot.send(&hello.to_wire())?;
+        match conn.recv()? {
+            Reply::HelloAck { workers: 0 } => Err(BackendError::Protocol(
+                "broker fronts no workers".to_owned(),
+            )),
+            Reply::HelloAck { workers } => Ok(BrokerConn { workers, ..conn }),
+            Reply::Failed { error, .. } => Err(BackendError::Remote(error)),
+            other => Err(BackendError::Protocol(format!(
+                "broker answered hello with {other:?}"
+            ))),
+        }
+    }
+
+    /// The next reply frame.
+    fn recv(&self) -> Result<Reply, BackendError> {
+        let payload = self
+            .slot
+            .recv(&mut *self.reader.lock().expect("reader lock"))?
+            .ok_or_else(|| BackendError::Disconnected {
+                worker: self.slot.addr.clone(),
+                detail: "broker closed the connection".to_owned(),
+            })?;
+        Reply::from_wire(&payload).map_err(BackendError::from)
+    }
+}
+
 /// A persistent submit/attach connection to one broker.
 pub struct BrokerClient {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    auth: Option<Arc<ConnectionAuth>>,
-    workers: u64,
+    conn: BrokerConn,
 }
 
 impl BrokerClient {
@@ -69,61 +126,15 @@ impl BrokerClient {
         tenant: &str,
         key: Option<AuthKey>,
     ) -> Result<BrokerClient, BackendError> {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| BackendError::Io(format!("connect {addr}: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| BackendError::Io(format!("clone stream: {e}")))?,
-        );
-        let mut client = BrokerClient {
-            stream,
-            reader,
-            auth: key.map(|k| Arc::new(ConnectionAuth::client(k))),
-            workers: 0,
-        };
-        client.send(&Request::Hello {
-            tenant: tenant.to_owned(),
-        })?;
-        match client.recv()? {
-            Reply::HelloAck { workers } => client.workers = workers,
-            Reply::Failed { error, .. } => return Err(BackendError::Remote(error)),
-            other => {
-                return Err(BackendError::Protocol(format!(
-                    "broker answered hello with {other:?}"
-                )))
-            }
-        }
-        Ok(client)
+        Ok(BrokerClient {
+            conn: BrokerConn::connect(addr, tenant, key)?,
+        })
     }
 
     /// Worker fleet size the broker fronts.
     #[must_use]
     pub fn workers(&self) -> u64 {
-        self.workers
-    }
-
-    fn send(&mut self, request: &Request) -> Result<(), BackendError> {
-        let mut w = BufWriter::new(&self.stream);
-        write_frame_signed(
-            &mut w,
-            &request.to_wire(),
-            self.auth.as_ref().map(|a| a.signer.as_ref()),
-        )?;
-        w.flush().map_err(BackendError::from)
-    }
-
-    fn recv(&mut self) -> Result<Reply, BackendError> {
-        let payload = read_frame_verified(
-            &mut self.reader,
-            self.auth.as_ref().map(|a| a.verifier.as_ref()),
-        )?
-        .ok_or_else(|| BackendError::Disconnected {
-            worker: "broker".to_owned(),
-            detail: "broker closed the connection".to_owned(),
-        })?;
-        Reply::from_wire(&payload).map_err(BackendError::from)
+        self.conn.workers
     }
 
     /// Submits a spec for durable queued execution, returning its
@@ -136,9 +147,11 @@ impl BrokerClient {
     /// [`SubmitError::Rejected`] on typed admission refusal,
     /// [`SubmitError::Backend`] on transport/protocol failure.
     pub fn submit(&mut self, spec: &CampaignSpec) -> Result<u64, SubmitError> {
-        self.send(&Request::Submit(Box::new(spec.clone())))?;
+        self.conn
+            .slot
+            .send(&Request::Submit(Box::new(spec.clone())).to_wire())?;
         loop {
-            match self.recv()? {
+            match self.conn.recv()? {
                 Reply::Accepted { id } => return Ok(id),
                 Reply::Rejected { reason, detail } => {
                     return Err(SubmitError::Rejected { reason, detail })
@@ -166,7 +179,7 @@ impl BrokerClient {
     ///
     /// Fails on transport errors or an unknown id.
     pub fn attach(&mut self, id: u64) -> Result<(), BackendError> {
-        self.send(&Request::Attach { id })
+        self.conn.slot.send(&Request::Attach { id }.to_wire())
     }
 
     /// Blocks until campaign `id` terminates, returning its report.
@@ -192,7 +205,7 @@ impl BrokerClient {
         mut progress: impl FnMut(CampaignPhase, u64),
     ) -> Result<CampaignReport, SubmitError> {
         loop {
-            match self.recv()? {
+            match self.conn.recv()? {
                 Reply::Status {
                     id: sid,
                     phase,

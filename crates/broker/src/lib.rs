@@ -16,9 +16,10 @@
 //!   bit-identical to what an uninterrupted run would have produced,
 //!   because campaigns are deterministic functions of their spec.
 //! * **Session multiplexing** — one persistent connection carries
-//!   submissions, attachments, and whole interactive campaigns
-//!   (`MUX`-tagged worker-protocol frames relayed into the broker's
-//!   fleet session by [`BrokeredBackend`]).
+//!   submissions, attachments, and whole interactive campaigns and
+//!   searches (`MUX`-tagged worker-protocol frames from
+//!   [`BrokeredBackend`] and [`BrokeredEvaluator`], relayed into the
+//!   broker's own run of the fleet dispatcher, [`avf_service::fleet`]).
 //! * **Authenticated framing** — with `--auth-key-file`, every frame
 //!   on both planes (driver↔broker, broker↔worker) carries a keyed
 //!   SipHash tag over a per-direction sequence number; tampered,

@@ -19,12 +19,13 @@
 //!   report is identical to what the lost run would have produced.
 //! * **Interactive path**: `MUX`-wrapped standard worker-protocol
 //!   frames. The broker relays trial batches into its own
-//!   [`RemoteBackend`] fleet session (inheriting its re-dispatch
-//!   supervision), so a driver using [`crate::BrokeredBackend`] gets
-//!   the full fleet behind a single authenticated connection. An
-//!   interactive session occupies one scheduler slot for its lifetime
-//!   and pays a full quantum, so spec campaigns are never starved by
-//!   chatty drivers.
+//!   [`RemoteBackend`] fleet session, and GA generations into its own
+//!   [`Fleet`] — both the one fleet dispatcher with its re-dispatch
+//!   supervision — so a driver using [`crate::BrokeredBackend`] or
+//!   [`crate::BrokeredEvaluator`] gets the full fleet behind a single
+//!   authenticated connection. An interactive session occupies one
+//!   scheduler slot for its lifetime and pays a full quantum, so spec
+//!   campaigns are never starved by chatty drivers.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -35,16 +36,16 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use avf_inject::{
-    BackendError, Campaign, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec,
-    OpenedJob, StoreSource, Trial, TrialStream,
+    redispatched_trials, BackendError, Campaign, CampaignBackend, CampaignSession, DispatchRecord,
+    GoldenSpec, JobSpec, OpenedJob, StoreSource, Trial, TrialStream,
 };
 use avf_isa::wire::kind;
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage};
-use avf_service::{EvalBatch, EvalFleet, EvalScore, RemoteBackend};
+use avf_service::protocol::{ClientMessage, JobReady, JobSetup, Mux, ServerMessage};
+use avf_service::{score_generation, EvalBatch, EvalScore, Fleet, RemoteBackend};
 
 use crate::metrics::BrokerStats;
-use crate::protocol::{frame_kind, CampaignPhase, CampaignSpec, Reply, Request};
+use crate::protocol::{frame_kind, CampaignPhase, CampaignSpec, LogRecord, Reply, Request};
 use crate::queue::FairQueue;
 use crate::store::{CampaignStore, StoredCampaign};
 
@@ -410,67 +411,69 @@ fn run_campaign(inner: &Arc<Inner>, id: u64) {
         }
         .to_wire(),
     );
-    let fleet = match inner.opts.auth {
-        Some(key) => RemoteBackend::with_auth(inner.opts.workers.clone(), key),
-        None => RemoteBackend::new(inner.opts.workers.clone()),
-    };
     let observed = ObservedBackend {
-        inner: fleet,
+        inner: fleet_backend(inner),
         broker: Arc::clone(inner),
         id,
     };
     let result = Campaign::new(&spec.machine, &spec.program, spec.to_config()).run_on(&observed);
-    let (record, reply) = match result {
+    let outcome = match result {
         Ok(report) => {
             BrokerStats::bump(&inner.stats.completed, 1);
             BrokerStats::bump(
                 &inner.stats.trials_redispatched,
                 report.redispatched_trials(),
             );
-            let report = Box::new(report);
-            (
-                crate::protocol::LogRecord::Report {
-                    id,
-                    report: report.clone(),
-                },
-                Reply::Report { id, report },
-            )
+            Ok(Arc::new(report))
         }
         Err(e) => {
             BrokerStats::bump(&inner.stats.failed, 1);
             avf_service::log_line!("broker: campaign {id} failed: {e}");
-            (
-                crate::protocol::LogRecord::Failed {
-                    id,
-                    error: e.to_string(),
-                },
-                Reply::Failed {
-                    id,
-                    error: e.to_string(),
-                },
-            )
+            Err(e.to_string())
         }
+    };
+    let (record, reply) = match &outcome {
+        Ok(report) => (
+            LogRecord::Report {
+                id,
+                report: Box::new((**report).clone()),
+            },
+            Reply::Report {
+                id,
+                report: Box::new((**report).clone()),
+            },
+        ),
+        Err(error) => (
+            LogRecord::Failed {
+                id,
+                error: error.clone(),
+            },
+            Reply::Failed {
+                id,
+                error: error.clone(),
+            },
+        ),
     };
     if let Err(e) = inner.store.lock().expect("store lock").append(&record) {
         avf_service::log_line!("broker: durable log append failed for campaign {id}: {e}");
     }
-    {
-        let mut registry = inner.registry.lock().expect("registry lock");
-        if let Some(state) = registry.get_mut(&id) {
-            match &record {
-                crate::protocol::LogRecord::Report { report, .. } => {
-                    state.phase = CampaignPhase::Done;
-                    state.outcome = Some(Ok(Arc::new(*report.clone())));
-                }
-                crate::protocol::LogRecord::Failed { error, .. } => {
-                    state.phase = CampaignPhase::Failed;
-                    state.outcome = Some(Err(error.clone()));
-                }
-                _ => unreachable!("terminal records only"),
-            }
-        }
+    if let Some(state) = inner.registry.lock().expect("registry lock").get_mut(&id) {
+        state.phase = if outcome.is_ok() {
+            CampaignPhase::Done
+        } else {
+            CampaignPhase::Failed
+        };
+        state.outcome = Some(outcome);
     }
     notify_waiters(inner, id, &reply.to_wire());
+}
+
+/// A campaign backend over the broker's worker fleet.
+fn fleet_backend(inner: &Inner) -> RemoteBackend {
+    match inner.opts.auth {
+        Some(key) => RemoteBackend::with_auth(inner.opts.workers.clone(), key),
+        None => RemoteBackend::new(inner.opts.workers.clone()),
+    }
 }
 
 /// A [`CampaignBackend`] wrapper that reports progress: every submitted
@@ -521,12 +524,15 @@ impl CampaignSession for ObservedSession {
         // Progress is advisory durability: losing the tail only means a
         // restarted broker reports a stale count until the re-run
         // overtakes it.
-        let _ = self.broker.store.lock().expect("store lock").append(
-            &crate::protocol::LogRecord::Progress {
+        let _ = self
+            .broker
+            .store
+            .lock()
+            .expect("store lock")
+            .append(&LogRecord::Progress {
                 id: self.id,
                 trials_done: done,
-            },
-        );
+            });
         notify_waiters(
             &self.broker,
             self.id,
@@ -569,6 +575,15 @@ fn spawn_outbox_writer(
     tx
 }
 
+/// A connection-level failure frame (not about any one campaign).
+fn failed(error: impl Into<String>) -> Vec<u8> {
+    Reply::Failed {
+        id: 0,
+        error: error.into(),
+    }
+    .to_wire()
+}
+
 fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let auth = inner
@@ -596,13 +611,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                 }
                 // Best-effort typed goodbye; the channel closing tears
                 // down the writer and every relay.
-                let _ = outbox.send(
-                    Reply::Failed {
-                        id: 0,
-                        error: e.to_string(),
-                    }
-                    .to_wire(),
-                );
+                let _ = outbox.send(failed(e.to_string()));
                 avf_service::log_line!("broker: driver connection failed: {e}");
                 return;
             }
@@ -610,13 +619,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
         match frame_kind(&payload) {
             Some(kind::MUX) => {
                 let Ok(mux) = Mux::from_wire(&payload) else {
-                    let _ = outbox.send(
-                        Reply::Failed {
-                            id: 0,
-                            error: "malformed MUX frame".to_owned(),
-                        }
-                        .to_wire(),
-                    );
+                    let _ = outbox.send(failed("malformed MUX frame"));
                     return;
                 };
                 if let Some(route) = routes.get(&mux.tag) {
@@ -660,13 +663,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                 }
                 Ok(Request::Submit(spec)) => {
                     let Some(tenant) = tenant.as_deref() else {
-                        let _ = outbox.send(
-                            Reply::Failed {
-                                id: 0,
-                                error: "hello required before submit".to_owned(),
-                            }
-                            .to_wire(),
-                        );
+                        let _ = outbox.send(failed("hello required before submit"));
                         continue;
                     };
                     let reply = admit_spec(inner, tenant, *spec, &outbox);
@@ -679,13 +676,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                     }
                 }
                 Err(e) => {
-                    let _ = outbox.send(
-                        Reply::Failed {
-                            id: 0,
-                            error: format!("unrecognized frame: {e}"),
-                        }
-                        .to_wire(),
-                    );
+                    let _ = outbox.send(failed(format!("unrecognized frame: {e}")));
                     return;
                 }
             },
@@ -732,16 +723,15 @@ fn admit_spec(
     // broker restart must still know about the campaign. Nothing is
     // queued or registered yet, so a failed append refuses the
     // campaign instead of acknowledging it un-durably.
-    if let Err(e) =
-        inner
-            .store
-            .lock()
-            .expect("store lock")
-            .append(&crate::protocol::LogRecord::Accepted {
-                id,
-                tenant: tenant.to_owned(),
-                spec: Box::new((*spec).clone()),
-            })
+    if let Err(e) = inner
+        .store
+        .lock()
+        .expect("store lock")
+        .append(&LogRecord::Accepted {
+            id,
+            tenant: tenant.to_owned(),
+            spec: Box::new((*spec).clone()),
+        })
     {
         drop(sched);
         avf_service::log_line!("broker: durable log append failed for campaign {id}: {e}");
@@ -842,71 +832,129 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-/// Runs one interactive session: admission, slot wait, fleet open,
-/// then batch relay until the driver closes the tag or the connection.
-fn relay_interactive(
-    inner: &Arc<Inner>,
+/// Admission plus a run slot for one interactive session: the session
+/// pays a full quantum, so the DRR never lets it crowd out queued spec
+/// campaigns. `None` when admission rejected it (the driver is told) or
+/// the scheduler is gone.
+fn acquire_slot<'a>(
+    inner: &'a Inner,
     tenant: &str,
     tag: u64,
-    first: Vec<u8>,
-    rx: &mpsc::Receiver<Vec<u8>>,
-    outbox: &mpsc::Sender<Vec<u8>>,
-) {
-    BrokerStats::bump(&inner.stats.mux_sessions, 1);
-    // A fitness-evaluation session (wire v7) opens with an EVAL_BATCH
-    // instead of a campaign setup; it shares this path's admission and
-    // slot accounting but relays generations into an EvalFleet.
-    if frame_kind(&first) == Some(kind::EVAL_BATCH) {
-        return relay_eval(inner, tenant, tag, first, rx, outbox);
-    }
-    let setup = match ClientMessage::from_wire(&first) {
-        Ok(ClientMessage::Setup(setup)) => *setup,
-        Ok(_) | Err(_) => {
-            let _ = outbox.send(mux_error(tag, "interactive session must open with a setup"));
-            return;
-        }
-    };
-    // Admission + a run slot: interactive sessions pay a full quantum
-    // so the DRR never lets them crowd out queued spec campaigns.
+    outbox: &'a mpsc::Sender<Vec<u8>>,
+) -> Option<SlotGuard<'a>> {
     let (grant_tx, grant_rx) = mpsc::channel();
-    {
-        let mut sched = inner.sched.lock().expect("sched lock");
-        if let Err(reason) = sched
-            .queue
-            .enqueue(tenant, inner.opts.quantum, Work::Grant(grant_tx))
-        {
-            drop(sched);
-            BrokerStats::bump(&inner.stats.rejected, 1);
-            let _ = outbox.send(mux_error(tag, &format!("admission rejected: {reason}")));
-            return;
-        }
+    let admitted = inner.sched.lock().expect("sched lock").queue.enqueue(
+        tenant,
+        inner.opts.quantum,
+        Work::Grant(grant_tx),
+    );
+    if let Err(reason) = admitted {
+        BrokerStats::bump(&inner.stats.rejected, 1);
+        let _ = outbox.send(mux_error(tag, &format!("admission rejected: {reason}")));
+        return None;
     }
     inner.wake.notify_all();
-    if grant_rx.recv().is_err() {
-        return; // scheduler gone — broker shutting down
-    }
-    let _slot = SlotGuard { inner, tag, outbox };
+    // An Err means the scheduler is gone: the broker is shutting down.
+    grant_rx.recv().ok()?;
+    Some(SlotGuard { inner, tag, outbox })
+}
 
-    let fleet = match inner.opts.auth {
-        Some(key) => RemoteBackend::with_auth(inner.opts.workers.clone(), key),
-        None => RemoteBackend::new(inner.opts.workers.clone()),
-    };
-    let opened = match fleet.open(JobSpec {
-        machine: setup.machine,
-        program: setup.program,
-        instr_budget: setup.instr_budget,
-        fault_model: setup.fault_model,
-        golden: GoldenSpec::Delegated {
-            checkpoint_interval: setup.checkpoint_interval,
-        },
-        prune: setup.prune,
-    }) {
-        Ok(opened) => opened,
-        Err(e) => {
-            let _ = outbox.send(mux_error(tag, &format!("fleet open failed: {e}")));
-            return;
+/// One interactive plane's per-batch work.
+trait Relay {
+    /// Runs one driver batch frame on the fleet, handing each reply
+    /// payload to `send` as it is ready (`false` once the driver is
+    /// gone). Returns the replies sent.
+    fn batch(
+        &mut self,
+        frame: &[u8],
+        stats: &BrokerStats,
+        send: &dyn Fn(Vec<u8>) -> bool,
+    ) -> Result<u64, String>;
+
+    /// Items re-dispatched after worker deaths so far.
+    fn redispatched(&self) -> u64;
+}
+
+/// The campaign plane: trial batches into a [`RemoteBackend`] session.
+impl Relay for Box<dyn CampaignSession> {
+    fn batch(
+        &mut self,
+        frame: &[u8],
+        stats: &BrokerStats,
+        send: &dyn Fn(Vec<u8>) -> bool,
+    ) -> Result<u64, String> {
+        let Ok(ClientMessage::Batch(trials)) = ClientMessage::from_wire(frame) else {
+            return Err("expected a trial batch frame".to_owned());
+        };
+        BrokerStats::bump(&stats.trials_dispatched, trials.len() as u64);
+        let mut events = 0;
+        for event in self.submit(&trials).map_err(|e| e.to_string())? {
+            if !send(ServerMessage::Event(event.map_err(|e| e.to_string())?).to_wire()) {
+                break;
+            }
+            events += 1;
         }
-    };
+        Ok(events)
+    }
+
+    fn redispatched(&self) -> u64 {
+        redispatched_trials(&self.dispatch_log())
+    }
+}
+
+/// The search plane: generations into a [`Fleet`].
+impl Relay for Fleet {
+    fn batch(
+        &mut self,
+        frame: &[u8],
+        stats: &BrokerStats,
+        send: &dyn Fn(Vec<u8>) -> bool,
+    ) -> Result<u64, String> {
+        let batch = EvalBatch::from_wire(frame).map_err(|e| format!("bad eval batch: {e}"))?;
+        BrokerStats::bump(&stats.trials_dispatched, batch.individuals.len() as u64);
+        let genomes: Vec<Vec<f64>> = batch.individuals.iter().map(|(_, g)| g.clone()).collect();
+        let scored = score_generation(self, &batch.context, batch.generation, &genomes)
+            .map_err(|e| e.to_string())?;
+        // Scores come back by position; answer under the driver's
+        // indices, in index order.
+        let mut results: Vec<EvalScore> = batch
+            .individuals
+            .iter()
+            .zip(scored)
+            .map(|((index, _), score)| EvalScore {
+                index: *index,
+                ..score
+            })
+            .collect();
+        results.sort_by_key(|s| s.index);
+        let sent = results.iter().take_while(|s| send(s.to_wire())).count();
+        Ok(sent as u64)
+    }
+
+    fn redispatched(&self) -> u64 {
+        Fleet::redispatched(self)
+    }
+}
+
+/// Opens the campaign plane's fleet session for `setup` and answers the
+/// driver with the fleet's summarized `JOB_READY`.
+fn open_campaign(
+    inner: &Inner,
+    setup: JobSetup,
+    send: &dyn Fn(Vec<u8>) -> bool,
+) -> Result<Box<dyn CampaignSession>, String> {
+    let opened = fleet_backend(inner)
+        .open(JobSpec {
+            machine: setup.machine,
+            program: setup.program,
+            instr_budget: setup.instr_budget,
+            fault_model: setup.fault_model,
+            golden: GoldenSpec::Delegated {
+                checkpoint_interval: setup.checkpoint_interval,
+            },
+            prune: setup.prune,
+        })
+        .map_err(|e| format!("fleet open failed: {e}"))?;
     // The fleet counts as cached only if every worker was.
     let cached = opened
         .provisioning
@@ -925,83 +973,17 @@ fn relay_interactive(
             StoreSource::GoldenRun
         },
     };
-    let mut session = opened.session;
-    if outbox
-        .send(Mux::wrap(tag, ready.to_wire()).to_wire())
-        .is_err()
-    {
-        return;
-    }
-
-    // Batch relay loop: each driver batch becomes one fleet submit,
-    // with RemoteBackend's re-dispatch supervision underneath.
-    let mut redis_seen = 0u64;
-    while let Ok(frame) = rx.recv() {
-        // The driver's end-of-session marker: release the slot so the
-        // next campaign on this persistent connection can be granted.
-        if frame.is_empty() {
-            return;
-        }
-        let trials = match ClientMessage::from_wire(&frame) {
-            Ok(ClientMessage::Batch(trials)) => trials,
-            Ok(_) | Err(_) => {
-                let _ = outbox.send(mux_error(tag, "expected a trial batch frame"));
-                return;
-            }
-        };
-        BrokerStats::bump(&inner.stats.trials_dispatched, trials.len() as u64);
-        let stream = match session.submit(&trials) {
-            Ok(stream) => stream,
-            Err(e) => {
-                let _ = outbox.send(mux_error(tag, &e.to_string()));
-                return;
-            }
-        };
-        let mut events = 0u64;
-        for event in stream {
-            match event {
-                Ok(ev) => {
-                    events += 1;
-                    if outbox
-                        .send(Mux::wrap(tag, ServerMessage::Event(ev).to_wire()).to_wire())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let _ = outbox.send(mux_error(tag, &e.to_string()));
-                    return;
-                }
-            }
-        }
-        // The dispatch log accumulates across batches; bump only the
-        // delta re-dispatched since the last batch.
-        let redispatched: u64 = session
-            .dispatch_log()
-            .iter()
-            .filter(|d| d.redispatched)
-            .map(|d| d.trials)
-            .sum();
-        if redispatched > redis_seen {
-            BrokerStats::bump(&inner.stats.trials_redispatched, redispatched - redis_seen);
-            redis_seen = redispatched;
-        }
-        if outbox
-            .send(Mux::wrap(tag, ServerMessage::Done { events }.to_wire()).to_wire())
-            .is_err()
-        {
-            return;
-        }
-    }
+    send(ready.to_wire());
+    Ok(opened.session)
 }
 
-/// Runs one fitness-evaluation session: admission, slot wait, fleet
-/// connect, then one [`EvalFleet`] round per `EVAL_BATCH` until the
-/// driver closes the tag or the connection. Mirrors the interactive
-/// campaign relay — same quantum, same slot guard — so chatty searches
-/// cannot crowd out queued spec campaigns either.
-fn relay_eval(
+/// Runs one interactive session: admission, slot wait, fleet open, then
+/// one fleet run per driver batch until the driver closes the tag or
+/// the connection. A campaign session opens with a setup; a search
+/// session (wire v7) opens with its first `EVAL_BATCH`. Both are
+/// admitted alike, so chatty drivers never crowd out queued spec
+/// campaigns.
+fn relay_interactive(
     inner: &Arc<Inner>,
     tenant: &str,
     tag: u64,
@@ -1009,101 +991,53 @@ fn relay_eval(
     rx: &mpsc::Receiver<Vec<u8>>,
     outbox: &mpsc::Sender<Vec<u8>>,
 ) {
-    let (grant_tx, grant_rx) = mpsc::channel();
-    {
-        let mut sched = inner.sched.lock().expect("sched lock");
-        if let Err(reason) = sched
-            .queue
-            .enqueue(tenant, inner.opts.quantum, Work::Grant(grant_tx))
-        {
-            drop(sched);
-            BrokerStats::bump(&inner.stats.rejected, 1);
-            let _ = outbox.send(mux_error(tag, &format!("admission rejected: {reason}")));
-            return;
-        }
-    }
-    inner.wake.notify_all();
-    if grant_rx.recv().is_err() {
-        return; // scheduler gone — broker shutting down
-    }
-    let _slot = SlotGuard { inner, tag, outbox };
-
-    let mut fleet = match EvalFleet::connect(&inner.opts.workers, inner.opts.auth) {
-        Ok(fleet) => fleet,
-        Err(e) => {
-            let _ = outbox.send(mux_error(tag, &format!("fleet open failed: {e}")));
-            return;
-        }
+    BrokerStats::bump(&inner.stats.mux_sessions, 1);
+    let send = |payload: Vec<u8>| outbox.send(Mux::wrap(tag, payload).to_wire()).is_ok();
+    let fail = |msg: String| {
+        let _ = outbox.send(mux_error(tag, &msg));
     };
-    let mut frame = first;
+    let search = frame_kind(&first) == Some(kind::EVAL_BATCH);
+    let setup = if search {
+        None
+    } else if let Ok(ClientMessage::Setup(setup)) = ClientMessage::from_wire(&first) {
+        Some(*setup)
+    } else {
+        return fail("interactive session must open with a setup".to_owned());
+    };
+    let Some(_slot) = acquire_slot(inner, tenant, tag, outbox) else {
+        return;
+    };
+    let opened: Result<Box<dyn Relay>, String> = match setup {
+        Some(setup) => open_campaign(inner, setup, &send).map(|s| Box::new(s) as Box<dyn Relay>),
+        None => Fleet::connect(&inner.opts.workers, inner.opts.auth)
+            .map(|f| Box::new(f) as Box<dyn Relay>)
+            .map_err(|e| format!("fleet open failed: {e}")),
+    };
+    let mut relay = match opened {
+        Ok(relay) => relay,
+        Err(msg) => return fail(msg),
+    };
     let mut redis_seen = 0u64;
-    loop {
-        // The driver's end-of-session marker, as on the campaign plane.
+    for frame in search.then_some(first).into_iter().chain(rx.iter()) {
+        // The driver's end-of-session marker: release the slot so the
+        // next session on this persistent connection can be granted.
         if frame.is_empty() {
             return;
         }
-        let batch = match EvalBatch::from_wire(&frame) {
-            Ok(batch) => batch,
-            Err(e) => {
-                let _ = outbox.send(mux_error(tag, &format!("bad eval batch: {e}")));
-                return;
-            }
+        let replies = match relay.batch(&frame, &inner.stats, &send) {
+            Ok(replies) => replies,
+            Err(msg) => return fail(msg),
         };
-        BrokerStats::bump(
-            &inner.stats.trials_dispatched,
-            batch.individuals.len() as u64,
-        );
-        let genomes: Vec<Vec<f64>> = batch.individuals.iter().map(|(_, g)| g.clone()).collect();
-        let scored = match fleet.run(&batch.context, &genomes) {
-            Ok(scored) => scored,
-            Err(e) => {
-                let _ = outbox.send(mux_error(tag, &e.to_string()));
-                return;
-            }
-        };
-        let mut results: Vec<EvalScore> = batch
-            .individuals
-            .iter()
-            .zip(&scored)
-            .map(|((index, _), &(score, cached))| EvalScore {
-                index: *index,
-                score,
-                cached,
-            })
-            .collect();
-        results.sort_by_key(|s| s.index);
-        for score in &results {
-            if outbox
-                .send(Mux::wrap(tag, score.to_wire()).to_wire())
-                .is_err()
-            {
-                return;
-            }
-        }
-        let redispatched = fleet.redispatched();
+        // The dispatch log accumulates across batches; bump only the
+        // delta re-dispatched since the last batch.
+        let redispatched = relay.redispatched();
         if redispatched > redis_seen {
             BrokerStats::bump(&inner.stats.trials_redispatched, redispatched - redis_seen);
             redis_seen = redispatched;
         }
-        if outbox
-            .send(
-                Mux::wrap(
-                    tag,
-                    ServerMessage::Done {
-                        events: results.len() as u64,
-                    }
-                    .to_wire(),
-                )
-                .to_wire(),
-            )
-            .is_err()
-        {
+        if !send(ServerMessage::Done { events: replies }.to_wire()) {
             return;
         }
-        frame = match rx.recv() {
-            Ok(next) => next,
-            Err(_) => return,
-        };
     }
 }
 

@@ -316,3 +316,103 @@ fn wrong_key_driver_is_rejected_typed_and_right_key_works() {
     let report = client.wait(id).expect("report");
     assert_eq!(fingerprint(&report), fingerprint(&direct_report(5, 120)));
 }
+
+/// A scripted broker: acknowledges the hello, answers the campaign
+/// setup with a fabricated `JOB_READY`, then replies to the first trial
+/// batch with `replies` (each MUX-wrapped under the session's tag).
+fn scripted_broker(replies: Vec<Vec<u8>>) -> String {
+    use avf_service::frame::{read_frame, write_frame};
+    use avf_service::protocol::{JobReady, Mux, ServerMessage};
+    use std::io::Write;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake broker");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = std::io::BufReader::new(&stream);
+        let mut w = std::io::BufWriter::new(&stream);
+        let _hello = read_frame(&mut reader).expect("hello").expect("hello");
+        write_frame(
+            &mut w,
+            &avf_broker::Reply::HelloAck { workers: 1 }.to_wire(),
+        )
+        .unwrap();
+        w.flush().unwrap();
+        let setup = Mux::from_wire(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
+        let ready = ServerMessage::Ready {
+            ready: JobReady {
+                store_hash: 0,
+                golden: avf_sim::GoldenRun {
+                    cycles: 5_000,
+                    committed: 4_000,
+                    digest: 0x1234,
+                },
+                checkpoints: 1,
+                prune: None,
+            },
+            source: avf_inject::StoreSource::GoldenRun,
+        };
+        write_frame(&mut w, &Mux::wrap(setup.tag, ready.to_wire()).to_wire()).unwrap();
+        w.flush().unwrap();
+        let _batch = read_frame(&mut reader).unwrap().unwrap();
+        for reply in replies {
+            write_frame(&mut w, &Mux::wrap(setup.tag, reply).to_wire()).unwrap();
+        }
+        w.flush().unwrap();
+        // Hold the connection until the driver's end-of-session marker.
+        let _ = read_frame(&mut reader);
+    });
+    addr
+}
+
+#[test]
+fn brokered_campaign_rejects_a_duplicated_event() {
+    use avf_inject::{BackendError, CampaignBackend, GoldenSpec, JobSpec, Outcome, Trial};
+    use avf_inject::{FaultModel, TrialEvent};
+    use avf_service::protocol::ServerMessage;
+    use avf_sim::InjectionTarget;
+
+    // Trial 0's event arrives twice and trial 1's never does; the
+    // count still adds up to the batch size, so only a per-index
+    // acknowledgement catches it.
+    let event = TrialEvent {
+        index: 0,
+        target: InjectionTarget::Rob,
+        outcome: Outcome::Sdc,
+    };
+    let addr = scripted_broker(vec![
+        ServerMessage::Event(event).to_wire(),
+        ServerMessage::Event(event).to_wire(),
+        ServerMessage::Done { events: 2 }.to_wire(),
+    ]);
+    let backend = BrokeredBackend::connect(&addr, "dup", None).expect("hello");
+    let opened = backend
+        .open(JobSpec {
+            machine: MachineConfig::baseline(),
+            program: avf_workloads::testkit::register_chain(),
+            instr_budget: 6_000,
+            fault_model: FaultModel::default(),
+            golden: GoldenSpec::Delegated {
+                checkpoint_interval: 512,
+            },
+            prune: false,
+        })
+        .expect("setup");
+    let mut session = opened.session;
+    let trials: Vec<Trial> = (0..2)
+        .map(|index| Trial {
+            index,
+            target: InjectionTarget::Rob,
+            cycle: 1 + index,
+            entry: 0,
+            bit: 0,
+        })
+        .collect();
+    let results: Vec<_> = session.submit(&trials).expect("submit").collect();
+    assert_eq!(results.len(), 2, "one event, then the typed error");
+    assert!(results[0].as_ref().is_ok_and(|ev| ev.index == 0));
+    match &results[1] {
+        Err(BackendError::Protocol(msg)) => assert!(msg.contains("item 0"), "{msg}"),
+        other => panic!("expected Protocol, got {other:?}"),
+    }
+}

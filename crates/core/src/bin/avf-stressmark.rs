@@ -508,8 +508,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     if let Some(metrics) = args.flag("metrics") {
         let stats = opts.stats.clone();
-        let cache = opts.cache.clone();
-        let bound = spawn_metrics(metrics, move || stats.render(&cache))
+        let (cache, eval_cache) = (opts.cache.clone(), opts.eval_cache.clone());
+        let bound = spawn_metrics(metrics, move || stats.render(&cache, &eval_cache))
             .map_err(|e| format!("cannot serve metrics on `{metrics}`: {e}"))?;
         eprintln!("metrics endpoint on http://{bound}/metrics");
     }

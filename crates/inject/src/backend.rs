@@ -275,6 +275,15 @@ pub struct DispatchRecord {
     pub redispatched: bool,
 }
 
+/// Trials a dispatch log re-dispatched after worker deaths.
+#[must_use]
+pub fn redispatched_trials(log: &[DispatchRecord]) -> u64 {
+    log.iter()
+        .filter(|d| d.redispatched)
+        .map(|d| d.trials)
+        .sum()
+}
+
 /// A bound job: the batch session plus everything the venue resolved
 /// while setting it up.
 pub struct OpenedJob {

@@ -316,11 +316,7 @@ impl CampaignReport {
     /// connection died mid-batch (0 on a fault-free run).
     #[must_use]
     pub fn redispatched_trials(&self) -> u64 {
-        self.dispatches
-            .iter()
-            .filter(|d| d.redispatched)
-            .map(|d| d.trials)
-            .sum()
+        crate::backend::redispatched_trials(&self.dispatches)
     }
 
     /// Serializes the complete report (every field, bit-exact floats)

@@ -1,4 +1,4 @@
-//! Bounded worker-side checkpoint-store cache.
+//! Bounded worker-side caches: one LRU, two uses.
 //!
 //! Re-running the golden pass for every campaign is the biggest fixed
 //! cost of a worker: the pass is a pure function of `(machine, program,
@@ -6,25 +6,34 @@
 //! re-runs the same four programs per invocation. The service therefore
 //! keys every job by a 64-bit content hash of those parameters
 //! ([`avf_isa::wire::content_hash64`]), and a worker that finds the job
-//! here skips the golden pass and the checkpoint decode entirely.
+//! in its [`StoreCache`] skips the golden pass and the checkpoint
+//! decode entirely. Its [`EvalCache`] does the same for GA fitness:
+//! elite genomes re-scored across generations (and across searches
+//! sharing a worker) hit there instead of paying a simulation.
 //!
-//! The cache is bounded both by entry count and by total checkpoint
-//! bytes, evicting least-recently-used entries first, so a long-lived
-//! `serve` process cannot grow without limit no matter how many
-//! distinct campaigns pass through it. One cache is shared by every
-//! connection of a server (`Arc` + mutex — entries hold `Arc`s, so a
-//! hit never copies snapshots under the lock).
+//! Both are the one [`Lru`]: bounded by entry count and by total
+//! charged bytes, evicting least-recently-used entries first, so a
+//! long-lived `serve` process cannot grow without limit no matter how
+//! many distinct jobs pass through it. One cache is shared by every
+//! connection of a server (`Arc` + mutex — store entries hold `Arc`s,
+//! so a hit never copies snapshots under the lock).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use avf_sim::{DecodedCheckpoints, GoldenRun, PruneEvidence};
 
-/// Default entry bound of a server's cache.
+/// Default entry bound of a server's store cache.
 pub const DEFAULT_CACHE_ENTRIES: usize = 16;
 
-/// Default byte bound of a server's cache ([`CacheEntry::footprint`]).
+/// Default byte bound of a server's store cache
+/// ([`CacheEntry::footprint`]).
 pub const DEFAULT_CACHE_BYTES: usize = 512 << 20;
+
+/// Default entry bound of a worker's genome score cache (no byte
+/// bound: a score is a handful of bytes).
+pub const DEFAULT_EVAL_CACHE_ENTRIES: usize = 4096;
 
 /// One cached job setup: the golden run and its *decoded* checkpoints —
 /// so a cache hit pays neither the golden pass nor the per-campaign
@@ -78,109 +87,98 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently held.
     pub entries: usize,
-    /// Bytes currently charged against the bound
-    /// ([`CacheEntry::footprint`]).
+    /// Bytes currently charged against the bound.
     pub bytes: usize,
 }
 
-struct Inner {
-    /// `hash -> (entry, recency stamp)`.
-    map: HashMap<u64, (CacheEntry, u64)>,
+struct Inner<K, V> {
+    /// `key -> (value, recency stamp)`.
+    map: HashMap<K, (V, u64)>,
     /// Monotonic use counter backing the LRU order.
     clock: u64,
-    bytes: usize,
+    stats: CacheStats,
+}
+
+/// A bounded, thread-safe LRU.
+pub struct Lru<K, V> {
+    inner: Mutex<Inner<K, V>>,
     max_entries: usize,
     max_bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    /// Bytes an entry is charged against `max_bytes`.
+    weigh: fn(&K, &V) -> usize,
 }
 
-/// A bounded LRU of checkpoint stores keyed by content hash, shared by
-/// every connection of one server.
-pub struct StoreCache {
-    inner: Mutex<Inner>,
-}
+/// The checkpoint-store cache: `job content hash → decoded golden pass`.
+pub type StoreCache = Lru<u64, CacheEntry>;
 
-impl StoreCache {
-    /// A cache bounded by `max_entries` entries and `max_bytes` total
-    /// footprint bytes (both clamped to at least one entry's
-    /// worth so a cache can never refuse everything).
+/// The genome score cache: `(context fingerprint, genome bits) → score`.
+pub type EvalCache = Lru<(u64, Vec<u64>), f64>;
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    /// A cache bounded by `max_entries` entries (clamped to at least
+    /// one, so a cache can never refuse everything) and `max_bytes`
+    /// total `weigh`ed bytes.
     #[must_use]
-    pub fn new(max_entries: usize, max_bytes: usize) -> StoreCache {
-        StoreCache {
+    pub fn with_bounds(max_entries: usize, max_bytes: usize, weigh: fn(&K, &V) -> usize) -> Self {
+        Lru {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 clock: 0,
-                bytes: 0,
-                max_entries: max_entries.max(1),
-                max_bytes,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
+                stats: CacheStats::default(),
             }),
+            max_entries: max_entries.max(1),
+            max_bytes,
+            weigh,
         }
     }
 
-    /// A default-bounded cache behind the `Arc` the server clones per
-    /// connection.
-    #[must_use]
-    pub fn shared() -> Arc<StoreCache> {
-        Arc::new(StoreCache::new(DEFAULT_CACHE_ENTRIES, DEFAULT_CACHE_BYTES))
-    }
-
-    /// Looks `hash` up, refreshing its recency. Counts a hit or miss.
-    /// An entry whose geometry fingerprint disagrees with `geometry`
-    /// (a key collision across machine/program pairs) is a miss: its
-    /// decoded snapshots must not be served to this job.
-    #[must_use]
-    pub fn get(&self, hash: u64, geometry: u64) -> Option<CacheEntry> {
+    /// Looks `key` up, refreshing its recency, and counts a hit or a
+    /// miss. An entry `valid` rejects is a miss and is not served.
+    pub fn get_if(&self, key: &K, valid: impl FnOnce(&V) -> bool) -> Option<V> {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.map.get_mut(&hash) {
-            Some((entry, stamp)) if entry.geometry == geometry => {
+        let hit = match inner.map.get_mut(key) {
+            Some((value, stamp)) if valid(value) => {
                 *stamp = clock;
-                let entry = entry.clone();
-                inner.hits += 1;
-                Some(entry)
+                Some(value.clone())
             }
-            _ => {
-                inner.misses += 1;
-                None
-            }
+            _ => None,
+        };
+        if hit.is_some() {
+            inner.stats.hits += 1;
+        } else {
+            inner.stats.misses += 1;
         }
+        hit
     }
 
-    /// Inserts (or refreshes) `hash`, evicting least-recently-used
+    /// Inserts (or refreshes) `key`, evicting least-recently-used
     /// entries until both bounds hold. An entry larger than the byte
-    /// bound is still admitted alone — its golden pass is already paid
-    /// for, so refusing would only force the next session to re-run it.
-    pub fn insert(&self, hash: u64, entry: CacheEntry) {
+    /// bound is still admitted alone — its cost is already paid, so
+    /// refusing would only force the next lookup to pay it again.
+    pub fn insert(&self, key: K, value: V) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
         let clock = inner.clock;
-        let size = entry.footprint();
-        if let Some((old, _)) = inner.map.remove(&hash) {
-            inner.bytes -= old.footprint();
+        let size = (self.weigh)(&key, &value);
+        if let Some((old, _)) = inner.map.remove(&key) {
+            inner.stats.bytes -= (self.weigh)(&key, &old);
         }
-        inner.map.insert(hash, (entry, clock));
-        inner.bytes += size;
-        while inner.map.len() > inner.max_entries
-            || (inner.bytes > inner.max_bytes && inner.map.len() > 1)
+        inner.map.insert(key, (value, clock));
+        inner.stats.bytes += size;
+        while inner.map.len() > self.max_entries
+            || (inner.stats.bytes > self.max_bytes && inner.map.len() > 1)
         {
             let lru = inner
                 .map
                 .iter()
                 .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&h, _)| h)
+                .map(|(k, _)| k.clone())
                 .expect("non-empty map");
-            if lru == hash && inner.map.len() == 1 {
-                break;
-            }
             let (evicted, _) = inner.map.remove(&lru).expect("lru key present");
-            inner.bytes -= evicted.footprint();
-            inner.evictions += 1;
+            inner.stats.bytes -= (self.weigh)(&lru, &evicted);
+            inner.stats.evictions += 1;
         }
     }
 
@@ -189,12 +187,55 @@ impl StoreCache {
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock");
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
             entries: inner.map.len(),
-            bytes: inner.bytes,
+            ..inner.stats
         }
+    }
+}
+
+impl StoreCache {
+    /// A store cache bounded by `max_entries` entries and `max_bytes`
+    /// of [`CacheEntry::footprint`].
+    #[must_use]
+    pub fn new(max_entries: usize, max_bytes: usize) -> StoreCache {
+        Lru::with_bounds(max_entries, max_bytes, |_, entry| entry.footprint())
+    }
+
+    /// A default-bounded store cache behind the `Arc` the server clones
+    /// per connection.
+    #[must_use]
+    pub fn shared() -> Arc<StoreCache> {
+        Arc::new(StoreCache::new(DEFAULT_CACHE_ENTRIES, DEFAULT_CACHE_BYTES))
+    }
+
+    /// Looks a job up. An entry whose geometry fingerprint disagrees
+    /// with `geometry` (a key collision across machine/program pairs)
+    /// is a miss: its decoded snapshots must not be served to this job.
+    #[must_use]
+    pub fn get(&self, hash: u64, geometry: u64) -> Option<CacheEntry> {
+        self.get_if(&hash, |entry| entry.geometry == geometry)
+    }
+}
+
+impl EvalCache {
+    /// A score cache bounded to `max_entries` scores, with no byte
+    /// bound (entries are charged their key's genome bytes, for
+    /// observability only).
+    #[must_use]
+    pub fn with_capacity(max_entries: usize) -> EvalCache {
+        Lru::with_bounds(max_entries, usize::MAX, |(_, bits), _| 8 * bits.len() + 16)
+    }
+
+    /// A shareable score cache at the default capacity.
+    #[must_use]
+    pub fn shared() -> Arc<EvalCache> {
+        Arc::new(EvalCache::with_capacity(DEFAULT_EVAL_CACHE_ENTRIES))
+    }
+
+    /// Looks a score up under `(context fingerprint, genome bits)`.
+    #[must_use]
+    pub fn lookup(&self, ctx: u64, bits: &[u64]) -> Option<f64> {
+        self.get_if(&(ctx, bits.to_vec()), |_| true)
     }
 }
 
@@ -306,5 +347,26 @@ mod tests {
             geometry_fingerprint(&base, &p1),
             geometry_fingerprint(&base, &p2)
         );
+    }
+
+    #[test]
+    fn eval_cache_hits_and_evicts() {
+        let cache = EvalCache::with_capacity(2);
+        let bits_a = avf_ga::genome_bits(&[0.1]);
+        let bits_b = avf_ga::genome_bits(&[0.2]);
+        let bits_c = avf_ga::genome_bits(&[0.3]);
+        assert_eq!(cache.lookup(1, &bits_a), None);
+        cache.insert((1, bits_a.clone()), 10.0);
+        assert_eq!(cache.lookup(1, &bits_a), Some(10.0));
+        assert_eq!(cache.lookup(2, &bits_a), None, "context keys are distinct");
+        cache.insert((1, bits_b.clone()), 20.0);
+        // Touch A so B is the LRU victim when C arrives.
+        assert_eq!(cache.lookup(1, &bits_a), Some(10.0));
+        cache.insert((1, bits_c.clone()), 30.0);
+        assert_eq!(cache.lookup(1, &bits_b), None, "LRU entry evicted");
+        assert_eq!(cache.lookup(1, &bits_c), Some(30.0));
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 1);
+        assert_eq!(stats.entries, 2);
     }
 }

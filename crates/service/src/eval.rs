@@ -17,25 +17,25 @@
 //! → `generate` → `simulate` → `Fitness::score`). That keeps a generation
 //! frame a few kilobytes regardless of candidate size, and it lets the
 //! worker memoize by genome: elite individuals re-scored across
-//! generations are [`EvalCache`] hits, not simulations.
+//! generations are [`crate::EvalCache`] hits, not simulations.
 //!
-//! Driver-side, [`EvalFleet`] fans a generation out across workers with
-//! genome-keyed affinity (so a re-scored elite lands on the worker whose
-//! cache holds it) and inherits the campaign supervisor's re-dispatch
-//! semantics: individuals unacknowledged when a worker dies are re-sent
-//! to survivors, and the search result is bit-identical to a fault-free
-//! run because every score is a deterministic function of
-//! (context, genome). [`RemoteEvaluator`] adapts the fleet to the GA's
-//! [`FitnessEvaluator`] trait and counts *distinct* genomes evaluated —
-//! the same number [`avf_ga::LocalEvaluator`] reports — so
-//! `GaResult::evaluations` agrees across local, remote, and brokered
-//! venues regardless of worker deaths or cache evictions.
+//! Driver-side, a generation goes through the same [`Fleet`] dispatcher
+//! as campaign trials, sharded with genome-keyed affinity
+//! ([`crate::fleet::Genomes`]) so a re-scored elite lands on the worker
+//! whose cache holds it. Individuals unacknowledged when a worker dies
+//! are re-sent to survivors, and the search result is bit-identical to
+//! a fault-free run because every score is a deterministic function of
+//! (context, genome). [`RemoteEvaluator`] adapts any [`Venue`] —
+//! a fleet, or a broker session — to the GA's [`FitnessEvaluator`]
+//! trait and counts *distinct* genomes evaluated — the same number
+//! [`avf_ga::LocalEvaluator`] reports — so `GaResult::evaluations`
+//! agrees across local, remote, and brokered venues regardless of
+//! worker deaths or cache evictions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::BufReader;
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::net::TcpStream;
+use std::sync::mpsc;
 
 use avf_ace::{FaultRates, Fitness, FitnessScope, Structure};
 use avf_codegen::{generate, Knobs, TargetParams};
@@ -44,10 +44,11 @@ use avf_inject::BackendError;
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_sim::{simulate, MachineConfig};
 
-use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, AuthVerifier, ConnectionAuth};
+use crate::auth::{read_frame_verified, AuthKey, AuthVerifier};
+use crate::fleet::{Fleet, Genomes, Venue};
 use crate::frame::FrameBatcher;
 use crate::protocol::{ServerMessage, HASH_DOMAIN_EVAL};
-use crate::server::ServeOptions;
+use crate::server::{reply_batch, ServeOptions};
 
 /// Derives code-generator target parameters from a machine configuration.
 ///
@@ -326,114 +327,6 @@ pub fn evaluate_genome(ctx: &EvalContext, genes: &[f64]) -> f64 {
     ctx.fitness.score(&result.report)
 }
 
-/// Default capacity of a worker's genome score cache.
-pub const DEFAULT_EVAL_CACHE_ENTRIES: usize = 4096;
-
-#[derive(Debug, Default)]
-struct EvalCacheInner {
-    map: HashMap<(u64, Vec<u64>), (f64, u64)>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Counters of an [`EvalCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that required a simulation.
-    pub misses: u64,
-    /// Entries evicted to stay within capacity.
-    pub evictions: u64,
-    /// Current resident entries.
-    pub entries: usize,
-}
-
-/// A bounded, thread-safe LRU of `(context fingerprint, genome bits) →
-/// score` — the evaluation analogue of the campaign checkpoint
-/// [`crate::StoreCache`]. Elite genomes re-scored across generations
-/// (and across searches sharing a worker) hit here instead of paying a
-/// simulation.
-#[derive(Debug, Default)]
-pub struct EvalCache {
-    inner: Mutex<EvalCacheInner>,
-    max_entries: usize,
-}
-
-impl EvalCache {
-    /// A cache bounded to `max_entries` scores (0 disables caching).
-    #[must_use]
-    pub fn with_capacity(max_entries: usize) -> EvalCache {
-        EvalCache {
-            inner: Mutex::new(EvalCacheInner::default()),
-            max_entries,
-        }
-    }
-
-    /// A shareable cache at the default capacity.
-    #[must_use]
-    pub fn shared() -> Arc<EvalCache> {
-        Arc::new(EvalCache::with_capacity(DEFAULT_EVAL_CACHE_ENTRIES))
-    }
-
-    /// Looks a score up, bumping its recency on a hit.
-    pub fn lookup(&self, ctx: u64, bits: &[u64]) -> Option<f64> {
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let hit = inner.map.get_mut(&(ctx, bits.to_vec())).map(|slot| {
-            slot.1 = stamp;
-            slot.0
-        });
-        match hit {
-            Some(score) => {
-                inner.hits += 1;
-                Some(score)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a freshly computed score, evicting the least recently
-    /// used entry if the cache is full.
-    pub fn insert(&self, ctx: u64, bits: Vec<u64>, score: f64) {
-        if self.max_entries == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if inner.map.len() >= self.max_entries && !inner.map.contains_key(&(ctx, bits.clone())) {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            }
-        }
-        inner.map.insert((ctx, bits), (score, stamp));
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> EvalCacheStats {
-        let inner = self.inner.lock().expect("eval cache poisoned");
-        EvalCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
-    }
-}
-
 fn score_parallel(
     ctx: &EvalContext,
     genomes: &[(u64, Vec<f64>, Vec<u64>)],
@@ -505,7 +398,7 @@ pub(crate) fn handle_eval_session(
         }
         let scores = score_parallel(&batch.context, &misses, opts.threads);
         for ((index, _, bits), score) in misses.into_iter().zip(scores) {
-            opts.eval_cache.insert(fingerprint, bits, score);
+            opts.eval_cache.insert((fingerprint, bits), score);
             results.push(EvalScore {
                 index,
                 score,
@@ -514,32 +407,10 @@ pub(crate) fn handle_eval_session(
         }
         results.sort_by_key(|s| s.index);
 
-        if opts.die_mid_batch == Some(served) {
-            // Injected fault: stream half the generation, then crash. No
-            // error frame, no DONE — the driver must observe this as a
-            // dead connection and re-dispatch the unacknowledged half.
-            for score in &results[..results.len() / 2] {
-                writer.push(&score.to_wire())?;
-            }
-            writer.flush()?;
-            crate::log_line!("serve: injected fault — aborting connection mid-generation {served}");
-            let _ = stream.shutdown(Shutdown::Both);
+        let replies = results.iter().map(|s| Ok(s.to_wire()));
+        if !reply_batch(stream, writer, opts, served, results.len(), replies)? {
             return Ok(());
         }
-        for score in &results {
-            writer.push(&score.to_wire())?;
-        }
-        writer.push(
-            &ServerMessage::Done {
-                events: results.len() as u64,
-            }
-            .to_wire(),
-        )?;
-        writer.flush()?;
-        opts.stats.batches_served.fetch_add(1, Ordering::Relaxed);
-        opts.stats
-            .events_streamed
-            .fetch_add(results.len() as u64, Ordering::Relaxed);
         served += 1;
 
         match read_frame_verified(reader, verifier)? {
@@ -554,321 +425,63 @@ pub(crate) fn handle_eval_session(
 /// the count is invariant under worker deaths, re-dispatch duplicates,
 /// and worker-cache evictions.
 #[derive(Debug, Default)]
-pub struct DistinctCounter {
+struct DistinctCounter {
     seen: HashSet<Vec<u64>>,
-    count: u64,
 }
 
 impl DistinctCounter {
-    /// Records one generation.
-    pub fn record(&mut self, generation: &[Vec<f64>]) {
+    fn record(&mut self, generation: &[Vec<f64>]) {
         for genes in generation {
-            if self.seen.insert(genome_bits(genes)) {
-                self.count += 1;
-            }
+            self.seen.insert(genome_bits(genes));
         }
     }
 
-    /// Distinct genomes recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
+    fn count(&self) -> u64 {
+        self.seen.len() as u64
     }
 }
 
-struct FleetWorker {
-    addr: String,
-    /// `None` once the connection died; the slot stays so genome→worker
-    /// affinity of the survivors is undisturbed.
-    stream: Option<TcpStream>,
-    auth: Option<Arc<ConnectionAuth>>,
-}
-
-enum EvalShardFate {
-    /// All scores streamed and the DONE count checked out.
-    Clean(Vec<EvalScore>),
-    /// The connection died mid-generation; `scored` arrived first.
-    Dead {
-        scored: Vec<EvalScore>,
-        error: BackendError,
-    },
-    /// Protocol violation or worker-reported error: fail the search.
-    Fatal(BackendError),
-}
-
-fn drain_eval_shard(
-    stream: TcpStream,
-    addr: String,
-    expected: Vec<u64>,
-    auth: Option<Arc<ConnectionAuth>>,
-) -> EvalShardFate {
-    let mut outstanding: HashSet<u64> = expected.into_iter().collect();
-    let mut reader = BufReader::new(&stream);
-    let verifier = auth.as_ref().map(|a| a.verifier.as_ref());
-    let mut scored: Vec<EvalScore> = Vec::with_capacity(outstanding.len());
-    loop {
-        let payload = match read_frame_verified(&mut reader, verifier) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                return EvalShardFate::Dead {
-                    scored,
-                    error: BackendError::Disconnected {
-                        worker: addr,
-                        detail: "connection closed mid-generation".to_owned(),
-                    },
-                }
-            }
-            Err(BackendError::Io(detail)) => {
-                return EvalShardFate::Dead {
-                    scored,
-                    error: BackendError::Disconnected {
-                        worker: addr,
-                        detail,
-                    },
-                }
-            }
-            Err(e) => return EvalShardFate::Fatal(e),
-        };
-        match EvalReply::from_wire(&payload) {
-            Ok(EvalReply::Score(score)) => {
-                if !outstanding.remove(&score.index) {
-                    return EvalShardFate::Fatal(BackendError::Protocol(format!(
-                        "worker {addr} scored individual {} it was not assigned (or twice)",
-                        score.index
-                    )));
-                }
-                scored.push(score);
-            }
-            Ok(EvalReply::Done { results }) => {
-                if !outstanding.is_empty() {
-                    return EvalShardFate::Fatal(BackendError::Protocol(format!(
-                        "worker {addr} finished a generation with {} individuals unscored",
-                        outstanding.len()
-                    )));
-                }
-                if results != scored.len() as u64 {
-                    return EvalShardFate::Fatal(BackendError::Protocol(format!(
-                        "worker {addr} announced {results} results but streamed {}",
-                        scored.len()
-                    )));
-                }
-                return EvalShardFate::Clean(scored);
-            }
-            Ok(EvalReply::Error(msg)) => return EvalShardFate::Fatal(BackendError::Remote(msg)),
-            Err(e) => return EvalShardFate::Fatal(BackendError::Wire(e)),
-        }
-    }
-}
-
-/// A fleet of persistent evaluation-worker connections with the campaign
-/// supervisor's fault tolerance: shards are re-dispatched to survivors
-/// when a worker dies, and only an all-dead fleet (or a protocol
-/// violation) fails the search.
-pub struct EvalFleet {
-    workers: Vec<FleetWorker>,
+/// Scores `genomes` on `venue`: one score per genome, in input order
+/// (each score's index is the genome's position).
+///
+/// # Errors
+///
+/// Returns a [`BackendError`] when the venue fails.
+pub fn score_generation(
+    venue: &mut impl Venue,
+    context: &EvalContext,
     generation: u64,
-    last_error: Option<BackendError>,
-    redispatched: u64,
+    genomes: &[Vec<f64>],
+) -> Result<Vec<EvalScore>, BackendError> {
+    let (tx, rx) = mpsc::channel();
+    let individuals = genomes
+        .iter()
+        .enumerate()
+        .map(|(i, genes)| (i as u64, genes.clone()))
+        .collect();
+    let work = Genomes {
+        context,
+        generation,
+    };
+    venue.dispatch(&work, generation, individuals, &tx)?;
+    drop(tx);
+    // The drain acknowledged every index exactly once.
+    let mut scores: Vec<EvalScore> = rx.into_iter().flatten().collect();
+    scores.sort_by_key(|s| s.index);
+    Ok(scores)
 }
 
-impl EvalFleet {
-    /// Connects to every worker up front; any refused connection fails
-    /// the whole fleet (starting a search against a half-broken fleet is
-    /// a configuration error, not a runtime fault).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BackendError`] if `addrs` is empty or any connection
-    /// fails.
-    pub fn connect(addrs: &[String], key: Option<AuthKey>) -> Result<EvalFleet, BackendError> {
-        if addrs.is_empty() {
-            return Err(BackendError::Protocol(
-                "an evaluation fleet needs at least one worker address".to_owned(),
-            ));
-        }
-        let mut workers = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let stream = TcpStream::connect(addr)
-                .map_err(|e| BackendError::Io(format!("connect {addr}: {e}")))?;
-            let _ = stream.set_nodelay(true);
-            workers.push(FleetWorker {
-                addr: addr.clone(),
-                stream: Some(stream),
-                auth: key.map(|k| Arc::new(ConnectionAuth::client(k))),
-            });
-        }
-        Ok(EvalFleet {
-            workers,
-            generation: 0,
-            last_error: None,
-            redispatched: 0,
-        })
-    }
-
-    /// Individuals re-dispatched to survivors after worker deaths, for
-    /// observability (never part of the evaluation count).
-    #[must_use]
-    pub fn redispatched(&self) -> u64 {
-        self.redispatched
-    }
-
-    /// Number of worker slots (live or dead) — the modulus of the
-    /// genome→worker affinity mapping, fixed for the fleet's lifetime.
-    #[must_use]
-    pub fn fleet_size(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn live_slots(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.stream.is_some())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    fn kill(&mut self, slot: usize, error: BackendError) {
-        crate::log_line!("search: worker {} died: {error}", self.workers[slot].addr);
-        self.workers[slot].stream = None;
-        self.last_error = Some(error);
-    }
-
-    fn all_dead(&mut self) -> BackendError {
-        self.last_error
-            .take()
-            .unwrap_or_else(|| BackendError::Disconnected {
-                worker: "all".to_owned(),
-                detail: "every evaluation worker died".to_owned(),
-            })
-    }
-
-    /// Scores one generation across the fleet, returning
-    /// `(score, cached)` per individual in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BackendError`] when every worker has died or a worker
-    /// violates the protocol.
-    pub fn run(
-        &mut self,
-        context: &EvalContext,
-        generation: &[Vec<f64>],
-    ) -> Result<Vec<(f64, bool)>, BackendError> {
-        let fleet = self.workers.len();
-        let mut slots: Vec<Option<(f64, bool)>> = vec![None; generation.len()];
-        let mut pending: Vec<usize> = (0..generation.len()).collect();
-        let mut round = 0u32;
-        while !pending.is_empty() {
-            let live = self.live_slots();
-            if live.is_empty() {
-                return Err(self.all_dead());
-            }
-            if round > 0 {
-                crate::log_line!(
-                    "search: re-dispatching {} unacknowledged individuals to {} survivors",
-                    pending.len(),
-                    live.len()
-                );
-                self.redispatched += pending.len() as u64;
-            }
-            // Shard by genome affinity: an elite re-scored next
-            // generation routes to the worker whose cache holds it. The
-            // fallback for a dead preferred slot is deterministic in the
-            // death pattern, but scores are venue-independent, so the
-            // search result never depends on who computed what.
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); fleet];
-            for &i in &pending {
-                let key = genome_key(&generation[i]);
-                let preferred = (key % fleet as u64) as usize;
-                let worker = if self.workers[preferred].stream.is_some() {
-                    preferred
-                } else {
-                    live[(key % live.len() as u64) as usize]
-                };
-                shards[worker].push(i);
-            }
-            let mut drains = Vec::new();
-            for (slot, shard) in shards.iter().enumerate() {
-                if shard.is_empty() {
-                    continue;
-                }
-                let batch = EvalBatch {
-                    context: context.clone(),
-                    generation: self.generation,
-                    individuals: shard
-                        .iter()
-                        .map(|&i| (i as u64, generation[i].clone()))
-                        .collect(),
-                };
-                let payload = batch.to_wire();
-                let worker = &self.workers[slot];
-                let signer = worker.auth.as_ref().map(|a| a.signer.as_ref());
-                let write = {
-                    let mut stream = worker.stream.as_ref().expect("sharded to a live worker");
-                    write_frame_signed(&mut stream, &payload, signer)
-                };
-                let cloned = write.and_then(|()| {
-                    self.workers[slot]
-                        .stream
-                        .as_ref()
-                        .expect("sharded to a live worker")
-                        .try_clone()
-                        .map_err(|e| BackendError::Io(e.to_string()))
-                });
-                match cloned {
-                    Ok(stream) => {
-                        let addr = self.workers[slot].addr.clone();
-                        let auth = self.workers[slot].auth.clone();
-                        let expected: Vec<u64> = shard.iter().map(|&i| i as u64).collect();
-                        drains.push((
-                            slot,
-                            std::thread::spawn(move || {
-                                drain_eval_shard(stream, addr, expected, auth)
-                            }),
-                        ));
-                    }
-                    Err(e) => self.kill(slot, e), // shard stays pending; next round
-                }
-            }
-            for (slot, handle) in drains {
-                match handle.join().expect("eval drain thread panicked") {
-                    EvalShardFate::Clean(scored) => {
-                        for s in scored {
-                            slots[s.index as usize] = Some((s.score, s.cached));
-                        }
-                    }
-                    EvalShardFate::Dead { scored, error } => {
-                        // Partial scores are acknowledged work — keep
-                        // them; only the unacknowledged tail re-runs.
-                        for s in scored {
-                            slots[s.index as usize] = Some((s.score, s.cached));
-                        }
-                        self.kill(slot, error);
-                    }
-                    EvalShardFate::Fatal(e) => return Err(e),
-                }
-            }
-            pending.retain(|&i| slots[i].is_none());
-            round += 1;
-        }
-        self.generation += 1;
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every individual scored"))
-            .collect())
-    }
-}
-
-/// Adapts an [`EvalFleet`] to the GA's [`FitnessEvaluator`] trait.
-pub struct RemoteEvaluator {
-    fleet: EvalFleet,
+/// Adapts a [`Venue`] (by default a worker [`Fleet`]) to the GA's
+/// [`FitnessEvaluator`] trait.
+pub struct RemoteEvaluator<V = Fleet> {
+    venue: V,
     context: EvalContext,
+    generation: u64,
     distinct: DistinctCounter,
     cache_hits: u64,
 }
 
-impl RemoteEvaluator {
+impl RemoteEvaluator<Fleet> {
     /// Connects a fleet and binds it to an evaluation context.
     ///
     /// # Errors
@@ -879,12 +492,27 @@ impl RemoteEvaluator {
         key: Option<AuthKey>,
         context: EvalContext,
     ) -> Result<RemoteEvaluator, BackendError> {
-        Ok(RemoteEvaluator {
-            fleet: EvalFleet::connect(addrs, key)?,
+        Ok(RemoteEvaluator::over(Fleet::connect(addrs, key)?, context))
+    }
+
+    /// Individuals re-dispatched after worker deaths (observability;
+    /// never part of the evaluation count).
+    #[must_use]
+    pub fn redispatched(&self) -> u64 {
+        self.venue.redispatched()
+    }
+}
+
+impl<V: Venue> RemoteEvaluator<V> {
+    /// Binds `venue` to an evaluation context.
+    pub fn over(venue: V, context: EvalContext) -> RemoteEvaluator<V> {
+        RemoteEvaluator {
+            venue,
             context,
+            generation: 0,
             distinct: DistinctCounter::default(),
             cache_hits: 0,
-        })
+        }
     }
 
     /// Worker-reported cache hits across the search (observability; not
@@ -893,24 +521,16 @@ impl RemoteEvaluator {
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
     }
-
-    /// Individuals re-dispatched after worker deaths (observability;
-    /// never part of the evaluation count).
-    #[must_use]
-    pub fn redispatched(&self) -> u64 {
-        self.fleet.redispatched()
-    }
 }
 
-impl FitnessEvaluator for RemoteEvaluator {
+impl<V: Venue> FitnessEvaluator for RemoteEvaluator<V> {
     fn evaluate(&mut self, generation: &[Vec<f64>]) -> Result<Vec<f64>, EvalError> {
-        let scored = self
-            .fleet
-            .run(&self.context, generation)
+        let scored = score_generation(&mut self.venue, &self.context, self.generation, generation)
             .map_err(|e| EvalError(e.to_string()))?;
+        self.generation += 1;
         self.distinct.record(generation);
-        self.cache_hits += scored.iter().filter(|(_, cached)| *cached).count() as u64;
-        Ok(scored.into_iter().map(|(score, _)| score).collect())
+        self.cache_hits += scored.iter().filter(|s| s.cached).count() as u64;
+        Ok(scored.into_iter().map(|s| s.score).collect())
     }
 
     fn evaluations(&self) -> u64 {
@@ -1050,27 +670,6 @@ mod tests {
         other.machine = MachineConfig::config_a();
         assert_ne!(base, other.fingerprint(), "machine is part of the key");
         assert_eq!(base, context().fingerprint(), "fingerprint is stable");
-    }
-
-    #[test]
-    fn eval_cache_hits_and_evicts() {
-        let cache = EvalCache::with_capacity(2);
-        let bits_a = genome_bits(&[0.1]);
-        let bits_b = genome_bits(&[0.2]);
-        let bits_c = genome_bits(&[0.3]);
-        assert_eq!(cache.lookup(1, &bits_a), None);
-        cache.insert(1, bits_a.clone(), 10.0);
-        assert_eq!(cache.lookup(1, &bits_a), Some(10.0));
-        assert_eq!(cache.lookup(2, &bits_a), None, "context keys are distinct");
-        cache.insert(1, bits_b.clone(), 20.0);
-        // Touch A so B is the LRU victim when C arrives.
-        assert_eq!(cache.lookup(1, &bits_a), Some(10.0));
-        cache.insert(1, bits_c.clone(), 30.0);
-        assert_eq!(cache.lookup(1, &bits_b), None, "LRU entry evicted");
-        assert_eq!(cache.lookup(1, &bits_c), Some(30.0));
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.entries, 2);
     }
 
     #[test]

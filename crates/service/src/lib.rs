@@ -15,18 +15,24 @@
 //!   batches → streamed events), every payload wrapped in the
 //!   `avf_isa::wire` magic + version envelope so stale or foreign
 //!   peers fail typed;
-//! * [`cache`] — the bounded worker-side LRU of decoded golden passes
-//!   keyed by a content hash of the job, so an identical job never
-//!   re-runs the golden pass on the same worker;
+//! * [`cache`] — the one bounded worker-side LRU, used twice: decoded
+//!   golden passes keyed by a content hash of the job ([`StoreCache`]),
+//!   so an identical job never re-runs the golden pass on the same
+//!   worker, and GA scores keyed by genome ([`EvalCache`]);
 //! * [`serve`] / [`spawn_local`] — the long-running job server
 //!   (`avf-stressmark serve`), a thin wire adapter over the same
 //!   `LocalBackend` the in-process path uses — including worker-side
 //!   golden runs, so N workers warm a campaign up in parallel while
 //!   the driver simulates nothing;
-//! * [`RemoteBackend`] — the client, fanning each batch's cycle-sorted
-//!   shards across one or more workers, merging their event streams,
-//!   and **re-dispatching** the unacknowledged trials of any worker
-//!   whose connection dies mid-batch onto the survivors;
+//! * [`fleet`] — the one dispatcher every remote venue uses: worker
+//!   slots, the reply drain that matches each answer against what was
+//!   sent, and the round loop that shards work across live workers and
+//!   **re-dispatches** what a dead worker never acknowledged onto the
+//!   survivors. Campaign trials and GA genomes supply only a shard
+//!   policy and frame codecs;
+//! * [`RemoteBackend`] / [`RemoteEvaluator`] — the campaign and search
+//!   clients over a fleet of `serve` workers (the broker's clients in
+//!   `avf-broker` drain through the same [`fleet::drain`]);
 //! * [`auth`] — keyed-hash (SipHash-2-4) frame authentication under a
 //!   shared `--auth-key-file` key: per-connection, per-direction
 //!   sequence-numbered tags reject tampered, replayed, reflected, and
@@ -35,7 +41,7 @@
 //! * [`log`] — stderr diagnostics that ignore write errors, so a
 //!   closed stderr cannot kill a session or relay thread;
 //! * [`metrics`] — a plaintext `GET /metrics` + `GET /healthz`
-//!   endpoint (workers expose their [`StoreCache`] and session
+//!   endpoint (workers expose both caches' counters and their session
 //!   counters; the broker in `avf-broker` exposes queue depths and
 //!   worker liveness), scrapable with `curl`/`nc`.
 //!
@@ -60,6 +66,7 @@
 pub mod auth;
 pub mod cache;
 pub mod eval;
+pub mod fleet;
 pub mod frame;
 pub mod log;
 pub mod metrics;
@@ -68,11 +75,12 @@ mod remote;
 mod server;
 
 pub use auth::{AuthKey, ConnectionAuth};
-pub use cache::{CacheStats, StoreCache};
+pub use cache::{CacheStats, EvalCache, StoreCache};
 pub use eval::{
-    evaluate_genome, genome_key, target_params, DistinctCounter, EvalBatch, EvalCache,
-    EvalCacheStats, EvalContext, EvalFleet, EvalReply, EvalScore, RemoteEvaluator,
+    evaluate_genome, genome_key, score_generation, target_params, EvalBatch, EvalContext,
+    EvalReply, EvalScore, RemoteEvaluator,
 };
+pub use fleet::{Fleet, Genomes, Trials, Venue};
 pub use metrics::{spawn_metrics, ServeStats};
 pub use remote::RemoteBackend;
 pub use server::{serve, spawn_local, ServeOptions};

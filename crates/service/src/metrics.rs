@@ -13,14 +13,17 @@
 //! `Fn() -> String + Send + Sync` works (the serve and broker binaries
 //! pass closures over their live stat structs).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::cache::{CacheStats, EvalCache, StoreCache};
+
 /// Session/stream counters a `serve` worker exposes alongside its
-/// [`StoreCache`](crate::StoreCache) stats. All relaxed atomics: these
-/// are monotone operational counters, not synchronization.
+/// cache stats. All relaxed atomics: these are monotone operational
+/// counters, not synchronization.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Connections whose session handler completed cleanly.
@@ -37,6 +40,19 @@ pub struct ServeStats {
     pub auth_rejects: AtomicU64,
 }
 
+/// Appends one cache's `avf_<name>_*` counter lines.
+fn render_cache(out: &mut String, name: &str, c: CacheStats) {
+    for (field, value) in [
+        ("hits", c.hits),
+        ("misses", c.misses),
+        ("evictions", c.evictions),
+        ("entries", c.entries as u64),
+        ("bytes", c.bytes as u64),
+    ] {
+        let _ = writeln!(out, "avf_{name}_{field} {value}");
+    }
+}
+
 impl ServeStats {
     /// A fresh zeroed counter set behind an [`Arc`].
     #[must_use]
@@ -44,33 +60,23 @@ impl ServeStats {
         Arc::new(ServeStats::default())
     }
 
-    /// Renders the worker's `/metrics` lines (cache + session
+    /// Renders the worker's `/metrics` lines (both caches + session
     /// counters).
     #[must_use]
-    pub fn render(&self, cache: &crate::StoreCache) -> String {
-        let c = cache.stats();
-        format!(
-            "avf_store_cache_hits {}\n\
-             avf_store_cache_misses {}\n\
-             avf_store_cache_evictions {}\n\
-             avf_store_cache_entries {}\n\
-             avf_store_cache_bytes {}\n\
-             avf_serve_sessions_ok {}\n\
-             avf_serve_sessions_failed {}\n\
-             avf_serve_batches_served {}\n\
-             avf_serve_events_streamed {}\n\
-             avf_serve_auth_rejects {}\n",
-            c.hits,
-            c.misses,
-            c.evictions,
-            c.entries,
-            c.bytes,
-            self.sessions_ok.load(Ordering::Relaxed),
-            self.sessions_failed.load(Ordering::Relaxed),
-            self.batches_served.load(Ordering::Relaxed),
-            self.events_streamed.load(Ordering::Relaxed),
-            self.auth_rejects.load(Ordering::Relaxed),
-        )
+    pub fn render(&self, cache: &StoreCache, eval_cache: &EvalCache) -> String {
+        let mut out = String::new();
+        render_cache(&mut out, "store_cache", cache.stats());
+        render_cache(&mut out, "eval_cache", eval_cache.stats());
+        for (name, counter) in [
+            ("sessions_ok", &self.sessions_ok),
+            ("sessions_failed", &self.sessions_failed),
+            ("batches_served", &self.batches_served),
+            ("events_streamed", &self.events_streamed),
+            ("auth_rejects", &self.auth_rejects),
+        ] {
+            let _ = writeln!(out, "avf_serve_{name} {}", counter.load(Ordering::Relaxed));
+        }
+        out
     }
 }
 
@@ -153,5 +159,37 @@ mod tests {
         assert!(get(addr, "/metrics").contains("test_counter 42"));
         assert!(get(addr, "/healthz").contains("ok"));
         assert!(get(addr, "/nope").starts_with("HTTP/1.0 404"));
+    }
+
+    #[test]
+    fn render_reports_both_caches_and_the_session_counters() {
+        let cache = StoreCache::new(4, usize::MAX);
+        let eval_cache = EvalCache::with_capacity(2);
+        assert!(cache.get(1, 0).is_none());
+        eval_cache.insert((7, vec![1, 2]), 0.5);
+        assert_eq!(eval_cache.lookup(7, &[1, 2]), Some(0.5));
+        assert_eq!(eval_cache.lookup(8, &[1, 2]), None);
+        let stats = ServeStats::default();
+        stats.batches_served.fetch_add(3, Ordering::Relaxed);
+        let page = stats.render(&cache, &eval_cache);
+        for line in [
+            "avf_store_cache_hits 0",
+            "avf_store_cache_misses 1",
+            "avf_store_cache_evictions 0",
+            "avf_store_cache_entries 0",
+            "avf_store_cache_bytes 0",
+            "avf_eval_cache_hits 1",
+            "avf_eval_cache_misses 1",
+            "avf_eval_cache_evictions 0",
+            "avf_eval_cache_entries 1",
+            "avf_eval_cache_bytes 32",
+            "avf_serve_batches_served 3",
+            "avf_serve_sessions_ok 0",
+        ] {
+            assert!(
+                page.lines().any(|l| l == line),
+                "missing `{line}` in:\n{page}"
+            );
+        }
     }
 }

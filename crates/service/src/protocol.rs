@@ -27,7 +27,9 @@
 //! worker build or a foreign peer fails with a typed magic/version
 //! error instead of a confusing mid-payload decode failure.
 
-use avf_inject::{decode_trial_batch, StoreSource, Trial, TrialEvent};
+use avf_inject::{
+    decode_trial_batch, BackendError, GoldenSpec, JobSpec, StoreSource, Trial, TrialEvent,
+};
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
@@ -98,6 +100,32 @@ pub struct JobSetup {
 }
 
 impl JobSetup {
+    /// The setup frame of a job whose golden pass the worker runs.
+    ///
+    /// # Errors
+    ///
+    /// `Protocol` for a resolved golden spec: it cannot cross the wire.
+    pub fn delegated(spec: JobSpec) -> Result<JobSetup, BackendError> {
+        let GoldenSpec::Delegated {
+            checkpoint_interval,
+        } = spec.golden
+        else {
+            return Err(BackendError::Protocol(
+                "remote workers run the golden pass themselves; \
+                 a resolved golden spec cannot cross the wire"
+                    .to_owned(),
+            ));
+        };
+        Ok(JobSetup {
+            machine: spec.machine,
+            program: spec.program,
+            instr_budget: spec.instr_budget,
+            fault_model: spec.fault_model,
+            prune: spec.prune,
+            checkpoint_interval,
+        })
+    }
+
     /// The cache key this setup resolves to ([`delegated_job_key`]).
     #[must_use]
     pub fn cache_key(&self) -> u64 {
@@ -231,6 +259,30 @@ pub enum ServerMessage {
 }
 
 impl ServerMessage {
+    /// `peer`'s answer to a setup frame (`None` when it hung up), which
+    /// must be its `JOB_READY`.
+    ///
+    /// # Errors
+    ///
+    /// A disconnection, the peer's reported error, or a codec or
+    /// protocol error.
+    pub fn expect_ready(
+        reply: Option<Vec<u8>>,
+        peer: &str,
+    ) -> Result<(JobReady, StoreSource), BackendError> {
+        let reply = reply.ok_or_else(|| BackendError::Disconnected {
+            worker: peer.to_owned(),
+            detail: "connection closed during setup".to_owned(),
+        })?;
+        match ServerMessage::from_wire(&reply)? {
+            ServerMessage::Ready { ready, source } => Ok((ready, source)),
+            ServerMessage::Error(msg) => Err(BackendError::Remote(msg)),
+            other => Err(BackendError::Protocol(format!(
+                "{peer} answered setup with {other:?} instead of JOB_READY"
+            ))),
+        }
+    }
+
     /// Serializes the message to an enveloped frame payload.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {

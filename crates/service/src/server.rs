@@ -30,8 +30,8 @@ use avf_inject::{
 use avf_prune::PruneMap;
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use crate::cache::{CacheEntry, StoreCache};
-use crate::eval::{handle_eval_session, EvalCache};
+use crate::cache::{CacheEntry, EvalCache, StoreCache};
+use crate::eval::handle_eval_session;
 use crate::frame::FrameBatcher;
 use crate::metrics::ServeStats;
 use crate::protocol::{geometry_fingerprint, ClientMessage, JobReady, JobSetup, ServerMessage};
@@ -299,39 +299,52 @@ fn handle_connection(
                 t.index, t.target, t.entry, t.bit
             )));
         }
-        if opts.die_mid_batch == Some(served) {
-            // Injected fault: stream half the batch, then crash. No
-            // error frame, no DONE — the driver must observe this as a
-            // dead connection and re-dispatch the unacknowledged half.
-            let half = (trials.len() / 2) as u64;
-            for (streamed, event) in session.submit(&trials)?.enumerate() {
-                if streamed as u64 >= half {
-                    break;
-                }
-                writer.push(&ServerMessage::Event(event?).to_wire())?;
-            }
-            writer.flush()?;
-            crate::log_line!("serve: injected fault — aborting connection mid-batch {served}");
-            let _ = stream.shutdown(Shutdown::Both);
+        let replies = session
+            .submit(&trials)?
+            .map(|event| Ok(ServerMessage::Event(event?).to_wire()));
+        if !reply_batch(stream, &mut writer, opts, served, trials.len(), replies)? {
             return Ok(());
         }
-        let mut events = 0u64;
-        for event in session.submit(&trials)? {
-            let event = event?;
-            writer.push(&ServerMessage::Event(event).to_wire())?;
-            events += 1;
-        }
-        writer.push(&ServerMessage::Done { events }.to_wire())?;
-        // The DONE marker is a protocol barrier: everything queued for
-        // the batch must reach the driver before it plans the next one.
-        writer.flush()?;
-        opts.stats.batches_served.fetch_add(1, Ordering::Relaxed);
-        opts.stats
-            .events_streamed
-            .fetch_add(events, Ordering::Relaxed);
         served += 1;
     }
     Ok(())
+}
+
+/// Streams one batch's reply frames as they are produced, then DONE.
+/// When batch `served` is the injected fault ([`ServeOptions::die_mid_batch`])
+/// it streams half of the `items` replies and kills the connection with
+/// no error frame and no DONE: the driver must observe a dead connection
+/// and re-dispatch the unacknowledged half. Returns whether the
+/// connection is still up.
+pub(crate) fn reply_batch(
+    stream: &TcpStream,
+    writer: &mut FrameBatcher<&TcpStream>,
+    opts: &ServeOptions,
+    served: u64,
+    items: usize,
+    replies: impl Iterator<Item = Result<Vec<u8>, BackendError>>,
+) -> Result<bool, BackendError> {
+    let die = opts.die_mid_batch == Some(served);
+    let mut sent = 0u64;
+    for reply in replies.take(if die { items / 2 } else { usize::MAX }) {
+        writer.push(&reply?)?;
+        sent += 1;
+    }
+    if die {
+        writer.flush()?;
+        crate::log_line!("serve: injected fault — aborting connection mid-batch {served}");
+        let _ = stream.shutdown(Shutdown::Both);
+        return Ok(false);
+    }
+    writer.push(&ServerMessage::Done { events: sent }.to_wire())?;
+    // The DONE marker is a protocol barrier: everything queued for the
+    // batch must reach the driver before it plans the next one.
+    writer.flush()?;
+    opts.stats.batches_served.fetch_add(1, Ordering::Relaxed);
+    opts.stats
+        .events_streamed
+        .fetch_add(sent, Ordering::Relaxed);
+    Ok(true)
 }
 
 #[cfg(test)]

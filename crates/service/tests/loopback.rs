@@ -158,10 +158,11 @@ fn metrics_endpoint_tracks_cache_hits_and_sessions_across_campaigns() {
 
     let opts = serve_options(1);
     let cache = std::sync::Arc::clone(&opts.cache);
+    let eval_cache = std::sync::Arc::clone(&opts.eval_cache);
     let stats = std::sync::Arc::clone(&opts.stats);
     let worker = spawn_local(opts).expect("worker");
-    let metrics_addr =
-        spawn_metrics("127.0.0.1:0", move || stats.render(&cache)).expect("metrics endpoint");
+    let metrics_addr = spawn_metrics("127.0.0.1:0", move || stats.render(&cache, &eval_cache))
+        .expect("metrics endpoint");
 
     let before = scrape(metrics_addr);
     assert_eq!(metric(&before, "avf_store_cache_hits"), 0);

@@ -386,3 +386,33 @@ fn service_error_mid_stream_is_remote_and_never_redispatched() {
         other => panic!("expected Remote, got {other:?}"),
     }
 }
+
+#[test]
+fn event_for_the_wrong_target_is_a_protocol_violation() {
+    use avf_service::frame::write_frame;
+    use avf_service::protocol::ServerMessage;
+
+    // Trial 0 was dispatched against the ROB; the worker reports it
+    // against the IQ — another structure the campaign also targets, so
+    // counting it would silently charge the outcome to the wrong one.
+    let addr = scripted_worker(|stream, _batch| {
+        let mut w = std::io::BufWriter::new(stream);
+        let event = TrialEvent {
+            index: 0,
+            target: InjectionTarget::Iq,
+            outcome: Outcome::Sdc,
+        };
+        write_frame(&mut w, &ServerMessage::Event(event).to_wire()).unwrap();
+        w.flush().unwrap();
+    });
+
+    let backend = RemoteBackend::new(vec![addr.to_string()]);
+    let opened = backend.open(delegated_spec()).expect("handshake");
+    let mut session = opened.session;
+    let results: Vec<_> = session.submit(&two_trials()).expect("submit").collect();
+    assert_eq!(results.len(), 1, "the mismatched event is never forwarded");
+    match &results[0] {
+        Err(BackendError::Protocol(msg)) => assert!(msg.contains("dispatched against"), "{msg}"),
+        other => panic!("expected Protocol, got {other:?}"),
+    }
+}
