@@ -41,9 +41,8 @@ use avf_isa::wire::{kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
-    golden_run_checkpointed, golden_run_with_evidence, CheckpointStore, DecodedCheckpoints,
-    FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MachineConfig, PruneEvidence,
-    RunEnd, PRUNE_WINDOW,
+    golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel, FlipEffect,
+    GoldenRun, InjectionSim, InjectionTarget, MachineConfig, PruneEvidence, RunEnd, PRUNE_WINDOW,
 };
 
 use crate::plan::Trial;
@@ -137,8 +136,8 @@ pub enum GoldenSpec {
     /// The venue already holds the golden pass (a `serve` worker's
     /// cache entry) and skips it.
     Resolved {
-        /// The pass's checkpoints, decoded (`Arc` so a cache never
-        /// deep-copies them).
+        /// The pass's checkpoints (`Arc` so a cache hands them out
+        /// without copying).
         checkpoints: Arc<DecodedCheckpoints>,
         /// The fault-free reference run they were captured from.
         golden: GoldenRun,
@@ -193,20 +192,20 @@ pub fn run_golden_pass(
     instr_budget: u64,
     checkpoint_interval: u64,
     prune: bool,
-) -> (GoldenRun, CheckpointStore, Option<PruneEvidence>) {
+) -> (GoldenRun, DecodedCheckpoints, Option<PruneEvidence>) {
     if prune {
-        let (golden, store, evidence) = golden_run_with_evidence(
+        let (golden, checkpoints, evidence) = golden_run_with_evidence(
             machine,
             program,
             instr_budget,
             checkpoint_interval,
             PRUNE_WINDOW,
         );
-        (golden, store, Some(evidence))
+        (golden, checkpoints, Some(evidence))
     } else {
-        let (golden, store) =
+        let (golden, checkpoints) =
             golden_run_checkpointed(machine, program, instr_budget, checkpoint_interval);
-        (golden, store, None)
+        (golden, checkpoints, None)
     }
 }
 
@@ -393,7 +392,7 @@ pub fn decode_trial_batch(bytes: &[u8]) -> Result<Vec<Trial>, WireError> {
 /// An execution venue for campaign trials.
 ///
 /// Implementations bind a [`JobSpec`] once (paying setup — golden run
-/// or checkpoint decode, connections — a single time) and then execute
+/// or cache hit, connections — a single time) and then execute
 /// any number of trial batches against it.
 pub trait CampaignBackend {
     /// Degree of parallelism this backend reports (recorded in the
@@ -528,11 +527,14 @@ pub fn classify_trial(sim: &mut InjectionSim<'_>, trial: &Trial, golden_digest: 
 /// ([`InjectionSim::matches_snapshot`]). On an exact match the trial is
 /// [`Outcome::Masked`] without simulating the rest of the tail: stepping
 /// is deterministic, so from equal states the faulty run repeats the
-/// golden future, which completes cleanly with `golden_digest`. The
+/// golden future, which completes cleanly with the golden memory. The
 /// verdict is therefore always the full-tail one, provided `golden` holds
 /// the checkpoints of the golden pass of `sim`'s machine, program and
 /// instruction budget, and `sim`'s cycle budget covers the golden run
-/// (as [`cycle_budget_of`] does). `None` simulates every tail in full.
+/// (as [`cycle_budget_of`] does). A trial that completes is judged
+/// against the golden final image page by page (pages it shares with
+/// that image are skipped) rather than by `golden_digest`. `None`
+/// simulates every tail in full and compares digests.
 pub fn classify_trial_against(
     sim: &mut InjectionSim<'_>,
     trial: &Trial,
@@ -543,8 +545,7 @@ pub fn classify_trial_against(
         return Outcome::Unreached;
     }
     // Dry-probe first: provably masked flips touch no machine state, so
-    // they need neither the snapshot nor the rewind — on masked-heavy
-    // programs that halves the deep-clone cost.
+    // they need neither the snapshot nor the rewind.
     match sim.probe_bit(trial.target, trial.entry, trial.bit) {
         FlipEffect::Masked(_) => Outcome::Masked,
         // An architecturally impossible decode mutates nothing either:
@@ -578,14 +579,19 @@ fn run_armed_tail(
             return Outcome::Masked;
         }
     }
-    match sim.run_to_end() {
+    let end = sim.run_to_end();
+    let golden_memory = || match golden {
+        Some(g) => sim.memory() == g.final_memory(),
+        None => sim.memory_digest() == golden_digest,
+    };
+    match end {
         RunEnd::Trapped | RunEnd::Timeout => Outcome::Due,
-        RunEnd::Completed if sim.memory_digest() == golden_digest => Outcome::Masked,
+        RunEnd::Completed if golden_memory() => Outcome::Masked,
         RunEnd::Completed => Outcome::Sdc,
     }
 }
 
-/// The decoded, shareable execution state of one local campaign.
+/// The shareable execution state of one local campaign.
 struct LocalJob {
     machine: MachineConfig,
     program: Program,
@@ -609,11 +615,8 @@ impl LocalJob {
                 let mut s = InjectionSim::new(&self.machine, &self.program, self.instr_budget);
                 s.set_cycle_budget(self.cycle_budget);
                 s.set_fault_model(self.fault_model);
-                let (_, snap) = self
-                    .checkpoints
-                    .nearest(trial.cycle)
-                    .expect("store always holds the cycle-0 checkpoint");
-                s.restore(snap);
+                s.restore_nearest(&self.checkpoints, trial.cycle)
+                    .expect("checkpoints always hold the cycle-0 state");
                 s
             });
             let outcome =
@@ -672,7 +675,7 @@ impl CampaignBackend for LocalBackend {
                         "delegated golden run needs a positive checkpoint interval".to_owned(),
                     ));
                 }
-                let (golden, store, evidence) = run_golden_pass(
+                let (golden, checkpoints, evidence) = run_golden_pass(
                     &spec.machine,
                     &spec.program,
                     spec.instr_budget,
@@ -687,10 +690,7 @@ impl CampaignBackend for LocalBackend {
                         &evidence,
                     ))
                 });
-                // Decode each checkpoint once per campaign: workers
-                // restore by deep clone instead of re-parsing blobs.
-                let checkpoints = Arc::new(store.decode_all(&spec.machine, &spec.program)?);
-                (checkpoints, golden, StoreSource::GoldenRun, prune)
+                (Arc::new(checkpoints), golden, StoreSource::GoldenRun, prune)
             }
         };
         let checkpoints_total = checkpoints.len();

@@ -24,8 +24,8 @@
 //!   (every trial's sample is a pure function of `(seed, batch, trial
 //!   index)` through a SplitMix64 finalizer, so campaign results are
 //!   identical for any thread count and nearby seeds are uncorrelated);
-//! * [`Campaign`] — the driver: the venue's golden pass serializes
-//!   periodic checkpoints ([`avf_sim::CheckpointStore`]), then batches
+//! * [`Campaign`] — the driver: the venue's golden pass keeps periodic
+//!   in-memory checkpoints ([`avf_sim::DecodedCheckpoints`]), then batches
 //!   of trials are submitted through the [`CampaignBackend`] protocol while the
 //!   ACE reference simulation runs concurrently. With
 //!   [`CampaignConfig::ci_target`] set, trials are planned in batches
@@ -86,8 +86,8 @@ pub use stats::{wilson_interval, OutcomeCounts};
 
 pub use avf_prune::{ProofTag, PruneMap, PruneMode};
 pub use avf_sim::{
-    golden_run_checkpointed, golden_run_with_evidence, CheckpointStore, DecodedCheckpoints,
-    FaultModel, FlipEffect, InjectionTarget, MaskReason, PruneEvidence, RunEnd, PRUNE_WINDOW,
+    golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel, FlipEffect,
+    InjectionTarget, MaskReason, PruneEvidence, RunEnd, PRUNE_WINDOW,
 };
 
 /// Classified outcome of one injection trial.

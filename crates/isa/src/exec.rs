@@ -4,7 +4,6 @@ use crate::memory::Memory;
 use crate::opcode::{AccessSize, OpClass, Opcode};
 use crate::program::Program;
 use crate::reg::Reg;
-use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Everything the pipeline model needs to know about one executed
 /// instruction: its control-flow outcome, effective address, and the value it
@@ -26,43 +25,6 @@ pub struct Outcome {
     pub value: u64,
     /// Whether this instruction halts the machine.
     pub halted: bool,
-}
-
-impl Outcome {
-    /// Serializes the outcome for checkpoint snapshots.
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.next_pc);
-        w.bool(self.taken);
-        w.opt_u64(self.ea);
-        match self.size {
-            None => w.u8(0),
-            Some(AccessSize::Word) => w.u8(1),
-            Some(AccessSize::Quad) => w.u8(2),
-        }
-        w.u64(self.value);
-        w.bool(self.halted);
-    }
-
-    /// Decodes an outcome written by [`Outcome::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncated input or a bad size tag.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Outcome, WireError> {
-        Ok(Outcome {
-            next_pc: r.u32()?,
-            taken: r.bool()?,
-            ea: r.opt_u64()?,
-            size: match r.u8()? {
-                0 => None,
-                1 => Some(AccessSize::Word),
-                2 => Some(AccessSize::Quad),
-                t => return Err(WireError::BadTag(t)),
-            },
-            value: r.u64()?,
-            halted: r.bool()?,
-        })
-    }
 }
 
 /// Architected state of the functional machine: 32 registers and a PC
@@ -95,34 +57,6 @@ impl ExecState {
     #[must_use]
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Serializes the architected state for checkpoint snapshots.
-    pub fn encode(&self, w: &mut WireWriter) {
-        for reg in self.regs {
-            w.u64(reg);
-        }
-        w.u32(self.pc);
-        w.u64(self.retired);
-        w.bool(self.halted);
-    }
-
-    /// Decodes state written by [`ExecState::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncated input.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<ExecState, WireError> {
-        let mut regs = [0u64; 32];
-        for reg in &mut regs {
-            *reg = r.u64()?;
-        }
-        Ok(ExecState {
-            regs,
-            pc: r.u32()?,
-            retired: r.u64()?,
-            halted: r.bool()?,
-        })
     }
 
     /// Reads a register (the zero register reads as 0).

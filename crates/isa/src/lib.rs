@@ -54,7 +54,7 @@ pub use disasm::listing;
 pub use error::IsaError;
 pub use exec::{replay_eval, ExecState, Outcome};
 pub use inst::{Inst, Operand};
-pub use memory::Memory;
+pub use memory::{Memory, PAGE_BYTES};
 pub use opcode::{AccessSize, OpClass, Opcode};
 pub use program::{DataSegment, Program};
 pub use reg::Reg;

@@ -1,23 +1,63 @@
 use std::collections::HashMap;
-
-use crate::wire::{WireError, WireReader, WireWriter};
+use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// Sparse byte-addressable functional memory.
+/// Bytes per memory page: the unit [`Memory`] materializes, shares and
+/// copies on write.
+pub const PAGE_BYTES: usize = PAGE_SIZE;
+
+type Page = [u8; PAGE_SIZE];
+
+/// Sparse byte-addressable functional memory with copy-on-write pages.
 ///
 /// Pages are allocated on demand and zero-filled, so programs may touch any
-/// address. Accesses that straddle a page boundary are handled bytewise.
+/// address. A clone shares every page with its source; a write copies only
+/// the page it touches, and only while that page is still shared. Cloning
+/// (and [`Clone::clone_from`]) therefore costs one pointer per resident
+/// page, not the image.
 ///
-/// Equality is structural: a page materialized with zeroes differs from
-/// a missing page, even though both read (and digest) the same. That
-/// makes `==` a sufficient, not a necessary, test of equal contents.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Equality is semantic: two memories are equal iff every address reads
+/// the same value in both. Pointer-equal pages are skipped without
+/// comparing bytes, and a missing page equals a zero-filled one, so `==`
+/// agrees with [`Memory::digest`].
+#[derive(Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Arc<Page>>,
 }
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            pages: self.pages.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Memory) {
+        self.pages.clone_from(&source.pages);
+    }
+}
+
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        let same = |page: &Arc<Page>, theirs: Option<&Arc<Page>>| match theirs {
+            Some(theirs) => Arc::ptr_eq(page, theirs) || page[..] == theirs[..],
+            None => page.iter().all(|&b| b == 0),
+        };
+        self.pages
+            .iter()
+            .all(|(id, page)| same(page, other.pages.get(id)))
+            && other
+                .pages
+                .iter()
+                .filter(|(id, _)| !self.pages.contains_key(id))
+                .all(|(_, page)| same(page, None))
+    }
+}
+
+impl Eq for Memory {}
 
 impl Memory {
     /// Creates an empty memory in which every byte reads as zero.
@@ -26,10 +66,21 @@ impl Memory {
         Memory::default()
     }
 
-    /// Number of pages that have been materialized.
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+    /// Identities of the resident pages: two memories (or two snapshots
+    /// of one) yield the same identity for a page they share. Counting
+    /// distinct identities across many memories gives the pages they pin
+    /// together, each [`PAGE_BYTES`] long.
+    pub fn page_identities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pages.values().map(|page| Arc::as_ptr(page) as usize)
+    }
+
+    /// The page `id`, materialized and unshared for writing.
+    fn page_mut(&mut self, id: u64) -> &mut Page {
+        Arc::make_mut(
+            self.pages
+                .entry(id)
+                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
+        )
     }
 
     /// Reads one byte.
@@ -43,11 +94,7 @@ impl Memory {
 
     /// Writes one byte, materializing the page if needed.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & OFFSET_MASK) as usize] = value;
+        self.page_mut(addr >> PAGE_SHIFT)[(addr & OFFSET_MASK) as usize] = value;
     }
 
     /// Reads a little-endian 4-byte value.
@@ -76,19 +123,29 @@ impl Memory {
         self.write_bytes(addr, &value.to_le_bytes());
     }
 
-    /// Copies `buf.len()` bytes starting at `addr` into `buf`.
-    pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
-        // Fast path: access within a single page.
-        let off = (addr & OFFSET_MASK) as usize;
-        if off + buf.len() <= PAGE_SIZE {
+    /// Copies `buf.len()` bytes starting at `addr` into `buf`, one
+    /// page-sized chunk at a time.
+    pub fn read_bytes(&self, mut addr: u64, mut buf: &mut [u8]) {
+        while !buf.is_empty() {
+            let off = (addr & OFFSET_MASK) as usize;
+            let (chunk, rest) = buf.split_at_mut(buf.len().min(PAGE_SIZE - off));
             match self.pages.get(&(addr >> PAGE_SHIFT)) {
-                Some(page) => buf.copy_from_slice(&page[off..off + buf.len()]),
-                None => buf.fill(0),
+                Some(page) => chunk.copy_from_slice(&page[off..off + chunk.len()]),
+                None => chunk.fill(0),
             }
-            return;
+            addr = addr.wrapping_add(chunk.len() as u64);
+            buf = rest;
         }
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+    }
+
+    /// Writes `buf` starting at `addr`, one page-sized chunk at a time.
+    pub fn write_bytes(&mut self, mut addr: u64, mut buf: &[u8]) {
+        while !buf.is_empty() {
+            let off = (addr & OFFSET_MASK) as usize;
+            let (chunk, rest) = buf.split_at(buf.len().min(PAGE_SIZE - off));
+            self.page_mut(addr >> PAGE_SHIFT)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            buf = rest;
         }
     }
 
@@ -97,8 +154,7 @@ impl Memory {
     /// Two memories digest equal iff every byte address reads the same
     /// value in both: zero-filled words are skipped, so a page that was
     /// materialized by writing zeroes digests identically to an
-    /// untouched page. Used by the fault-injection engine to classify
-    /// silent data corruption against a golden run.
+    /// untouched page. Workers cross-check their golden runs by it.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut page_ids: Vec<u64> = self.pages.keys().copied().collect();
@@ -121,52 +177,6 @@ impl Memory {
         }
         h
     }
-
-    /// Serializes the resident pages (sorted by page id, so equal
-    /// memories encode to equal bytes).
-    pub fn encode(&self, w: &mut WireWriter) {
-        let mut page_ids: Vec<u64> = self.pages.keys().copied().collect();
-        page_ids.sort_unstable();
-        w.usize(page_ids.len());
-        for id in page_ids {
-            w.u64(id);
-            w.bytes(&self.pages[&id][..]);
-        }
-    }
-
-    /// Decodes a memory image written by [`Memory::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncated input.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Memory, WireError> {
-        let n = r.seq_len(8 + PAGE_SIZE)?;
-        let mut pages = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            let bytes = r.bytes(PAGE_SIZE)?;
-            let page: Box<[u8; PAGE_SIZE]> =
-                Box::new(bytes.try_into().expect("exact page-size slice"));
-            pages.insert(id, page);
-        }
-        Ok(Memory { pages })
-    }
-
-    /// Writes `buf` starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, buf: &[u8]) {
-        let off = (addr & OFFSET_MASK) as usize;
-        if off + buf.len() <= PAGE_SIZE {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + buf.len()].copy_from_slice(buf);
-            return;
-        }
-        for (i, b) in buf.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +187,7 @@ mod tests {
     fn unwritten_memory_reads_zero() {
         let mem = Memory::new();
         assert_eq!(mem.read_u64(0xdead_beef), 0);
-        assert_eq!(mem.resident_pages(), 0);
+        assert_eq!(mem.page_identities().count(), 0);
     }
 
     #[test]
@@ -197,7 +207,7 @@ mod tests {
         let addr = (PAGE_SIZE as u64) - 3;
         mem.write_u64(addr, u64::MAX);
         assert_eq!(mem.read_u64(addr), u64::MAX);
-        assert_eq!(mem.resident_pages(), 2);
+        assert_eq!(mem.page_identities().count(), 2);
     }
 
     #[test]
@@ -219,22 +229,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_round_trips_and_rejects_corrupt_counts() {
-        use crate::wire::{WireReader, WireWriter};
-        let mut mem = Memory::new();
-        mem.write_u64(0x1000, 7);
-        mem.write_u64(0x9_0000, 0xABCD);
-        let mut w = WireWriter::new();
-        mem.encode(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = Memory::decode(&mut WireReader::new(&bytes)).unwrap();
-        assert_eq!(decoded.digest(), mem.digest());
-
-        // A corrupt page count must fail cleanly, not abort allocating.
-        let mut w = WireWriter::new();
-        w.u64(u64::MAX / 2);
-        let corrupt = w.into_bytes();
-        assert!(Memory::decode(&mut WireReader::new(&corrupt)).is_err());
+    fn equality_is_semantic_and_clones_share_pages() {
+        let mut a = Memory::new();
+        a.write_u64(0x1000, 7);
+        let mut b = a.clone();
+        assert!(a.page_identities().eq(b.page_identities()), "shared pages");
+        // A zero page equals a missing one, on either side.
+        b.write_u64(0x9_0000, 0);
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        b.write_u8(0x1001, 1);
+        assert_ne!(a, b);
+        assert_eq!(a.read_u64(0x1000), 7, "the write copied the page");
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Minimal binary codec for checkpoint serialization.
+//! Minimal binary codec for the frames workers, drivers and the broker
+//! exchange (job setups, trial batches, events, reports, log records).
 //!
-//! The fault-injection engine periodically serializes complete pipeline
-//! snapshots so a campaign can restore the nearest checkpoint instead of
-//! re-simulating the fault-free prefix (and, eventually, ship checkpoints
-//! across machines). The container is fully offline, so this is a small
-//! hand-rolled little-endian format rather than a serde backend: fixed-width
+//! The workspace builds fully offline, so this is a small hand-rolled
+//! little-endian format rather than a serde backend: fixed-width
 //! scalars, `u8`-tagged options, and length-prefixed sequences.
 //!
 //! The format is *internal*: both ends are the same build of this
-//! workspace, reconstructing geometry-dependent state from the same
-//! `MachineConfig` and `Program`. A leading version byte guards against
-//! accidentally mixing checkpoint blobs across incompatible builds.
+//! workspace. A leading envelope (magic, version, kind) guards against
+//! accidentally mixing blobs across incompatible builds.
 
 use std::fmt;
 
@@ -75,8 +72,9 @@ pub const ENVELOPE_BYTES: usize = 6;
 /// Registry of envelope kind bytes, so the payload kinds that cross
 /// process boundaries cannot collide.
 pub mod kind {
-    /// A serialized [`avf-sim`] pipeline snapshot (checkpoint blob).
-    pub const SNAPSHOT: u8 = 1;
+    // Kind 1 carried serialized pipeline snapshots, which never cross a
+    // process boundary since v8 (checkpoints stay in memory); retired
+    // and not to be reused.
     /// A campaign job specification (program, machine, budgets,
     /// checkpoint interval).
     pub const JOB_SETUP: u8 = 2;
@@ -604,7 +602,7 @@ mod tests {
         // wrong version.
         let mut stale = Vec::from(WIRE_MAGIC);
         stale.push(WIRE_VERSION + 1);
-        stale.push(kind::SNAPSHOT);
+        stale.push(kind::JOB_SETUP);
         assert_eq!(
             WireReader::new(&stale).envelope(),
             Err(WireError::UnsupportedVersion {

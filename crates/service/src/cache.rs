@@ -6,8 +6,8 @@
 //! re-runs the same four programs per invocation. The service therefore
 //! keys every job by a 64-bit content hash of those parameters
 //! ([`avf_isa::wire::content_hash64`]), and a worker that finds the job
-//! in its [`StoreCache`] skips the golden pass and the checkpoint
-//! decode entirely. Its [`EvalCache`] does the same for GA fitness:
+//! in its [`StoreCache`] skips the golden pass entirely. Its
+//! [`EvalCache`] does the same for GA fitness:
 //! elite genomes re-scored across generations (and across searches
 //! sharing a worker) hit there instead of paying a simulation.
 //!
@@ -35,25 +35,22 @@ pub const DEFAULT_CACHE_BYTES: usize = 512 << 20;
 /// bound: a score is a handful of bytes).
 pub const DEFAULT_EVAL_CACHE_ENTRIES: usize = 4096;
 
-/// One cached job setup: the golden run and its *decoded* checkpoints —
-/// so a cache hit pays neither the golden pass nor the per-campaign
-/// `decode_all`.
+/// One cached job setup: the golden run and its in-memory checkpoints,
+/// so a cache hit skips the golden pass.
 #[derive(Clone)]
 pub struct CacheEntry {
-    /// Serialized size of the pass's checkpoint store, measured before
-    /// it was decoded and dropped.
-    pub store_bytes: usize,
-    /// The checkpoints decoded once at insertion; every later session
-    /// on this worker restores from these by deep clone.
-    pub decoded: Arc<DecodedCheckpoints>,
+    /// The golden pass's checkpoints; every later session on this
+    /// worker restores from these, sharing their memory pages
+    /// copy-on-write.
+    pub checkpoints: Arc<DecodedCheckpoints>,
     /// The golden run the checkpoints belong to.
     pub golden: GoldenRun,
     /// Fingerprint of the machine/program pair the snapshots were
-    /// decoded against ([`crate::protocol::geometry_fingerprint`]).
-    /// Decoded snapshots index machine-shaped structures directly, so
-    /// serving them to a job with different geometry would trade a
-    /// typed decode error for an out-of-bounds panic — a lookup whose
-    /// fingerprint disagrees is answered as a miss instead.
+    /// captured on ([`crate::protocol::geometry_fingerprint`]).
+    /// Snapshots index machine-shaped structures directly, so serving
+    /// them to a job with different geometry would panic out of bounds
+    /// — a lookup whose fingerprint disagrees is answered as a miss
+    /// instead.
     pub geometry: u64,
     /// Per-cycle ACE evidence captured during the golden pass, when the
     /// pass ran instrumented (a pruning delegated job). Evidence is
@@ -66,13 +63,12 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Bytes this entry is charged against the cache's byte bound: an
-    /// estimate of the decoded snapshots it pins. A decoded checkpoint
-    /// materializes the same state its blob serialized, so the
-    /// serialized size is the right order of magnitude.
+    /// Bytes this entry is charged against the cache's byte bound: the
+    /// memory the checkpoints pin ([`DecodedCheckpoints::total_bytes`]:
+    /// each distinct page once, plus every snapshot's own state).
     #[must_use]
     pub fn footprint(&self) -> usize {
-        self.store_bytes
+        self.checkpoints.total_bytes()
     }
 }
 
@@ -108,7 +104,7 @@ pub struct Lru<K, V> {
     weigh: fn(&K, &V) -> usize,
 }
 
-/// The checkpoint-store cache: `job content hash → decoded golden pass`.
+/// The checkpoint-store cache: `job content hash → golden pass`.
 pub type StoreCache = Lru<u64, CacheEntry>;
 
 /// The genome score cache: `(context fingerprint, genome bits) → score`.
@@ -210,7 +206,7 @@ impl StoreCache {
 
     /// Looks a job up. An entry whose geometry fingerprint disagrees
     /// with `geometry` (a key collision across machine/program pairs)
-    /// is a miss: its decoded snapshots must not be served to this job.
+    /// is a miss: its snapshots must not be served to this job.
     #[must_use]
     pub fn get(&self, hash: u64, geometry: u64) -> Option<CacheEntry> {
         self.get_if(&hash, |entry| entry.geometry == geometry)
@@ -251,11 +247,9 @@ mod tests {
         // Distinct stores via distinct checkpoint intervals.
         let machine = MachineConfig::baseline();
         let program = avf_workloads::testkit::idle_loop();
-        let (golden, store) = golden_run_checkpointed(&machine, &program, 400, 50 + seed);
-        let decoded = store.decode_all(&machine, &program).expect("own store");
+        let (golden, checkpoints) = golden_run_checkpointed(&machine, &program, 400, 50 + seed);
         CacheEntry {
-            store_bytes: store.total_bytes(),
-            decoded: Arc::new(decoded),
+            checkpoints: Arc::new(checkpoints),
             golden,
             geometry: GEO,
             evidence: None,
@@ -299,7 +293,7 @@ mod tests {
         let cache = StoreCache::new(4, usize::MAX);
         let e = entry(0);
         let footprint = e.footprint();
-        assert!(footprint > 0, "the decoded snapshots are charged");
+        assert!(footprint > 0, "the snapshots are charged");
         cache.insert(7, e.clone());
         cache.insert(7, e);
         assert_eq!(cache.stats().bytes, footprint);
@@ -313,8 +307,8 @@ mod tests {
         cache.insert(9, e.clone());
         let hit = cache.get(9, GEO).expect("hit");
         assert!(
-            Arc::ptr_eq(&hit.decoded, &e.decoded),
-            "a hit shares the decoded snapshots, it does not re-decode"
+            Arc::ptr_eq(&hit.checkpoints, &e.checkpoints),
+            "a hit shares the snapshots, it does not copy them"
         );
     }
 
@@ -323,7 +317,7 @@ mod tests {
         let cache = StoreCache::new(4, usize::MAX);
         cache.insert(5, entry(0));
         // Same cache key, different machine/program fingerprint: the
-        // decoded snapshots must not be served.
+        // snapshots must not be served.
         assert!(cache.get(5, GEO ^ 1).is_none());
         assert_eq!(cache.stats().misses, 1);
         assert!(cache.get(5, GEO).is_some(), "entry itself is intact");

@@ -15,7 +15,7 @@
 //!   batches → streamed events), every payload wrapped in the
 //!   `avf_isa::wire` magic + version envelope so stale or foreign
 //!   peers fail typed;
-//! * [`cache`] — the one bounded worker-side LRU, used twice: decoded
+//! * [`cache`] — the one bounded worker-side LRU, used twice: in-memory
 //!   golden passes keyed by a content hash of the job ([`StoreCache`]),
 //!   so an identical job never re-runs the golden pass on the same
 //!   worker, and GA scores keyed by genome ([`EvalCache`]);

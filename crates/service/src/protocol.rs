@@ -54,7 +54,7 @@ fn decode_golden(r: &mut WireReader<'_>) -> Result<GoldenRun, WireError> {
 pub const HASH_DOMAIN_DELEGATED_JOB: u8 = 1;
 
 /// Hash domain of a job's machine/program geometry fingerprint (guards
-/// the decoded-checkpoint cache against serving snapshots decoded for a
+/// the checkpoint cache against serving snapshots captured on a
 /// different configuration).
 pub const HASH_DOMAIN_GEOMETRY: u8 = 2;
 
@@ -63,8 +63,8 @@ pub const HASH_DOMAIN_GEOMETRY: u8 = 2;
 /// halves of a worker's [`crate::EvalCache`] key.
 pub const HASH_DOMAIN_EVAL: u8 = 3;
 
-/// Fingerprint of the machine/program pair a cached decoded store is
-/// only valid for.
+/// Fingerprint of the machine/program pair cached checkpoints are only
+/// valid for.
 #[must_use]
 pub fn geometry_fingerprint(machine: &MachineConfig, program: &Program) -> u64 {
     let mut w = WireWriter::new();

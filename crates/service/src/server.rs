@@ -193,13 +193,11 @@ fn resolve_store(
         return Ok((entry, StoreSource::Cached));
     }
     crate::log_line!("serve: job {key:016x} checkpoint store MISS (running golden pass)");
-    let (golden, store, evidence) = pass(setup.prune);
-    // Decode once at insertion: every later campaign on this worker —
-    // this connection included — restores straight from the decoded
-    // snapshots, so a cache hit no longer pays `decode_all`.
+    let (golden, checkpoints, evidence) = pass(setup.prune);
+    // Every later campaign on this worker — this connection included —
+    // restores straight from these snapshots.
     let entry = CacheEntry {
-        store_bytes: store.total_bytes(),
-        decoded: Arc::new(store.decode_all(&setup.machine, &setup.program)?),
+        checkpoints: Arc::new(checkpoints),
         golden,
         geometry,
         evidence: evidence.map(Arc::new),
@@ -262,7 +260,7 @@ fn handle_connection(
         instr_budget: setup.instr_budget,
         fault_model: setup.fault_model,
         golden: GoldenSpec::Resolved {
-            checkpoints: entry.decoded,
+            checkpoints: entry.checkpoints,
             golden,
         },
         prune: false, // the pass (and map) are already resolved here

@@ -2,8 +2,6 @@
 //! a global predictor indexed by global history, a two-level local
 //! predictor, and a choice predictor that selects between them.
 
-use avf_isa::wire::{WireError, WireReader, WireWriter};
-
 use crate::config::BpredConfig;
 
 fn counter_update(counter: &mut u8, taken: bool, max: u8) {
@@ -96,35 +94,9 @@ impl BranchPredictor {
         self.ghr = (self.ghr << 1) | u32::from(taken);
     }
 
-    /// Serializes the predictor tables for checkpoint snapshots.
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.bytes(&self.global);
-        for &h in &self.local_hist {
-            w.u16(h);
-        }
-        w.bytes(&self.local);
-        w.bytes(&self.choice);
-        w.u32(self.ghr);
-    }
-
-    /// Decodes state written by [`BranchPredictor::encode`] for the
-    /// geometry of `cfg` (which must match the encoding configuration).
-    pub(crate) fn decode(
-        r: &mut WireReader<'_>,
-        cfg: BpredConfig,
-    ) -> Result<BranchPredictor, WireError> {
-        let mut p = BranchPredictor::new(cfg);
-        let n = p.global.len();
-        p.global.copy_from_slice(r.bytes(n)?);
-        for h in &mut p.local_hist {
-            *h = r.u16()?;
-        }
-        let n = p.local.len();
-        p.local.copy_from_slice(r.bytes(n)?);
-        let n = p.choice.len();
-        p.choice.copy_from_slice(r.bytes(n)?);
-        p.ghr = r.u32()?;
-        Ok(p)
+    /// Heap bytes of the predictor tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.global.len() + 2 * self.local_hist.len() + self.local.len() + self.choice.len()
     }
 }
 

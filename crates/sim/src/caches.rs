@@ -4,8 +4,6 @@
 //! come from the functional oracle. ACE lifetime events are emitted by the
 //! pipeline, which consults the [`AccessResult`]s returned here.
 
-use avf_isa::wire::{WireError, WireReader, WireWriter};
-
 use crate::config::CacheConfig;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -182,45 +180,9 @@ impl Cache {
         self.tick == other.tick && self.lines == other.lines
     }
 
-    /// Serializes the timing state for checkpoint snapshots. Only valid
-    /// lines are written (early in a run most of the array is invalid),
-    /// so checkpoints stay small.
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.tick);
-        w.u64(self.accesses);
-        w.u64(self.misses);
-        let valid = self.lines.iter().filter(|l| l.valid).count();
-        w.usize(valid);
-        for (idx, line) in self.lines.iter().enumerate().filter(|(_, l)| l.valid) {
-            w.u32(idx as u32);
-            w.u64(line.tag);
-            w.bool(line.dirty);
-            w.u64(line.lru);
-        }
-    }
-
-    /// Decodes state written by [`Cache::encode`] onto the geometry of
-    /// `cfg` (which must match the encoding configuration).
-    pub(crate) fn decode(r: &mut WireReader<'_>, cfg: &CacheConfig) -> Result<Cache, WireError> {
-        let mut c = Cache::new(cfg);
-        c.tick = r.u64()?;
-        c.accesses = r.u64()?;
-        c.misses = r.u64()?;
-        let valid = r.seq_len(4 + 8 + 1 + 8)?;
-        for _ in 0..valid {
-            let idx = r.u32()? as usize;
-            let slot = c
-                .lines
-                .get_mut(idx)
-                .ok_or(WireError::Invalid("cache line index out of geometry"))?;
-            *slot = Line {
-                tag: r.u64()?,
-                valid: true,
-                dirty: r.bool()?,
-                lru: r.u64()?,
-            };
-        }
-        Ok(c)
+    /// Heap bytes of the line array.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.lines[..])
     }
 }
 

@@ -267,8 +267,7 @@ impl MachineConfig {
 
     /// Serializes the full configuration into a wire writer, so a
     /// campaign job can carry the exact machine it was planned against
-    /// to a remote worker (checkpoint blobs only decode against the
-    /// matching geometry).
+    /// to a remote worker.
     pub fn encode(&self, w: &mut WireWriter) {
         w.str(&self.name);
         for v in [

@@ -1,7 +1,5 @@
 //! Fully-associative data TLB timing model with LRU replacement.
 
-use avf_isa::wire::{WireError, WireReader, WireWriter};
-
 /// Result of a TLB lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbResult {
@@ -146,43 +144,9 @@ impl Dtlb {
             && self.entries == other.entries
     }
 
-    /// Serializes the TLB state for checkpoint snapshots.
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.usize(self.entries.len());
-        for &(vpn, lru) in &self.entries {
-            w.u64(vpn);
-            w.u64(lru);
-        }
-        w.u64(self.tick);
-        w.u64(self.accesses);
-        w.u64(self.misses);
-        w.opt_u64(self.poisoned);
-        w.bool(self.tripped);
-    }
-
-    /// Decodes state written by [`Dtlb::encode`] for a TLB of `capacity`
-    /// entries over `page_bytes`-byte pages.
-    pub(crate) fn decode(
-        r: &mut WireReader<'_>,
-        capacity: usize,
-        page_bytes: u64,
-    ) -> Result<Dtlb, WireError> {
-        let mut tlb = Dtlb::new(capacity, page_bytes);
-        let n = r.seq_len(8 + 8)?;
-        if n > capacity {
-            return Err(WireError::Invalid("TLB residency exceeds capacity"));
-        }
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let lru = r.u64()?;
-            tlb.entries.push((vpn, lru));
-        }
-        tlb.tick = r.u64()?;
-        tlb.accesses = r.u64()?;
-        tlb.misses = r.u64()?;
-        tlb.poisoned = r.opt_u64()?;
-        tlb.tripped = r.bool()?;
-        Ok(tlb)
+    /// Heap bytes of the entry array.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, u64)>()
     }
 }
 

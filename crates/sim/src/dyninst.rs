@@ -1,5 +1,4 @@
-use avf_isa::wire::{WireError, WireReader, WireWriter};
-use avf_isa::{Inst, Outcome, Program};
+use avf_isa::{Inst, Outcome};
 
 /// Pipeline stage of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,78 +82,6 @@ impl DynInst {
     #[must_use]
     pub fn is_complete(&self, cycle: u64) -> bool {
         self.stage == Stage::Complete && self.complete_cycle <= cycle
-    }
-
-    /// Serializes this dynamic instruction for checkpoint snapshots.
-    ///
-    /// The static `inst` is not written: every fetched instruction —
-    /// wrong-path included — comes from the program text at `pc`, so the
-    /// decoder re-fetches it from the same program.
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.seq);
-        w.u32(self.pc);
-        w.bool(self.wrong_path);
-        w.bool(self.mispredicted);
-        w.bool(self.predicted_taken);
-        match &self.outcome {
-            None => w.u8(0),
-            Some(o) => {
-                w.u8(1);
-                o.encode(w);
-            }
-        }
-        w.u8(match self.stage {
-            Stage::InIq => 0,
-            Stage::Executing => 1,
-            Stage::Complete => 2,
-        });
-        w.u64(self.dispatch_cycle);
-        w.u64(self.issue_cycle);
-        w.u64(self.complete_cycle);
-        w.u64(self.data_return_cycle);
-        w.opt_u32(self.dest_preg);
-        w.opt_u32(self.prev_preg);
-        w.opt_u32(self.src_pregs[0]);
-        w.opt_u32(self.src_pregs[1]);
-        w.u64(self.src_vals[0]);
-        w.u64(self.src_vals[1]);
-    }
-
-    /// Decodes an instruction written by [`DynInst::encode`], re-fetching
-    /// the static instruction from `program`.
-    pub(crate) fn decode(r: &mut WireReader<'_>, program: &Program) -> Result<DynInst, WireError> {
-        let seq = r.u64()?;
-        let pc = r.u32()?;
-        let inst = *program
-            .fetch(pc)
-            .ok_or(WireError::Invalid("snapshot pc outside program text"))?;
-        Ok(DynInst {
-            seq,
-            pc,
-            inst,
-            wrong_path: r.bool()?,
-            mispredicted: r.bool()?,
-            predicted_taken: r.bool()?,
-            outcome: match r.u8()? {
-                0 => None,
-                1 => Some(Outcome::decode(r)?),
-                t => return Err(WireError::BadTag(t)),
-            },
-            stage: match r.u8()? {
-                0 => Stage::InIq,
-                1 => Stage::Executing,
-                2 => Stage::Complete,
-                t => return Err(WireError::BadTag(t)),
-            },
-            dispatch_cycle: r.u64()?,
-            issue_cycle: r.u64()?,
-            complete_cycle: r.u64()?,
-            data_return_cycle: r.u64()?,
-            dest_preg: r.opt_u32()?,
-            prev_preg: r.opt_u32()?,
-            src_pregs: [r.opt_u32()?, r.opt_u32()?],
-            src_vals: [r.u64()?, r.u64()?],
-        })
     }
 }
 

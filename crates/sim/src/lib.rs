@@ -58,9 +58,9 @@ pub use caches::{AccessResult, Cache};
 pub use config::{BpredConfig, CacheConfig, MachineConfig};
 pub use dtlb::{Dtlb, TlbResult};
 pub use inject::{
-    golden_run, golden_run_checkpointed, golden_run_with_evidence, CheckpointStore,
-    DecodedCheckpoints, FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget,
-    MaskReason, PipelineSnapshot, PruneEvidence, RunEnd, PRUNE_WINDOW,
+    golden_run, golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel,
+    FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MaskReason, PipelineSnapshot,
+    PruneEvidence, RunEnd, PRUNE_WINDOW,
 };
 pub use pipeline::SimResult;
 pub use stats::SimStats;

@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 use avf_ace::{
     AceConfig, AceKind, AvfAnalyzer, InstrRecord, MemRef, Slice, Structure, StructureSizes,
 };
-use avf_isa::wire::{WireError, WireReader, WireWriter};
 use avf_isa::{text_addr, ExecState, Memory, OpClass, Opcode, Program};
 
 use crate::bpred::BranchPredictor;
@@ -1067,7 +1066,9 @@ fn rec_dest(e: &DynInst) -> Option<u8> {
 /// [`Pipeline::restore`]; the fault-injection engine uses it to fork a
 /// run at the sampled injection cycle, flip one bit, run the faulty
 /// future to completion, and rewind. Snapshots only exist for
-/// fault-mode pipelines (no ACE analyzer state is captured).
+/// fault-mode pipelines (no ACE analyzer state is captured). The memory
+/// image shares its pages copy-on-write with the pipeline it was taken
+/// from and with every snapshot taken before a page was written.
 pub struct PipelineSnapshot {
     oracle: ExecState,
     oracle_mem: Memory,
@@ -1140,19 +1141,22 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Rewinds the machine to a previously captured snapshot.
+    /// Rewinds the machine to a previously captured snapshot, reusing
+    /// this pipeline's allocations (`clone_from`). The memory image
+    /// costs one pointer per resident page: pages stay shared with the
+    /// snapshot until the machine writes them.
     pub(crate) fn restore(&mut self, snap: &PipelineSnapshot) {
-        self.oracle = snap.oracle.clone();
-        self.oracle_mem = snap.oracle_mem.clone();
+        self.oracle.clone_from(&snap.oracle);
+        self.oracle_mem.clone_from(&snap.oracle_mem);
         self.trapped = snap.trapped;
-        self.bpred = snap.bpred.clone();
-        self.l1i = snap.l1i.clone();
-        self.dl1 = snap.dl1.clone();
-        self.l2 = snap.l2.clone();
-        self.dtlb = snap.dtlb.clone();
-        self.rf = snap.rf.clone();
-        self.fetch_queue = snap.fetch_queue.clone();
-        self.rob = snap.rob.clone();
+        self.bpred.clone_from(&snap.bpred);
+        self.l1i.clone_from(&snap.l1i);
+        self.dl1.clone_from(&snap.dl1);
+        self.l2.clone_from(&snap.l2);
+        self.dtlb.clone_from(&snap.dtlb);
+        self.rf.clone_from(&snap.rf);
+        self.fetch_queue.clone_from(&snap.fetch_queue);
+        self.rob.clone_from(&snap.rob);
         self.iq_count = snap.iq_count;
         self.lq_count = snap.lq_count;
         self.sq_count = snap.sq_count;
@@ -1166,8 +1170,8 @@ impl Pipeline<'_> {
         self.fetch_done = snap.fetch_done;
         self.halted = snap.halted;
         self.last_commit_cycle = snap.last_commit_cycle;
-        self.cache_faults = snap.cache_faults.clone();
-        self.stats = snap.stats.clone();
+        self.cache_faults.clone_from(&snap.cache_faults);
+        self.stats.clone_from(&snap.stats);
     }
 
     /// Whether the machine is in exactly the state `snap` captured, so
@@ -1214,161 +1218,22 @@ impl PipelineSnapshot {
         self.cycle
     }
 
-    /// Serializes the snapshot to a self-contained byte blob.
-    ///
-    /// Geometry-independent state only: the decoder reconstructs
-    /// configuration-derived shapes (cache/TLB/predictor geometry, the
-    /// static instructions) from the same `MachineConfig` and `Program`
-    /// it is given, which must match the machine this snapshot was taken
-    /// on. This is what lets a campaign shard checkpoints across
-    /// processes or machines instead of replaying the fault-free prefix.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(avf_isa::wire::kind::SNAPSHOT);
-        self.oracle.encode(&mut w);
-        self.oracle_mem.encode(&mut w);
-        w.bool(self.trapped);
-        self.bpred.encode(&mut w);
-        self.l1i.encode(&mut w);
-        self.dl1.encode(&mut w);
-        self.l2.encode(&mut w);
-        self.dtlb.encode(&mut w);
-        self.rf.encode(&mut w);
-        w.usize(self.fetch_queue.len());
-        for d in &self.fetch_queue {
-            d.encode(&mut w);
-        }
-        w.usize(self.rob.len());
-        for d in &self.rob {
-            d.encode(&mut w);
-        }
-        w.usize(self.iq_count);
-        w.usize(self.lq_count);
-        w.usize(self.sq_count);
-        w.u64(self.cycle);
-        w.u64(self.seq);
-        w.u32(self.fetch_pc);
-        w.u64(self.fetch_stalled_until);
-        w.opt_u64(self.last_fetch_line);
-        w.bool(self.wrong_path_mode);
-        match self.recovery {
-            None => w.u8(0),
-            Some(r) => {
-                w.u8(1);
-                w.u64(r.resume_cycle);
-                w.u32(r.pc);
-            }
-        }
-        w.bool(self.fetch_done);
-        w.bool(self.halted);
-        w.u64(self.last_commit_cycle);
-        w.usize(self.cache_faults.len());
-        for f in &self.cache_faults {
-            w.bool(f.dl1);
-            w.u64(f.line_base);
-            w.u64(f.addr);
-            w.u8(f.mask);
-        }
-        self.stats.encode(&mut w);
-        w.into_bytes()
+    /// The architectural memory image captured.
+    pub(crate) fn memory(&self) -> &Memory {
+        &self.oracle_mem
     }
 
-    /// Decodes a snapshot written by [`PipelineSnapshot::to_wire`] for
-    /// the same machine configuration and program.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the blob is truncated, version-skewed,
-    /// or inconsistent with `cfg`/`program` geometry.
-    pub fn from_wire(
-        bytes: &[u8],
-        cfg: &MachineConfig,
-        program: &Program,
-    ) -> Result<PipelineSnapshot, WireError> {
-        let mut r = WireReader::new(bytes);
-        r.expect_envelope(avf_isa::wire::kind::SNAPSHOT)?;
-        let oracle = ExecState::decode(&mut r)?;
-        let oracle_mem = Memory::decode(&mut r)?;
-        let trapped = r.bool()?;
-        let bpred = BranchPredictor::decode(&mut r, cfg.bpred.clone())?;
-        let l1i = Cache::decode(&mut r, &cfg.l1i)?;
-        let dl1 = Cache::decode(&mut r, &cfg.dl1)?;
-        let l2 = Cache::decode(&mut r, &cfg.l2)?;
-        let dtlb = Dtlb::decode(&mut r, cfg.dtlb_entries, cfg.page_bytes)?;
-        let rf = PhysRegFile::decode(&mut r, cfg.phys_regs)?;
-        // A DynInst is at least seq + pc + flag/tag bytes + cycles +
-        // the two fetch-time source values.
-        const DYNINST_MIN_BYTES: usize = 8 + 4 + 6 + 32 + 16;
-        let n_fetch = r.seq_len(DYNINST_MIN_BYTES)?;
-        let mut fetch_queue = VecDeque::with_capacity(n_fetch);
-        for _ in 0..n_fetch {
-            fetch_queue.push_back(DynInst::decode(&mut r, program)?);
-        }
-        let n_rob = r.seq_len(DYNINST_MIN_BYTES)?;
-        let mut rob = VecDeque::with_capacity(n_rob);
-        for _ in 0..n_rob {
-            rob.push_back(DynInst::decode(&mut r, program)?);
-        }
-        let iq_count = r.usize()?;
-        let lq_count = r.usize()?;
-        let sq_count = r.usize()?;
-        let cycle = r.u64()?;
-        let seq = r.u64()?;
-        let fetch_pc = r.u32()?;
-        let fetch_stalled_until = r.u64()?;
-        let last_fetch_line = r.opt_u64()?;
-        let wrong_path_mode = r.bool()?;
-        let recovery = match r.u8()? {
-            0 => None,
-            1 => Some(Recovery {
-                resume_cycle: r.u64()?,
-                pc: r.u32()?,
-            }),
-            t => return Err(WireError::BadTag(t)),
-        };
-        let fetch_done = r.bool()?;
-        let halted = r.bool()?;
-        let last_commit_cycle = r.u64()?;
-        let n_faults = r.seq_len(1 + 8 + 8 + 1)?;
-        let mut cache_faults = Vec::with_capacity(n_faults);
-        for _ in 0..n_faults {
-            cache_faults.push(CacheFault {
-                dl1: r.bool()?,
-                line_base: r.u64()?,
-                addr: r.u64()?,
-                mask: r.u8()?,
-            });
-        }
-        let stats = SimStats::decode(&mut r)?;
-        r.finish()?;
-        Ok(PipelineSnapshot {
-            oracle,
-            oracle_mem,
-            trapped,
-            bpred,
-            l1i,
-            dl1,
-            l2,
-            dtlb,
-            rf,
-            fetch_queue,
-            rob,
-            iq_count,
-            lq_count,
-            sq_count,
-            cycle,
-            seq,
-            fetch_pc,
-            fetch_stalled_until,
-            last_fetch_line,
-            wrong_path_mode,
-            recovery,
-            fetch_done,
-            halted,
-            last_commit_cycle,
-            cache_faults,
-            stats,
-        })
+    /// Bytes of the snapshot's own state: everything but the memory
+    /// pages, which it shares with other snapshots of the same run.
+    pub(crate) fn state_bytes(&self) -> usize {
+        std::mem::size_of::<PipelineSnapshot>()
+            + self.bpred.heap_bytes()
+            + self.l1i.heap_bytes()
+            + self.dl1.heap_bytes()
+            + self.l2.heap_bytes()
+            + self.dtlb.heap_bytes()
+            + self.rf.heap_bytes()
+            + (self.fetch_queue.capacity() + self.rob.capacity()) * std::mem::size_of::<DynInst>()
+            + std::mem::size_of_val(&self.cache_faults[..])
     }
 }

@@ -8,7 +8,6 @@
 //! data all the time" (Section III) falls out of these lifetimes.
 
 use avf_ace::{DynId, PregRecord};
-use avf_isa::wire::{WireError, WireReader, WireWriter};
 
 const ARCH_REGS: usize = 31;
 
@@ -165,87 +164,15 @@ impl PhysRegFile {
         }
     }
 
-    /// Serializes the rename state for checkpoint snapshots.
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
-        w.usize(self.pregs.len());
-        for p in &self.pregs {
-            w.bool(p.ready);
-            w.u64(p.write_cycle);
-            w.usize(p.reads.len());
-            for &(DynId(id), cycle) in &p.reads {
-                w.u64(id);
-                w.u64(cycle);
-            }
-        }
-        w.usize(self.free.len());
-        for &f in &self.free {
-            w.u32(f);
-        }
-        for &m in &self.map {
-            w.u32(m);
-        }
-        for &m in &self.committed_map {
-            w.u32(m);
-        }
-        w.u32(self.reg_bits);
-    }
-
-    /// Decodes state written by [`PhysRegFile::encode`] for a file of
-    /// `expect_phys` registers; a geometry-mismatched blob (e.g. a
-    /// checkpoint from a different machine configuration) is rejected
-    /// with an error rather than decoding into a file the consuming
-    /// pipeline would index out of bounds.
-    pub(crate) fn decode(
-        r: &mut WireReader<'_>,
-        expect_phys: usize,
-    ) -> Result<PhysRegFile, WireError> {
-        // Each preg is at least ready + write_cycle + read count bytes.
-        let n_phys = r.seq_len(1 + 8 + 8)?;
-        if n_phys != expect_phys || n_phys <= ARCH_REGS {
-            return Err(WireError::Invalid("physical register count mismatch"));
-        }
-        let valid_preg = |p: u32| {
-            if (p as usize) < n_phys {
-                Ok(p)
-            } else {
-                Err(WireError::Invalid("preg index out of range"))
-            }
-        };
-        let mut pregs = Vec::with_capacity(n_phys);
-        for _ in 0..n_phys {
-            let ready = r.bool()?;
-            let write_cycle = r.u64()?;
-            let n_reads = r.seq_len(8 + 8)?;
-            let mut reads = Vec::with_capacity(n_reads);
-            for _ in 0..n_reads {
-                reads.push((DynId(r.u64()?), r.u64()?));
-            }
-            pregs.push(Preg {
-                ready,
-                write_cycle,
-                reads,
-            });
-        }
-        let n_free = r.seq_len(4)?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(valid_preg(r.u32()?)?);
-        }
-        let mut map = [0u32; ARCH_REGS];
-        for m in &mut map {
-            *m = valid_preg(r.u32()?)?;
-        }
-        let mut committed_map = [0u32; ARCH_REGS];
-        for m in &mut committed_map {
-            *m = valid_preg(r.u32()?)?;
-        }
-        Ok(PhysRegFile {
-            pregs,
-            free,
-            map,
-            committed_map,
-            reg_bits: r.u32()?,
-        })
+    /// Heap bytes of the register records, free list and read logs.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.pregs[..])
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self
+                .pregs
+                .iter()
+                .map(|p| p.reads.capacity() * std::mem::size_of::<(DynId, u64)>())
+                .sum::<usize>()
     }
 
     /// Drains every still-mapped register's lifetime at the end of

@@ -1,5 +1,3 @@
-use avf_isa::wire::{WireError, WireReader, WireWriter};
-
 /// Timing statistics of one simulation.
 #[derive(Debug, Clone, Default)]
 pub struct SimStats {
@@ -38,52 +36,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Serializes the counters for checkpoint snapshots.
-    pub(crate) fn encode(&self, w: &mut WireWriter) {
-        for v in [
-            self.cycles,
-            self.committed,
-            self.committed_mem_ops,
-            self.branches,
-            self.mispredicts,
-            self.wrong_path_fetched,
-            self.rob_occ_sum,
-            self.iq_occ_sum,
-            self.lq_occ_sum,
-            self.sq_occ_sum,
-            self.dl1_accesses,
-            self.dl1_misses,
-            self.l2_accesses,
-            self.l2_misses,
-            self.dtlb_misses,
-            self.l1i_misses,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Decodes counters written by [`SimStats::encode`].
-    pub(crate) fn decode(r: &mut WireReader<'_>) -> Result<SimStats, WireError> {
-        Ok(SimStats {
-            cycles: r.u64()?,
-            committed: r.u64()?,
-            committed_mem_ops: r.u64()?,
-            branches: r.u64()?,
-            mispredicts: r.u64()?,
-            wrong_path_fetched: r.u64()?,
-            rob_occ_sum: r.u64()?,
-            iq_occ_sum: r.u64()?,
-            lq_occ_sum: r.u64()?,
-            sq_occ_sum: r.u64()?,
-            dl1_accesses: r.u64()?,
-            dl1_misses: r.u64()?,
-            l2_accesses: r.u64()?,
-            l2_misses: r.u64()?,
-            dtlb_misses: r.u64()?,
-            l1i_misses: r.u64()?,
-        })
-    }
-
     /// Committed instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {
