@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use crate::record::{AceKind, DynId, InstrRecord, PregRecord, Residency};
+use crate::record::{AceKind, DynId, InstrRecord, PregRecord, Slice};
 use crate::structures::Structure;
 
 /// Width of the ROB entry's result (data) field — the portion of a dead
@@ -94,17 +94,53 @@ impl DeadnessStats {
     }
 }
 
+/// `Node::producers` slot holding no producer.
+const NO_PRODUCER: u64 = u64::MAX;
+
+/// An unresolved instruction. Kept small: a run whose stores stay
+/// live-out until the end holds one per committed instruction.
 struct Node {
     kind: AceKind,
-    producers: [Option<u64>; 3],
-    unresolved_consumers: u32,
     closed: bool,
-    residency: Residency,
+    unresolved_consumers: u32,
     /// For stores: number of covered memory words not yet overwritten.
     words_outstanding: u32,
+    /// Unresolved producer ids by source slot, [`NO_PRODUCER`] if none.
+    producers: [u64; 3],
+    /// The residency to credit once the liveness is known.
+    credits: Box<[Credit]>,
     /// Physical-register lifetimes waiting on this instruction's liveness:
     /// `(pending preg key, read cycle)`.
     preg_waiters: Vec<(u64, u64)>,
+}
+
+impl Node {
+    fn producers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.producers.iter().copied().filter(|&p| p != NO_PRODUCER)
+    }
+}
+
+/// A residency slice reduced to what crediting it needs.
+#[derive(Clone, Copy)]
+struct Credit {
+    cycles: u64,
+    bits: u32,
+    structure: Structure,
+}
+
+impl Credit {
+    fn of(slice: &Slice) -> Credit {
+        Credit {
+            cycles: slice.end.saturating_sub(slice.start),
+            bits: slice.bits,
+            structure: slice.structure,
+        }
+    }
+
+    /// [`Slice::bit_cycles`] of the slice with `bits` bits.
+    fn bit_cycles(self, bits: u32) -> u128 {
+        u128::from(self.cycles) * u128::from(bits)
+    }
 }
 
 struct PregPending {
@@ -159,7 +195,7 @@ impl DeadnessEngine {
 
         // Register producer edges (before the destination update, so
         // read-modify-write instructions link to the previous definition).
-        let mut producers = [None; 3];
+        let mut producers = [NO_PRODUCER; 3];
         let mut n_edges = 0;
         for (slot, src) in rec.srcs.iter().enumerate() {
             if let Some(r) = src {
@@ -167,7 +203,7 @@ impl DeadnessEngine {
                     if self.states[pid as usize] == Liveness::Unknown {
                         if let Some(pn) = self.nodes.get_mut(&pid) {
                             pn.unresolved_consumers += 1;
-                            producers[slot] = Some(pid);
+                            producers[slot] = pid;
                             n_edges += 1;
                         }
                     }
@@ -178,11 +214,11 @@ impl DeadnessEngine {
 
         let node = Node {
             kind: rec.kind,
-            producers,
-            unresolved_consumers: 0,
             closed: false,
-            residency: rec.residency,
+            unresolved_consumers: 0,
             words_outstanding: 0,
+            producers,
+            credits: rec.residency.iter().map(Credit::of).collect(),
             preg_waiters: Vec::new(),
         };
         self.nodes.insert(id, node);
@@ -399,10 +435,10 @@ impl DeadnessEngine {
             };
             self.states[n as usize] = Liveness::Live;
             self.stats.live += 1;
-            for slice in node.residency.iter() {
-                self.ace.add(slice.structure, slice.bit_cycles());
+            for c in &node.credits {
+                self.ace.add(c.structure, c.bit_cycles(c.bits));
             }
-            for p in node.producers.into_iter().flatten() {
+            for p in node.producers() {
                 if self.states[p as usize] == Liveness::Unknown {
                     self.worklist.push(p);
                 }
@@ -441,20 +477,18 @@ impl DeadnessEngine {
             // match; the flipped-NOP-opcode gap both sides share is
             // recorded in the ROADMAP.
             if node.kind != AceKind::Nop {
-                for slice in node.residency.iter() {
-                    let control_bits = match slice.structure {
-                        Structure::Rob => slice.bits.saturating_sub(ROB_RESULT_FIELD_BITS),
-                        Structure::Iq | Structure::LqTag | Structure::SqTag => slice.bits,
+                for c in &node.credits {
+                    let control_bits = match c.structure {
+                        Structure::Rob => c.bits.saturating_sub(ROB_RESULT_FIELD_BITS),
+                        Structure::Iq | Structure::LqTag | Structure::SqTag => c.bits,
                         _ => 0,
                     };
                     if control_bits > 0 {
-                        let mut control = *slice;
-                        control.bits = control_bits;
-                        self.ace.add(control.structure, control.bit_cycles());
+                        self.ace.add(c.structure, c.bit_cycles(control_bits));
                     }
                 }
             }
-            for p in node.producers.into_iter().flatten() {
+            for p in node.producers() {
                 if self.states[p as usize] != Liveness::Unknown {
                     continue;
                 }

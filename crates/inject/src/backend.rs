@@ -608,15 +608,22 @@ impl LocalJob {
     fn run_shard(&self, shard: &[Trial], tx: &mpsc::Sender<Result<TrialEvent, BackendError>>) {
         let mut sim: Option<InjectionSim<'_>> = None;
         for trial in shard {
-            // Lazy init: restore the nearest checkpoint below the
+            // Lazy init: resume at the nearest checkpoint below the
             // shard's first (lowest) injection cycle instead of
             // simulating the prefix from cycle 0.
             let sim = sim.get_or_insert_with(|| {
-                let mut s = InjectionSim::new(&self.machine, &self.program, self.instr_budget);
+                let (_, snap) = self
+                    .checkpoints
+                    .nearest(trial.cycle)
+                    .expect("checkpoints always hold the cycle-0 state");
+                let mut s = InjectionSim::from_snapshot(
+                    &self.machine,
+                    &self.program,
+                    self.instr_budget,
+                    snap,
+                );
                 s.set_cycle_budget(self.cycle_budget);
                 s.set_fault_model(self.fault_model);
-                s.restore_nearest(&self.checkpoints, trial.cycle)
-                    .expect("checkpoints always hold the cycle-0 state");
                 s
             });
             let outcome =

@@ -371,6 +371,28 @@ impl<'a> InjectionSim<'a> {
         }
     }
 
+    /// [`InjectionSim::new`] resumed at checkpoint `snap` of a run of the
+    /// same machine and program. Unlike `new` followed by
+    /// [`InjectionSim::restore`], it never loads the program's data
+    /// segment only to replace it: the snapshot's memory image is shared
+    /// copy-on-write.
+    #[must_use]
+    pub fn from_snapshot(
+        config: &'a MachineConfig,
+        program: &'a Program,
+        instr_budget: u64,
+        snap: &PipelineSnapshot,
+    ) -> Self {
+        let pipe = Pipeline::new_faulty_at(config, program, instr_budget, snap);
+        let cycle_budget = pipe.default_cycle_limit(instr_budget);
+        InjectionSim {
+            pipe,
+            instr_budget,
+            cycle_budget,
+            fault_model: FaultModel::default(),
+        }
+    }
+
     /// Overrides the cycle budget (campaigns tighten it around the
     /// golden run's length so hangs are detected quickly).
     pub fn set_cycle_budget(&mut self, cycles: u64) {
@@ -1284,6 +1306,7 @@ pub fn golden_run_with_evidence(
     let mut checkpoints = vec![(0, sim.snapshot())];
     let mut ev = PruneEvidence::new(window);
     let rf_words = config.phys_regs.div_ceil(64);
+    let mut live = vec![0u64; rf_words];
     loop {
         if sim.pipe.done(sim.instr_budget) || sim.pipe.cycle >= sim.cycle_budget {
             break;
@@ -1299,28 +1322,20 @@ pub fn golden_run_with_evidence(
             ev.dtlb_max.push(0);
             ev.rf_dead.push(vec![u64::MAX; rf_words]);
         }
-        let (mut iq, mut lq, mut sq) = (0u64, 0u64, 0u64);
-        for e in sim.pipe.rob.iter() {
-            if e.stage == Stage::InIq {
-                iq += 1;
-            }
-            match e.inst.op.class() {
-                OpClass::Load => lq += 1,
-                OpClass::Store => sq += 1,
-                _ => {}
-            }
-        }
-        ev.rob_max[w] = ev.rob_max[w].max(sim.pipe.rob.len() as u64);
-        ev.iq_max[w] = ev.iq_max[w].max(iq);
-        ev.lq_max[w] = ev.lq_max[w].max(lq);
-        ev.sq_max[w] = ev.sq_max[w].max(sq);
-        ev.dtlb_max[w] = ev.dtlb_max[w].max(sim.pipe.dtlb.resident() as u64);
-        let dead = &mut ev.rf_dead[w];
-        for p in 0..config.phys_regs as u32 {
-            let masked = sim.pipe.rf.is_free(p) || sim.pipe.rf.arch_of_newest(p).is_none();
-            if !masked {
-                dead[(p / 64) as usize] &= !(1u64 << (p % 64));
-            }
+        let pipe = &sim.pipe;
+        debug_assert_eq!(
+            (pipe.iq.len(), pipe.lq_count, pipe.sq_count),
+            pipe.queue_counts_by_walk(),
+            "queue counters drifted from the ROB at cycle {c}"
+        );
+        ev.rob_max[w] = ev.rob_max[w].max(pipe.rob.len() as u64);
+        ev.iq_max[w] = ev.iq_max[w].max(pipe.iq.len() as u64);
+        ev.lq_max[w] = ev.lq_max[w].max(pipe.lq_count as u64);
+        ev.sq_max[w] = ev.sq_max[w].max(pipe.sq_count as u64);
+        ev.dtlb_max[w] = ev.dtlb_max[w].max(pipe.dtlb.resident() as u64);
+        pipe.rf.live_mask(&mut live);
+        for (dead, live) in ev.rf_dead[w].iter_mut().zip(&live) {
+            *dead &= !live;
         }
         if c.is_multiple_of(interval) {
             checkpoints.push((c, sim.snapshot()));
@@ -1426,6 +1441,22 @@ mod tests {
         assert_eq!(digest_a, other.memory_digest());
         assert_eq!(cycles_a, other.cycle(), "timing replays identically");
         assert_eq!(digest_a, golden.digest);
+    }
+
+    #[test]
+    fn from_snapshot_equals_new_then_restore() {
+        let cfg = MachineConfig::baseline();
+        let p = counted_loop();
+        let (golden, checkpoints) = golden_run_checkpointed(&cfg, &p, 10_000, 40);
+        let (at, snap) = checkpoints.nearest(golden.cycles / 2).expect("floor");
+        let mut restored = InjectionSim::new(&cfg, &p, 10_000);
+        restored.restore(snap);
+        let mut resumed = InjectionSim::from_snapshot(&cfg, &p, 10_000, snap);
+        assert_eq!(resumed.cycle(), at);
+        assert!(resumed.matches_snapshot(&restored.snapshot()));
+        assert_eq!(resumed.run_to_end(), restored.run_to_end());
+        assert_eq!(resumed.cycle(), restored.cycle());
+        assert!(resumed.memory() == checkpoints.final_memory());
     }
 
     #[test]

@@ -98,7 +98,6 @@ pub(crate) struct Pipeline<'a> {
     pub(crate) rf: PhysRegFile,
     pub(crate) fetch_queue: VecDeque<DynInst>,
     pub(crate) rob: VecDeque<DynInst>,
-    pub(crate) iq_count: usize,
     pub(crate) lq_count: usize,
     pub(crate) sq_count: usize,
     pub(crate) cycle: u64,
@@ -114,6 +113,20 @@ pub(crate) struct Pipeline<'a> {
     /// Injected cache faults still resident in their line (fault mode).
     pub(crate) cache_faults: Vec<CacheFault>,
     pub(crate) stats: SimStats,
+    /// Event gate of the writeback stage: no `Executing` entry completes
+    /// before this cycle. Derived state (see [`Pipeline::restore`]).
+    next_complete: u64,
+    /// Event gate of the issue stage: `false` once a select issued
+    /// nothing and no wakeup has happened since. Derived state.
+    issue_armed: bool,
+    /// The issue queue: absolute ROB positions (`rob_base + index`) of
+    /// the `InIq` entries, oldest first, so the select never walks the
+    /// entries that have left it. Derived state, rebuilt from the ROB on
+    /// restore.
+    pub(crate) iq: Vec<u64>,
+    /// Absolute ROB position of `rob.front()`: the number of entries
+    /// committed since the last restore.
+    rob_base: u64,
 }
 
 impl<'a> Pipeline<'a> {
@@ -122,7 +135,9 @@ impl<'a> Pipeline<'a> {
         program: &'a Program,
         ace_config: AceConfig,
     ) -> Pipeline<'a> {
-        Pipeline::new_inner(cfg, program, Some(ace_config))
+        let mut oracle_mem = Memory::new();
+        let oracle = ExecState::new(program, &mut oracle_mem);
+        Pipeline::new_inner(cfg, program, Some(ace_config), oracle, oracle_mem)
     }
 
     /// Builds a pipeline for fault-injection runs: no ACE analyzer, a
@@ -133,9 +148,33 @@ impl<'a> Pipeline<'a> {
         program: &'a Program,
         fetch_budget: u64,
     ) -> Pipeline<'a> {
-        let mut p = Pipeline::new_inner(cfg, program, None);
+        let mut oracle_mem = Memory::new();
+        let oracle = ExecState::new(program, &mut oracle_mem);
+        let mut p = Pipeline::new_inner(cfg, program, None, oracle, oracle_mem);
         p.fault_mode = true;
         p.fetch_budget = fetch_budget;
+        p
+    }
+
+    /// [`Pipeline::new_faulty`] resumed at `snap`. The program's data
+    /// segment is never loaded: the snapshot's memory image, shared
+    /// copy-on-write, replaces it.
+    pub(crate) fn new_faulty_at(
+        cfg: &'a MachineConfig,
+        program: &'a Program,
+        fetch_budget: u64,
+        snap: &PipelineSnapshot,
+    ) -> Pipeline<'a> {
+        let mut p = Pipeline::new_inner(
+            cfg,
+            program,
+            None,
+            snap.oracle.clone(),
+            snap.oracle_mem.clone(),
+        );
+        p.fault_mode = true;
+        p.fetch_budget = fetch_budget;
+        p.restore(snap);
         p
     }
 
@@ -143,9 +182,9 @@ impl<'a> Pipeline<'a> {
         cfg: &'a MachineConfig,
         program: &'a Program,
         ace_config: Option<AceConfig>,
+        oracle: ExecState,
+        oracle_mem: Memory,
     ) -> Pipeline<'a> {
-        let mut oracle_mem = Memory::new();
-        let oracle = ExecState::new(program, &mut oracle_mem);
         let sizes = cfg.structure_sizes();
         let analyzer =
             ace_config.map(|ace| AvfAnalyzer::with_config(program.name(), sizes.clone(), ace));
@@ -168,7 +207,6 @@ impl<'a> Pipeline<'a> {
             rf: PhysRegFile::new(cfg.phys_regs, 64),
             fetch_queue: VecDeque::with_capacity(cfg.fetch_queue),
             rob: VecDeque::with_capacity(cfg.rob_entries),
-            iq_count: 0,
             lq_count: 0,
             sq_count: 0,
             cycle: 0,
@@ -182,6 +220,10 @@ impl<'a> Pipeline<'a> {
             last_commit_cycle: 0,
             cache_faults: Vec::new(),
             stats: SimStats::default(),
+            next_complete: 0,
+            issue_armed: true,
+            iq: Vec::with_capacity(cfg.iq_entries),
+            rob_base: 0,
         }
     }
 
@@ -400,6 +442,21 @@ impl<'a> Pipeline<'a> {
         ReplayEnd::Applied
     }
 
+    /// IQ, LQ and SQ occupancy counted by walking the ROB: what
+    /// `iq.len()`, `lq_count` and `sq_count` must always equal.
+    pub(crate) fn queue_counts_by_walk(&self) -> (usize, usize, usize) {
+        let (mut iq, mut lq, mut sq) = (0, 0, 0);
+        for e in &self.rob {
+            iq += usize::from(e.stage == Stage::InIq);
+            match e.inst.op.class() {
+                OpClass::Load => lq += 1,
+                OpClass::Store => sq += 1,
+                _ => {}
+            }
+        }
+        (iq, lq, sq)
+    }
+
     /// Whether the run is over: clean halt, commit budget reached, or a
     /// trap in fault mode.
     pub(crate) fn done(&self, max_instructions: u64) -> bool {
@@ -407,6 +464,17 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Advances the machine by exactly one cycle.
+    ///
+    /// The loop is event-gated: writeback returns at once before the
+    /// earliest pending completion (`next_complete`), and issue skips
+    /// its select while `issue_armed` is clear, i.e. after a select that
+    /// issued nothing and before any wakeup (a writeback `set_ready`, a
+    /// dispatch, a squash or a restore). Issuing nothing means no IQ
+    /// entry had all its sources ready (every function unit was free),
+    /// and only a wakeup changes readiness or the IQ's contents, so a
+    /// skipped stage is one that would have changed nothing. Flips never
+    /// write an entry's stage, completion cycle or a register's ready
+    /// bit, so they cannot invalidate either gate.
     ///
     /// # Panics
     ///
@@ -432,7 +500,7 @@ impl<'a> Pipeline<'a> {
                     self.cycle,
                     self.fetch_pc,
                     self.rob.len(),
-                    self.iq_count
+                    self.iq.len()
                 );
             }
         }
@@ -443,7 +511,7 @@ impl<'a> Pipeline<'a> {
         // unconditional path besides the stage walk itself).
         if !self.fault_mode {
             self.stats.rob_occ_sum += self.rob.len() as u64;
-            self.stats.iq_occ_sum += self.iq_count as u64;
+            self.stats.iq_occ_sum += self.iq.len() as u64;
             self.stats.lq_occ_sum += self.lq_count as u64;
             self.stats.sq_occ_sum += self.sq_count as u64;
         }
@@ -492,6 +560,7 @@ impl<'a> Pipeline<'a> {
             && self.rob.front().is_some_and(|e| e.is_complete(self.cycle))
         {
             let entry = self.rob.pop_front().expect("checked non-empty");
+            self.rob_base += 1;
             debug_assert!(!entry.wrong_path, "wrong-path instruction reached commit");
             self.commit_one(entry);
             committed += 1;
@@ -645,19 +714,30 @@ impl<'a> Pipeline<'a> {
 
     fn writeback_stage(&mut self) {
         let cycle = self.cycle;
+        if cycle < self.next_complete {
+            return;
+        }
+        let mut next_complete = u64::MAX;
         let mut recover: Option<(u64, u32)> = None;
         for e in self.rob.iter_mut() {
-            if e.stage == Stage::Executing && e.complete_cycle <= cycle {
-                e.stage = Stage::Complete;
-                if let Some(preg) = e.dest_preg {
-                    self.rf.set_ready(preg, e.complete_cycle);
-                }
-                if e.mispredicted && !e.wrong_path {
-                    let target = e.outcome.expect("right-path branch has outcome").next_pc;
-                    recover = Some((e.seq, target));
-                }
+            if e.stage != Stage::Executing {
+                continue;
+            }
+            if e.complete_cycle > cycle {
+                next_complete = next_complete.min(e.complete_cycle);
+                continue;
+            }
+            e.stage = Stage::Complete;
+            if let Some(preg) = e.dest_preg {
+                self.rf.set_ready(preg, e.complete_cycle);
+                self.issue_armed = true;
+            }
+            if e.mispredicted && !e.wrong_path {
+                let target = e.outcome.expect("right-path branch has outcome").next_pc;
+                recover = Some((e.seq, target));
             }
         }
+        self.next_complete = next_complete;
         if let Some((branch_seq, target)) = recover {
             self.recover_from(branch_seq, target);
         }
@@ -668,7 +748,9 @@ impl<'a> Pipeline<'a> {
         while self.rob.back().is_some_and(|e| e.seq > branch_seq) {
             let e = self.rob.pop_back().expect("checked non-empty");
             if e.stage == Stage::InIq {
-                self.iq_count -= 1;
+                // The youngest entry left is the youngest IQ resident.
+                let pos = self.iq.pop();
+                debug_assert_eq!(pos, Some(self.rob_base + self.rob.len() as u64));
             }
             match e.inst.op.class() {
                 OpClass::Load => self.lq_count -= 1,
@@ -689,6 +771,7 @@ impl<'a> Pipeline<'a> {
             })
             .collect();
         self.rf.rebuild_map(survivors.into_iter());
+        self.issue_armed = true;
         self.wrong_path_mode = false;
         self.recovery = Some(Recovery {
             resume_cycle: self.cycle + u64::from(self.cfg.mispredict_penalty),
@@ -698,86 +781,80 @@ impl<'a> Pipeline<'a> {
 
     // ---- issue / execute -------------------------------------------------
 
+    /// Selects up to `issue_width` ready IQ entries, oldest first, and
+    /// issues each as it is selected. Issuing one entry never changes
+    /// another's eligibility in the same cycle (readiness moves only at
+    /// writeback), so this equals selecting all, then issuing all.
     fn issue_stage(&mut self) {
+        if !self.issue_armed {
+            return;
+        }
         let mut issued = 0u32;
-        let mut mem_issued = 0u32;
         let mut alus_free = self.cfg.n_alus;
         let mut muls_free = self.cfg.n_muls;
-        let cycle = self.cycle;
-
-        // Borrow dance: collect decisions first, then apply.
-        let mut to_issue: Vec<usize> = Vec::new();
-        for (idx, e) in self.rob.iter().enumerate() {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
-            if e.stage != Stage::InIq {
-                continue;
-            }
-            let ready = e.src_pregs.iter().flatten().all(|&p| self.rf.is_ready(p));
-            if !ready {
-                continue;
-            }
-            let ok = match e.inst.op.class() {
-                OpClass::IntShort | OpClass::Branch | OpClass::Nop | OpClass::Halt => {
-                    if alus_free > 0 {
-                        alus_free -= 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                OpClass::IntLong => {
-                    if muls_free > 0 {
-                        muls_free -= 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                OpClass::Load | OpClass::Store => {
-                    if mem_issued < self.cfg.mem_issue_width {
-                        mem_issued += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if ok {
-                to_issue.push(idx);
-                issued += 1;
-            }
-        }
-
-        for idx in to_issue {
-            let (op, wrong_path, ea) = {
+        let mut mem_free = self.cfg.mem_issue_width;
+        let mut kept = 0;
+        for k in 0..self.iq.len() {
+            let pos = self.iq[k];
+            let idx = (pos - self.rob_base) as usize;
+            let selected = issued < self.cfg.issue_width && {
                 let e = &self.rob[idx];
-                (e.inst.op, e.wrong_path, e.outcome.and_then(|o| o.ea))
-            };
-            let (latency, data_return) = self.execute_latency(op, wrong_path, ea, cycle);
-            if self.fault_mode && !self.cache_faults.is_empty() && !wrong_path {
-                // Injected cache faults interact with the access at its
-                // timing-accurate issue point: a load consumes the
-                // corrupted bytes it covers, a store repairs them.
-                if let (Some(ea), Some(size)) = (ea, op.access_size()) {
-                    if op.is_load() {
-                        let xor = self.consumed_load_fault_mask(ea, size.bytes());
-                        if xor != 0 {
-                            self.corrupt_dest_value(idx, xor);
-                        }
-                    } else {
-                        self.clear_overwritten_faults(ea, size.bytes());
+                let free = match e.inst.op.class() {
+                    OpClass::IntShort | OpClass::Branch | OpClass::Nop | OpClass::Halt => {
+                        &mut alus_free
                     }
+                    OpClass::IntLong => &mut muls_free,
+                    OpClass::Load | OpClass::Store => &mut mem_free,
+                };
+                let ok = *free > 0 && e.src_pregs.iter().flatten().all(|&p| self.rf.is_ready(p));
+                if ok {
+                    *free -= 1;
+                }
+                ok
+            };
+            if selected {
+                self.issue_one(idx);
+                issued += 1;
+            } else {
+                self.iq[kept] = pos;
+                kept += 1;
+            }
+        }
+        self.iq.truncate(kept);
+        if issued == 0 {
+            self.issue_armed = false;
+        }
+    }
+
+    /// Moves IQ entry `idx` into execution at the current cycle.
+    fn issue_one(&mut self, idx: usize) {
+        let cycle = self.cycle;
+        let (op, wrong_path, ea) = {
+            let e = &self.rob[idx];
+            (e.inst.op, e.wrong_path, e.outcome.and_then(|o| o.ea))
+        };
+        let (latency, data_return) = self.execute_latency(op, wrong_path, ea, cycle);
+        if self.fault_mode && !self.cache_faults.is_empty() && !wrong_path {
+            // Injected cache faults interact with the access at its
+            // timing-accurate issue point: a load consumes the
+            // corrupted bytes it covers, a store repairs them.
+            if let (Some(ea), Some(size)) = (ea, op.access_size()) {
+                if op.is_load() {
+                    let xor = self.consumed_load_fault_mask(ea, size.bytes());
+                    if xor != 0 {
+                        self.corrupt_dest_value(idx, xor);
+                    }
+                } else {
+                    self.clear_overwritten_faults(ea, size.bytes());
                 }
             }
-            let e = &mut self.rob[idx];
-            e.stage = Stage::Executing;
-            e.issue_cycle = cycle;
-            e.complete_cycle = cycle + u64::from(latency);
-            e.data_return_cycle = data_return;
-            self.iq_count -= 1;
         }
+        let e = &mut self.rob[idx];
+        e.stage = Stage::Executing;
+        e.issue_cycle = cycle;
+        e.complete_cycle = cycle + u64::from(latency);
+        e.data_return_cycle = data_return;
+        self.next_complete = self.next_complete.min(e.complete_cycle);
     }
 
     /// Computes execution latency; for right-path memory ops this walks the
@@ -904,7 +981,7 @@ impl<'a> Pipeline<'a> {
             let Some(front) = self.fetch_queue.front() else {
                 break;
             };
-            if self.rob.len() >= self.cfg.rob_entries || self.iq_count >= self.cfg.iq_entries {
+            if self.rob.len() >= self.cfg.rob_entries || self.iq.len() >= self.cfg.iq_entries {
                 break;
             }
             let class = front.inst.op.class();
@@ -929,7 +1006,8 @@ impl<'a> Pipeline<'a> {
             }
             e.dispatch_cycle = self.cycle;
             e.stage = Stage::InIq;
-            self.iq_count += 1;
+            self.iq.push(self.rob_base + self.rob.len() as u64);
+            self.issue_armed = true;
             match class {
                 OpClass::Load => self.lq_count += 1,
                 OpClass::Store => self.sq_count += 1,
@@ -1081,7 +1159,6 @@ pub struct PipelineSnapshot {
     rf: PhysRegFile,
     fetch_queue: VecDeque<DynInst>,
     rob: VecDeque<DynInst>,
-    iq_count: usize,
     lq_count: usize,
     sq_count: usize,
     cycle: u64,
@@ -1123,7 +1200,6 @@ impl Pipeline<'_> {
             rf: self.rf.clone(),
             fetch_queue: self.fetch_queue.clone(),
             rob: self.rob.clone(),
-            iq_count: self.iq_count,
             lq_count: self.lq_count,
             sq_count: self.sq_count,
             cycle: self.cycle,
@@ -1157,7 +1233,6 @@ impl Pipeline<'_> {
         self.rf.clone_from(&snap.rf);
         self.fetch_queue.clone_from(&snap.fetch_queue);
         self.rob.clone_from(&snap.rob);
-        self.iq_count = snap.iq_count;
         self.lq_count = snap.lq_count;
         self.sq_count = snap.sq_count;
         self.cycle = snap.cycle;
@@ -1172,6 +1247,18 @@ impl Pipeline<'_> {
         self.last_commit_cycle = snap.last_commit_cycle;
         self.cache_faults.clone_from(&snap.cache_faults);
         self.stats.clone_from(&snap.stats);
+        // The stage gates are not captured: reset them to "scan now",
+        // which is always safe, and let the next scans re-derive them.
+        // The issue queue is re-derived from the ROB at once.
+        self.next_complete = 0;
+        self.issue_armed = true;
+        self.rob_base = 0;
+        self.iq.clear();
+        for (i, e) in self.rob.iter().enumerate() {
+            if e.stage == Stage::InIq {
+                self.iq.push(i as u64);
+            }
+        }
     }
 
     /// Whether the machine is in exactly the state `snap` captured, so
@@ -1179,7 +1266,10 @@ impl Pipeline<'_> {
     ///
     /// Pure counters are skipped because nothing reads them back: every
     /// [`SimStats`] field except `committed` (the run's end condition)
-    /// and the caches' and DTLB's access/miss counts. Scalars and small
+    /// and the caches' and DTLB's access/miss counts. So are the derived
+    /// fields: the issue queue follows from the ROB, and the stage gates
+    /// (`next_complete`, `issue_armed`) only let a stage skip a cycle on
+    /// which it would change nothing. Scalars and small
     /// structures are compared first, the memory image last.
     pub(crate) fn matches(&self, snap: &PipelineSnapshot) -> bool {
         self.cycle == snap.cycle
@@ -1193,7 +1283,6 @@ impl Pipeline<'_> {
             && self.halted == snap.halted
             && self.trapped == snap.trapped
             && self.last_commit_cycle == snap.last_commit_cycle
-            && self.iq_count == snap.iq_count
             && self.lq_count == snap.lq_count
             && self.sq_count == snap.sq_count
             && self.stats.committed == snap.stats.committed

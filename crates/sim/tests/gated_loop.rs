@@ -1,0 +1,239 @@
+//! The event-gated cycle loop reproduces the always-scan loop exactly.
+//!
+//! Writeback and issue skip the cycles on which they would change
+//! nothing, using two derived gates that snapshots do not capture and
+//! `restore` resets. Two checks cover that:
+//!
+//! * a run restored at checkpoint *i* — onto a machine whose gates were
+//!   left stale by a different point of the run — equals the continuous
+//!   run at every later checkpoint, and ends where it ends;
+//! * golden runs and one ACE-instrumented `simulate` equal values pinned
+//!   from the always-scan loop, on the paper-baseline stressmark, the
+//!   `429.mcf` proxy and the testkit kernels, on both machines.
+
+use avf_codegen::{generate, Knobs, TargetParams};
+use avf_isa::Program;
+use avf_sim::{
+    golden_run, golden_run_checkpointed, simulate, InjectionSim, MachineConfig, PipelineSnapshot,
+    RunEnd, SimStats,
+};
+
+fn target_params(machine: &MachineConfig) -> TargetParams {
+    TargetParams {
+        rob_entries: machine.rob_entries as u32,
+        line_bytes: machine.dl1.line_bytes,
+        page_bytes: machine.page_bytes,
+        dtlb_entries: machine.dtlb_entries as u32,
+        dl1_bytes: machine.dl1.size_bytes,
+        l2_bytes: machine.l2.size_bytes,
+    }
+}
+
+fn stressmark(machine: &MachineConfig) -> Program {
+    generate(&Knobs::paper_baseline(), &target_params(machine)).program
+}
+
+fn mcf() -> Program {
+    avf_workloads::by_name("429.mcf")
+        .expect("the 429.mcf proxy exists")
+        .build()
+}
+
+fn machines() -> [(&'static str, MachineConfig); 2] {
+    [
+        ("baseline", MachineConfig::baseline()),
+        ("config_a", MachineConfig::config_a()),
+    ]
+}
+
+/// Restores a machine at several checkpoints of the continuous run, in
+/// descending order and each time from wherever the previous replay left
+/// it, and checks the replay matches every later checkpoint.
+fn restored_runs_rejoin_the_continuous_run(name: &str, machine: &MachineConfig, program: &Program) {
+    const BUDGET: u64 = 10_000;
+    // About a dozen checkpoints, however long the program runs.
+    let interval = (golden_run(machine, program, BUDGET).cycles / 12).max(1);
+    let (golden, checkpoints) = golden_run_checkpointed(machine, program, BUDGET, interval);
+    let all: Vec<(u64, &PipelineSnapshot)> = checkpoints
+        .nearest(0)
+        .into_iter()
+        .chain(checkpoints.after(0))
+        .collect();
+    assert!(all.len() >= 2, "{name}: {} checkpoint(s)", all.len());
+    let step = (all.len() / 4).max(1);
+    let starts: Vec<usize> = (0..all.len() - 1).step_by(step).rev().collect();
+
+    // Leave the gates at their end-of-run values before the first restore.
+    let mut sim = InjectionSim::new(machine, program, BUDGET);
+    assert_eq!(sim.run_to_end(), RunEnd::Completed, "{name}");
+    for &i in &starts {
+        let (at, snap) = all[i];
+        sim.restore(snap);
+        for &(cycle, later) in &all[i + 1..] {
+            assert!(sim.run_to_cycle(cycle), "{name}: ended before {cycle}");
+            assert!(
+                sim.matches_snapshot(later),
+                "{name}: restored at {at}, diverged by {cycle}"
+            );
+        }
+        assert_eq!(sim.run_to_end(), RunEnd::Completed, "{name}: from {at}");
+        assert_eq!(sim.cycle(), golden.cycles, "{name}: from {at}");
+        assert_eq!(sim.committed(), golden.committed, "{name}: from {at}");
+        assert!(
+            sim.memory() == checkpoints.final_memory(),
+            "{name}: from {at}"
+        );
+    }
+
+    // A machine built at a checkpoint starts with fresh gates.
+    let (at, snap) = all[all.len() / 2];
+    let mut resumed = InjectionSim::from_snapshot(machine, program, BUDGET, snap);
+    for &(cycle, later) in all.iter().filter(|&&(c, _)| c > at) {
+        assert!(resumed.run_to_cycle(cycle));
+        assert!(resumed.matches_snapshot(later), "{name}: built at {at}");
+    }
+    assert_eq!(resumed.run_to_end(), RunEnd::Completed);
+    assert_eq!(
+        resumed.memory_digest(),
+        golden.digest,
+        "{name}: built at {at}"
+    );
+}
+
+#[test]
+fn restore_resets_the_gates_on_the_stressmark() {
+    for (mname, machine) in machines() {
+        let program = stressmark(&machine);
+        restored_runs_rejoin_the_continuous_run(&format!("stressmark/{mname}"), &machine, &program);
+    }
+}
+
+#[test]
+fn restore_resets_the_gates_on_mcf() {
+    let program = mcf();
+    for (mname, machine) in machines() {
+        restored_runs_rejoin_the_continuous_run(&format!("429.mcf/{mname}"), &machine, &program);
+    }
+}
+
+#[test]
+fn restore_resets_the_gates_on_the_testkit_kernels() {
+    let kernels = [
+        ("register_chain", avf_workloads::testkit::register_chain()),
+        ("idle_loop", avf_workloads::testkit::idle_loop()),
+    ];
+    for (kname, program) in &kernels {
+        for (mname, machine) in machines() {
+            restored_runs_rejoin_the_continuous_run(&format!("{kname}/{mname}"), &machine, program);
+        }
+    }
+}
+
+/// `(cycles, committed, digest)` of a golden run.
+fn golden_of(machine: &MachineConfig, program: &Program, budget: u64) -> (u64, u64, u64) {
+    let g = golden_run(machine, program, budget);
+    (g.cycles, g.committed, g.digest)
+}
+
+#[test]
+fn golden_runs_equal_the_always_scan_loop() {
+    let baseline = MachineConfig::baseline();
+    let config_a = MachineConfig::config_a();
+    let chain = avf_workloads::testkit::register_chain();
+    let idle = avf_workloads::testkit::idle_loop();
+    let pinned = [
+        (
+            "stressmark/baseline",
+            golden_of(&baseline, &stressmark(&baseline), 30_000),
+            (75_664, 30_000, 0x7cca_357c_91a2_6437),
+        ),
+        (
+            "429.mcf/baseline",
+            golden_of(&baseline, &mcf(), 30_000),
+            (87_596, 30_000, 0x9935_0519_53dd_cb44),
+        ),
+        (
+            "stressmark/config_a",
+            golden_of(&config_a, &stressmark(&config_a), 10_000),
+            (26_401, 10_000, 0xce70_713d_0a44_1412),
+        ),
+        (
+            "429.mcf/config_a",
+            golden_of(&config_a, &mcf(), 10_000),
+            (24_888, 10_000, 0x36c5_acd6_d3ea_8a26),
+        ),
+        (
+            "register_chain/baseline",
+            golden_of(&baseline, &chain, 10_000),
+            (3_925, 7_021, 0xeda0_2040_3a15_99e9),
+        ),
+        (
+            "register_chain/config_a",
+            golden_of(&config_a, &chain, 10_000),
+            (3_945, 7_021, 0xeda0_2040_3a15_99e9),
+        ),
+        (
+            "idle_loop/baseline",
+            golden_of(&baseline, &idle, 10_000),
+            (1_492, 4_002, 0xcbf2_9ce4_8422_2325),
+        ),
+        (
+            "idle_loop/config_a",
+            golden_of(&config_a, &idle, 10_000),
+            (1_497, 4_002, 0xcbf2_9ce4_8422_2325),
+        ),
+    ];
+    for (name, got, want) in pinned {
+        assert_eq!(got, want, "{name}: (cycles, committed, digest)");
+    }
+}
+
+/// Every [`SimStats`] field, by name.
+fn stats_fields(s: &SimStats) -> [(&'static str, u64); 16] {
+    [
+        ("cycles", s.cycles),
+        ("committed", s.committed),
+        ("committed_mem_ops", s.committed_mem_ops),
+        ("branches", s.branches),
+        ("mispredicts", s.mispredicts),
+        ("wrong_path_fetched", s.wrong_path_fetched),
+        ("rob_occ_sum", s.rob_occ_sum),
+        ("iq_occ_sum", s.iq_occ_sum),
+        ("lq_occ_sum", s.lq_occ_sum),
+        ("sq_occ_sum", s.sq_occ_sum),
+        ("dl1_accesses", s.dl1_accesses),
+        ("dl1_misses", s.dl1_misses),
+        ("l2_accesses", s.l2_accesses),
+        ("l2_misses", s.l2_misses),
+        ("dtlb_misses", s.dtlb_misses),
+        ("l1i_misses", s.l1i_misses),
+    ]
+}
+
+#[test]
+fn simulate_stats_equal_the_always_scan_loop() {
+    let machine = MachineConfig::baseline();
+    // 429.mcf mispredicts, so this run also squashes wrong-path work.
+    let stats = simulate(&machine, &mcf(), 30_000).stats;
+    let want = SimStats {
+        cycles: 87_596,
+        committed: 30_000,
+        committed_mem_ops: 8_235,
+        branches: 3_292,
+        mispredicts: 484,
+        wrong_path_fetched: 12_604,
+        rob_occ_sum: 4_983_962,
+        iq_occ_sum: 153_997,
+        lq_occ_sum: 1_255_283,
+        sq_occ_sum: 260_624,
+        dl1_accesses: 8_250,
+        dl1_misses: 1_651,
+        l2_accesses: 1_651,
+        l2_misses: 1_651,
+        dtlb_misses: 1_304,
+        l1i_misses: 4,
+    };
+    for ((name, got), (_, want)) in stats_fields(&stats).into_iter().zip(stats_fields(&want)) {
+        assert_eq!(got, want, "429.mcf simulate: {name}");
+    }
+}

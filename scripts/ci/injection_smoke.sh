@@ -4,6 +4,14 @@
 # latter exercises the checkpoint-restore path and the explicit
 # unreached-trial classification, not just its debug_assert shadow),
 # then the fixed campaign again at a dense checkpoint interval.
+#
+# Two reports are also diffed against references committed under
+# scripts/ci/reference/: the fixed replay campaign and an adaptive
+# trap-model campaign with pruning on. Only the throughput figure and
+# the host-dependent worker count are masked, so a change meant only to
+# make the simulator faster proves here that no verdict, count, CI or
+# batch moved. Regenerate a reference only in a change that means to
+# alter reports, and say so in CHANGES.md.
 set -euo pipefail
 
 BIN=./target/release/avf-stressmark
@@ -15,6 +23,22 @@ CAMPAIGN=(--injections 240 --seed 42 --instructions 8000)
 
 "$BIN" validate "${CAMPAIGN[@]}" | tee "$WORKDIR/auto.out"
 "$BIN" validate --ci-target 0.1 --injections 2000 --seed 42 --instructions 8000
+"$BIN" validate --fault-model trap --prune on --ci-target 0.1 --injections 2000 \
+  --seed 42 --instructions 8000 | tee "$WORKDIR/trap_prune.out"
+
+# Reports against the committed references.
+REFERENCE="$(dirname "$0")/reference"
+mask() {
+  sed -E 's/[0-9]+ worker\(s\)/N worker(s)/; s/ \([0-9]+ inj\/s\)//' "$1"
+}
+for pair in "validate_replay:auto" "validate_trap_prune:trap_prune"; do
+  ref="$REFERENCE/${pair%%:*}.txt"
+  if ! diff "$ref" <(mask "$WORKDIR/${pair##*:}.out"); then
+    echo "error: the report differs from $ref" >&2
+    exit 1
+  fi
+done
+echo "reports are identical to the committed references ✓"
 
 # Checkpoint-interval invariance: the checkpoint a trial restores from
 # and the checkpoints it reconverges at must never change a verdict, so
