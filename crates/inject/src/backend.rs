@@ -33,6 +33,7 @@
 //! identical for any backend, worker count, or event arrival order.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,7 +43,8 @@ use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
     golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel, FlipEffect,
-    GoldenRun, InjectionSim, InjectionTarget, MachineConfig, PruneEvidence, RunEnd, PRUNE_WINDOW,
+    GoldenRun, InjectionSim, InjectionTarget, Judgement, MachineConfig, PruneEvidence, RunEnd,
+    Verdict, PRUNE_WINDOW,
 };
 
 use crate::plan::Trial;
@@ -514,69 +516,131 @@ pub fn shard_trials(trials: &[Trial], workers: usize) -> Vec<Vec<Trial>> {
 /// silently injected at whatever earlier cycle the run ended on.
 ///
 /// Armed trials simulate the whole tail; see [`classify_trial_against`]
-/// for the same verdict with early termination at golden checkpoints.
+/// for the same verdict settled early at golden checkpoints.
 pub fn classify_trial(sim: &mut InjectionSim<'_>, trial: &Trial, golden_digest: u64) -> Outcome {
     classify_trial_against(sim, trial, golden_digest, None)
 }
 
-/// [`classify_trial`], stopping an armed trial early once it rejoins the
-/// fault-free run.
+/// [`classify_trial`], settling an armed trial at the first golden
+/// checkpoint where its verdict is already fixed.
 ///
 /// At each `golden` checkpoint after the injection cycle the faulty
-/// machine is compared with the golden snapshot of that cycle
-/// ([`InjectionSim::matches_snapshot`]). On an exact match the trial is
-/// [`Outcome::Masked`] without simulating the rest of the tail: stepping
-/// is deterministic, so from equal states the faulty run repeats the
-/// golden future, which completes cleanly with the golden memory. The
-/// verdict is therefore always the full-tail one, provided `golden` holds
-/// the checkpoints of the golden pass of `sim`'s machine, program and
-/// instruction budget, and `sim`'s cycle budget covers the golden run
-/// (as [`cycle_budget_of`] does). A trial that completes is judged
-/// against the golden final image page by page (pages it shares with
-/// that image are skipped) rather than by `golden_digest`. `None`
-/// simulates every tail in full and compares digests.
+/// machine is judged against the golden snapshot of that cycle
+/// ([`InjectionSim::judge`]). Every field but three passive parts (the
+/// oracle's registers, its memory bytes and the DTLB poison flag) must
+/// be equal, and no differing register or byte may be read later in the
+/// golden future. Then the faulty machine runs the golden future cycle
+/// for cycle, so its verdict is fixed without simulating the rest of the
+/// tail: DUE if the golden future hits the poisoned DTLB entry before
+/// evicting it, else SDC if a differing byte is never stored to again,
+/// else Masked. With no difference at all the trial has rejoined the
+/// golden run (Masked). The verdict is therefore always the full-tail
+/// one, provided `golden` holds the checkpoints of the golden pass of
+/// `sim`'s machine, program and instruction budget, and `sim`'s cycle
+/// budget covers the golden run (as [`cycle_budget_of`] does). A trial
+/// that completes is judged against the golden final image page by page
+/// (pages it shares with that image are skipped) rather than by
+/// `golden_digest`. `None` simulates every tail in full and compares
+/// digests.
 pub fn classify_trial_against(
     sim: &mut InjectionSim<'_>,
     trial: &Trial,
     golden_digest: u64,
     golden: Option<&DecodedCheckpoints>,
 ) -> Outcome {
+    settle_trial(sim, trial, golden_digest, golden).outcome
+}
+
+/// Where a trial's verdict came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TrialEnd {
+    /// Settled without a tail: masked or diverged at the probe, or
+    /// unreached.
+    Probe,
+    /// Equal to a golden checkpoint: the trial rejoined the golden run.
+    Rejoined,
+    /// Differed from a golden checkpoint only in state the golden
+    /// future never reads.
+    Decided,
+    /// Ran its tail until the run ended.
+    FullTail,
+}
+
+/// A classified trial and how it ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Settled {
+    /// The verdict.
+    pub outcome: Outcome,
+    /// Where it came from.
+    pub end: TrialEnd,
+    /// Cycles simulated after the flip.
+    pub tail_cycles: u64,
+}
+
+/// [`classify_trial_against`], also reporting how the trial ended.
+pub fn settle_trial(
+    sim: &mut InjectionSim<'_>,
+    trial: &Trial,
+    golden_digest: u64,
+    golden: Option<&DecodedCheckpoints>,
+) -> Settled {
+    let probe = |outcome| Settled {
+        outcome,
+        end: TrialEnd::Probe,
+        tail_cycles: 0,
+    };
     if !sim.run_to_cycle(trial.cycle) {
-        return Outcome::Unreached;
+        return probe(Outcome::Unreached);
     }
     // Dry-probe first: provably masked flips touch no machine state, so
     // they need neither the snapshot nor the rewind.
     match sim.probe_bit(trial.target, trial.entry, trial.bit) {
-        FlipEffect::Masked(_) => Outcome::Masked,
+        FlipEffect::Masked(_) => probe(Outcome::Masked),
         // An architecturally impossible decode mutates nothing either:
         // the verdict is immediate.
-        FlipEffect::Diverged => Outcome::ReplayDiverged,
+        FlipEffect::Diverged => probe(Outcome::ReplayDiverged),
         FlipEffect::Armed => {
             let snap = sim.snapshot();
             let armed = sim.flip_bit(trial.target, trial.entry, trial.bit);
             debug_assert_eq!(armed, FlipEffect::Armed, "probe and flip must agree");
-            let outcome = run_armed_tail(sim, trial.cycle, golden_digest, golden);
+            let (outcome, end) = run_armed_tail(sim, trial.cycle, golden_digest, golden);
+            let tail_cycles = sim.cycle() - trial.cycle;
             sim.restore(&snap);
-            outcome
+            Settled {
+                outcome,
+                end,
+                tail_cycles,
+            }
         }
     }
 }
 
-/// Runs a flipped machine to its verdict, checking for reconvergence at
-/// each golden checkpoint after `injected_at`.
+/// Runs a flipped machine to its verdict, judging it at each golden
+/// checkpoint after `injected_at`.
 fn run_armed_tail(
     sim: &mut InjectionSim<'_>,
     injected_at: u64,
     golden_digest: u64,
     golden: Option<&DecodedCheckpoints>,
-) -> Outcome {
-    for (cycle, state) in golden.into_iter().flat_map(|g| g.after(injected_at)) {
-        // A run that ends (or times out) first is settled by `run_to_end`.
-        if !sim.run_to_cycle(cycle) {
-            break;
-        }
-        if sim.matches_snapshot(state) {
-            return Outcome::Masked;
+) -> (Outcome, TrialEnd) {
+    if let Some(g) = golden {
+        for (cycle, _) in g.after(injected_at) {
+            // A run that ends (or times out) first is settled by `run_to_end`.
+            if !sim.run_to_cycle(cycle) {
+                break;
+            }
+            match sim.judge(g) {
+                Judgement::Open => {}
+                Judgement::Rejoined => return (Outcome::Masked, TrialEnd::Rejoined),
+                Judgement::Decided(verdict) => {
+                    let outcome = match verdict {
+                        Verdict::Masked => Outcome::Masked,
+                        Verdict::Sdc => Outcome::Sdc,
+                        Verdict::Due => Outcome::Due,
+                    };
+                    return (outcome, TrialEnd::Decided);
+                }
+            }
         }
     }
     let end = sim.run_to_end();
@@ -584,10 +648,64 @@ fn run_armed_tail(
         Some(g) => sim.memory() == g.final_memory(),
         None => sim.memory_digest() == golden_digest,
     };
-    match end {
+    let outcome = match end {
         RunEnd::Trapped | RunEnd::Timeout => Outcome::Due,
         RunEnd::Completed if golden_memory() => Outcome::Masked,
         RunEnd::Completed => Outcome::Sdc,
+    };
+    (outcome, TrialEnd::FullTail)
+}
+
+/// How the trials a [`LocalBackend`] ran ended, and the tail cycles
+/// they simulated: monotone relaxed counters, shared across every
+/// session the backend opens.
+#[derive(Debug, Default)]
+pub struct TrialEnds {
+    /// Trials settled without a tail ([`TrialEnd::Probe`]).
+    probe: AtomicU64,
+    /// Armed trials that rejoined the golden run at a checkpoint.
+    rejoined: AtomicU64,
+    /// Armed trials decided Masked at a checkpoint.
+    decided_masked: AtomicU64,
+    /// Armed trials decided SDC at a checkpoint.
+    decided_sdc: AtomicU64,
+    /// Armed trials decided DUE at a checkpoint.
+    decided_due: AtomicU64,
+    /// Armed trials that ran their tail until the run ended.
+    full_tail: AtomicU64,
+    /// Cycles armed trials simulated after their flips.
+    tail_cycles: AtomicU64,
+}
+
+impl TrialEnds {
+    /// Counts one settled trial.
+    pub fn record(&self, settled: &Settled) {
+        let counter = match (settled.end, settled.outcome) {
+            (TrialEnd::Probe, _) => &self.probe,
+            (TrialEnd::Rejoined, _) => &self.rejoined,
+            (TrialEnd::Decided, Outcome::Sdc) => &self.decided_sdc,
+            (TrialEnd::Decided, Outcome::Due) => &self.decided_due,
+            (TrialEnd::Decided, _) => &self.decided_masked,
+            (TrialEnd::FullTail, _) => &self.full_tail,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.tail_cycles
+            .fetch_add(settled.tail_cycles, Ordering::Relaxed);
+    }
+
+    /// Every counter with its metric-style name, in a fixed order.
+    #[must_use]
+    pub fn values(&self) -> [(&'static str, u64); 7] {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            ("trials_probe", load(&self.probe)),
+            ("trials_rejoined", load(&self.rejoined)),
+            ("trials_decided_masked", load(&self.decided_masked)),
+            ("trials_decided_sdc", load(&self.decided_sdc)),
+            ("trials_decided_due", load(&self.decided_due)),
+            ("trials_full_tail", load(&self.full_tail)),
+            ("tail_cycles", load(&self.tail_cycles)),
+        ]
     }
 }
 
@@ -600,6 +718,7 @@ struct LocalJob {
     cycle_budget: u64,
     fault_model: FaultModel,
     golden_digest: u64,
+    ends: Arc<TrialEnds>,
 }
 
 impl LocalJob {
@@ -626,12 +745,12 @@ impl LocalJob {
                 s.set_fault_model(self.fault_model);
                 s
             });
-            let outcome =
-                classify_trial_against(sim, trial, self.golden_digest, Some(&self.checkpoints));
+            let settled = settle_trial(sim, trial, self.golden_digest, Some(&self.checkpoints));
+            self.ends.record(&settled);
             let event = TrialEvent {
                 index: trial.index,
                 target: trial.target,
-                outcome,
+                outcome: settled.outcome,
             };
             if tx.send(Ok(event)).is_err() {
                 return; // the stream was dropped; no one is listening
@@ -645,6 +764,7 @@ impl LocalJob {
 /// backend API.
 pub struct LocalBackend {
     workers: usize,
+    ends: Arc<TrialEnds>,
 }
 
 impl LocalBackend {
@@ -659,7 +779,18 @@ impl LocalBackend {
                 .map(|n| n.get())
                 .unwrap_or(1)
         };
-        LocalBackend { workers }
+        LocalBackend {
+            workers,
+            ends: Arc::default(),
+        }
+    }
+
+    /// Counts trial ends into `ends` (shared, say, with a metrics
+    /// endpoint) instead of a private counter set.
+    #[must_use]
+    pub fn with_trial_ends(mut self, ends: Arc<TrialEnds>) -> LocalBackend {
+        self.ends = ends;
+        self
     }
 }
 
@@ -711,6 +842,7 @@ impl CampaignBackend for LocalBackend {
                     cycle_budget: cycle_budget_of(golden.cycles),
                     fault_model: spec.fault_model,
                     golden_digest: golden.digest,
+                    ends: Arc::clone(&self.ends),
                 }),
                 workers: self.workers,
                 log: Vec::new(),

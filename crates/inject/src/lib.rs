@@ -75,9 +75,10 @@ mod stats;
 
 pub use backend::{
     classify_trial, classify_trial_against, cycle_budget_of, decode_trial_batch,
-    encode_trial_batch, redispatched_trials, run_golden_pass, shard_trials, BackendError,
-    CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec, LocalBackend, OpenedJob,
-    StoreSource, TrialEvent, TrialStream, WorkerProvision,
+    encode_trial_batch, redispatched_trials, run_golden_pass, settle_trial, shard_trials,
+    BackendError, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec,
+    LocalBackend, OpenedJob, Settled, StoreSource, TrialEnd, TrialEnds, TrialEvent, TrialStream,
+    WorkerProvision,
 };
 pub use campaign::{Campaign, CampaignConfig};
 pub use plan::{SamplingPlan, Trial, AUDIT_BATCH};

@@ -1,21 +1,24 @@
 //! Early termination at golden checkpoints must never change a verdict.
 //!
 //! `classify_trial_against` stops an armed trial as soon as its machine
-//! state equals the golden snapshot at a checkpoint cycle. The property
+//! state equals the golden snapshot at a checkpoint cycle, or differs
+//! from it only in state the golden future never reads. The property
 //! test draws random (target, entry, bit, cycle) tuples on the testkit
 //! kernels under both fault models and checks the verdict against the
 //! full-tail `classify_trial`. The deterministic tests show that the
-//! check really fires (so the property cannot hold vacuously) and that a
-//! corruption which never disappears is never mistaken for a match.
+//! check really fires (so the property cannot hold vacuously), that a
+//! corruption which never disappears is never mistaken for a match but
+//! is decided once nothing reads it, and that a corruption the golden
+//! future keeps reading is never settled early.
 
 use std::sync::OnceLock;
 
 use avf_inject::{
-    classify_trial, classify_trial_against, cycle_budget_of, golden_run_checkpointed,
-    DecodedCheckpoints, FaultModel, FlipEffect, InjectionTarget, Outcome, Trial,
+    classify_trial, classify_trial_against, cycle_budget_of, golden_run_checkpointed, settle_trial,
+    DecodedCheckpoints, FaultModel, FlipEffect, InjectionTarget, Outcome, Trial, TrialEnd,
 };
 use avf_isa::Program;
-use avf_sim::{GoldenRun, InjectionSim, MachineConfig};
+use avf_sim::{GoldenRun, InjectionSim, Judgement, MachineConfig, Verdict};
 use avf_workloads::testkit::{idle_loop, register_chain};
 use proptest::prelude::*;
 
@@ -148,17 +151,99 @@ fn an_overwritten_register_flip_stops_at_the_next_checkpoint() {
     );
 }
 
+/// Flips `t` on a fresh campaign-configured machine and judges it at
+/// every later golden checkpoint.
+fn judgements_after_flip(fx: &Fixture, t: &Trial) -> Vec<Judgement> {
+    let mut sim = sim_at(fx, FaultModel::Replay, t.cycle);
+    assert!(sim.run_to_cycle(t.cycle));
+    assert_eq!(sim.flip_bit(t.target, t.entry, t.bit), FlipEffect::Armed);
+    let mut judgements = Vec::new();
+    for (cycle, _) in fx.checkpoints.after(t.cycle) {
+        if !sim.run_to_cycle(cycle) {
+            break;
+        }
+        judgements.push(sim.judge(&fx.checkpoints));
+    }
+    judgements
+}
+
 #[test]
 fn a_lingering_corruption_never_matches_a_checkpoint() {
     // r20 is never written or read by the idle loop: the flip survives
-    // to the end (Masked by the final digest, since nothing is stored),
-    // so the machine state never equals a golden snapshot.
+    // to the end (Masked by the final memory, since nothing is stored),
+    // so the machine state never equals a golden snapshot. Nothing reads
+    // r20 either, so the trial is decided Masked at the first checkpoint
+    // after the flip.
     let fx = &fixtures()[1];
     let t = trial(InjectionTarget::RegFile, 20, 5, 2);
     let full = classify_trial(&mut sim_at(fx, FaultModel::Replay, 0), &t, fx.golden.digest);
     assert_eq!(full, Outcome::Masked);
+    let judgements = judgements_after_flip(fx, &t);
+    assert!(!judgements.is_empty());
+    assert!(
+        judgements
+            .iter()
+            .all(|&j| j == Judgement::Decided(Verdict::Masked)),
+        "{judgements:?}"
+    );
+    let settled = settle_trial(
+        &mut sim_at(fx, FaultModel::Replay, 0),
+        &t,
+        fx.golden.digest,
+        Some(&fx.checkpoints),
+    );
+    assert_eq!(
+        (settled.outcome, settled.end),
+        (Outcome::Masked, TrialEnd::Decided)
+    );
+    let (first, _) = fx.checkpoints.after(t.cycle).next().expect("a checkpoint");
+    assert_eq!(
+        settled.tail_cycles,
+        first - t.cycle,
+        "settled at the first one"
+    );
     assert_eq!(
         classify_with_budget_at_last_checkpoint(fx, &t, true),
-        Outcome::Due
+        Outcome::Masked
+    );
+}
+
+#[test]
+fn a_corruption_the_golden_future_reads_is_never_settled_early() {
+    // The register chain folds each of r8..r23 into the stored
+    // accumulator on every iteration until the budget ends: a flip in
+    // one of them is read at every checkpoint after it and ends SDC.
+    let fx = &fixtures()[0];
+    let cycle = fx.golden.cycles / 3;
+    let sdc = (0..machine().phys_regs as u64)
+        .map(|preg| trial(InjectionTarget::RegFile, preg, 3, cycle))
+        .find(|t| {
+            classify_trial(
+                &mut sim_at(fx, FaultModel::Replay, cycle),
+                t,
+                fx.golden.digest,
+            ) == Outcome::Sdc
+        })
+        .expect("a live register flip at a third of the run");
+    let judgements = judgements_after_flip(fx, &sdc);
+    assert!(judgements.len() >= 3, "{judgements:?}");
+    assert!(
+        judgements.iter().all(|&j| j == Judgement::Open),
+        "{judgements:?}"
+    );
+    let settled = settle_trial(
+        &mut sim_at(fx, FaultModel::Replay, cycle),
+        &sdc,
+        fx.golden.digest,
+        Some(&fx.checkpoints),
+    );
+    assert_eq!(
+        (settled.outcome, settled.end),
+        (Outcome::Sdc, TrialEnd::FullTail)
+    );
+    assert_eq!(
+        classify_with_budget_at_last_checkpoint(fx, &sdc, true),
+        Outcome::Due,
+        "only the full tail settles it, and the cut budget times it out"
     );
 }

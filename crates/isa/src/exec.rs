@@ -27,6 +27,64 @@ pub struct Outcome {
     pub halted: bool,
 }
 
+/// Whether a memory access reads memory or writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AccessKind {
+    /// A load: reads the accessed bytes.
+    Load,
+    /// A store: overwrites the accessed bytes.
+    Store,
+}
+
+/// One executed instruction's memory access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MemAccess {
+    /// Read or write.
+    pub kind: AccessKind,
+    /// First byte accessed.
+    pub ea: u64,
+    /// Width: the access covers `ea..ea + size.bytes()`.
+    pub size: AccessSize,
+}
+
+/// The architected state one execution of an instruction reads and
+/// writes: what [`ExecState::exec_inst`] touched, derived from the
+/// instruction and its [`Outcome`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Footprint {
+    /// Bit `r` set: register `r` was read. The hardwired zero register
+    /// is never read (it reads as 0 whatever its slot holds).
+    pub reads: u32,
+    /// Bit `r` set: register `r` was written. Writes to the zero
+    /// register are discarded, so it is never written either.
+    pub writes: u32,
+    /// The memory access, if any.
+    pub mem: Option<MemAccess>,
+}
+
+impl Footprint {
+    /// The footprint of `inst` executed with outcome `out`.
+    #[must_use]
+    pub fn of(inst: &Inst, out: &Outcome) -> Footprint {
+        let mask = |r: Option<Reg>| r.map_or(0, |r| 1u32 << r.number());
+        let [s1, s2] = inst.src_regs();
+        let kind = match inst.op.class() {
+            OpClass::Load => Some(AccessKind::Load),
+            OpClass::Store => Some(AccessKind::Store),
+            _ => None,
+        };
+        Footprint {
+            reads: mask(s1) | mask(s2),
+            writes: mask(inst.dest_reg()),
+            mem: kind.map(|kind| MemAccess {
+                kind,
+                ea: out.ea.expect("memory op has an effective address"),
+                size: out.size.expect("memory op has an access size"),
+            }),
+        }
+    }
+}
+
 /// Architected state of the functional machine: 32 registers and a PC
 /// expressed as an instruction index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +109,19 @@ impl ExecState {
             retired: 0,
             halted: false,
         }
+    }
+
+    /// Whether `self` equals `other` in everything but the register
+    /// values: PC, instruction count and halt flag.
+    #[must_use]
+    pub fn same_control(&self, other: &ExecState) -> bool {
+        let ExecState {
+            regs: _,
+            pc,
+            retired,
+            halted,
+        } = self;
+        (*pc, *retired, *halted) == (other.pc, other.retired, other.halted)
     }
 
     /// Whether the machine has executed a [`Opcode::Halt`].

@@ -52,7 +52,7 @@ pub mod wire;
 pub use builder::{Label, ProgramBuilder};
 pub use disasm::listing;
 pub use error::IsaError;
-pub use exec::{replay_eval, ExecState, Outcome};
+pub use exec::{replay_eval, AccessKind, ExecState, Footprint, MemAccess, Outcome};
 pub use inst::{Inst, Operand};
 pub use memory::{Memory, PAGE_BYTES};
 pub use opcode::{AccessSize, OpClass, Opcode};

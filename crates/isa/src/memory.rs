@@ -42,18 +42,7 @@ impl Clone for Memory {
 
 impl PartialEq for Memory {
     fn eq(&self, other: &Memory) -> bool {
-        let same = |page: &Arc<Page>, theirs: Option<&Arc<Page>>| match theirs {
-            Some(theirs) => Arc::ptr_eq(page, theirs) || page[..] == theirs[..],
-            None => page.iter().all(|&b| b == 0),
-        };
-        self.pages
-            .iter()
-            .all(|(id, page)| same(page, other.pages.get(id)))
-            && other
-                .pages
-                .iter()
-                .filter(|(id, _)| !self.pages.contains_key(id))
-                .all(|(_, page)| same(page, None))
+        self.each_difference(other, |_| false)
     }
 }
 
@@ -149,6 +138,39 @@ impl Memory {
         }
     }
 
+    /// Calls `f` with the address of every byte at which `self` and
+    /// `other` read differently, in no particular order, until `f`
+    /// returns `false`; returns whether every call returned `true`.
+    /// Pages the two share are skipped without comparing bytes, equal
+    /// pages cost one slice comparison, and a missing page reads as
+    /// zeroes.
+    pub fn each_difference(&self, other: &Memory, mut f: impl FnMut(u64) -> bool) -> bool {
+        const ZERO: Page = [0; PAGE_SIZE];
+        let mut scan = |id: u64, ours: &Page, theirs: &Page| {
+            ours[..] == theirs[..]
+                || ours
+                    .iter()
+                    .zip(theirs.iter())
+                    .enumerate()
+                    .filter(|(_, (a, b))| a != b)
+                    .all(|(off, _)| f((id << PAGE_SHIFT) + off as u64))
+        };
+        for (&id, page) in &self.pages {
+            let ok = match other.pages.get(&id) {
+                Some(theirs) => Arc::ptr_eq(page, theirs) || scan(id, page, theirs),
+                None => scan(id, page, &ZERO),
+            };
+            if !ok {
+                return false;
+            }
+        }
+        other
+            .pages
+            .iter()
+            .filter(|(id, _)| !self.pages.contains_key(id))
+            .all(|(&id, page)| scan(id, &ZERO, page))
+    }
+
     /// Order-independent digest of the memory's *semantic* contents.
     ///
     /// Two memories digest equal iff every byte address reads the same
@@ -241,6 +263,34 @@ mod tests {
         b.write_u8(0x1001, 1);
         assert_ne!(a, b);
         assert_eq!(a.read_u64(0x1000), 7, "the write copied the page");
+    }
+
+    #[test]
+    fn each_difference_visits_every_differing_byte_until_stopped() {
+        let mut a = Memory::new();
+        a.write_u64(0x1000, 7);
+        let mut b = a.clone();
+        let diffs = |x: &Memory, y: &Memory| {
+            let mut seen = Vec::new();
+            assert!(x.each_difference(y, |addr| {
+                seen.push(addr);
+                true
+            }));
+            seen.sort_unstable();
+            seen
+        };
+        assert_eq!(diffs(&a, &b), Vec::<u64>::new());
+        b.write_u8(0x1001, 1);
+        b.write_u8(0x9_0002, 5);
+        a.write_u64(0x5_0000, 0); // a zero page equals a missing one
+        assert_eq!(diffs(&a, &b), vec![0x1001, 0x9_0002]);
+        assert_eq!(diffs(&b, &a), vec![0x1001, 0x9_0002]);
+        let mut calls = 0;
+        assert!(!a.each_difference(&b, |_| {
+            calls += 1;
+            false
+        }));
+        assert_eq!(calls, 1, "stops at the first `false`");
     }
 
     #[test]

@@ -65,7 +65,8 @@ pub struct CacheEntry {
 impl CacheEntry {
     /// Bytes this entry is charged against the cache's byte bound: the
     /// memory the checkpoints pin ([`DecodedCheckpoints::total_bytes`]:
-    /// each distinct page once, plus every snapshot's own state).
+    /// each distinct page once, plus every snapshot's own state and the
+    /// golden-future index).
     #[must_use]
     pub fn footprint(&self) -> usize {
         self.checkpoints.total_bytes()

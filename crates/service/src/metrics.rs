@@ -19,6 +19,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use avf_inject::TrialEnds;
+
 use crate::cache::{CacheStats, EvalCache, StoreCache};
 
 /// Session/stream counters a `serve` worker exposes alongside its
@@ -38,6 +40,9 @@ pub struct ServeStats {
     pub events_streamed: AtomicU64,
     /// Frames rejected by keyed-hash authentication.
     pub auth_rejects: AtomicU64,
+    /// How the worker's trials ended, and the tail cycles they
+    /// simulated (every session's backend counts into it).
+    pub trials: Arc<TrialEnds>,
 }
 
 /// Appends one cache's `avf_<name>_*` counter lines.
@@ -60,8 +65,8 @@ impl ServeStats {
         Arc::new(ServeStats::default())
     }
 
-    /// Renders the worker's `/metrics` lines (both caches + session
-    /// counters).
+    /// Renders the worker's `/metrics` lines (both caches, session
+    /// counters and trial ends).
     #[must_use]
     pub fn render(&self, cache: &StoreCache, eval_cache: &EvalCache) -> String {
         let mut out = String::new();
@@ -75,6 +80,9 @@ impl ServeStats {
             ("auth_rejects", &self.auth_rejects),
         ] {
             let _ = writeln!(out, "avf_serve_{name} {}", counter.load(Ordering::Relaxed));
+        }
+        for (name, value) in self.trials.values() {
+            let _ = writeln!(out, "avf_serve_{name} {value}");
         }
         out
     }
@@ -185,6 +193,13 @@ mod tests {
             "avf_eval_cache_bytes 32",
             "avf_serve_batches_served 3",
             "avf_serve_sessions_ok 0",
+            "avf_serve_trials_probe 0",
+            "avf_serve_trials_rejoined 0",
+            "avf_serve_trials_decided_masked 0",
+            "avf_serve_trials_decided_sdc 0",
+            "avf_serve_trials_decided_due 0",
+            "avf_serve_trials_full_tail 0",
+            "avf_serve_tail_cycles 0",
         ] {
             assert!(
                 page.lines().any(|l| l == line),

@@ -251,7 +251,7 @@ fn handle_connection(
         )),
         _ => None,
     };
-    let backend = LocalBackend::new(opts.threads);
+    let backend = LocalBackend::new(opts.threads).with_trial_ends(Arc::clone(&opts.stats.trials));
     let golden = entry.golden;
     let setup = *setup;
     let opened = backend.open(JobSpec {

@@ -133,15 +133,37 @@ impl Dtlb {
         }
     }
 
-    /// Whether `self` and `other` behave identically from here on: the
-    /// LRU clock, the poison and tripped flags, and every resident entry
-    /// (in slot order) match. The `accesses`/`misses` counters never
-    /// feed back into behavior and are not compared.
-    pub(crate) fn same_state(&self, other: &Dtlb) -> bool {
-        self.tick == other.tick
-            && self.poisoned == other.poisoned
-            && self.tripped == other.tripped
-            && self.entries == other.entries
+    /// Whether `self` and `other` are equal in all but the poison flag:
+    /// the LRU clock, the tripped flag and every resident entry (in slot
+    /// order) match. The `accesses`/`misses` counters never feed back
+    /// into behavior and are not compared; the poison flag changes
+    /// behavior only when a translation hits the poisoned entry.
+    pub(crate) fn same_active_state(&self, other: &Dtlb) -> bool {
+        let Dtlb {
+            entries,
+            capacity,
+            page_shift,
+            tick,
+            accesses: _,
+            misses: _,
+            poisoned: _,
+            tripped,
+        } = other;
+        self.tick == *tick
+            && self.tripped == *tripped
+            && self.capacity == *capacity
+            && self.page_shift == *page_shift
+            && self.entries == *entries
+    }
+
+    /// The VPN whose entry carries an injected fault, if any.
+    pub(crate) fn poisoned(&self) -> Option<u64> {
+        self.poisoned
+    }
+
+    /// The LRU clock: the number of translations so far.
+    pub(crate) fn tick(&self) -> u64 {
+        self.tick
     }
 
     /// Heap bytes of the entry array.

@@ -58,6 +58,7 @@ use avf_isa::{AccessSize, Inst, Memory, OpClass, Opcode, Program, PAGE_BYTES};
 
 use crate::config::MachineConfig;
 use crate::dyninst::{iq_field_of, rob_control_field_of, IqField, RobControlField, Stage};
+use crate::future::{FutureRecorder, GoldenFuture};
 use crate::pipeline::{Pipeline, ReplayEnd};
 
 pub use crate::pipeline::PipelineSnapshot;
@@ -325,6 +326,32 @@ pub enum RunEnd {
     Trapped,
 }
 
+/// The fixed verdict of a trial settled before its run ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Verdict {
+    /// Completes with the golden memory image.
+    Masked,
+    /// Completes with memory that differs from the golden image.
+    Sdc,
+    /// Traps: a detected unrecoverable error.
+    Due,
+}
+
+/// How a faulty machine stands at a golden checkpoint
+/// ([`InjectionSim::judge`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Judgement {
+    /// Its future may differ from the golden one: keep simulating.
+    Open,
+    /// Its state equals the checkpoint's: it has rejoined the golden
+    /// run, and its verdict is [`Verdict::Masked`].
+    Rejoined,
+    /// It differs from the checkpoint only in state the golden future
+    /// never reads, so it runs the golden future and its verdict is
+    /// fixed.
+    Decided(Verdict),
+}
+
 /// Reference (fault-free) execution a campaign classifies against.
 ///
 /// `PartialEq` is load-bearing for the distributed service: when N
@@ -391,6 +418,14 @@ impl<'a> InjectionSim<'a> {
             cycle_budget,
             fault_model: FaultModel::default(),
         }
+    }
+
+    /// [`InjectionSim::new`] that records the golden future as it runs:
+    /// the golden passes' simulator.
+    fn recording(config: &'a MachineConfig, program: &'a Program, instr_budget: u64) -> Self {
+        let mut sim = InjectionSim::new(config, program, instr_budget);
+        sim.pipe.recorder = Some(Box::default());
+        sim
     }
 
     /// Overrides the cycle budget (campaigns tighten it around the
@@ -485,6 +520,39 @@ impl<'a> InjectionSim<'a> {
     #[must_use]
     pub fn matches_snapshot(&self, snap: &PipelineSnapshot) -> bool {
         self.pipe.matches(snap)
+    }
+
+    /// Judges the machine against `golden`'s checkpoint of its current
+    /// cycle ([`Judgement::Open`] if there is none).
+    ///
+    /// Every field [`InjectionSim::matches_snapshot`] compares must be
+    /// equal except three passive parts: the oracle's register values,
+    /// its memory bytes and the DTLB's poison flag. These may differ as
+    /// long as the golden future never reads a differing register or
+    /// byte before overwriting it. The machine then runs the golden
+    /// future cycle for cycle (the pipeline sees the oracle only through
+    /// the outcomes of what it executes, which read nothing that
+    /// differs), so its verdict is fixed: [`Verdict::Due`] if the golden
+    /// future's next event on the poisoned DTLB entry is a hit, else
+    /// [`Verdict::Sdc`] if some differing byte is never stored to again,
+    /// else [`Verdict::Masked`]. With no difference at all the machine
+    /// has [`Judgement::Rejoined`] the golden run.
+    ///
+    /// The verdict is the one running to the end would give, provided
+    /// `golden` comes from the golden pass of this machine, program and
+    /// instruction budget, and the cycle budget covers the golden run.
+    #[must_use]
+    pub fn judge(&self, golden: &DecodedCheckpoints) -> Judgement {
+        let Some(k) = golden.position(self.pipe.cycle) else {
+            return Judgement::Open;
+        };
+        let snap = &golden.checkpoints[k].1;
+        match self.pipe.compare(snap) {
+            None => Judgement::Open,
+            Some(diff) => golden
+                .future
+                .settle(k, snap.retired(), snap.dtlb_tick(), &diff),
+        }
     }
 
     /// Rewinds (or fast-forwards) to the nearest checkpoint at or before
@@ -1041,15 +1109,16 @@ impl<'a> InjectionSim<'a> {
 }
 
 /// Periodic in-memory checkpoints of the fault-free run, plus its final
-/// memory image.
+/// memory image and the index of its future reads and writes.
 ///
 /// Built once per campaign by the golden pass ([`golden_run_checkpointed`]
 /// or [`golden_run_with_evidence`]). Trial workers
 /// [`InjectionSim::restore_nearest`] the checkpoint at or before their
 /// injection cycle, turning per-trial setup from `O(cycle)` prefix
 /// replay into `O(interval)`; an armed trial compares itself with the
-/// later checkpoints to stop once it rejoins the golden run, and with
-/// [`final_memory`](Self::final_memory) to judge the run it completes.
+/// later checkpoints ([`InjectionSim::judge`]) to stop once its verdict
+/// is fixed, and with [`final_memory`](Self::final_memory) to judge the
+/// run it completes.
 /// Consecutive checkpoints share every memory page the run did not
 /// write in between, so the set pins each distinct page once. Clones
 /// share the snapshots.
@@ -1061,6 +1130,8 @@ pub struct DecodedCheckpoints {
     /// up empty.
     checkpoints: Arc<[(u64, PipelineSnapshot)]>,
     final_memory: Arc<Memory>,
+    /// What the golden run reads and overwrites after each checkpoint.
+    future: Arc<GoldenFuture>,
 }
 
 impl std::fmt::Debug for DecodedCheckpoints {
@@ -1099,6 +1170,13 @@ impl DecodedCheckpoints {
         Some((*c, snap))
     }
 
+    /// Index of the checkpoint taken at exactly `cycle`.
+    fn position(&self, cycle: u64) -> Option<usize> {
+        self.checkpoints
+            .binary_search_by_key(&cycle, |&(c, _)| c)
+            .ok()
+    }
+
     /// The checkpoints strictly after `cycle`, in ascending cycle order.
     pub fn after(&self, cycle: u64) -> impl Iterator<Item = (u64, &PipelineSnapshot)> {
         let idx = self.checkpoints.partition_point(|&(c, _)| c <= cycle);
@@ -1112,9 +1190,15 @@ impl DecodedCheckpoints {
         &self.final_memory
     }
 
+    /// The golden run's future reads and writes.
+    #[must_use]
+    pub fn future(&self) -> &GoldenFuture {
+        &self.future
+    }
+
     /// Bytes the checkpoints pin: each distinct memory page once (pages
     /// shared between checkpoints and the final image count once), plus
-    /// every snapshot's own state.
+    /// every snapshot's own state and the golden-future index.
     #[must_use]
     pub fn total_bytes(&self) -> usize {
         let mut pages = HashSet::new();
@@ -1123,7 +1207,7 @@ impl DecodedCheckpoints {
         }
         pages.extend(self.final_memory.page_identities());
         let state: usize = self.checkpoints.iter().map(|(_, s)| s.state_bytes()).sum();
-        pages.len() * PAGE_BYTES + state
+        pages.len() * PAGE_BYTES + state + self.future.bytes()
     }
 
     /// Another handle on the same checkpoints; no bytes are parsed or
@@ -1175,7 +1259,7 @@ pub fn golden_run_checkpointed(
     interval: u64,
 ) -> (GoldenRun, DecodedCheckpoints) {
     assert!(interval > 0, "checkpoint interval must be positive");
-    let mut sim = InjectionSim::new(config, program, instr_budget);
+    let mut sim = InjectionSim::recording(config, program, instr_budget);
     let mut checkpoints = vec![(0, sim.snapshot())];
     loop {
         let next = sim.cycle().saturating_add(interval);
@@ -1188,7 +1272,7 @@ pub fn golden_run_checkpointed(
 }
 
 /// Runs a golden pass's remaining tail and packages its reference run
-/// with the checkpoints and final memory image.
+/// with the checkpoints, final memory image and golden-future index.
 fn finish_golden_pass(
     mut sim: InjectionSim<'_>,
     interval: u64,
@@ -1204,10 +1288,13 @@ fn finish_golden_pass(
         committed: sim.committed(),
         digest: sim.memory_digest(),
     };
+    let recorder: Box<FutureRecorder> = sim.pipe.recorder.take().expect("a recording pass");
+    let positions: Vec<u64> = checkpoints.iter().map(|(_, s)| s.retired()).collect();
     let checkpoints = DecodedCheckpoints {
         interval,
         checkpoints: checkpoints.into(),
         final_memory: Arc::new(sim.pipe.oracle_mem),
+        future: Arc::new(recorder.finish(&positions)),
     };
     (golden, checkpoints)
 }
@@ -1302,7 +1389,7 @@ pub fn golden_run_with_evidence(
 ) -> (GoldenRun, DecodedCheckpoints, PruneEvidence) {
     assert!(interval > 0, "checkpoint interval must be positive");
     assert!(window > 0, "evidence window must be positive");
-    let mut sim = InjectionSim::new(config, program, instr_budget);
+    let mut sim = InjectionSim::recording(config, program, instr_budget);
     let mut checkpoints = vec![(0, sim.snapshot())];
     let mut ev = PruneEvidence::new(window);
     let rf_words = config.phys_regs.div_ceil(64);
@@ -1610,7 +1697,8 @@ mod tests {
             .checkpoints
             .iter()
             .map(|(_, s)| s.state_bytes())
-            .sum();
+            .sum::<usize>()
+            + checkpoints.future().bytes();
         let total = checkpoints.total_bytes();
         assert_eq!((total - state) % PAGE_BYTES, 0);
         let pages = (total - state) / PAGE_BYTES;

@@ -48,6 +48,7 @@ mod caches;
 mod config;
 mod dtlb;
 mod dyninst;
+mod future;
 pub mod inject;
 mod pipeline;
 mod regfile;
@@ -57,10 +58,11 @@ pub use bpred::BranchPredictor;
 pub use caches::{AccessResult, Cache};
 pub use config::{BpredConfig, CacheConfig, MachineConfig};
 pub use dtlb::{Dtlb, TlbResult};
+pub use future::GoldenFuture;
 pub use inject::{
     golden_run, golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel,
-    FlipEffect, GoldenRun, InjectionSim, InjectionTarget, MaskReason, PipelineSnapshot,
-    PruneEvidence, RunEnd, PRUNE_WINDOW,
+    FlipEffect, GoldenRun, InjectionSim, InjectionTarget, Judgement, MaskReason, PipelineSnapshot,
+    PruneEvidence, RunEnd, Verdict, PRUNE_WINDOW,
 };
 pub use pipeline::SimResult;
 pub use stats::SimStats;

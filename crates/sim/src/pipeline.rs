@@ -14,13 +14,14 @@ use std::collections::VecDeque;
 use avf_ace::{
     AceConfig, AceKind, AvfAnalyzer, InstrRecord, MemRef, Slice, Structure, StructureSizes,
 };
-use avf_isa::{text_addr, ExecState, Memory, OpClass, Opcode, Program};
+use avf_isa::{text_addr, ExecState, Footprint, Memory, OpClass, Opcode, Program};
 
 use crate::bpred::BranchPredictor;
 use crate::caches::Cache;
 use crate::config::MachineConfig;
 use crate::dtlb::Dtlb;
 use crate::dyninst::{DynInst, Stage};
+use crate::future::{FutureRecorder, Passive};
 use crate::regfile::PhysRegFile;
 use crate::stats::SimStats;
 
@@ -124,9 +125,17 @@ pub(crate) struct Pipeline<'a> {
     /// entries that have left it. Derived state, rebuilt from the ROB on
     /// restore.
     pub(crate) iq: Vec<u64>,
+    /// The `Executing` entries' absolute ROB positions, in issue order,
+    /// so writeback never walks the entries that are not executing.
+    /// Derived state, rebuilt from the ROB on restore.
+    executing: Vec<u64>,
     /// Absolute ROB position of `rob.front()`: the number of entries
     /// committed since the last restore.
     rob_base: u64,
+    /// Set on a golden pass only: records the oracle's executions and
+    /// the DTLB's events. Observation, not machine state: snapshots do
+    /// not capture it and nothing the machine does reads it.
+    pub(crate) recorder: Option<Box<FutureRecorder>>,
 }
 
 impl<'a> Pipeline<'a> {
@@ -223,7 +232,9 @@ impl<'a> Pipeline<'a> {
             next_complete: 0,
             issue_armed: true,
             iq: Vec::with_capacity(cfg.iq_entries),
+            executing: Vec::with_capacity(cfg.rob_entries),
             rob_base: 0,
+            recorder: None,
         }
     }
 
@@ -719,12 +730,14 @@ impl<'a> Pipeline<'a> {
         }
         let mut next_complete = u64::MAX;
         let mut recover: Option<(u64, u32)> = None;
-        for e in self.rob.iter_mut() {
-            if e.stage != Stage::Executing {
-                continue;
-            }
+        let mut kept = 0;
+        for k in 0..self.executing.len() {
+            let pos = self.executing[k];
+            let e = &mut self.rob[(pos - self.rob_base) as usize];
             if e.complete_cycle > cycle {
                 next_complete = next_complete.min(e.complete_cycle);
+                self.executing[kept] = pos;
+                kept += 1;
                 continue;
             }
             e.stage = Stage::Complete;
@@ -732,11 +745,13 @@ impl<'a> Pipeline<'a> {
                 self.rf.set_ready(preg, e.complete_cycle);
                 self.issue_armed = true;
             }
-            if e.mispredicted && !e.wrong_path {
+            // Recover on the youngest mispredicted branch that completes.
+            if e.mispredicted && !e.wrong_path && recover.is_none_or(|(seq, _)| e.seq > seq) {
                 let target = e.outcome.expect("right-path branch has outcome").next_pc;
                 recover = Some((e.seq, target));
             }
         }
+        self.executing.truncate(kept);
         self.next_complete = next_complete;
         if let Some((branch_seq, target)) = recover {
             self.recover_from(branch_seq, target);
@@ -761,6 +776,8 @@ impl<'a> Pipeline<'a> {
                 self.rf.squash_dest(preg);
             }
         }
+        let end = self.rob_base + self.rob.len() as u64;
+        self.executing.retain(|&pos| pos < end);
         self.fetch_queue.clear();
         let survivors: Vec<(u8, u32)> = self
             .rob
@@ -849,6 +866,7 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
+        self.executing.push(self.rob_base + idx as u64);
         let e = &mut self.rob[idx];
         e.stage = Stage::Executing;
         e.issue_cycle = cycle;
@@ -897,6 +915,9 @@ impl<'a> Pipeline<'a> {
         let line_bytes = u64::from(self.cfg.dl1.line_bytes);
 
         let t = self.dtlb.translate(ea);
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.translated(self.dtlb.tick(), self.dtlb.vpn(ea), t.hit, t.evicted);
+        }
         if self.dtlb.poison_tripped() {
             // An injected DTLB tag fault was consumed: wrong translation.
             self.trapped = true;
@@ -1097,6 +1118,9 @@ impl<'a> Pipeline<'a> {
                     }
                 };
                 e.outcome = Some(outcome);
+                if let Some(rec) = self.recorder.as_mut() {
+                    rec.executed(self.oracle.retired - 1, &Footprint::of(&inst, &outcome));
+                }
                 if outcome.halted {
                     self.fetch_done = true;
                 }
@@ -1254,49 +1278,110 @@ impl Pipeline<'_> {
         self.issue_armed = true;
         self.rob_base = 0;
         self.iq.clear();
+        self.executing.clear();
         for (i, e) in self.rob.iter().enumerate() {
-            if e.stage == Stage::InIq {
-                self.iq.push(i as u64);
+            match e.stage {
+                Stage::InIq => self.iq.push(i as u64),
+                Stage::Executing => self.executing.push(i as u64),
+                Stage::Complete => {}
             }
         }
     }
 
     /// Whether the machine is in exactly the state `snap` captured, so
     /// that (`tick` being deterministic) its future is the snapshot's.
+    pub(crate) fn matches(&self, snap: &PipelineSnapshot) -> bool {
+        self.compare(snap).is_some_and(|diff| diff.is_empty())
+    }
+
+    /// Compares the machine with `snap`: `None` if any active field
+    /// differs, else the three passive parts side by side — which
+    /// oracle registers differ, the DTLB poison the snapshot lacks, and
+    /// both memory images. An empty difference is an exact match.
     ///
-    /// Pure counters are skipped because nothing reads them back: every
+    /// A passive part reaches the rest of the machine only through what
+    /// the oracle reads at fetch and through a poisoned DTLB hit, so a
+    /// difference in it changes nothing until it is read (see
+    /// `crate::future`). Every other captured field is active. Pure
+    /// counters are skipped because nothing reads them back: every
     /// [`SimStats`] field except `committed` (the run's end condition)
     /// and the caches' and DTLB's access/miss counts. So are the derived
-    /// fields: the issue queue follows from the ROB, and the stage gates
+    /// fields, which snapshots do not capture: the issue queue and
+    /// executing list follow from the ROB, and the stage gates
     /// (`next_complete`, `issue_armed`) only let a stage skip a cycle on
-    /// which it would change nothing. Scalars and small
-    /// structures are compared first, the memory image last.
-    pub(crate) fn matches(&self, snap: &PipelineSnapshot) -> bool {
-        self.cycle == snap.cycle
-            && self.seq == snap.seq
-            && self.fetch_pc == snap.fetch_pc
-            && self.fetch_stalled_until == snap.fetch_stalled_until
-            && self.last_fetch_line == snap.last_fetch_line
-            && self.wrong_path_mode == snap.wrong_path_mode
-            && self.recovery == snap.recovery
-            && self.fetch_done == snap.fetch_done
-            && self.halted == snap.halted
-            && self.trapped == snap.trapped
-            && self.last_commit_cycle == snap.last_commit_cycle
-            && self.lq_count == snap.lq_count
-            && self.sq_count == snap.sq_count
-            && self.stats.committed == snap.stats.committed
-            && self.cache_faults == snap.cache_faults
-            && self.oracle == snap.oracle
-            && self.dtlb.same_state(&snap.dtlb)
-            && self.fetch_queue == snap.fetch_queue
-            && self.rob == snap.rob
-            && self.rf == snap.rf
-            && self.bpred == snap.bpred
-            && self.l1i.same_state(&snap.l1i)
-            && self.dl1.same_state(&snap.dl1)
-            && self.l2.same_state(&snap.l2)
-            && self.oracle_mem == snap.oracle_mem
+    /// which it would change nothing. The snapshot is destructured in
+    /// full, so a field added to it must be placed here. Scalars and
+    /// small structures are compared first; the memory images, the
+    /// costliest part, are left to the caller.
+    pub(crate) fn compare<'s>(&'s self, snap: &'s PipelineSnapshot) -> Option<Passive<'s>> {
+        let PipelineSnapshot {
+            oracle,
+            oracle_mem,
+            trapped,
+            bpred,
+            l1i,
+            dl1,
+            l2,
+            dtlb,
+            rf,
+            fetch_queue,
+            rob,
+            lq_count,
+            sq_count,
+            cycle,
+            seq,
+            fetch_pc,
+            fetch_stalled_until,
+            last_fetch_line,
+            wrong_path_mode,
+            recovery,
+            fetch_done,
+            halted,
+            last_commit_cycle,
+            cache_faults,
+            stats,
+        } = snap;
+        let active = self.cycle == *cycle
+            && self.seq == *seq
+            && self.fetch_pc == *fetch_pc
+            && self.fetch_stalled_until == *fetch_stalled_until
+            && self.last_fetch_line == *last_fetch_line
+            && self.wrong_path_mode == *wrong_path_mode
+            && self.recovery == *recovery
+            && self.fetch_done == *fetch_done
+            && self.halted == *halted
+            && self.trapped == *trapped
+            && self.last_commit_cycle == *last_commit_cycle
+            && self.lq_count == *lq_count
+            && self.sq_count == *sq_count
+            && self.stats.committed == stats.committed
+            && self.cache_faults == *cache_faults
+            && self.oracle.same_control(oracle)
+            && self.dtlb.same_active_state(dtlb)
+            && self.fetch_queue == *fetch_queue
+            && self.rob == *rob
+            && self.rf == *rf
+            && self.bpred == *bpred
+            && self.l1i.same_state(l1i)
+            && self.dl1.same_state(dl1)
+            && self.l2.same_state(l2);
+        if !active {
+            return None;
+        }
+        let regs = (0..self.oracle.regs.len())
+            .filter(|&r| self.oracle.regs[r] != oracle.regs[r])
+            .fold(0u32, |mask, r| mask | 1 << r);
+        let poisoned = match (self.dtlb.poisoned(), dtlb.poisoned()) {
+            (ours, theirs) if ours == theirs => None,
+            (Some(vpn), None) => Some(vpn),
+            _ => return None,
+        };
+        Some(Passive {
+            regs,
+            poisoned,
+            ours: &self.oracle_mem,
+            theirs: oracle_mem,
+        })
     }
 }
 
@@ -1310,6 +1395,17 @@ impl PipelineSnapshot {
     /// The architectural memory image captured.
     pub(crate) fn memory(&self) -> &Memory {
         &self.oracle_mem
+    }
+
+    /// Instructions the oracle had executed: the golden-future position
+    /// of this checkpoint.
+    pub(crate) fn retired(&self) -> u64 {
+        self.oracle.retired
+    }
+
+    /// The DTLB's event clock.
+    pub(crate) fn dtlb_tick(&self) -> u64 {
+        self.dtlb.tick()
     }
 
     /// Bytes of the snapshot's own state: everything but the memory

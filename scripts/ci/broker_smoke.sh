@@ -9,7 +9,9 @@
 #   2. the queued plane: `submit --detach` prints a durable id and a
 #      separate `attach` retrieves the finished report;
 #   3. the metrics endpoint answers /metrics with live queue/worker
-#      counters and /healthz with ok.
+#      counters and /healthz with ok, and worker 1's own /metrics says
+#      how its trials ended: some armed trials were decided at a golden
+#      checkpoint instead of running their whole tail.
 #
 # Auth is on end-to-end: drivers sign frames to the broker, the broker
 # signs frames to the workers.
@@ -23,6 +25,7 @@ W1_PORT=7621
 W2_PORT=7622
 BROKER_PORT=7620
 METRICS_PORT=7629
+W1_METRICS_PORT=7628
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -37,7 +40,8 @@ fingerprint() {
   sed -E 's/[0-9]+ worker\(s\)//; s/\([0-9]+ inj\/s\)//' "$1" | grep -v "re-dispatched" || true
 }
 
-"$BIN" serve --listen "127.0.0.1:$W1_PORT" --threads 1 --auth-key-file "$WORK/fleet.key" &
+"$BIN" serve --listen "127.0.0.1:$W1_PORT" --threads 1 --auth-key-file "$WORK/fleet.key" \
+  --metrics "127.0.0.1:$W1_METRICS_PORT" &
 W1_PID=$!
 "$BIN" serve --listen "127.0.0.1:$W2_PORT" --threads 1 --auth-key-file "$WORK/fleet.key" &
 W2_PID=$!
@@ -127,6 +131,16 @@ for metric in \
   fi
 done
 echo "ok: metrics endpoint reports a healthy fleet"
+
+# How worker 1's trials ended (avf_serve_trials_*, avf_serve_tail_cycles).
+ENDS=$(curl -sf "http://127.0.0.1:$W1_METRICS_PORT/metrics" | grep -E '^avf_serve_(trials_|tail_cycles)')
+echo "$ENDS"
+DECIDED=$(awk '/^avf_serve_trials_decided_/ { n += $2 } END { print n + 0 }' <<< "$ENDS")
+if [ "$DECIDED" -le 0 ]; then
+  echo "error: worker 1 decided no trial at a golden checkpoint" >&2
+  exit 1
+fi
+echo "ok: worker 1 decided $DECIDED trial(s) at golden checkpoints"
 
 trap 'rm -rf "$WORK"' EXIT
 reap "$BROKER_PID" "broker"

@@ -3,7 +3,8 @@
 # fixed campaign plus an adaptive sequential-sampling campaign (the
 # latter exercises the checkpoint-restore path and the explicit
 # unreached-trial classification, not just its debug_assert shadow),
-# then the fixed campaign again at a dense checkpoint interval.
+# then the fixed campaign again at a dense checkpoint interval, under
+# both fault models and on both machines.
 #
 # Two reports are also diffed against references committed under
 # scripts/ci/reference/: the fixed replay campaign and an adaptive
@@ -41,15 +42,27 @@ done
 echo "reports are identical to the committed references ✓"
 
 # Checkpoint-interval invariance: the checkpoint a trial restores from
-# and the checkpoints it reconverges at must never change a verdict, so
-# a run with a checkpoint every 64 cycles reproduces the report of the
-# automatic interval, modulo throughput and the checkpoint count.
-"$BIN" validate "${CAMPAIGN[@]}" --checkpoint-interval 64 > "$WORKDIR/dense.out"
+# and the checkpoints it is settled at (rejoined, or decided because it
+# differs only in state the golden future never reads) must never change
+# a verdict, so a run with a checkpoint every 64 cycles reproduces the
+# report of the automatic interval, modulo throughput and the checkpoint
+# count. Checked under both fault models and on the scaled machine,
+# whose DTLB is twice the size.
 filter() {
   sed -E 's/\([0-9]+ inj\/s\)//; s/[0-9]+ checkpoint\(s\)//' "$1"
 }
-if ! diff <(filter "$WORKDIR/auto.out") <(filter "$WORKDIR/dense.out"); then
-  echo "error: a dense checkpoint interval changed the campaign report" >&2
-  exit 1
-fi
-echo "dense-checkpoint report is identical to the automatic interval ✓"
+dense_matches() {
+  local name=$1 auto=$2
+  shift 2
+  "$BIN" validate "${CAMPAIGN[@]}" "$@" --checkpoint-interval 64 > "$WORKDIR/$name.dense"
+  if ! diff <(filter "$auto") <(filter "$WORKDIR/$name.dense"); then
+    echo "error: a dense checkpoint interval changed the $name campaign report" >&2
+    exit 1
+  fi
+  echo "dense-checkpoint $name report is identical to the automatic interval ✓"
+}
+dense_matches replay "$WORKDIR/auto.out"
+"$BIN" validate "${CAMPAIGN[@]}" --fault-model trap > "$WORKDIR/trap.auto"
+dense_matches trap "$WORKDIR/trap.auto" --fault-model trap
+"$BIN" validate "${CAMPAIGN[@]}" --machine config-a > "$WORKDIR/config-a.auto"
+dense_matches config-a "$WORKDIR/config-a.auto" --machine config-a
