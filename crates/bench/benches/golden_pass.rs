@@ -5,9 +5,9 @@
 //! budget and the campaign's automatic checkpoint interval.
 //!
 //! Prints one line per (program, pass): the median and minimum over
-//! `AVF_GOLDEN_ROUNDS` rounds (default 5) in milliseconds, plus the
-//! checkpoint footprint. To compare two builds, run their binaries
-//! alternately and pair the lines:
+//! `ROUNDS` rounds in milliseconds, plus the checkpoint footprint. To
+//! compare two builds, run their bench executables alternately and pair
+//! the lines:
 //!
 //! ```text
 //! cargo bench -q -p avf-bench --bench golden_pass
@@ -20,6 +20,7 @@ use avf_sim::{golden_run_checkpointed, golden_run_with_evidence, MachineConfig, 
 
 const BUDGET: u64 = 30_000;
 const INTERVAL: u64 = BUDGET / 8;
+const ROUNDS: usize = 3;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -27,11 +28,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let rounds: usize = std::env::var("AVF_GOLDEN_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5)
-        .max(1);
     let machine = MachineConfig::baseline();
     let programs = [
         (
@@ -49,7 +45,7 @@ fn main() {
         let mut plain = Vec::new();
         let mut evidence = Vec::new();
         let mut bytes = 0;
-        for _ in 0..rounds {
+        for _ in 0..ROUNDS {
             let t = Instant::now();
             let (_, checkpoints) = golden_run_checkpointed(&machine, program, BUDGET, INTERVAL);
             plain.push(t.elapsed().as_secs_f64() * 1e3);
@@ -61,7 +57,7 @@ fn main() {
         for (pass, ms) in [("checkpointed", plain), ("evidence", evidence)] {
             let min = ms.iter().copied().fold(f64::INFINITY, f64::min);
             println!(
-                "golden_pass program={name} pass={pass} rounds={rounds} median_ms={:.3} min_ms={min:.3} ckpt_bytes={bytes}",
+                "golden_pass program={name} pass={pass} rounds={ROUNDS} median_ms={:.3} min_ms={min:.3} ckpt_bytes={bytes}",
                 median(ms)
             );
         }

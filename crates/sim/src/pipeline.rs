@@ -125,10 +125,6 @@ pub(crate) struct Pipeline<'a> {
     /// entries that have left it. Derived state, rebuilt from the ROB on
     /// restore.
     pub(crate) iq: Vec<u64>,
-    /// The `Executing` entries' absolute ROB positions, in issue order,
-    /// so writeback never walks the entries that are not executing.
-    /// Derived state, rebuilt from the ROB on restore.
-    executing: Vec<u64>,
     /// Absolute ROB position of `rob.front()`: the number of entries
     /// committed since the last restore.
     rob_base: u64,
@@ -232,7 +228,6 @@ impl<'a> Pipeline<'a> {
             next_complete: 0,
             issue_armed: true,
             iq: Vec::with_capacity(cfg.iq_entries),
-            executing: Vec::with_capacity(cfg.rob_entries),
             rob_base: 0,
             recorder: None,
         }
@@ -730,14 +725,12 @@ impl<'a> Pipeline<'a> {
         }
         let mut next_complete = u64::MAX;
         let mut recover: Option<(u64, u32)> = None;
-        let mut kept = 0;
-        for k in 0..self.executing.len() {
-            let pos = self.executing[k];
-            let e = &mut self.rob[(pos - self.rob_base) as usize];
+        for e in self.rob.iter_mut() {
+            if e.stage != Stage::Executing {
+                continue;
+            }
             if e.complete_cycle > cycle {
                 next_complete = next_complete.min(e.complete_cycle);
-                self.executing[kept] = pos;
-                kept += 1;
                 continue;
             }
             e.stage = Stage::Complete;
@@ -745,13 +738,11 @@ impl<'a> Pipeline<'a> {
                 self.rf.set_ready(preg, e.complete_cycle);
                 self.issue_armed = true;
             }
-            // Recover on the youngest mispredicted branch that completes.
-            if e.mispredicted && !e.wrong_path && recover.is_none_or(|(seq, _)| e.seq > seq) {
+            if e.mispredicted && !e.wrong_path {
                 let target = e.outcome.expect("right-path branch has outcome").next_pc;
                 recover = Some((e.seq, target));
             }
         }
-        self.executing.truncate(kept);
         self.next_complete = next_complete;
         if let Some((branch_seq, target)) = recover {
             self.recover_from(branch_seq, target);
@@ -776,8 +767,6 @@ impl<'a> Pipeline<'a> {
                 self.rf.squash_dest(preg);
             }
         }
-        let end = self.rob_base + self.rob.len() as u64;
-        self.executing.retain(|&pos| pos < end);
         self.fetch_queue.clear();
         let survivors: Vec<(u8, u32)> = self
             .rob
@@ -866,7 +855,6 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
-        self.executing.push(self.rob_base + idx as u64);
         let e = &mut self.rob[idx];
         e.stage = Stage::Executing;
         e.issue_cycle = cycle;
@@ -1278,12 +1266,9 @@ impl Pipeline<'_> {
         self.issue_armed = true;
         self.rob_base = 0;
         self.iq.clear();
-        self.executing.clear();
         for (i, e) in self.rob.iter().enumerate() {
-            match e.stage {
-                Stage::InIq => self.iq.push(i as u64),
-                Stage::Executing => self.executing.push(i as u64),
-                Stage::Complete => {}
+            if e.stage == Stage::InIq {
+                self.iq.push(i as u64);
             }
         }
     }
@@ -1306,8 +1291,8 @@ impl Pipeline<'_> {
     /// counters are skipped because nothing reads them back: every
     /// [`SimStats`] field except `committed` (the run's end condition)
     /// and the caches' and DTLB's access/miss counts. So are the derived
-    /// fields, which snapshots do not capture: the issue queue and
-    /// executing list follow from the ROB, and the stage gates
+    /// fields, which snapshots do not capture: the issue queue follows
+    /// from the ROB, and the stage gates
     /// (`next_complete`, `issue_armed`) only let a stage skip a cycle on
     /// which it would change nothing. The snapshot is destructured in
     /// full, so a field added to it must be placed here. Scalars and
