@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use avf_ace::FaultRates;
 use avf_broker::{Broker, BrokerClient, BrokerOptions, BrokeredBackend, CampaignSpec, SubmitError};
 use avf_ga::GaParams;
-use avf_inject::{CampaignConfig, FaultModel, LocalBackend, PruneMode};
+use avf_inject::{CampaignBackend, CampaignConfig, FaultModel, LocalBackend, PruneMode};
 use avf_isa::Program;
 use avf_service::{serve, spawn_metrics, AuthKey, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
@@ -271,10 +271,7 @@ fn cmd_suite(args: &Args) -> Result<(), String> {
     let rates = rates_of(args)?;
     let machine = machine_of(args)?;
     let instructions = args.parse_u64("instructions", 2_000_000).map_err(|e| e.0)?;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let runs = run_suite(&machine, &avf_workloads::all(), instructions, threads);
+    let runs = run_suite(&machine, &avf_workloads::all(), instructions, 0);
     if args.has("tsv") {
         println!("name\tqs\tqs_rf\tdl1_dtlb\tl2\tipc");
         for (w, r) in &runs {
@@ -492,13 +489,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         listener
             .local_addr()
             .map_or_else(|_| listen.to_owned(), |a| a.to_string()),
-        if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
+        LocalBackend::new(threads).workers()
     );
     let opts = ServeOptions {
         threads,

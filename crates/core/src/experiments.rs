@@ -6,7 +6,7 @@
 use std::fmt;
 
 use avf_ace::{FaultRates, Structure, StructureClass};
-use avf_ga::{GaParams, GenerationStats};
+use avf_ga::{par_map, GaParams, GenerationStats};
 use avf_inject::{Campaign, CampaignConfig, CampaignReport};
 use avf_sim::{simulate, MachineConfig, SimResult};
 use avf_workloads::Workload;
@@ -30,7 +30,8 @@ pub struct ExperimentConfig {
     pub final_instructions: u64,
     /// GA parameters.
     pub ga: GaParams,
-    /// Worker threads for workload sweeps.
+    /// Worker threads for workload sweeps, searches and campaigns (0 =
+    /// one per available core).
     pub threads: usize,
 }
 
@@ -43,9 +44,7 @@ impl ExperimentConfig {
             eval_instructions: 120_000,
             final_instructions: 2_000_000,
             ga: GaParams::quick(),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: 0,
         }
     }
 
@@ -61,9 +60,7 @@ impl ExperimentConfig {
                 generations: 4,
                 ..GaParams::quick()
             },
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: 0,
         }
     }
 
@@ -81,7 +78,8 @@ impl ExperimentConfig {
     }
 }
 
-/// Runs every workload on `machine` for `instructions`, in parallel.
+/// Runs every workload on `machine` for `instructions`, on `threads`
+/// threads (0 = one per available core), in input order.
 #[must_use]
 pub fn run_suite(
     machine: &MachineConfig,
@@ -89,39 +87,9 @@ pub fn run_suite(
     instructions: u64,
     threads: usize,
 ) -> Vec<(Workload, SimResult)> {
-    let n = workloads.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    let mut results: Vec<Option<(Workload, SimResult)>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<(Workload, SimResult)>] = &mut results;
-        let mut offset = 0;
-        let mut handles = Vec::new();
-        while offset < n {
-            let take = chunk.min(n - offset);
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let slice = &workloads[offset..offset + take];
-            handles.push(scope.spawn(move || {
-                for (out, w) in head.iter_mut().zip(slice) {
-                    let program = w.build();
-                    let result = simulate(machine, &program, instructions);
-                    *out = Some((w.clone(), result));
-                }
-            }));
-            offset += take;
-        }
-        for h in handles {
-            h.join().expect("workload worker panicked");
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
+    par_map(threads, workloads, |w| {
+        (w.clone(), simulate(machine, &w.build(), instructions))
+    })
 }
 
 /// Bit-weighted AVF over a group of structures (merges tag/data arrays for

@@ -2,10 +2,10 @@
 //!
 //! The generational loop in [`crate::optimize`] does not own execution:
 //! it hands each generation to a [`FitnessEvaluator`] and gets scores
-//! back. Where and how those scores are computed — inline, on a
-//! persistent local thread pool ([`LocalEvaluator`]), or across a
-//! remote worker fleet — is the evaluator's business, which is what
-//! lets the stressmark search run distributed without the GA knowing.
+//! back. Where and how those scores are computed — inline, on local
+//! threads ([`LocalEvaluator`]), or across a remote worker fleet — is
+//! the evaluator's business, which is what lets the stressmark search
+//! run distributed without the GA knowing.
 //!
 //! Evaluators also own the *evaluation count*: [`GaResult::evaluations`]
 //! reports actual fitness computations, so an evaluator that memoizes
@@ -18,8 +18,8 @@
 //! [`GaResult::evaluations`]: crate::GaResult::evaluations
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+
+use crate::par_map;
 
 /// A fitness evaluation failed in a way the evaluator cannot recover
 /// from (e.g. every remote worker died). Local evaluation is
@@ -97,65 +97,34 @@ impl<F: Fn(&[f64]) -> f64> FitnessEvaluator for ClosureEvaluator<F> {
     }
 }
 
+type FitnessFn = dyn Fn(&[f64]) -> f64 + Send + Sync;
+
 /// In-process parallel evaluator with a genome-keyed memo cache.
 ///
-/// The worker pool is built once, when the evaluator is constructed, and
-/// lives for the whole search — thread setup is paid per search, not per
-/// generation. Scores are memoized by exact genome bits, so elites
-/// carried across generations (and duplicate genomes within one) are
-/// evaluated exactly once; `evaluations` therefore counts *distinct*
+/// Each generation's uncached genomes are scored through [`par_map`]
+/// on `threads` threads. Scores are memoized by exact genome bits, so
+/// elites carried across generations (and duplicate genomes within one)
+/// are evaluated exactly once; `evaluations` therefore counts *distinct*
 /// genomes, matching what a remote fleet would report for the same
 /// search. The cache is unbounded: a search touches at most
 /// `population × generations` genomes, a few megabytes at paper scale.
 pub struct LocalEvaluator {
-    job_tx: Option<mpsc::Sender<(usize, Vec<f64>)>>,
-    result_rx: mpsc::Receiver<(usize, f64)>,
-    pool: Vec<JoinHandle<()>>,
+    threads: usize,
+    fitness: Box<FitnessFn>,
     cache: HashMap<Vec<u64>, f64>,
     evaluations: u64,
 }
 
 impl LocalEvaluator {
-    /// Builds a pool of `threads` persistent workers evaluating
-    /// `fitness` (0 = one per available core).
+    /// An evaluator scoring `fitness` on `threads` threads (0 = one per
+    /// available core).
     pub fn new<F>(threads: usize, fitness: F) -> LocalEvaluator
     where
         F: Fn(&[f64]) -> f64 + Send + Sync + 'static,
     {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        let (job_tx, job_rx) = mpsc::channel::<(usize, Vec<f64>)>();
-        let (result_tx, result_rx) = mpsc::channel();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let fitness = Arc::new(fitness);
-        let pool = (0..threads)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                let fitness = Arc::clone(&fitness);
-                std::thread::spawn(move || loop {
-                    // Take the next job while holding the lock only for
-                    // the recv, never for the evaluation itself.
-                    let job = job_rx.lock().expect("job queue lock").recv();
-                    let Ok((slot, genome)) = job else {
-                        return; // queue closed: the evaluator was dropped
-                    };
-                    let score = fitness(&genome);
-                    if result_tx.send((slot, score)).is_err() {
-                        return;
-                    }
-                })
-            })
-            .collect();
         LocalEvaluator {
-            job_tx: Some(job_tx),
-            result_rx,
-            pool,
+            threads,
+            fitness: Box::new(fitness),
             cache: HashMap::new(),
             evaluations: 0,
         }
@@ -180,23 +149,14 @@ impl FitnessEvaluator for LocalEvaluator {
                 fresh.push((key, vec![i]));
             }
         }
-        let tx = self
-            .job_tx
-            .as_ref()
-            .expect("pool alive while evaluator lives");
-        for (slot, (_, indices)) in fresh.iter().enumerate() {
-            tx.send((slot, generation[indices[0]].clone()))
-                .expect("evaluation pool hung up");
-        }
-        for _ in 0..fresh.len() {
-            let (slot, score) = self
-                .result_rx
-                .recv()
-                .expect("evaluation pool worker panicked");
-            let (key, indices) = &fresh[slot];
-            self.cache.insert(key.clone(), score);
+        let fitness = &self.fitness;
+        let fresh_scores = par_map(self.threads, &fresh, |(_, indices)| {
+            fitness(&generation[indices[0]])
+        });
+        for ((key, indices), score) in fresh.into_iter().zip(fresh_scores) {
+            self.cache.insert(key, score);
             self.evaluations += 1;
-            for &i in indices {
+            for i in indices {
                 scores[i] = score;
             }
         }
@@ -205,15 +165,6 @@ impl FitnessEvaluator for LocalEvaluator {
 
     fn evaluations(&self) -> u64 {
         self.evaluations
-    }
-}
-
-impl Drop for LocalEvaluator {
-    fn drop(&mut self) {
-        drop(self.job_tx.take());
-        for h in self.pool.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 

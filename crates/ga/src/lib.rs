@@ -20,9 +20,14 @@
 //!
 //! Fitness evaluation is pluggable: [`optimize`] scores each generation
 //! through a [`FitnessEvaluator`] — wrap a closure in
-//! [`ClosureEvaluator`], use [`LocalEvaluator`] for a persistent memoizing
-//! thread pool, or supply a remote backend (the stressmark layer ships
-//! one that fans generations out across a worker fleet).
+//! [`ClosureEvaluator`], use [`LocalEvaluator`] to memoize scores and
+//! compute the new ones on local threads, or supply a remote backend
+//! (the stressmark layer ships one that fans generations out across a
+//! worker fleet).
+//!
+//! [`par_map`] is the workspace's ordered parallel map: the local
+//! evaluator, the worker's fitness batches and the workload sweeps all
+//! run on it.
 //!
 //! ## Example
 //!
@@ -43,10 +48,12 @@ mod engine;
 mod evaluator;
 mod history;
 mod ops;
+mod par;
 mod params;
 
 pub use engine::{optimize, GaResult};
 pub use evaluator::{genome_bits, ClosureEvaluator, EvalError, FitnessEvaluator, LocalEvaluator};
 pub use history::{mean_std, GenerationStats};
 pub use ops::{crossover, mutate, random_genome, tournament};
+pub use par::par_map;
 pub use params::GaParams;

@@ -515,40 +515,10 @@ pub fn shard_trials(trials: &[Trial], workers: usize) -> Vec<Vec<Trial>> {
 /// verdict rather than the old `debug_assert!`, which in release builds
 /// silently injected at whatever earlier cycle the run ended on.
 ///
-/// Armed trials simulate the whole tail; see [`classify_trial_against`]
-/// for the same verdict settled early at golden checkpoints.
+/// Armed trials simulate the whole tail; see [`settle_trial`] for the
+/// same verdict settled early at golden checkpoints.
 pub fn classify_trial(sim: &mut InjectionSim<'_>, trial: &Trial, golden_digest: u64) -> Outcome {
-    classify_trial_against(sim, trial, golden_digest, None)
-}
-
-/// [`classify_trial`], settling an armed trial at the first golden
-/// checkpoint where its verdict is already fixed.
-///
-/// At each `golden` checkpoint after the injection cycle the faulty
-/// machine is judged against the golden snapshot of that cycle
-/// ([`InjectionSim::judge`]). Every field but three passive parts (the
-/// oracle's registers, its memory bytes and the DTLB poison flag) must
-/// be equal, and no differing register or byte may be read later in the
-/// golden future. Then the faulty machine runs the golden future cycle
-/// for cycle, so its verdict is fixed without simulating the rest of the
-/// tail: DUE if the golden future hits the poisoned DTLB entry before
-/// evicting it, else SDC if a differing byte is never stored to again,
-/// else Masked. With no difference at all the trial has rejoined the
-/// golden run (Masked). The verdict is therefore always the full-tail
-/// one, provided `golden` holds the checkpoints of the golden pass of
-/// `sim`'s machine, program and instruction budget, and `sim`'s cycle
-/// budget covers the golden run (as [`cycle_budget_of`] does). A trial
-/// that completes is judged against the golden final image page by page
-/// (pages it shares with that image are skipped) rather than by
-/// `golden_digest`. `None` simulates every tail in full and compares
-/// digests.
-pub fn classify_trial_against(
-    sim: &mut InjectionSim<'_>,
-    trial: &Trial,
-    golden_digest: u64,
-    golden: Option<&DecodedCheckpoints>,
-) -> Outcome {
-    settle_trial(sim, trial, golden_digest, golden).outcome
+    settle_trial(sim, trial, golden_digest, None).outcome
 }
 
 /// Where a trial's verdict came from.
@@ -577,7 +547,28 @@ pub struct Settled {
     pub tail_cycles: u64,
 }
 
-/// [`classify_trial_against`], also reporting how the trial ended.
+/// [`classify_trial`], settling an armed trial at the first golden
+/// checkpoint where its verdict is already fixed, and reporting how the
+/// trial ended.
+///
+/// At each `golden` checkpoint after the injection cycle the faulty
+/// machine is judged against the golden snapshot of that cycle
+/// ([`InjectionSim::judge`]). Every field but three passive parts (the
+/// oracle's registers, its memory bytes and the DTLB poison flag) must
+/// be equal, and no differing register or byte may be read later in the
+/// golden future. Then the faulty machine runs the golden future cycle
+/// for cycle, so its verdict is fixed without simulating the rest of the
+/// tail: DUE if the golden future hits the poisoned DTLB entry before
+/// evicting it, else SDC if a differing byte is never stored to again,
+/// else Masked. With no difference at all the trial has rejoined the
+/// golden run (Masked). The verdict is therefore always the full-tail
+/// one, provided `golden` holds the checkpoints of the golden pass of
+/// `sim`'s machine, program and instruction budget, and `sim`'s cycle
+/// budget covers the golden run (as [`cycle_budget_of`] does). A trial
+/// that completes is judged against the golden final image page by page
+/// (pages it shares with that image are skipped) rather than by
+/// `golden_digest`. `None` simulates every tail in full and compares
+/// digests.
 pub fn settle_trial(
     sim: &mut InjectionSim<'_>,
     trial: &Trial,

@@ -74,11 +74,10 @@ mod report;
 mod stats;
 
 pub use backend::{
-    classify_trial, classify_trial_against, cycle_budget_of, decode_trial_batch,
-    encode_trial_batch, redispatched_trials, run_golden_pass, settle_trial, shard_trials,
-    BackendError, CampaignBackend, CampaignSession, DispatchRecord, GoldenSpec, JobSpec,
-    LocalBackend, OpenedJob, Settled, StoreSource, TrialEnd, TrialEnds, TrialEvent, TrialStream,
-    WorkerProvision,
+    classify_trial, cycle_budget_of, decode_trial_batch, encode_trial_batch, redispatched_trials,
+    run_golden_pass, settle_trial, shard_trials, BackendError, CampaignBackend, CampaignSession,
+    DispatchRecord, GoldenSpec, JobSpec, LocalBackend, OpenedJob, Settled, StoreSource, TrialEnd,
+    TrialEnds, TrialEvent, TrialStream, WorkerProvision,
 };
 pub use campaign::{Campaign, CampaignConfig};
 pub use plan::{SamplingPlan, Trial, AUDIT_BATCH};

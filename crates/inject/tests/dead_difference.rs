@@ -1,6 +1,6 @@
 //! Golden-future verdicts equal full-tail verdicts.
 //!
-//! `classify_trial_against` settles an armed trial at a golden checkpoint
+//! `settle_trial` settles an armed trial at a golden checkpoint
 //! when the faulty machine differs from the checkpoint only in oracle
 //! registers, memory bytes or a DTLB poison that the golden future never
 //! reads. The property test checks the settled verdict against the

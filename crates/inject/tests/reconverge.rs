@@ -1,6 +1,6 @@
 //! Early termination at golden checkpoints must never change a verdict.
 //!
-//! `classify_trial_against` stops an armed trial as soon as its machine
+//! `settle_trial` stops an armed trial as soon as its machine
 //! state equals the golden snapshot at a checkpoint cycle, or differs
 //! from it only in state the golden future never reads. The property
 //! test draws random (target, entry, bit, cycle) tuples on the testkit
@@ -14,8 +14,8 @@
 use std::sync::OnceLock;
 
 use avf_inject::{
-    classify_trial, classify_trial_against, cycle_budget_of, golden_run_checkpointed, settle_trial,
-    DecodedCheckpoints, FaultModel, FlipEffect, InjectionTarget, Outcome, Trial, TrialEnd,
+    classify_trial, cycle_budget_of, golden_run_checkpointed, settle_trial, DecodedCheckpoints,
+    FaultModel, FlipEffect, InjectionTarget, Outcome, Trial, TrialEnd,
 };
 use avf_isa::Program;
 use avf_sim::{GoldenRun, InjectionSim, Judgement, MachineConfig, Verdict};
@@ -99,12 +99,13 @@ proptest! {
             1 + cycle % (fx.golden.cycles - 1),
         );
         let full = classify_trial(&mut sim_at(fx, model, t.cycle), &t, fx.golden.digest);
-        let early = classify_trial_against(
+        let early = settle_trial(
             &mut sim_at(fx, model, t.cycle),
             &t,
             fx.golden.digest,
             Some(&fx.checkpoints),
-        );
+        )
+        .outcome;
         prop_assert_eq!(full, early, "{:?} under {}", t, model);
     }
 }
@@ -118,7 +119,7 @@ fn classify_with_budget_at_last_checkpoint(fx: &Fixture, t: &Trial, early: bool)
     let mut sim = sim_at(fx, FaultModel::Replay, t.cycle);
     sim.set_cycle_budget(last + 1);
     let golden = early.then_some(&fx.checkpoints);
-    classify_trial_against(&mut sim, t, fx.golden.digest, golden)
+    settle_trial(&mut sim, t, fx.golden.digest, golden).outcome
 }
 
 #[test]

@@ -17,7 +17,9 @@
 //! → `generate` → `simulate` → `Fitness::score`). That keeps a generation
 //! frame a few kilobytes regardless of candidate size, and it lets the
 //! worker memoize by genome: elite individuals re-scored across
-//! generations are [`crate::EvalCache`] hits, not simulations.
+//! generations are [`crate::EvalCache`] hits, not simulations, counted
+//! by `avf_eval_cache_hits` on `serve --metrics`. The misses of a batch
+//! are scored through [`avf_ga::par_map`] on the worker's threads.
 //!
 //! Driver-side, a generation goes through the same [`Fleet`] dispatcher
 //! as campaign trials, sharded with genome-keyed affinity
@@ -39,7 +41,7 @@ use std::sync::mpsc;
 
 use avf_ace::{FaultRates, Fitness, FitnessScope, Structure};
 use avf_codegen::{generate, Knobs, TargetParams};
-use avf_ga::{genome_bits, EvalError, FitnessEvaluator};
+use avf_ga::{genome_bits, par_map, EvalError, FitnessEvaluator};
 use avf_inject::BackendError;
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_sim::{simulate, MachineConfig};
@@ -163,9 +165,7 @@ impl EvalContext {
     }
 }
 
-/// Key a genome routes and logs under: the content hash of its exact
-/// gene bits. Both sides derive it, so CI can grep a worker's log for
-/// the hit/miss history of a specific elite genome.
+/// Key a genome routes under: the content hash of its exact gene bits.
 #[must_use]
 pub fn genome_key(genes: &[f64]) -> u64 {
     let mut w = WireWriter::new();
@@ -327,37 +327,6 @@ pub fn evaluate_genome(ctx: &EvalContext, genes: &[f64]) -> f64 {
     ctx.fitness.score(&result.report)
 }
 
-fn score_parallel(
-    ctx: &EvalContext,
-    genomes: &[(u64, Vec<f64>, Vec<u64>)],
-    threads: usize,
-) -> Vec<f64> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let threads = threads.clamp(1, genomes.len().max(1));
-    let mut scores = vec![0.0; genomes.len()];
-    if threads <= 1 {
-        for (slot, (_, genes, _)) in scores.iter_mut().zip(genomes) {
-            *slot = evaluate_genome(ctx, genes);
-        }
-        return scores;
-    }
-    let chunk = genomes.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in genomes.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, (_, genes, _)) in out_chunk.iter_mut().zip(in_chunk) {
-                    *slot = evaluate_genome(ctx, genes);
-                }
-            });
-        }
-    });
-    scores
-}
-
 /// Drives one evaluation session over one connection (worker side).
 /// `first` is the already-read opening `EVAL_BATCH` payload.
 pub(crate) fn handle_eval_session(
@@ -377,26 +346,19 @@ pub(crate) fn handle_eval_session(
         let mut misses: Vec<(u64, Vec<f64>, Vec<u64>)> = Vec::new();
         for (index, genes) in &batch.individuals {
             let bits = genome_bits(genes);
-            let key = genome_key(genes);
             if let Some(score) = opts.eval_cache.lookup(fingerprint, &bits) {
-                crate::log_line!(
-                    "serve: eval gen {} genome {key:016x} fitness HIT (cache)",
-                    batch.generation
-                );
                 results.push(EvalScore {
                     index: *index,
                     score,
                     cached: true,
                 });
             } else {
-                crate::log_line!(
-                    "serve: eval gen {} genome {key:016x} fitness MISS (simulating)",
-                    batch.generation
-                );
                 misses.push((*index, genes.clone(), bits));
             }
         }
-        let scores = score_parallel(&batch.context, &misses, opts.threads);
+        let scores = par_map(opts.threads, &misses, |(_, genes, _)| {
+            evaluate_genome(&batch.context, genes)
+        });
         for ((index, _, bits), score) in misses.into_iter().zip(scores) {
             opts.eval_cache.insert((fingerprint, bits), score);
             results.push(EvalScore {

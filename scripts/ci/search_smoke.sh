@@ -4,9 +4,9 @@
 # report (knobs, SER breakdown, per-generation history) must be
 # bit-identical to the same-seed local run — scores are pure functions
 # of (machine, fitness, budget, genome), so the venue may never leak
-# into the result. The worker log must also show the genome cache
-# taking hits: elite genomes re-scored across generations are cache
-# hits, not re-simulations.
+# into the result. The workers' /metrics must also show the genome
+# cache taking hits: elite genomes re-scored across generations are
+# cache hits, not re-simulations.
 set -euo pipefail
 . "$(dirname "$0")/lib.sh"
 
@@ -15,6 +15,8 @@ BIN=./target/release/avf-stressmark
 
 W1_PORT=7711
 W2_PORT=7712
+W1_METRICS_PORT=7713
+W2_METRICS_PORT=7714
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -23,10 +25,10 @@ trap 'rm -rf "$WORK"' EXIT
 od -An -tx1 -N16 /dev/urandom | tr -d ' \n' > "$WORK/fleet.key"
 
 "$BIN" serve --listen "127.0.0.1:$W1_PORT" --threads 1 --auth-key-file "$WORK/fleet.key" \
-  2> "$WORK/worker1.log" &
+  --metrics "127.0.0.1:$W1_METRICS_PORT" &
 W1_PID=$!
 "$BIN" serve --listen "127.0.0.1:$W2_PORT" --threads 1 --auth-key-file "$WORK/fleet.key" \
-  2> "$WORK/worker2.log" &
+  --metrics "127.0.0.1:$W2_METRICS_PORT" &
 W2_PID=$!
 trap 'kill $W1_PID $W2_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
 wait_port "$W1_PORT" "$W1_PID"
@@ -51,13 +53,21 @@ fi
 echo "ok: 2-worker search report is bit-identical to the local run"
 
 # Elite genomes survive into the next generation and are re-submitted;
-# the worker-side genome cache must serve those re-evaluations.
-if ! grep -qh "fitness HIT (cache)" "$WORK/worker1.log" "$WORK/worker2.log"; then
+# the worker-side genome cache must serve those re-evaluations. Both
+# workers must answer the scrape.
+HITS=0
+for port in "$W1_METRICS_PORT" "$W2_METRICS_PORT"; do
+  if ! PAGE=$(curl -sf "http://127.0.0.1:$port/metrics"); then
+    echo "error: the /metrics scrape of the worker on port $port failed" >&2
+    exit 1
+  fi
+  HITS=$((HITS + $(awk '$1 == "avf_eval_cache_hits" { n += $2 } END { print n + 0 }' <<< "$PAGE")))
+done
+if [ "$HITS" -le 0 ]; then
   echo "error: no worker cache hits — elite re-evaluations were re-simulated" >&2
-  grep -h "fitness" "$WORK/worker1.log" "$WORK/worker2.log" | tail -20 >&2 || true
   exit 1
 fi
-echo "ok: worker genome cache served elite re-evaluations"
+echo "ok: worker genome cache served $HITS elite re-evaluation(s)"
 
 trap 'rm -rf "$WORK"' EXIT
 reap "$W1_PID" "worker 1"
