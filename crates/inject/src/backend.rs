@@ -532,6 +532,10 @@ pub enum TrialEnd {
     /// Differed from a golden checkpoint only in state the golden
     /// future never reads.
     Decided,
+    /// Equal to a golden checkpoint in active state, with its oracle
+    /// then shown to produce the golden outcomes to the end of the run
+    /// ([`InjectionSim::oracle_tail`]).
+    OracleTail,
     /// Ran its tail until the run ended.
     FullTail,
 }
@@ -543,7 +547,8 @@ pub struct Settled {
     pub outcome: Outcome,
     /// Where it came from.
     pub end: TrialEnd,
-    /// Cycles simulated after the flip.
+    /// Cycles simulated after the flip (for an [`TrialEnd::OracleTail`]
+    /// trial, up to the checkpoint where the oracle tail started).
     pub tail_cycles: u64,
 }
 
@@ -553,22 +558,35 @@ pub struct Settled {
 ///
 /// At each `golden` checkpoint after the injection cycle the faulty
 /// machine is judged against the golden snapshot of that cycle
-/// ([`InjectionSim::judge`]). Every field but three passive parts (the
-/// oracle's registers, its memory bytes and the DTLB poison flag) must
-/// be equal, and no differing register or byte may be read later in the
-/// golden future. Then the faulty machine runs the golden future cycle
-/// for cycle, so its verdict is fixed without simulating the rest of the
-/// tail: DUE if the golden future hits the poisoned DTLB entry before
-/// evicting it, else SDC if a differing byte is never stored to again,
-/// else Masked. With no difference at all the trial has rejoined the
-/// golden run (Masked). The verdict is therefore always the full-tail
-/// one, provided `golden` holds the checkpoints of the golden pass of
-/// `sim`'s machine, program and instruction budget, and `sim`'s cycle
-/// budget covers the golden run (as [`cycle_budget_of`] does). A trial
-/// that completes is judged against the golden final image page by page
-/// (pages it shares with that image are skipped) rather than by
-/// `golden_digest`. `None` simulates every tail in full and compares
-/// digests.
+/// ([`InjectionSim::judge`]). Every field but four passive parts (the
+/// oracle's registers, its memory bytes, the DTLB poison flag and the
+/// in-flight micro-ops' values) must be equal, and no differing register
+/// or byte may be read later in the golden future. Then the faulty
+/// machine runs the golden future cycle for cycle, so its verdict is
+/// fixed without simulating the rest of the tail: DUE if the golden
+/// future hits the poisoned DTLB entry before evicting it, else SDC if a
+/// differing byte is never stored to again, else Masked. With no
+/// difference at all the trial has rejoined the golden run (Masked).
+///
+/// At the first checkpoint where only the second condition fails
+/// ([`Judgement::Live`]), the trial's oracle is run alone to the end of
+/// the run and checked against the golden addresses and branch
+/// directions ([`InjectionSim::oracle_tail`]). If it follows them, the
+/// machine again runs the golden timing, and its verdict is DUE on a
+/// golden hit of the poisoned entry, else SDC if the oracle's final
+/// memory differs from the golden image, else Masked. If it does not,
+/// the trial goes on in the cycle loop and never tries the oracle tail
+/// again: with no cache fault pending its architectural path is fixed
+/// from the flip onward, so it would leave the golden path at the same
+/// instruction. So each trial runs at most one oracle pass.
+///
+/// The verdict is therefore always the full-tail one, provided `golden`
+/// holds the checkpoints of the golden pass of `sim`'s machine, program
+/// and instruction budget, and `sim`'s cycle budget covers the golden
+/// run (as [`cycle_budget_of`] does). A trial that completes is judged
+/// against the golden final image page by page (pages it shares with
+/// that image are skipped) rather than by `golden_digest`. `None`
+/// simulates every tail in full and compares digests.
 pub fn settle_trial(
     sim: &mut InjectionSim<'_>,
     trial: &Trial,
@@ -614,7 +632,13 @@ fn run_armed_tail(
     golden_digest: u64,
     golden: Option<&DecodedCheckpoints>,
 ) -> (Outcome, TrialEnd) {
+    let outcome_of = |verdict| match verdict {
+        Verdict::Masked => Outcome::Masked,
+        Verdict::Sdc => Outcome::Sdc,
+        Verdict::Due => Outcome::Due,
+    };
     if let Some(g) = golden {
+        let mut oracle_tried = false;
         for (cycle, _) in g.after(injected_at) {
             // A run that ends (or times out) first is settled by `run_to_end`.
             if !sim.run_to_cycle(cycle) {
@@ -622,15 +646,15 @@ fn run_armed_tail(
             }
             match sim.judge(g) {
                 Judgement::Open => {}
-                Judgement::Rejoined => return (Outcome::Masked, TrialEnd::Rejoined),
-                Judgement::Decided(verdict) => {
-                    let outcome = match verdict {
-                        Verdict::Masked => Outcome::Masked,
-                        Verdict::Sdc => Outcome::Sdc,
-                        Verdict::Due => Outcome::Due,
-                    };
-                    return (outcome, TrialEnd::Decided);
+                Judgement::Live if oracle_tried => {}
+                Judgement::Live => {
+                    oracle_tried = true;
+                    if let Some(verdict) = sim.oracle_tail(g) {
+                        return (outcome_of(verdict), TrialEnd::OracleTail);
+                    }
                 }
+                Judgement::Rejoined => return (Outcome::Masked, TrialEnd::Rejoined),
+                Judgement::Decided(verdict) => return (outcome_of(verdict), TrialEnd::Decided),
             }
         }
     }
@@ -662,6 +686,8 @@ pub struct TrialEnds {
     decided_sdc: AtomicU64,
     /// Armed trials decided DUE at a checkpoint.
     decided_due: AtomicU64,
+    /// Armed trials finished on the oracle alone.
+    oracle_tail: AtomicU64,
     /// Armed trials that ran their tail until the run ended.
     full_tail: AtomicU64,
     /// Cycles armed trials simulated after their flips.
@@ -677,6 +703,7 @@ impl TrialEnds {
             (TrialEnd::Decided, Outcome::Sdc) => &self.decided_sdc,
             (TrialEnd::Decided, Outcome::Due) => &self.decided_due,
             (TrialEnd::Decided, _) => &self.decided_masked,
+            (TrialEnd::OracleTail, _) => &self.oracle_tail,
             (TrialEnd::FullTail, _) => &self.full_tail,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -686,7 +713,7 @@ impl TrialEnds {
 
     /// Every counter with its metric-style name, in a fixed order.
     #[must_use]
-    pub fn values(&self) -> [(&'static str, u64); 7] {
+    pub fn values(&self) -> [(&'static str, u64); 8] {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         [
             ("trials_probe", load(&self.probe)),
@@ -694,6 +721,7 @@ impl TrialEnds {
             ("trials_decided_masked", load(&self.decided_masked)),
             ("trials_decided_sdc", load(&self.decided_sdc)),
             ("trials_decided_due", load(&self.decided_due)),
+            ("trials_oracle_tail", load(&self.oracle_tail)),
             ("trials_full_tail", load(&self.full_tail)),
             ("tail_cycles", load(&self.tail_cycles)),
         ]

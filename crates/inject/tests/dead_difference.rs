@@ -279,8 +279,8 @@ fn a_byte_loaded_later_is_not_decided_before_the_load() {
     );
     let t = first_armed(&fx, InjectionTarget::Sq, 0, STORE_DATA_BIT);
     let js = judgements(&fx, &t);
-    let open = js.iter().take_while(|&&j| j == Judgement::Open).count();
-    assert!(open >= 5, "open through the pause: {js:?}");
+    let live = js.iter().take_while(|&&j| j == Judgement::Live).count();
+    assert!(live >= 5, "live through the pause: {js:?}");
     assert_eq!(settle(&fx, &t).outcome, Outcome::Sdc);
     assert_eq!(full_tail(&fx, &t), Outcome::Sdc);
 }

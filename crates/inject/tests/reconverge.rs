@@ -8,14 +8,16 @@
 //! full-tail `classify_trial`. The deterministic tests show that the
 //! check really fires (so the property cannot hold vacuously), that a
 //! corruption which never disappears is never mistaken for a match but
-//! is decided once nothing reads it, and that a corruption the golden
-//! future keeps reading is never settled early.
+//! is decided once nothing reads it, that a corruption the golden future
+//! keeps reading is never decided by the index (the oracle tail settles
+//! it when it only reaches stored data), and that one which steers an
+//! address runs its full tail.
 
 use std::sync::OnceLock;
 
 use avf_inject::{
     classify_trial, cycle_budget_of, golden_run_checkpointed, settle_trial, DecodedCheckpoints,
-    FaultModel, FlipEffect, InjectionTarget, Outcome, Trial, TrialEnd,
+    FaultModel, FlipEffect, InjectionTarget, Outcome, Settled, Trial, TrialEnd,
 };
 use avf_isa::Program;
 use avf_sim::{GoldenRun, InjectionSim, Judgement, MachineConfig, Verdict};
@@ -209,41 +211,86 @@ fn a_lingering_corruption_never_matches_a_checkpoint() {
     );
 }
 
+/// Register-file flips of bit 3 at a third of the register chain's
+/// run, with their early and full-tail verdicts.
+fn chain_register_flips(fx: &Fixture) -> Vec<(Trial, Settled, Outcome)> {
+    let cycle = fx.golden.cycles / 3;
+    (0..machine().phys_regs as u64)
+        .map(|preg| trial(InjectionTarget::RegFile, preg, 3, cycle))
+        .map(|t| {
+            let settled = settle_trial(
+                &mut sim_at(fx, FaultModel::Replay, cycle),
+                &t,
+                fx.golden.digest,
+                Some(&fx.checkpoints),
+            );
+            let full = classify_trial(
+                &mut sim_at(fx, FaultModel::Replay, cycle),
+                &t,
+                fx.golden.digest,
+            );
+            (t, settled, full)
+        })
+        .collect()
+}
+
 #[test]
 fn a_corruption_the_golden_future_reads_is_never_settled_early() {
     // The register chain folds each of r8..r23 into the stored
     // accumulator on every iteration until the budget ends: a flip in
-    // one of them is read at every checkpoint after it and ends SDC.
+    // one of them is read at every checkpoint after it and ends SDC. The
+    // index never decides it, but the value only ever flows into stored
+    // data, never into an address or a branch, so the oracle tail
+    // settles it at the first checkpoint.
     let fx = &fixtures()[0];
-    let cycle = fx.golden.cycles / 3;
-    let sdc = (0..machine().phys_regs as u64)
-        .map(|preg| trial(InjectionTarget::RegFile, preg, 3, cycle))
-        .find(|t| {
-            classify_trial(
-                &mut sim_at(fx, FaultModel::Replay, cycle),
-                t,
-                fx.golden.digest,
-            ) == Outcome::Sdc
-        })
+    let flips = chain_register_flips(fx);
+    let (sdc, settled, _) = flips
+        .iter()
+        .find(|(_, _, full)| *full == Outcome::Sdc)
         .expect("a live register flip at a third of the run");
-    let judgements = judgements_after_flip(fx, &sdc);
+    let judgements = judgements_after_flip(fx, sdc);
     assert!(judgements.len() >= 3, "{judgements:?}");
     assert!(
-        judgements.iter().all(|&j| j == Judgement::Open),
+        judgements.iter().all(|&j| j == Judgement::Live),
         "{judgements:?}"
-    );
-    let settled = settle_trial(
-        &mut sim_at(fx, FaultModel::Replay, cycle),
-        &sdc,
-        fx.golden.digest,
-        Some(&fx.checkpoints),
     );
     assert_eq!(
         (settled.outcome, settled.end),
-        (Outcome::Sdc, TrialEnd::FullTail)
+        (Outcome::Sdc, TrialEnd::OracleTail)
+    );
+    let (first, _) = fx
+        .checkpoints
+        .after(sdc.cycle)
+        .next()
+        .expect("a checkpoint");
+    assert_eq!(
+        settled.tail_cycles,
+        first - sdc.cycle,
+        "settled at the first one"
+    );
+}
+
+#[test]
+fn a_corruption_that_steers_an_address_runs_its_full_tail() {
+    // A flip of the chain's base register moves every later store: the
+    // oracle leaves the golden address stream at the next store, so only
+    // the full tail settles the trial, and the cut budget times it out.
+    let fx = &fixtures()[0];
+    let flips = chain_register_flips(fx);
+    let (steered, settled, full) = flips
+        .iter()
+        .find(|(_, settled, _)| settled.end == TrialEnd::FullTail)
+        .expect("a register flip that steers the run");
+    assert_eq!((settled.outcome, *full), (Outcome::Sdc, Outcome::Sdc));
+    let judgements = judgements_after_flip(fx, steered);
+    assert!(
+        judgements
+            .iter()
+            .all(|&j| !matches!(j, Judgement::Decided(_) | Judgement::Rejoined)),
+        "{judgements:?}"
     );
     assert_eq!(
-        classify_with_budget_at_last_checkpoint(fx, &sdc, true),
+        classify_with_budget_at_last_checkpoint(fx, steered, true),
         Outcome::Due,
         "only the full tail settles it, and the cut budget times it out"
     );

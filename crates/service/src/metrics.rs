@@ -198,6 +198,7 @@ mod tests {
             "avf_serve_trials_decided_masked 0",
             "avf_serve_trials_decided_sdc 0",
             "avf_serve_trials_decided_due 0",
+            "avf_serve_trials_oracle_tail 0",
             "avf_serve_trials_full_tail 0",
             "avf_serve_tail_cycles 0",
         ] {

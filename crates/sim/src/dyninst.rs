@@ -11,8 +11,9 @@ pub enum Stage {
     Complete,
 }
 
-/// One in-flight dynamic instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One in-flight dynamic instruction. Machines compare entries with
+/// [`DynInst::compare_values`], which tells values from the rest.
+#[derive(Debug, Clone)]
 pub struct DynInst {
     /// Fetch sequence number (program-order identity).
     pub seq: u64,
@@ -82,6 +83,52 @@ impl DynInst {
     #[must_use]
     pub fn is_complete(&self, cycle: u64) -> bool {
         self.stage == Stage::Complete && self.complete_cycle <= cycle
+    }
+
+    /// Compares `self` with `other`: `None` if any field the cycle loop
+    /// reads differs, else whether the values differ — the oracle
+    /// result (`outcome.value`) and the recorded operands
+    /// (`src_vals`). Only the flip engine reads those two, never
+    /// `tick`. Destructured in full, so a new field must be placed here.
+    pub(crate) fn compare_values(&self, other: &DynInst) -> Option<bool> {
+        let DynInst {
+            seq,
+            pc,
+            inst,
+            wrong_path,
+            mispredicted,
+            predicted_taken,
+            outcome,
+            stage,
+            dispatch_cycle,
+            issue_cycle,
+            complete_cycle,
+            data_return_cycle,
+            dest_preg,
+            prev_preg,
+            src_pregs,
+            src_vals,
+        } = other;
+        let timing = self.seq == *seq
+            && self.pc == *pc
+            && self.inst == *inst
+            && self.wrong_path == *wrong_path
+            && self.mispredicted == *mispredicted
+            && self.predicted_taken == *predicted_taken
+            && self.stage == *stage
+            && self.dispatch_cycle == *dispatch_cycle
+            && self.issue_cycle == *issue_cycle
+            && self.complete_cycle == *complete_cycle
+            && self.data_return_cycle == *data_return_cycle
+            && self.dest_preg == *dest_preg
+            && self.prev_preg == *prev_preg
+            && self.src_pregs == *src_pregs;
+        let without_value = |o: &Option<Outcome>| o.map(|o| Outcome { value: 0, ..o });
+        if !timing || without_value(&self.outcome) != without_value(outcome) {
+            return None;
+        }
+        let value = |o: &Option<Outcome>| o.map(|o| o.value);
+        Some(self.src_vals != *src_vals || value(&self.outcome) != value(outcome))
     }
 }
 

@@ -1,17 +1,24 @@
 //! The golden future: what the fault-free run reads and overwrites after
-//! each of its checkpoints, recorded by the golden pass as it runs.
+//! each of its checkpoints, and the outcomes its oracle produces, recorded
+//! by the golden pass as it runs.
 //!
 //! A faulty machine whose state equals a golden checkpoint's in every
-//! field except three *passive* parts — the oracle's register values,
-//! its memory bytes, and the DTLB's poison flag — runs the golden
-//! future cycle for cycle as long as the golden future never reads a
-//! differing register or byte before overwriting it: the timing
-//! pipeline sees the oracle only through the outcomes of the
-//! instructions it executes, and those read nothing that differs. The
-//! index answers the three questions that then fix the trial's verdict
-//! (see [`GoldenFuture::settle`]).
+//! field except four *passive* parts — the oracle's register values,
+//! its memory bytes, the DTLB's poison flag and the in-flight micro-ops'
+//! values — runs the golden future cycle for cycle as long as its oracle
+//! produces the golden outcomes: the timing pipeline sees the oracle
+//! only through each execution's branch direction and next PC, its
+//! effective address, its halt flag and a PC-out-of-text error. The
+//! index answers that question two ways. [`GoldenFuture::settle`] checks
+//! that the golden future never reads a differing register or byte
+//! before overwriting it, so the outcomes cannot differ;
+//! [`GoldenFuture::follows`] runs the faulty oracle to the end of the run
+//! and compares its addresses and directions with the recorded ones.
+//! Either way the trial's verdict is then fixed.
 
-use avf_isa::{AccessKind, AccessSize, Footprint, Memory};
+use avf_isa::{
+    AccessKind, AccessSize, ExecState, Footprint, Inst, Memory, OpClass, Outcome, Program,
+};
 
 use crate::inject::{Judgement, Verdict};
 
@@ -19,7 +26,7 @@ use crate::inject::{Judgement, Verdict};
 const HIT: u64 = 1 << 63;
 
 /// At most this many differing memory bytes are looked up; a machine
-/// with more stays undecided.
+/// with more is left to [`GoldenFuture::follows`].
 const PASSIVE_BYTES: usize = 256;
 
 /// A faulty machine's passive parts next to a golden checkpoint's, its
@@ -27,6 +34,8 @@ const PASSIVE_BYTES: usize = 256;
 pub(crate) struct Passive<'a> {
     /// Bit `r` set: oracle register `r` differs.
     pub(crate) regs: u32,
+    /// Some in-flight micro-op's result or recorded operands differ.
+    pub(crate) values: bool,
     /// The faulty machine's poisoned DTLB VPN, when the checkpoint has
     /// no poison.
     pub(crate) poisoned: Option<u64>,
@@ -40,9 +49,18 @@ impl Passive<'_> {
     /// Whether nothing differs: an exact match.
     pub(crate) fn is_empty(&self) -> bool {
         self.regs == 0
+            && !self.values
             && self.poisoned.is_none()
             && self.ours.each_difference(self.theirs, |_| false)
     }
+}
+
+/// A position in the recorded outcome stream: the memory ops and the
+/// branches executed before it.
+#[derive(Debug, Clone, Copy, Default)]
+struct StreamPos {
+    ea: usize,
+    branch: usize,
 }
 
 /// Accesses of one width, as `(ea, retired << 1 | is_store)`.
@@ -60,6 +78,14 @@ pub(crate) struct FutureRecorder {
     translates: Vec<u64>,
     /// DTLB evictions as `(tick, victim VPN)`, in tick order.
     evictions: Vec<(u64, u64)>,
+    /// Effective address of each memory op, in execution order.
+    eas: Vec<u64>,
+    /// Direction of each branch, in execution order, one bit each.
+    directions: Vec<u64>,
+    /// Branches recorded in `directions`.
+    branches: usize,
+    /// The stream position of each checkpoint, in order.
+    marks: Vec<StreamPos>,
 }
 
 fn width_slot(size: AccessSize) -> usize {
@@ -70,20 +96,38 @@ fn width_slot(size: AccessSize) -> usize {
 }
 
 impl FutureRecorder {
-    /// The oracle executed instruction number `retired` with footprint
-    /// `fp`.
-    pub(crate) fn executed(&mut self, retired: u64, fp: &Footprint) {
+    /// The oracle executed `inst`, its instruction number `retired`,
+    /// with outcome `out`.
+    pub(crate) fn executed(&mut self, retired: u64, inst: &Inst, out: &Outcome) {
         debug_assert_eq!(
             retired,
             self.regs.len() as u64,
             "executions recorded in order"
         );
+        let fp = Footprint::of(inst, out);
         self.regs
             .push(u64::from(fp.reads) | u64::from(fp.writes) << 32);
         if let Some(m) = fp.mem {
             let store = u64::from(m.kind == AccessKind::Store);
             self.mem[width_slot(m.size)].push((m.ea, retired << 1 | store));
+            self.eas.push(m.ea);
         }
+        if inst.op.is_branch() {
+            let bit = self.branches % 64;
+            if bit == 0 {
+                self.directions.push(0);
+            }
+            *self.directions.last_mut().expect("pushed above") |= u64::from(out.taken) << bit;
+            self.branches += 1;
+        }
+    }
+
+    /// A checkpoint is taken after the executions recorded so far.
+    pub(crate) fn checkpoint(&mut self) {
+        self.marks.push(StreamPos {
+            ea: self.eas.len(),
+            branch: self.branches,
+        });
     }
 
     /// The DTLB's translation at `tick` of `vpn` hit or missed, evicting
@@ -104,7 +148,12 @@ impl FutureRecorder {
             mut mem,
             mut translates,
             mut evictions,
+            mut eas,
+            mut directions,
+            branches: _,
+            marks,
         } = self;
+        debug_assert_eq!(marks.len(), positions.len(), "one mark per checkpoint");
         // Backward liveness: a register is live at position i if the
         // first access to it at or after i is a read.
         let mut live_regs = vec![0u32; positions.len()];
@@ -126,11 +175,16 @@ impl FutureRecorder {
         }
         translates.shrink_to_fit();
         evictions.shrink_to_fit();
+        eas.shrink_to_fit();
+        directions.shrink_to_fit();
         GoldenFuture {
             live_regs,
             mem,
             translates,
             evictions,
+            eas,
+            directions,
+            marks,
         }
     }
 }
@@ -147,6 +201,13 @@ pub struct GoldenFuture {
     translates: Vec<u64>,
     /// DTLB evictions in tick order.
     evictions: Vec<(u64, u64)>,
+    /// The oracle's outcome stream: each memory op's effective address,
+    /// in execution order.
+    eas: Vec<u64>,
+    /// The outcome stream's branch directions, one bit each.
+    directions: Vec<u64>,
+    /// Per checkpoint: its position in the outcome stream.
+    marks: Vec<StreamPos>,
 }
 
 impl GoldenFuture {
@@ -161,6 +222,58 @@ impl GoldenFuture {
                 .sum::<usize>()
             + std::mem::size_of_val(&self.translates[..])
             + std::mem::size_of_val(&self.evictions[..])
+            + std::mem::size_of_val(&self.eas[..])
+            + std::mem::size_of_val(&self.directions[..])
+            + std::mem::size_of_val(&self.marks[..])
+    }
+
+    /// Runs `oracle` over `mem` from checkpoint `k`'s position to the
+    /// end of the run (`budget` executions, or a halt), checking each
+    /// execution against the golden outcome stream: every memory op must
+    /// access the golden effective address and every branch take the
+    /// golden direction. Returns `false` at the first that does not, or
+    /// at a PC outside the text; `oracle` and `mem` are then left where
+    /// it stopped.
+    ///
+    /// An oracle at checkpoint `k`'s position that follows the stream
+    /// executes the golden instruction sequence, and each execution has
+    /// the golden direction, next PC, effective address and halt flag:
+    /// the instruction fixes the rest.
+    pub(crate) fn follows(
+        &self,
+        k: usize,
+        program: &Program,
+        oracle: &mut ExecState,
+        mem: &mut Memory,
+        budget: u64,
+    ) -> bool {
+        let StreamPos { mut ea, mut branch } = self.marks[k];
+        while oracle.retired < budget && !oracle.is_halted() {
+            let Some(&inst) = program.fetch(oracle.pc) else {
+                return false;
+            };
+            let out = oracle.exec(program, mem).expect("the PC is in the text");
+            match inst.op.class() {
+                OpClass::Load | OpClass::Store => {
+                    if out.ea != self.eas.get(ea).copied() {
+                        return false;
+                    }
+                    ea += 1;
+                }
+                OpClass::Branch => {
+                    let golden = self
+                        .directions
+                        .get(branch / 64)
+                        .map(|&word| word >> (branch % 64) & 1 == 1);
+                    if golden != Some(out.taken) {
+                        return false;
+                    }
+                    branch += 1;
+                }
+                _ => {}
+            }
+        }
+        true
     }
 
     /// The kind of the first access to byte `addr` by an oracle
@@ -206,21 +319,33 @@ impl GoldenFuture {
         evicted.is_none_or(|&(t, _)| hit_tick < t)
     }
 
+    /// The verdict of a machine that runs the golden future from DTLB
+    /// tick `tick` with DTLB poison `poisoned`: **DUE** if the golden
+    /// future's next event on the poisoned VPN is a hit (the poisoned
+    /// entry is consumed and the machine traps), else **SDC** if its
+    /// final memory `differs` from the golden image, else **Masked**.
+    pub(crate) fn verdict(&self, poisoned: Option<u64>, tick: u64, differs: bool) -> Verdict {
+        if poisoned.is_some_and(|vpn| self.hit_before_eviction(vpn, tick)) {
+            Verdict::Due
+        } else if differs {
+            Verdict::Sdc
+        } else {
+            Verdict::Masked
+        }
+    }
+
     /// Judges a faulty machine that equals checkpoint `k` (whose oracle
     /// had retired `retired` instructions and whose DTLB stood at tick
-    /// `tick`) except for the passive parts `diff`. It stays
-    /// [`Judgement::Open`] when the golden future reads a differing
+    /// `tick`) except for the passive parts `diff`. It is
+    /// [`Judgement::Live`] when the golden future reads a differing
     /// register or byte before overwriting it (or when more than
     /// [`PASSIVE_BYTES`] bytes differ). Otherwise the machine runs the
     /// golden future cycle for cycle: with no difference at all it has
     /// [`Judgement::Rejoined`] the golden run, and else its verdict is
-    /// decided:
-    ///
-    /// * **DUE** if the golden future's next event on the poisoned VPN
-    ///   is a hit — the poisoned entry is consumed and the machine traps;
-    /// * otherwise it completes with the golden memory except for the
-    ///   differing bytes no later store overwrites: **SDC** if there is
-    ///   one, else **Masked**.
+    /// decided ([`GoldenFuture::verdict`]): it completes with the golden
+    /// memory except for the differing bytes no later store overwrites.
+    /// Differing in-flight values are dead: nothing the run does reads
+    /// them.
     ///
     /// The cheap checks come first: registers, then memory, which stops
     /// at the first byte the golden future loads.
@@ -232,7 +357,7 @@ impl GoldenFuture {
         diff: &Passive<'_>,
     ) -> Judgement {
         if diff.regs & self.live_regs[k] != 0 {
-            return Judgement::Open;
+            return Judgement::Live;
         }
         let (mut bytes, mut survives) = (0usize, false);
         let dead = diff.ours.each_difference(diff.theirs, |addr| {
@@ -245,21 +370,11 @@ impl GoldenFuture {
             bytes <= PASSIVE_BYTES
         });
         if !dead {
-            return Judgement::Open;
+            return Judgement::Live;
         }
-        if diff.regs == 0 && bytes == 0 && diff.poisoned.is_none() {
+        if diff.regs == 0 && !diff.values && bytes == 0 && diff.poisoned.is_none() {
             return Judgement::Rejoined;
         }
-        let verdict = if diff
-            .poisoned
-            .is_some_and(|vpn| self.hit_before_eviction(vpn, tick))
-        {
-            Verdict::Due
-        } else if survives {
-            Verdict::Sdc
-        } else {
-            Verdict::Masked
-        };
-        Judgement::Decided(verdict)
+        Judgement::Decided(self.verdict(diff.poisoned, tick, survives))
     }
 }

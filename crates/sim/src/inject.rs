@@ -341,8 +341,13 @@ pub enum Verdict {
 /// ([`InjectionSim::judge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Judgement {
-    /// Its future may differ from the golden one: keep simulating.
+    /// Its active state differs from the checkpoint's (or there is no
+    /// checkpoint at its cycle): keep simulating.
     Open,
+    /// Its active state equals the checkpoint's, but the golden future
+    /// reads a register or byte that differs, so its oracle may leave
+    /// the golden path. [`InjectionSim::oracle_tail`] can tell.
+    Live,
     /// Its state equals the checkpoint's: it has rejoined the golden
     /// run, and its verdict is [`Verdict::Masked`].
     Rejoined,
@@ -376,6 +381,9 @@ pub struct InjectionSim<'a> {
     instr_budget: u64,
     cycle_budget: u64,
     fault_model: FaultModel,
+    /// Oracle passes [`InjectionSim::oracle_tail`] has run on this
+    /// instance. A counter, not machine state: restores keep it.
+    oracle_passes: u64,
 }
 
 impl<'a> InjectionSim<'a> {
@@ -395,6 +403,7 @@ impl<'a> InjectionSim<'a> {
             instr_budget,
             cycle_budget,
             fault_model: FaultModel::default(),
+            oracle_passes: 0,
         }
     }
 
@@ -417,6 +426,7 @@ impl<'a> InjectionSim<'a> {
             instr_budget,
             cycle_budget,
             fault_model: FaultModel::default(),
+            oracle_passes: 0,
         }
     }
 
@@ -426,6 +436,17 @@ impl<'a> InjectionSim<'a> {
         let mut sim = InjectionSim::new(config, program, instr_budget);
         sim.pipe.recorder = Some(Box::default());
         sim
+    }
+
+    /// A golden pass's checkpoint of the current cycle, its position in
+    /// the recorded outcome stream marked.
+    fn golden_checkpoint(&mut self) -> (u64, PipelineSnapshot) {
+        self.pipe
+            .recorder
+            .as_mut()
+            .expect("a recording pass")
+            .checkpoint();
+        (self.pipe.cycle, self.pipe.snapshot())
     }
 
     /// Overrides the cycle budget (campaigns tighten it around the
@@ -444,6 +465,14 @@ impl<'a> InjectionSim<'a> {
     #[must_use]
     pub fn fault_model(&self) -> FaultModel {
         self.fault_model
+    }
+
+    /// Oracle passes [`InjectionSim::oracle_tail`] has run on this
+    /// instance (calls that return before running the oracle do not
+    /// count).
+    #[must_use]
+    pub fn oracle_passes(&self) -> u64 {
+        self.oracle_passes
     }
 
     /// Current cycle.
@@ -526,17 +555,21 @@ impl<'a> InjectionSim<'a> {
     /// cycle ([`Judgement::Open`] if there is none).
     ///
     /// Every field [`InjectionSim::matches_snapshot`] compares must be
-    /// equal except three passive parts: the oracle's register values,
-    /// its memory bytes and the DTLB's poison flag. These may differ as
-    /// long as the golden future never reads a differing register or
-    /// byte before overwriting it. The machine then runs the golden
-    /// future cycle for cycle (the pipeline sees the oracle only through
-    /// the outcomes of what it executes, which read nothing that
-    /// differs), so its verdict is fixed: [`Verdict::Due`] if the golden
-    /// future's next event on the poisoned DTLB entry is a hit, else
-    /// [`Verdict::Sdc`] if some differing byte is never stored to again,
-    /// else [`Verdict::Masked`]. With no difference at all the machine
-    /// has [`Judgement::Rejoined`] the golden run.
+    /// equal except four passive parts: the oracle's register values,
+    /// its memory bytes, the DTLB's poison flag and the in-flight
+    /// micro-ops' values (results and recorded operands, which only the
+    /// flip engine reads). Otherwise the judgement is
+    /// [`Judgement::Open`]. The passive parts may differ as long as the
+    /// golden future never reads a differing register or byte before
+    /// overwriting it. The machine then runs the golden future cycle
+    /// for cycle (the pipeline sees the oracle only through the outcomes
+    /// of what it executes, which read nothing that differs), so its
+    /// verdict is fixed: [`Verdict::Due`] if the golden future's next
+    /// event on the poisoned DTLB entry is a hit, else [`Verdict::Sdc`]
+    /// if some differing byte is never stored to again, else
+    /// [`Verdict::Masked`]. With no difference at all the machine has
+    /// [`Judgement::Rejoined`] the golden run. When the golden future
+    /// does read a difference, the judgement is [`Judgement::Live`].
     ///
     /// The verdict is the one running to the end would give, provided
     /// `golden` comes from the golden pass of this machine, program and
@@ -553,6 +586,59 @@ impl<'a> InjectionSim<'a> {
                 .future
                 .settle(k, snap.retired(), snap.dtlb_tick(), &diff),
         }
+    }
+
+    /// Finishes a [`Judgement::Live`] machine on its architectural oracle
+    /// alone, without the cycle loop: the verdict, or `None` if the
+    /// oracle leaves the golden path.
+    ///
+    /// The machine's active state must equal `golden`'s checkpoint of its
+    /// current cycle (else `None`). Its oracle then runs from its
+    /// frontier to the end of the run, and every execution is checked
+    /// against the golden pass's outcome stream: each memory op must
+    /// access the golden effective address and each branch take the
+    /// golden direction. If all do, every execution has the golden
+    /// direction, next PC, effective address and halt flag, and runs no
+    /// PC out of the text — all the cycle loop reads of the oracle. By
+    /// the induction of [`InjectionSim::judge`], the machine runs the
+    /// golden timing cycle for cycle: it cannot time out, deadlock or
+    /// take a new trap. Its verdict is [`Verdict::Due`] if the golden
+    /// future hits its poisoned DTLB entry before evicting it, else
+    /// [`Verdict::Sdc`] if the oracle's final memory differs from the
+    /// golden image, else [`Verdict::Masked`]. Same precondition as
+    /// `judge`: `golden` comes from the golden pass of this machine,
+    /// program and instruction budget, and the cycle budget covers the
+    /// golden run.
+    ///
+    /// Returns `None` at the first execution that differs, or at a PC
+    /// outside the text. The machine is left as it was found either way:
+    /// the oracle's registers and memory handle are saved before the run
+    /// and put back after it (the memory pages are shared copy-on-write,
+    /// so saving them copies pointers).
+    pub fn oracle_tail(&mut self, golden: &DecodedCheckpoints) -> Option<Verdict> {
+        let k = golden.position(self.pipe.cycle)?;
+        let snap = &golden.checkpoints[k].1;
+        let poisoned = self.pipe.compare(snap)?.poisoned;
+        self.oracle_passes += 1;
+        let saved_regs = self.pipe.oracle.clone();
+        let saved_mem = self.pipe.oracle_mem.clone();
+        let pipe = &mut self.pipe;
+        let verdict = golden
+            .future
+            .follows(
+                k,
+                pipe.program,
+                &mut pipe.oracle,
+                &mut pipe.oracle_mem,
+                pipe.fetch_budget,
+            )
+            .then(|| {
+                let differs = pipe.oracle_mem != *golden.final_memory();
+                golden.future.verdict(poisoned, snap.dtlb_tick(), differs)
+            });
+        pipe.oracle = saved_regs;
+        pipe.oracle_mem = saved_mem;
+        verdict
     }
 
     /// Rewinds (or fast-forwards) to the nearest checkpoint at or before
@@ -1260,13 +1346,13 @@ pub fn golden_run_checkpointed(
 ) -> (GoldenRun, DecodedCheckpoints) {
     assert!(interval > 0, "checkpoint interval must be positive");
     let mut sim = InjectionSim::recording(config, program, instr_budget);
-    let mut checkpoints = vec![(0, sim.snapshot())];
+    let mut checkpoints = vec![sim.golden_checkpoint()];
     loop {
         let next = sim.cycle().saturating_add(interval);
         if !sim.run_to_cycle(next) {
             break;
         }
-        checkpoints.push((sim.cycle(), sim.snapshot()));
+        checkpoints.push(sim.golden_checkpoint());
     }
     finish_golden_pass(sim, interval, checkpoints)
 }
@@ -1390,7 +1476,7 @@ pub fn golden_run_with_evidence(
     assert!(interval > 0, "checkpoint interval must be positive");
     assert!(window > 0, "evidence window must be positive");
     let mut sim = InjectionSim::recording(config, program, instr_budget);
-    let mut checkpoints = vec![(0, sim.snapshot())];
+    let mut checkpoints = vec![sim.golden_checkpoint()];
     let mut ev = PruneEvidence::new(window);
     let rf_words = config.phys_regs.div_ceil(64);
     let mut live = vec![0u64; rf_words];
@@ -1425,7 +1511,7 @@ pub fn golden_run_with_evidence(
             *dead &= !live;
         }
         if c.is_multiple_of(interval) {
-            checkpoints.push((c, sim.snapshot()));
+            checkpoints.push(sim.golden_checkpoint());
         }
     }
     let (golden, checkpoints) = finish_golden_pass(sim, interval, checkpoints);
@@ -1594,6 +1680,38 @@ mod tests {
             sim.restore(&snap);
             edit(&mut sim.pipe);
             assert!(!sim.matches_snapshot(&snap), "edit {i} went unnoticed");
+        }
+    }
+
+    #[test]
+    fn an_in_flight_value_difference_is_passive_and_dead() {
+        let cfg = MachineConfig::baseline();
+        let p = counted_loop();
+        let (_, checkpoints) = golden_run_checkpointed(&cfg, &p, 10_000, 40);
+        // A checkpoint with a right-path micro-op in flight.
+        let (snap, idx) = checkpoints
+            .checkpoints
+            .iter()
+            .skip(1)
+            .find_map(|(_, snap)| {
+                let sim = InjectionSim::from_snapshot(&cfg, &p, 10_000, snap);
+                let idx = sim.pipe.rob.iter().position(|e| e.outcome.is_some())?;
+                Some((snap, idx))
+            })
+            .expect("some checkpoint has a micro-op in flight");
+        let edits: [fn(&mut crate::dyninst::DynInst); 2] = [
+            |e| e.outcome.as_mut().expect("right path").value ^= 1,
+            |e| e.src_vals[0] ^= 1,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut sim = InjectionSim::from_snapshot(&cfg, &p, 10_000, snap);
+            edit(&mut sim.pipe.rob[idx]);
+            assert!(!sim.matches_snapshot(snap), "edit {i} went unnoticed");
+            assert_eq!(
+                sim.judge(&checkpoints),
+                Judgement::Decided(Verdict::Masked),
+                "edit {i}"
+            );
         }
     }
 

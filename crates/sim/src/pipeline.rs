@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use avf_ace::{
     AceConfig, AceKind, AvfAnalyzer, InstrRecord, MemRef, Slice, Structure, StructureSizes,
 };
-use avf_isa::{text_addr, ExecState, Footprint, Memory, OpClass, Opcode, Program};
+use avf_isa::{text_addr, ExecState, Memory, OpClass, Opcode, Program};
 
 use crate::bpred::BranchPredictor;
 use crate::caches::Cache;
@@ -1107,7 +1107,7 @@ impl<'a> Pipeline<'a> {
                 };
                 e.outcome = Some(outcome);
                 if let Some(rec) = self.recorder.as_mut() {
-                    rec.executed(self.oracle.retired - 1, &Footprint::of(&inst, &outcome));
+                    rec.executed(self.oracle.retired - 1, &inst, &outcome);
                 }
                 if outcome.halted {
                     self.fetch_done = true;
@@ -1280,14 +1280,19 @@ impl Pipeline<'_> {
     }
 
     /// Compares the machine with `snap`: `None` if any active field
-    /// differs, else the three passive parts side by side — which
-    /// oracle registers differ, the DTLB poison the snapshot lacks, and
-    /// both memory images. An empty difference is an exact match.
+    /// differs, else the four passive parts side by side — which
+    /// oracle registers differ, whether any in-flight micro-op's values
+    /// differ, the DTLB poison the snapshot lacks, and both memory
+    /// images. An empty difference is an exact match.
     ///
-    /// A passive part reaches the rest of the machine only through what
-    /// the oracle reads at fetch and through a poisoned DTLB hit, so a
-    /// difference in it changes nothing until it is read (see
-    /// `crate::future`). Every other captured field is active. Pure
+    /// A register or memory difference reaches the rest of the machine
+    /// only through what the oracle reads at fetch, and a poison only
+    /// through a DTLB hit, so neither changes anything until it is read
+    /// (see `crate::future`). In-flight values (an entry's
+    /// `outcome.value` and `src_vals`) are read only by the flip engine,
+    /// never by [`Pipeline::tick`], so they never change the machine's
+    /// future once its fault is in. Every other captured field is
+    /// active, including every other field of an in-flight entry. Pure
     /// counters are skipped because nothing reads them back: every
     /// [`SimStats`] field except `committed` (the run's end condition)
     /// and the caches' and DTLB's access/miss counts. So are the derived
@@ -1343,8 +1348,6 @@ impl Pipeline<'_> {
             && self.cache_faults == *cache_faults
             && self.oracle.same_control(oracle)
             && self.dtlb.same_active_state(dtlb)
-            && self.fetch_queue == *fetch_queue
-            && self.rob == *rob
             && self.rf == *rf
             && self.bpred == *bpred
             && self.l1i.same_state(l1i)
@@ -1353,6 +1356,8 @@ impl Pipeline<'_> {
         if !active {
             return None;
         }
+        let values = in_flight_values_differ(&self.fetch_queue, fetch_queue)?
+            | in_flight_values_differ(&self.rob, rob)?;
         let regs = (0..self.oracle.regs.len())
             .filter(|&r| self.oracle.regs[r] != oracle.regs[r])
             .fold(0u32, |mask, r| mask | 1 << r);
@@ -1363,11 +1368,26 @@ impl Pipeline<'_> {
         };
         Some(Passive {
             regs,
+            values,
             poisoned,
             ours: &self.oracle_mem,
             theirs: oracle_mem,
         })
     }
+}
+
+/// Compares two in-flight queues entry by entry: `None` if an entry
+/// differs in a field the cycle loop reads, else whether some entry's
+/// values differ (see [`DynInst::compare_values`]).
+fn in_flight_values_differ(ours: &VecDeque<DynInst>, theirs: &VecDeque<DynInst>) -> Option<bool> {
+    if ours.len() != theirs.len() {
+        return None;
+    }
+    let mut values = false;
+    for (a, b) in ours.iter().zip(theirs) {
+        values |= a.compare_values(b)?;
+    }
+    Some(values)
 }
 
 impl PipelineSnapshot {

@@ -6,9 +6,11 @@
 # then the fixed campaign again at a dense checkpoint interval, under
 # both fault models and on both machines.
 #
-# Two reports are also diffed against references committed under
-# scripts/ci/reference/: the fixed replay campaign and an adaptive
-# trap-model campaign with pruning on. Only the throughput figure and
+# Three reports are also diffed against references committed under
+# scripts/ci/reference/: the fixed replay campaign, an adaptive
+# trap-model campaign with pruning on, and a fixed replay campaign at
+# the benchmark's 30k instructions, where many more trials are settled
+# by the oracle tail than at 8k. Only the throughput figure and
 # the host-dependent worker count are masked, so a change meant only to
 # make the simulator faster proves here that no verdict, count, CI or
 # batch moved. Regenerate a reference only in a change that means to
@@ -26,13 +28,15 @@ CAMPAIGN=(--injections 240 --seed 42 --instructions 8000)
 "$BIN" validate --ci-target 0.1 --injections 2000 --seed 42 --instructions 8000
 "$BIN" validate --fault-model trap --prune on --ci-target 0.1 --injections 2000 \
   --seed 42 --instructions 8000 | tee "$WORKDIR/trap_prune.out"
+"$BIN" validate --injections 1000 --seed 7 --instructions 30000 | tee "$WORKDIR/replay_30k.out"
 
 # Reports against the committed references.
 REFERENCE="$(dirname "$0")/reference"
 mask() {
   sed -E 's/[0-9]+ worker\(s\)/N worker(s)/; s/ \([0-9]+ inj\/s\)//' "$1"
 }
-for pair in "validate_replay:auto" "validate_trap_prune:trap_prune"; do
+for pair in "validate_replay:auto" "validate_trap_prune:trap_prune" \
+  "validate_replay_30k:replay_30k"; do
   ref="$REFERENCE/${pair%%:*}.txt"
   if ! diff "$ref" <(mask "$WORKDIR/${pair##*:}.out"); then
     echo "error: the report differs from $ref" >&2
