@@ -1,8 +1,8 @@
 //! Golden-pass microbenchmark: the fault-free pass every campaign venue
-//! runs before its first trial (`golden_run_checkpointed`, and
-//! `golden_run_with_evidence` for pruned campaigns), on the
-//! paper-baseline stressmark and the `429.mcf` proxy at a 30k-instruction
-//! budget and the campaign's automatic checkpoint interval.
+//! runs before its first trial (`golden_pass`, with prune evidence for
+//! pruned campaigns and without it otherwise), on the paper-baseline
+//! stressmark and the `429.mcf` proxy at a 30k-instruction budget and
+//! the campaign's automatic checkpoint interval.
 //!
 //! Prints one line per (program, pass): the median and minimum over
 //! `ROUNDS` rounds in milliseconds, plus the checkpoint footprint. To
@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use avf_codegen::{generate, Knobs, TargetParams};
-use avf_sim::{golden_run_checkpointed, golden_run_with_evidence, MachineConfig, PRUNE_WINDOW};
+use avf_sim::{golden_pass, MachineConfig, PRUNE_WINDOW};
 
 const BUDGET: u64 = 30_000;
 const INTERVAL: u64 = BUDGET / 8;
@@ -47,11 +47,11 @@ fn main() {
         let mut bytes = 0;
         for _ in 0..ROUNDS {
             let t = Instant::now();
-            let (_, checkpoints) = golden_run_checkpointed(&machine, program, BUDGET, INTERVAL);
+            let (_, checkpoints, _) = golden_pass(&machine, program, BUDGET, INTERVAL, None);
             plain.push(t.elapsed().as_secs_f64() * 1e3);
             bytes = checkpoints.total_bytes();
             let t = Instant::now();
-            let _ = golden_run_with_evidence(&machine, program, BUDGET, INTERVAL, PRUNE_WINDOW);
+            let _ = golden_pass(&machine, program, BUDGET, INTERVAL, Some(PRUNE_WINDOW));
             evidence.push(t.elapsed().as_secs_f64() * 1e3);
         }
         for (pass, ms) in [("checkpointed", plain), ("evidence", evidence)] {

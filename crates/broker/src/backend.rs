@@ -137,7 +137,7 @@ impl CampaignBackend for BrokeredBackend {
     }
 
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
-        let setup = JobSetup::delegated(spec)?.to_wire();
+        let setup = JobSetup::delegated(spec).to_wire();
         let mux = MuxSession::open(&self.conn);
         mux.send(setup)?;
         let reply = mux.recv(&mut self.conn.reader.lock().expect("reader lock"))?;

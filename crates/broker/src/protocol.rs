@@ -123,7 +123,7 @@ impl CampaignSpec {
         w.u64(self.batch_size);
         w.u64(self.checkpoint_interval);
         w.u8(self.fault_model.wire_code());
-        w.u8(prune_wire_code(self.prune));
+        w.u8(self.prune.wire_code());
     }
 
     fn decode_body(r: &mut WireReader<'_>) -> Result<CampaignSpec, WireError> {
@@ -141,7 +141,8 @@ impl CampaignSpec {
         let checkpoint_interval = r.u64()?;
         let model = r.u8()?;
         let fault_model = FaultModel::from_wire_code(model).ok_or(WireError::BadTag(model))?;
-        let prune = prune_from_wire_code(r.u8()?)?;
+        let code = r.u8()?;
+        let prune = PruneMode::from_wire_code(code).ok_or(WireError::BadTag(code))?;
         Ok(CampaignSpec {
             machine,
             program,
@@ -154,23 +155,6 @@ impl CampaignSpec {
             fault_model,
             prune,
         })
-    }
-}
-
-fn prune_wire_code(mode: PruneMode) -> u8 {
-    match mode {
-        PruneMode::Off => 0,
-        PruneMode::On => 1,
-        PruneMode::Audit => 2,
-    }
-}
-
-fn prune_from_wire_code(code: u8) -> Result<PruneMode, WireError> {
-    match code {
-        0 => Ok(PruneMode::Off),
-        1 => Ok(PruneMode::On),
-        2 => Ok(PruneMode::Audit),
-        t => Err(WireError::BadTag(t)),
     }
 }
 

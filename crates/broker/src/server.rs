@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use avf_inject::{
     redispatched_trials, BackendError, Campaign, CampaignBackend, CampaignSession, DispatchRecord,
-    GoldenSpec, JobSpec, OpenedJob, StoreSource, Trial, TrialStream,
+    JobSpec, OpenedJob, StoreSource, Trial, TrialStream,
 };
 use avf_isa::wire::kind;
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
@@ -944,16 +944,7 @@ fn open_campaign(
     send: &dyn Fn(Vec<u8>) -> bool,
 ) -> Result<Box<dyn CampaignSession>, String> {
     let opened = fleet_backend(inner)
-        .open(JobSpec {
-            machine: setup.machine,
-            program: setup.program,
-            instr_budget: setup.instr_budget,
-            fault_model: setup.fault_model,
-            golden: GoldenSpec::Delegated {
-                checkpoint_interval: setup.checkpoint_interval,
-            },
-            prune: setup.prune,
-        })
+        .open(JobSpec::from(setup))
         .map_err(|e| format!("fleet open failed: {e}"))?;
     // The fleet counts as cached only if every worker was.
     let cached = opened

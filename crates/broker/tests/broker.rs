@@ -367,7 +367,7 @@ fn scripted_broker(replies: Vec<Vec<u8>>) -> String {
 
 #[test]
 fn brokered_campaign_rejects_a_duplicated_event() {
-    use avf_inject::{BackendError, CampaignBackend, GoldenSpec, JobSpec, Outcome, Trial};
+    use avf_inject::{BackendError, CampaignBackend, JobSpec, Outcome, Trial};
     use avf_inject::{FaultModel, TrialEvent};
     use avf_service::protocol::ServerMessage;
     use avf_sim::InjectionTarget;
@@ -392,9 +392,7 @@ fn brokered_campaign_rejects_a_duplicated_event() {
             program: avf_workloads::testkit::register_chain(),
             instr_budget: 6_000,
             fault_model: FaultModel::default(),
-            golden: GoldenSpec::Delegated {
-                checkpoint_interval: 512,
-            },
+            checkpoint_interval: 512,
             prune: false,
         })
         .expect("setup");

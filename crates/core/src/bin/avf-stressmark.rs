@@ -9,10 +9,11 @@
 //! avf-stressmark fig      <3|4|5|6|7|8|9|table3> [--smoke]
 //! avf-stressmark bounds   [--machine ...]
 //! avf-stressmark validate [--machine ...] [--injections N] [--seed N]
-//!                         [--instructions N] [--threads N] [--ci-target F]
+//!                         [--instructions N] [--ci-target F]
 //!                         [--batch N] [--checkpoint-interval N]
-//!                         [--workers host:port,host:port,...]
-//!                         [--prune off|on|audit]
+//!                         [--threads N | --workers host:port,... | --broker host:port
+//!                         [--tenant NAME]] [--auth-key-file F]
+//!                         [--fault-model trap|replay] [--prune off|on|audit]
 //! avf-stressmark serve    --listen host:port [--threads N] [--auth-key-file F]
 //!                         [--metrics host:port]
 //! avf-stressmark broker   --listen host:port --workers host:port,...
@@ -163,6 +164,93 @@ fn tenant_of(args: &Args) -> String {
         .unwrap_or_else(|| std::env::var("USER").unwrap_or_else(|_| "default".to_owned()))
 }
 
+/// Splits a `--workers host:port,host:port,...` list.
+fn worker_list(list: &str) -> Result<Vec<String>, String> {
+    let addrs: Vec<String> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|a| !a.is_empty())
+        .map(str::to_owned)
+        .collect();
+    if addrs.is_empty() {
+        return Err("--workers expects a comma-separated list of host:port".to_owned());
+    }
+    Ok(addrs)
+}
+
+/// Where `search` and `validate` run: local threads (`--threads`), a
+/// worker fleet (`--workers`) or a broker (`--broker`, `--tenant`).
+/// A flag the chosen venue would ignore is an error, not a no-op.
+fn venue_of(args: &Args) -> Result<SearchBackend, String> {
+    let threads_unused = |venue: &str| {
+        format!(
+            "--threads selects local worker threads and has no effect with \
+             --{venue}; set --threads on each `serve` process instead"
+        )
+    };
+    if let Some(addr) = args.flag("broker") {
+        if args.has("workers") {
+            return Err(
+                "--broker and --workers are mutually exclusive; the broker owns the \
+                 worker fleet, pass --workers to the `broker` process instead"
+                    .to_owned(),
+            );
+        }
+        if args.has("threads") {
+            return Err(threads_unused("broker"));
+        }
+        return Ok(SearchBackend::Broker {
+            addr: addr.to_owned(),
+            tenant: tenant_of(args),
+            auth: auth_key_of(args)?,
+        });
+    }
+    if let Some(list) = args.flag("workers") {
+        if args.has("threads") {
+            return Err(threads_unused("workers"));
+        }
+        return Ok(SearchBackend::Workers {
+            addrs: worker_list(list)?,
+            auth: auth_key_of(args)?,
+        });
+    }
+    if args.has("auth-key-file") {
+        return Err(
+            "--auth-key-file authenticates worker/broker connections and has no \
+             effect on a local run; pass --workers or --broker"
+                .to_owned(),
+        );
+    }
+    Ok(SearchBackend::Local {
+        threads: args.parse_u64("threads", 0).map_err(|e| e.0)? as usize,
+    })
+}
+
+/// The campaign knobs `validate` and `submit` share.
+fn campaign_config_of(args: &Args) -> Result<CampaignConfig, String> {
+    let fault_model = {
+        let spelled = args.flag("fault-model").unwrap_or("replay");
+        FaultModel::parse(spelled)
+            .ok_or_else(|| format!("unknown fault model `{spelled}` (trap|replay)"))?
+    };
+    let prune = {
+        let spelled = args.flag("prune").unwrap_or("off");
+        PruneMode::parse(spelled)
+            .ok_or_else(|| format!("unknown prune mode `{spelled}` (off|on|audit)"))?
+    };
+    Ok(CampaignConfig {
+        injections: args.parse_u64("injections", 1000).map_err(|e| e.0)?,
+        seed: args.parse_u64("seed", 42).map_err(|e| e.0)?,
+        instr_budget: args.parse_u64("instructions", 30_000).map_err(|e| e.0)?,
+        ci_target: args.parse_f64_opt("ci-target").map_err(|e| e.0)?,
+        batch_size: args.parse_u64("batch", 128).map_err(|e| e.0)?.max(1),
+        checkpoint_interval: args.parse_u64("checkpoint-interval", 0).map_err(|e| e.0)?,
+        fault_model,
+        prune,
+        ..CampaignConfig::default()
+    })
+}
+
 fn cmd_search(args: &Args) -> Result<(), String> {
     let rates = rates_of(args)?;
     let machine = machine_of(args)?;
@@ -178,66 +266,17 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     config.eval_instructions = args.parse_u64("eval", 120_000).map_err(|e| e.0)?;
     config.final_instructions = args.parse_u64("final", 2_000_000).map_err(|e| e.0)?;
 
-    let auth = auth_key_of(args)?;
-    config.backend = if let Some(broker) = args.flag("broker") {
-        if args.has("workers") {
-            return Err(
-                "--broker and --workers are mutually exclusive; the broker owns the \
-                 worker fleet, pass --workers to the `broker` process instead"
-                    .to_owned(),
-            );
-        }
-        if args.has("threads") {
-            return Err(
-                "--threads selects local worker threads and has no effect with \
-                 --broker; set --threads on each `serve` process instead"
-                    .to_owned(),
-            );
-        }
-        let tenant = tenant_of(args);
-        eprintln!("evaluating generations through broker {broker} as tenant `{tenant}`...");
-        SearchBackend::Broker {
-            addr: broker.to_owned(),
-            tenant,
-            auth,
-        }
-    } else if let Some(list) = args.flag("workers") {
-        if args.has("threads") {
-            // Accepting the flag but letting it do nothing would be
-            // the exact silent-no-effect failure the strict parser
-            // exists to prevent.
-            return Err(
-                "--threads selects local worker threads and has no effect with \
-                 --workers; set --threads on each `serve` process instead"
-                    .to_owned(),
-            );
-        }
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(str::to_owned)
-            .collect();
-        if addrs.is_empty() {
-            return Err("--workers expects a comma-separated list of host:port".to_owned());
-        }
-        eprintln!(
+    config.backend = venue_of(args)?;
+    match &config.backend {
+        SearchBackend::Local { .. } => {}
+        SearchBackend::Workers { addrs, .. } => eprintln!(
             "evaluating generations on {} remote worker(s)...",
             addrs.len()
-        );
-        SearchBackend::Workers { addrs, auth }
-    } else {
-        if auth.is_some() {
-            return Err(
-                "--auth-key-file authenticates worker/broker connections and has no \
-                 effect on a local search; pass --workers or --broker"
-                    .to_owned(),
-            );
+        ),
+        SearchBackend::Broker { addr, tenant, .. } => {
+            eprintln!("evaluating generations through broker {addr} as tenant `{tenant}`...")
         }
-        SearchBackend::Local {
-            threads: args.parse_u64("threads", 0).map_err(|e| e.0)? as usize,
-        }
-    };
+    }
 
     eprintln!(
         "searching ({} rates, {} x {} GA)...",
@@ -364,27 +403,10 @@ fn cmd_bounds(args: &Args) -> Result<(), String> {
 
 fn cmd_validate(args: &Args) -> Result<(), String> {
     let machine = machine_of(args)?;
-    let fault_model = {
-        let spelled = args.flag("fault-model").unwrap_or("replay");
-        FaultModel::parse(spelled)
-            .ok_or_else(|| format!("unknown fault model `{spelled}` (trap|replay)"))?
-    };
-    let prune = {
-        let spelled = args.flag("prune").unwrap_or("off");
-        PruneMode::parse(spelled)
-            .ok_or_else(|| format!("unknown prune mode `{spelled}` (off|on|audit)"))?
-    };
+    let venue = venue_of(args)?;
     let config = CampaignConfig {
-        injections: args.parse_u64("injections", 1000).map_err(|e| e.0)?,
-        seed: args.parse_u64("seed", 42).map_err(|e| e.0)?,
         threads: args.parse_u64("threads", 0).map_err(|e| e.0)? as usize,
-        instr_budget: args.parse_u64("instructions", 30_000).map_err(|e| e.0)?,
-        ci_target: args.parse_f64_opt("ci-target").map_err(|e| e.0)?,
-        batch_size: args.parse_u64("batch", 128).map_err(|e| e.0)?.max(1),
-        checkpoint_interval: args.parse_u64("checkpoint-interval", 0).map_err(|e| e.0)?,
-        fault_model,
-        prune,
-        ..CampaignConfig::default()
+        ..campaign_config_of(args)?
     };
     match config.ci_target {
         Some(target) => eprintln!(
@@ -398,60 +420,26 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
             config.injections, config.fault_model, config.seed
         ),
     }
-    let auth = auth_key_of(args)?;
-    let validation = if let Some(broker) = args.flag("broker") {
-        if args.has("workers") {
-            return Err(
-                "--broker and --workers are mutually exclusive; the broker owns the \
-                 worker fleet, pass --workers to the `broker` process instead"
-                    .to_owned(),
-            );
+    let validation = match venue {
+        SearchBackend::Local { threads } => {
+            injection_vs_ace_on(&machine, &config, &LocalBackend::new(threads))
         }
-        if args.has("threads") {
-            return Err(
-                "--threads selects local worker threads and has no effect with \
-                 --broker; set --threads on each `serve` process instead"
-                    .to_owned(),
+        SearchBackend::Workers { addrs, auth } => {
+            eprintln!(
+                "dispatching campaigns to {} remote worker(s)...",
+                addrs.len()
             );
+            let backend = match auth {
+                Some(key) => RemoteBackend::with_auth(addrs, key),
+                None => RemoteBackend::new(addrs),
+            };
+            injection_vs_ace_on(&machine, &config, &backend)
         }
-        let tenant = tenant_of(args);
-        eprintln!("dispatching campaigns through broker {broker} as tenant `{tenant}`...");
-        let backend = BrokeredBackend::connect(broker, &tenant, auth)
-            .map_err(|e| format!("cannot reach broker `{broker}`: {e}"))?;
-        injection_vs_ace_on(&machine, &config, &backend)
-    } else {
-        match args.flag("workers") {
-            None => injection_vs_ace_on(&machine, &config, &LocalBackend::new(config.threads)),
-            Some(list) => {
-                if args.has("threads") {
-                    // Accepting the flag but letting it do nothing would be
-                    // the exact silent-no-effect failure the strict parser
-                    // exists to prevent.
-                    return Err(
-                        "--threads selects local worker threads and has no effect with \
-                     --workers; set --threads on each `serve` process instead"
-                            .to_owned(),
-                    );
-                }
-                let addrs: Vec<String> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if addrs.is_empty() {
-                    return Err("--workers expects a comma-separated list of host:port".to_owned());
-                }
-                eprintln!(
-                    "dispatching campaigns to {} remote worker(s)...",
-                    addrs.len()
-                );
-                let backend = match auth {
-                    Some(key) => RemoteBackend::with_auth(addrs, key),
-                    None => RemoteBackend::new(addrs),
-                };
-                injection_vs_ace_on(&machine, &config, &backend)
-            }
+        SearchBackend::Broker { addr, tenant, auth } => {
+            eprintln!("dispatching campaigns through broker {addr} as tenant `{tenant}`...");
+            let backend = BrokeredBackend::connect(&addr, &tenant, auth)
+                .map_err(|e| format!("cannot reach broker `{addr}`: {e}"))?;
+            injection_vs_ace_on(&machine, &config, &backend)
         }
     }
     .map_err(|e| format!("campaign backend failed: {e}"))?;
@@ -511,17 +499,10 @@ fn cmd_broker(args: &Args) -> Result<(), String> {
     let listen = args
         .flag("listen")
         .ok_or("broker requires --listen host:port")?;
-    let workers: Vec<String> = args
-        .flag("workers")
-        .ok_or("broker requires --workers host:port,host:port,...")?
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if workers.is_empty() {
-        return Err("--workers expects a comma-separated list of host:port".to_owned());
-    }
+    let workers = worker_list(
+        args.flag("workers")
+            .ok_or("broker requires --workers host:port,host:port,...")?,
+    )?;
     let defaults = BrokerOptions::default();
     let opts = BrokerOptions {
         workers,
@@ -570,16 +551,6 @@ fn cmd_broker(args: &Args) -> Result<(), String> {
 /// campaign knobs plus a program picked by name.
 fn spec_of(args: &Args) -> Result<CampaignSpec, String> {
     let machine = machine_of(args)?;
-    let fault_model = {
-        let spelled = args.flag("fault-model").unwrap_or("replay");
-        FaultModel::parse(spelled)
-            .ok_or_else(|| format!("unknown fault model `{spelled}` (trap|replay)"))?
-    };
-    let prune = {
-        let spelled = args.flag("prune").unwrap_or("off");
-        PruneMode::parse(spelled)
-            .ok_or_else(|| format!("unknown prune mode `{spelled}` (off|on|audit)"))?
-    };
     let program: Program = match args.flag("program").unwrap_or("stressmark") {
         "stressmark" => {
             avf_codegen::generate(
@@ -592,17 +563,7 @@ fn spec_of(args: &Args) -> Result<CampaignSpec, String> {
             .ok_or_else(|| format!("unknown program `{name}` (stressmark or a suite workload)"))?
             .build(),
     };
-    let config = CampaignConfig {
-        injections: args.parse_u64("injections", 1000).map_err(|e| e.0)?,
-        seed: args.parse_u64("seed", 42).map_err(|e| e.0)?,
-        instr_budget: args.parse_u64("instructions", 30_000).map_err(|e| e.0)?,
-        ci_target: args.parse_f64_opt("ci-target").map_err(|e| e.0)?,
-        batch_size: args.parse_u64("batch", 128).map_err(|e| e.0)?.max(1),
-        checkpoint_interval: args.parse_u64("checkpoint-interval", 0).map_err(|e| e.0)?,
-        fault_model,
-        prune,
-        ..CampaignConfig::default()
-    };
+    let config = campaign_config_of(args)?;
     Ok(CampaignSpec::from_config(machine, program, &config))
 }
 
@@ -824,5 +785,36 @@ mod tests {
         .unwrap();
         let err = cmd_search(&args).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_the_flags_its_venue_ignores() {
+        for (tokens, want) in [
+            (
+                &["--workers", "host:1234", "--threads", "4"][..],
+                "--threads selects local worker threads and has no effect with --workers",
+            ),
+            (
+                &["--broker", "host:1", "--threads", "2"][..],
+                "--threads selects local worker threads and has no effect with --broker",
+            ),
+            (
+                &["--broker", "host:1", "--workers", "host:2"][..],
+                "mutually exclusive",
+            ),
+            (
+                &["--workers", " , "][..],
+                "--workers expects a comma-separated list",
+            ),
+            (
+                &["--auth-key-file", "fleet.key"][..],
+                "--auth-key-file authenticates",
+            ),
+        ] {
+            // Each is rejected before any campaign runs.
+            let args = Args::parse(&argv(tokens), VALIDATE_FLAGS).unwrap();
+            let err = cmd_validate(&args).unwrap_err();
+            assert!(err.contains(want), "{tokens:?}: {err}");
+        }
     }
 }

@@ -9,12 +9,12 @@
 //!
 //! * [`JobSpec`] — everything a worker needs to execute trials for one
 //!   campaign: the program, the machine configuration, the instruction
-//!   budget, and a [`GoldenSpec`]. The driver always sends
-//!   [`GoldenSpec::Delegated`]: the venue runs the golden pass itself
-//!   ([`run_golden_pass`]), so N remote workers warm up in parallel and
-//!   the driver never simulates the prefix. A `serve` worker that
-//!   already holds the pass in its cache hands it to its local backend
-//!   as [`GoldenSpec::Resolved`].
+//!   budget and the checkpoint interval. The venue runs the golden pass
+//!   itself ([`avf_sim::golden_pass`]), so N remote workers warm up in
+//!   parallel and the driver never simulates the prefix. A `serve`
+//!   worker that already holds the pass in its cache opens the job on
+//!   it through [`LocalBackend::open_resolved`], where
+//!   [`LocalBackend::open`] ends too.
 //! * [`CampaignBackend::open`] — binds a job to an execution venue and
 //!   returns an [`OpenedJob`]: the [`CampaignSession`] plus the golden
 //!   run the venue resolved (measured or cached) and a per-worker
@@ -42,9 +42,8 @@ use avf_isa::wire::{kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
-    golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel, FlipEffect,
-    GoldenRun, InjectionSim, InjectionTarget, Judgement, MachineConfig, PruneEvidence, RunEnd,
-    Verdict, PRUNE_WINDOW,
+    golden_pass, DecodedCheckpoints, FaultModel, FlipEffect, GoldenRun, InjectionSim,
+    InjectionTarget, Judgement, MachineConfig, PruneEvidence, RunEnd, Verdict, PRUNE_WINDOW,
 };
 
 use crate::plan::Trial;
@@ -122,49 +121,27 @@ impl From<std::io::Error> for BackendError {
     }
 }
 
-/// Where a job's fault-free reference (golden run + checkpoints) comes
-/// from.
-#[derive(Debug, Clone)]
-pub enum GoldenSpec {
-    /// The execution venue runs [`run_golden_pass`] itself from the
-    /// shipped program/machine. N remote workers warm up in parallel,
-    /// the driver never simulates the prefix, and the driver
-    /// cross-checks that every worker reports the identical golden
-    /// digest.
-    Delegated {
-        /// Golden-run checkpoint spacing in cycles (must be positive).
-        checkpoint_interval: u64,
-    },
-    /// The venue already holds the golden pass (a `serve` worker's
-    /// cache entry) and skips it.
-    Resolved {
-        /// The pass's checkpoints (`Arc` so a cache hands them out
-        /// without copying).
-        checkpoints: Arc<DecodedCheckpoints>,
-        /// The fault-free reference run they were captured from.
-        golden: GoldenRun,
-    },
-}
-
 /// Everything an execution venue needs to run trials for one campaign:
-/// program, machine, instruction budget, and the golden-run source.
-/// The driver builds one per campaign; backends may clone it to any
-/// number of workers.
+/// program, machine, instruction budget, and the spacing of the golden
+/// pass's checkpoints. Every venue runs (or cache-hits) the golden pass
+/// itself, so N remote workers warm up in parallel and the driver never
+/// simulates the prefix. The driver builds one per campaign; backends
+/// may clone it to any number of workers.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Machine configuration the plan was sampled against.
     pub machine: MachineConfig,
     /// Program under injection.
     pub program: Program,
-    /// Committed-instruction budget of every trial (and of a delegated
-    /// golden run).
+    /// Committed-instruction budget of every trial and of the golden
+    /// run.
     pub instr_budget: u64,
     /// How queueing-structure control/tag flips are resolved (the
     /// golden run is fault-free, so the model changes trial
     /// classification only — never the store or the reference digest).
     pub fault_model: FaultModel,
-    /// Where the fault-free reference comes from.
-    pub golden: GoldenSpec,
+    /// Golden-pass checkpoint spacing in cycles (must be positive).
+    pub checkpoint_interval: u64,
     /// Whether the campaign samples under a prune map: the venue
     /// captures ACE evidence during its golden pass and returns the
     /// classifier's [`PruneMap`] in the opened job.
@@ -179,36 +156,6 @@ pub struct JobSpec {
 #[must_use]
 pub fn cycle_budget_of(golden_cycles: u64) -> u64 {
     golden_cycles.saturating_mul(4).saturating_add(50_000)
-}
-
-/// Runs a job's golden pass: the instrumented
-/// [`golden_run_with_evidence`] when `prune` (it captures the ACE
-/// evidence the site classifier needs), else the cheaper uninstrumented
-/// [`golden_run_checkpointed`]. Both produce the identical golden run
-/// and checkpoint stream. Every venue — the local backend and each
-/// `serve` worker — obtains the golden run through this one function.
-#[must_use]
-pub fn run_golden_pass(
-    machine: &MachineConfig,
-    program: &Program,
-    instr_budget: u64,
-    checkpoint_interval: u64,
-    prune: bool,
-) -> (GoldenRun, DecodedCheckpoints, Option<PruneEvidence>) {
-    if prune {
-        let (golden, checkpoints, evidence) = golden_run_with_evidence(
-            machine,
-            program,
-            instr_budget,
-            checkpoint_interval,
-            PRUNE_WINDOW,
-        );
-        (golden, checkpoints, Some(evidence))
-    } else {
-        let (golden, checkpoints) =
-            golden_run_checkpointed(machine, program, instr_budget, checkpoint_interval);
-        (golden, checkpoints, None)
-    }
 }
 
 /// How one worker obtained the job's checkpoint store at `open`.
@@ -524,8 +471,8 @@ pub fn classify_trial(sim: &mut InjectionSim<'_>, trial: &Trial, golden_digest: 
 /// Where a trial's verdict came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrialEnd {
-    /// Settled without a tail: masked or diverged at the probe, or
-    /// unreached.
+    /// Settled without a tail: masked or diverged at the probe,
+    /// unreached, or trapped at the flip itself.
     Probe,
     /// Equal to a golden checkpoint: the trial rejoined the golden run.
     Rejoined,
@@ -617,7 +564,13 @@ pub fn settle_trial(
             sim.restore(&snap);
             Settled {
                 outcome,
-                end,
+                // A flip that sets the trap flag ends the run before a
+                // single tail cycle.
+                end: if tail_cycles == 0 {
+                    TrialEnd::Probe
+                } else {
+                    end
+                },
                 tail_cycles,
             }
         }
@@ -811,47 +764,30 @@ impl LocalBackend {
         self.ends = ends;
         self
     }
-}
 
-impl CampaignBackend for LocalBackend {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
-        let (checkpoints, golden, source, prune) = match spec.golden {
-            GoldenSpec::Resolved {
-                checkpoints,
-                golden,
-            } => (checkpoints, golden, StoreSource::Cached, None),
-            GoldenSpec::Delegated {
-                checkpoint_interval,
-            } => {
-                if checkpoint_interval == 0 {
-                    return Err(BackendError::Protocol(
-                        "delegated golden run needs a positive checkpoint interval".to_owned(),
-                    ));
-                }
-                let (golden, checkpoints, evidence) = run_golden_pass(
-                    &spec.machine,
-                    &spec.program,
-                    spec.instr_budget,
-                    checkpoint_interval,
-                    spec.prune,
-                );
-                let prune = evidence.map(|evidence| {
-                    Arc::new(PruneMap::build(
-                        &spec.machine,
-                        &spec.program,
-                        spec.fault_model,
-                        &evidence,
-                    ))
-                });
-                (Arc::new(checkpoints), golden, StoreSource::GoldenRun, prune)
-            }
-        };
+    /// Opens `spec` on a golden pass the caller already holds (`source`
+    /// says how it got it): builds the prune map from `evidence` when
+    /// `spec.prune` asks for one, and the session. [`LocalBackend::open`]
+    /// and each `serve` worker's cache both end here.
+    #[must_use]
+    pub fn open_resolved(
+        &self,
+        spec: JobSpec,
+        golden: GoldenRun,
+        checkpoints: Arc<DecodedCheckpoints>,
+        evidence: Option<&PruneEvidence>,
+        source: StoreSource,
+    ) -> OpenedJob {
+        let prune = evidence.filter(|_| spec.prune).map(|evidence| {
+            Arc::new(PruneMap::build(
+                &spec.machine,
+                &spec.program,
+                spec.fault_model,
+                evidence,
+            ))
+        });
         let checkpoints_total = checkpoints.len();
-        Ok(OpenedJob {
+        OpenedJob {
             session: Box::new(LocalSession {
                 job: Arc::new(LocalJob {
                     machine: spec.machine,
@@ -874,7 +810,35 @@ impl CampaignBackend for LocalBackend {
                 source,
             }],
             prune,
-        })
+        }
+    }
+}
+
+impl CampaignBackend for LocalBackend {
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
+        if spec.checkpoint_interval == 0 {
+            return Err(BackendError::Protocol(
+                "the golden pass needs a positive checkpoint interval".to_owned(),
+            ));
+        }
+        let (golden, checkpoints, evidence) = golden_pass(
+            &spec.machine,
+            &spec.program,
+            spec.instr_budget,
+            spec.checkpoint_interval,
+            spec.prune.then_some(PRUNE_WINDOW),
+        );
+        Ok(self.open_resolved(
+            spec,
+            golden,
+            Arc::new(checkpoints),
+            evidence.as_ref(),
+            StoreSource::GoldenRun,
+        ))
     }
 }
 

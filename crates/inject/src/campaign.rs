@@ -26,7 +26,7 @@ use avf_prune::{PruneMap, PruneMode};
 use avf_sim::{simulate, MachineConfig};
 
 use crate::adaptive::allocate_batch;
-use crate::backend::{BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend};
+use crate::backend::{BackendError, CampaignBackend, JobSpec, LocalBackend};
 use crate::plan::SamplingPlan;
 use crate::report::{ace_avf_of, BatchProgress, CampaignReport, StopReason, TargetReport};
 use crate::stats::OutcomeCounts;
@@ -156,9 +156,7 @@ impl<'a> Campaign<'a> {
             program: self.program.clone(),
             instr_budget: self.config.instr_budget,
             fault_model: self.config.fault_model,
-            golden: GoldenSpec::Delegated {
-                checkpoint_interval: self.config.effective_checkpoint_interval(),
-            },
+            checkpoint_interval: self.config.effective_checkpoint_interval(),
             prune: prune_requested,
         })?;
         let golden = opened.golden;

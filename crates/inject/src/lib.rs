@@ -34,7 +34,7 @@
 //!   (sequential sampling);
 //! * [`CampaignBackend`] / [`CampaignSession`] — the execution seam: a
 //!   backend binds a [`JobSpec`] (program, machine, budget, and the
-//!   [`GoldenSpec`] the venue runs its golden pass from) and streams
+//!   checkpoint interval of the golden pass the venue runs) and streams
 //!   per-trial [`TrialEvent`]s back as they complete. [`LocalBackend`] is the
 //!   in-process thread pool (cycle-sorted strided shards, each worker
 //!   restoring the nearest checkpoint and forking with
@@ -75,9 +75,9 @@ mod stats;
 
 pub use backend::{
     classify_trial, cycle_budget_of, decode_trial_batch, encode_trial_batch, redispatched_trials,
-    run_golden_pass, settle_trial, shard_trials, BackendError, CampaignBackend, CampaignSession,
-    DispatchRecord, GoldenSpec, JobSpec, LocalBackend, OpenedJob, Settled, StoreSource, TrialEnd,
-    TrialEnds, TrialEvent, TrialStream, WorkerProvision,
+    settle_trial, shard_trials, BackendError, CampaignBackend, CampaignSession, DispatchRecord,
+    JobSpec, LocalBackend, OpenedJob, Settled, StoreSource, TrialEnd, TrialEnds, TrialEvent,
+    TrialStream, WorkerProvision,
 };
 pub use campaign::{Campaign, CampaignConfig};
 pub use plan::{SamplingPlan, Trial, AUDIT_BATCH};

@@ -351,7 +351,7 @@ impl CampaignReport {
                 w.f64(v);
             }
         }
-        w.u8(prune_wire_code(self.prune));
+        w.u8(self.prune.wire_code());
         w.u64(self.audited);
         w.u8(self.stop.wire_code());
         w.usize(self.batches.len());
@@ -421,7 +421,7 @@ impl CampaignReport {
             t => return Err(WireError::BadTag(t)),
         };
         let prune_code = r.u8()?;
-        let prune = prune_from_wire_code(prune_code).ok_or(WireError::BadTag(prune_code))?;
+        let prune = PruneMode::from_wire_code(prune_code).ok_or(WireError::BadTag(prune_code))?;
         let audited = r.u64()?;
         let stop_code = r.u8()?;
         let stop = StopReason::from_wire_code(stop_code).ok_or(WireError::BadTag(stop_code))?;
@@ -479,25 +479,6 @@ impl CampaignReport {
             dispatches,
             wall,
         })
-    }
-}
-
-/// Stable wire code of a [`PruneMode`] (defined here because the prune
-/// crate has no wire dependency).
-fn prune_wire_code(mode: PruneMode) -> u8 {
-    match mode {
-        PruneMode::Off => 0,
-        PruneMode::On => 1,
-        PruneMode::Audit => 2,
-    }
-}
-
-fn prune_from_wire_code(code: u8) -> Option<PruneMode> {
-    match code {
-        0 => Some(PruneMode::Off),
-        1 => Some(PruneMode::On),
-        2 => Some(PruneMode::Audit),
-        _ => None,
     }
 }
 

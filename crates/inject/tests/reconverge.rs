@@ -10,8 +10,9 @@
 //! corruption which never disappears is never mistaken for a match but
 //! is decided once nothing reads it, that a corruption the golden future
 //! keeps reading is never decided by the index (the oracle tail settles
-//! it when it only reaches stored data), and that one which steers an
-//! address runs its full tail.
+//! it when it only reaches stored data), that one which steers an
+//! address runs its full tail, and that a flip which traps at once ends
+//! as a probe.
 
 use std::sync::OnceLock;
 
@@ -293,5 +294,25 @@ fn a_corruption_that_steers_an_address_runs_its_full_tail() {
         classify_with_budget_at_last_checkpoint(fx, steered, true),
         Outcome::Due,
         "only the full tail settles it, and the cut budget times it out"
+    );
+}
+
+#[test]
+fn a_flip_that_traps_at_once_ends_as_a_probe() {
+    // Under the trap model a ROB path-flag flip of a live entry is a
+    // detected error the moment it lands: the run ends with no tail.
+    let fx = &fixtures()[0];
+    let cycle = fx.golden.cycles / 2;
+    let path_flag = 64 + 10;
+    let mut sim = sim_at(fx, FaultModel::Trap, cycle);
+    assert!(sim.run_to_cycle(cycle));
+    let entry = (0..InjectionTarget::Rob.entries(machine()))
+        .find(|&e| sim.probe_bit(InjectionTarget::Rob, e, path_flag) == FlipEffect::Armed)
+        .expect("a live ROB entry mid-run");
+    let t = trial(InjectionTarget::Rob, entry, path_flag, cycle);
+    let settled = settle_trial(&mut sim, &t, fx.golden.digest, Some(&fx.checkpoints));
+    assert_eq!(
+        (settled.outcome, settled.end, settled.tail_cycles),
+        (Outcome::Due, TrialEnd::Probe, 0)
     );
 }

@@ -7,9 +7,9 @@
 //! matter.
 //!
 //! The classifier consumes the golden run's occupancy/deadness evidence
-//! ([`avf_sim::PruneEvidence`], recorded by
-//! [`avf_sim::golden_run_with_evidence`]) plus the machine geometry and
-//! program text, and emits a compact [`PruneMap`]. Every pruned site
+//! ([`avf_sim::PruneEvidence`], recorded by [`avf_sim::golden_pass`]
+//! when asked for evidence) plus the machine geometry and program text,
+//! and emits a compact [`PruneMap`]. Every pruned site
 //! carries an auditable [`ProofTag`] naming the argument for why the
 //! injection engine would classify it masked without running:
 //!
@@ -77,6 +77,27 @@ impl PruneMode {
             "off" => Some(PruneMode::Off),
             "on" => Some(PruneMode::On),
             "audit" => Some(PruneMode::Audit),
+            _ => None,
+        }
+    }
+
+    /// Stable wire code.
+    #[must_use]
+    pub fn wire_code(self) -> u8 {
+        match self {
+            PruneMode::Off => 0,
+            PruneMode::On => 1,
+            PruneMode::Audit => 2,
+        }
+    }
+
+    /// Inverse of [`PruneMode::wire_code`].
+    #[must_use]
+    pub fn from_wire_code(code: u8) -> Option<PruneMode> {
+        match code {
+            0 => Some(PruneMode::Off),
+            1 => Some(PruneMode::On),
+            2 => Some(PruneMode::Audit),
             _ => None,
         }
     }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use avf_inject::{CampaignBackend, GoldenSpec, JobSpec, LocalBackend, Outcome, Trial};
+use avf_inject::{JobSpec, LocalBackend, Outcome, StoreSource, Trial};
 use avf_prune::{ProofTag, PruneMap};
 use avf_sim::{golden_run_with_evidence, FaultModel, InjectionTarget, MachineConfig, PRUNE_WINDOW};
 use avf_workloads::testkit::{idle_loop, register_chain};
@@ -97,19 +97,20 @@ fn assert_sweep_masked(program: &avf_isa::Program, model: FaultModel) -> [bool; 
     );
 
     let backend = LocalBackend::new(2);
-    let opened = backend
-        .open(JobSpec {
+    let opened = backend.open_resolved(
+        JobSpec {
             machine: machine.clone(),
             program: program.clone(),
             instr_budget: INSTR_BUDGET,
             fault_model: model,
-            golden: GoldenSpec::Resolved {
-                checkpoints: Arc::new(store.decode_all(&machine, program).expect("own store")),
-                golden,
-            },
+            checkpoint_interval: golden_interval(),
             prune: false,
-        })
-        .expect("local backend opens a resolved golden pass");
+        },
+        golden,
+        Arc::new(store),
+        None,
+        StoreSource::GoldenRun,
+    );
     let mut session = opened.session;
     let trials: Vec<Trial> = sites.iter().map(|&(t, _)| t).collect();
     let mut seen = 0usize;

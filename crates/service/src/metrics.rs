@@ -18,6 +18,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use avf_inject::TrialEnds;
 
@@ -88,13 +89,23 @@ impl ServeStats {
     }
 }
 
+/// How long one scrape may take to send its request line, or to take
+/// the reply.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Serves `GET /metrics` and `GET /healthz` on `listener` until the
-/// process exits. One short-lived thread per scrape; scrapes are rare
-/// (CI, a watch loop) and must never block the campaign plane.
+/// process exits. Scrapes are rare (CI, a watch loop), so this one
+/// thread answers them one at a time, off the campaign plane. Each
+/// connection reads and writes under [`SCRAPE_TIMEOUT`]: a client that
+/// connects and stalls delays the next scrape by at most that.
 fn metrics_loop(listener: &TcpListener, render: &(dyn Fn() -> String + Send + Sync)) {
     for conn in listener.incoming() {
         let Ok(stream) = conn else { continue };
-        let _ = respond(&stream, render);
+        if stream.set_read_timeout(Some(SCRAPE_TIMEOUT)).is_ok()
+            && stream.set_write_timeout(Some(SCRAPE_TIMEOUT)).is_ok()
+        {
+            let _ = respond(&stream, render);
+        }
     }
 }
 
@@ -145,6 +156,8 @@ mod tests {
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
+        // A hung endpoint fails the test instead of stalling it.
+        stream.set_read_timeout(Some(SCRAPE_TIMEOUT * 5)).unwrap();
         write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
         let mut body = String::new();
         stream.read_to_string(&mut body).unwrap();
@@ -167,6 +180,14 @@ mod tests {
         assert!(get(addr, "/metrics").contains("test_counter 42"));
         assert!(get(addr, "/healthz").contains("ok"));
         assert!(get(addr, "/nope").starts_with("HTTP/1.0 404"));
+    }
+
+    #[test]
+    fn a_silent_client_does_not_block_later_scrapes() {
+        let addr = spawn_metrics("127.0.0.1:0", || "test_counter 1\n".to_owned()).unwrap();
+        let silent = TcpStream::connect(addr).unwrap();
+        assert!(get(addr, "/metrics").contains("test_counter 1"));
+        drop(silent);
     }
 
     #[test]

@@ -27,9 +27,7 @@
 //! worker build or a foreign peer fails with a typed magic/version
 //! error instead of a confusing mid-payload decode failure.
 
-use avf_inject::{
-    decode_trial_batch, BackendError, GoldenSpec, JobSpec, StoreSource, Trial, TrialEvent,
-};
+use avf_inject::{decode_trial_batch, BackendError, JobSpec, StoreSource, Trial, TrialEvent};
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
@@ -101,29 +99,16 @@ pub struct JobSetup {
 
 impl JobSetup {
     /// The setup frame of a job whose golden pass the worker runs.
-    ///
-    /// # Errors
-    ///
-    /// `Protocol` for a resolved golden spec: it cannot cross the wire.
-    pub fn delegated(spec: JobSpec) -> Result<JobSetup, BackendError> {
-        let GoldenSpec::Delegated {
-            checkpoint_interval,
-        } = spec.golden
-        else {
-            return Err(BackendError::Protocol(
-                "remote workers run the golden pass themselves; \
-                 a resolved golden spec cannot cross the wire"
-                    .to_owned(),
-            ));
-        };
-        Ok(JobSetup {
+    #[must_use]
+    pub fn delegated(spec: JobSpec) -> JobSetup {
+        JobSetup {
             machine: spec.machine,
             program: spec.program,
             instr_budget: spec.instr_budget,
             fault_model: spec.fault_model,
             prune: spec.prune,
-            checkpoint_interval,
-        })
+            checkpoint_interval: spec.checkpoint_interval,
+        }
     }
 
     /// The cache key this setup resolves to ([`delegated_job_key`]).
@@ -175,6 +160,20 @@ impl JobSetup {
             prune,
             checkpoint_interval,
         })
+    }
+}
+
+impl From<JobSetup> for JobSpec {
+    /// The job a worker (or the broker) opens for a received setup.
+    fn from(setup: JobSetup) -> JobSpec {
+        JobSpec {
+            machine: setup.machine,
+            program: setup.program,
+            instr_budget: setup.instr_budget,
+            fault_model: setup.fault_model,
+            checkpoint_interval: setup.checkpoint_interval,
+            prune: setup.prune,
+        }
     }
 }
 

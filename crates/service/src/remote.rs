@@ -110,7 +110,7 @@ impl CampaignBackend for RemoteBackend {
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
         // Serialize the setup once; every worker receives the identical
         // bytes.
-        let setup_frame = Arc::new(JobSetup::delegated(spec)?.to_wire());
+        let setup_frame = Arc::new(JobSetup::delegated(spec).to_wire());
 
         // N workers run their golden passes in parallel.
         let handles: Vec<_> = self

@@ -24,10 +24,8 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use avf_inject::{
-    run_golden_pass, BackendError, CampaignBackend, GoldenSpec, JobSpec, LocalBackend, StoreSource,
-};
-use avf_prune::PruneMap;
+use avf_inject::{BackendError, JobSpec, LocalBackend, StoreSource, PRUNE_WINDOW};
+use avf_sim::golden_pass;
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
 use crate::cache::{CacheEntry, EvalCache, StoreCache};
@@ -153,47 +151,45 @@ pub fn spawn_local(opts: ServeOptions) -> std::io::Result<std::net::SocketAddr> 
 
 /// Resolves the job's golden pass through the cache under `key`: a hit
 /// reuses the cached checkpoints, a miss runs the pass here and caches
-/// it.
+/// it. A pruning job that hits an entry of an uninstrumented pass runs
+/// the pass again with evidence, cross-checks that it resolved the
+/// identical reference and refreshes the entry, so the next pruning
+/// session hits outright.
 fn resolve_store(
     setup: &JobSetup,
     key: u64,
     cache: &StoreCache,
 ) -> Result<(CacheEntry, StoreSource), BackendError> {
     let geometry = geometry_fingerprint(&setup.machine, &setup.program);
-    let pass = |prune| {
-        run_golden_pass(
-            &setup.machine,
-            &setup.program,
-            setup.instr_budget,
-            setup.checkpoint_interval,
-            prune,
-        )
-    };
-    if let Some(mut entry) = cache.get(key, geometry) {
-        crate::log_line!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
-        if setup.prune && entry.evidence.is_none() {
-            // The cached store came from an uninstrumented pass: re-run
-            // instrumented to capture evidence, cross-check it resolved
-            // the identical reference, and refresh the entry so the
-            // next pruning session hits outright.
+    let cached = cache.get(key, geometry);
+    match &cached {
+        Some(entry) => {
+            crate::log_line!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
+            if !setup.prune || entry.evidence.is_some() {
+                return Ok((entry.clone(), StoreSource::Cached));
+            }
             crate::log_line!(
                 "serve: job {key:016x} regenerating prune evidence (instrumented pass)"
             );
-            let (golden, _, evidence) = pass(true);
-            if golden != entry.golden {
-                return Err(BackendError::Protocol(format!(
-                    "instrumented golden pass diverged from the cached reference: \
-                     digest {:016x} vs {:016x}",
-                    golden.digest, entry.golden.digest
-                )));
-            }
-            entry.evidence = evidence.map(Arc::new);
-            cache.insert(key, entry.clone());
         }
-        return Ok((entry, StoreSource::Cached));
+        None => {
+            crate::log_line!("serve: job {key:016x} checkpoint store MISS (running golden pass)");
+        }
     }
-    crate::log_line!("serve: job {key:016x} checkpoint store MISS (running golden pass)");
-    let (golden, checkpoints, evidence) = pass(setup.prune);
+    let (golden, checkpoints, evidence) = golden_pass(
+        &setup.machine,
+        &setup.program,
+        setup.instr_budget,
+        setup.checkpoint_interval,
+        setup.prune.then_some(PRUNE_WINDOW),
+    );
+    if let Some(entry) = cached.as_ref().filter(|entry| entry.golden != golden) {
+        return Err(BackendError::Protocol(format!(
+            "instrumented golden pass diverged from the cached reference: \
+             digest {:016x} vs {:016x}",
+            golden.digest, entry.golden.digest
+        )));
+    }
     // Every later campaign on this worker — this connection included —
     // restores straight from these snapshots.
     let entry = CacheEntry {
@@ -203,7 +199,12 @@ fn resolve_store(
         evidence: evidence.map(Arc::new),
     };
     cache.insert(key, entry.clone());
-    Ok((entry, StoreSource::GoldenRun))
+    let source = if cached.is_some() {
+        StoreSource::Cached
+    } else {
+        StoreSource::GoldenRun
+    };
+    Ok((entry, source))
 }
 
 /// Drives one campaign session over one connection.
@@ -238,40 +239,25 @@ fn handle_connection(
     // allowed to panic a worker thread.
     let machine = setup.machine.clone();
     let sizes = machine.structure_sizes();
-    // A pruning job ships the classifier's map back with JOB_READY:
-    // the driver never simulated the golden pass, so the worker's
-    // evidence is the only source. The map derives from the session's
-    // fault model; the cached evidence is model-independent.
-    let prune = match entry.evidence.as_deref() {
-        Some(evidence) if setup.prune => Some(PruneMap::build(
-            &machine,
-            &setup.program,
-            setup.fault_model,
-            evidence,
-        )),
-        _ => None,
-    };
     let backend = LocalBackend::new(opts.threads).with_trial_ends(Arc::clone(&opts.stats.trials));
-    let golden = entry.golden;
-    let setup = *setup;
-    let opened = backend.open(JobSpec {
-        machine: setup.machine,
-        program: setup.program,
-        instr_budget: setup.instr_budget,
-        fault_model: setup.fault_model,
-        golden: GoldenSpec::Resolved {
-            checkpoints: entry.checkpoints,
-            golden,
-        },
-        prune: false, // the pass (and map) are already resolved here
-    })?;
+    // A pruning job ships the classifier's map back with JOB_READY: the
+    // driver never simulated the golden pass, so the worker's evidence
+    // is the only source. The map derives from the session's fault
+    // model; the cached evidence is model-independent.
+    let opened = backend.open_resolved(
+        JobSpec::from(*setup),
+        entry.golden,
+        entry.checkpoints,
+        entry.evidence.as_deref(),
+        source,
+    );
     writer.push(
         &ServerMessage::Ready {
             ready: JobReady {
                 store_hash: key,
-                golden,
+                golden: opened.golden,
                 checkpoints: opened.checkpoints as u64,
-                prune,
+                prune: opened.prune.map(Arc::unwrap_or_clone),
             },
             source,
         }

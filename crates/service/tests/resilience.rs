@@ -18,9 +18,7 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
 use avf_inject::{BackendError, CampaignBackend};
-use avf_inject::{
-    Campaign, CampaignConfig, GoldenSpec, JobSpec, LocalBackend, Outcome, Trial, TrialEvent,
-};
+use avf_inject::{Campaign, CampaignConfig, JobSpec, LocalBackend, Outcome, Trial, TrialEvent};
 use avf_service::{spawn_local, RemoteBackend, ServeOptions};
 use avf_sim::{GoldenRun, InjectionTarget, MachineConfig};
 use avf_workloads::testkit::register_chain;
@@ -178,9 +176,7 @@ fn delegated_spec() -> JobSpec {
         program: register_chain(),
         instr_budget: 6_000,
         fault_model: avf_inject::FaultModel::default(),
-        golden: GoldenSpec::Delegated {
-            checkpoint_interval: 512,
-        },
+        checkpoint_interval: 512,
         prune: false,
     }
 }

@@ -1197,8 +1197,7 @@ impl<'a> InjectionSim<'a> {
 /// Periodic in-memory checkpoints of the fault-free run, plus its final
 /// memory image and the index of its future reads and writes.
 ///
-/// Built once per campaign by the golden pass ([`golden_run_checkpointed`]
-/// or [`golden_run_with_evidence`]). Trial workers
+/// Built once per campaign by [`golden_pass`]. Trial workers
 /// [`InjectionSim::restore_nearest`] the checkpoint at or before their
 /// injection cycle, turning per-trial setup from `O(cycle)` prefix
 /// replay into `O(interval)`; an armed trial compares itself with the
@@ -1329,9 +1328,9 @@ pub fn golden_run(config: &MachineConfig, program: &Program, instr_budget: u64) 
     }
 }
 
-/// [`golden_run`] that also captures an in-memory checkpoint every
-/// `interval` cycles (plus the cycle-0 initial state) and keeps the
-/// final memory image.
+/// [`golden_pass`] without evidence: [`golden_run`] that also captures
+/// an in-memory checkpoint every `interval` cycles (plus the cycle-0
+/// initial state) and keeps the final memory image.
 ///
 /// # Panics
 ///
@@ -1344,26 +1343,71 @@ pub fn golden_run_checkpointed(
     instr_budget: u64,
     interval: u64,
 ) -> (GoldenRun, DecodedCheckpoints) {
-    assert!(interval > 0, "checkpoint interval must be positive");
-    let mut sim = InjectionSim::recording(config, program, instr_budget);
-    let mut checkpoints = vec![sim.golden_checkpoint()];
-    loop {
-        let next = sim.cycle().saturating_add(interval);
-        if !sim.run_to_cycle(next) {
-            break;
-        }
-        checkpoints.push(sim.golden_checkpoint());
-    }
-    finish_golden_pass(sim, interval, checkpoints)
+    let (golden, checkpoints, _) = golden_pass(config, program, instr_budget, interval, None);
+    (golden, checkpoints)
 }
 
-/// Runs a golden pass's remaining tail and packages its reference run
-/// with the checkpoints, final memory image and golden-future index.
-fn finish_golden_pass(
-    mut sim: InjectionSim<'_>,
+/// [`golden_pass`] with evidence folded over `window`-cycle windows:
+/// [`golden_run_checkpointed`] that also records the occupancy/deadness
+/// evidence the pre-campaign site classifier consumes.
+///
+/// # Panics
+///
+/// Panics if `interval` or `window` is zero or the fault-free run does
+/// not complete cleanly.
+#[must_use]
+pub fn golden_run_with_evidence(
+    config: &MachineConfig,
+    program: &Program,
+    instr_budget: u64,
     interval: u64,
-    checkpoints: Vec<(u64, PipelineSnapshot)>,
-) -> (GoldenRun, DecodedCheckpoints) {
+    window: u64,
+) -> (GoldenRun, DecodedCheckpoints, PruneEvidence) {
+    let (golden, checkpoints, evidence) =
+        golden_pass(config, program, instr_budget, interval, Some(window));
+    (
+        golden,
+        checkpoints,
+        evidence.expect("evidence was requested"),
+    )
+}
+
+/// The golden pass every campaign venue runs before its first trial:
+/// steps the fault-free run cycle by cycle, takes a checkpoint at cycle
+/// 0 and at every multiple of `interval`, records the golden-future
+/// index and, given an `evidence_window`, folds [`PruneEvidence`] over
+/// windows of that many cycles. The only loop that steps a
+/// checkpointing golden pass; the evidence is read-only observation, so
+/// the run and checkpoints do not depend on it.
+///
+/// # Panics
+///
+/// Panics if `interval` or the window is zero or the fault-free run
+/// does not complete cleanly.
+#[must_use]
+pub fn golden_pass(
+    config: &MachineConfig,
+    program: &Program,
+    instr_budget: u64,
+    interval: u64,
+    evidence_window: Option<u64>,
+) -> (GoldenRun, DecodedCheckpoints, Option<PruneEvidence>) {
+    assert!(interval > 0, "checkpoint interval must be positive");
+    let mut sim = InjectionSim::recording(config, program, instr_budget);
+    let mut evidence = evidence_window.map(PruneEvidence::new);
+    let mut live = vec![0u64; config.phys_regs.div_ceil(64)];
+    let mut checkpoints = vec![sim.golden_checkpoint()];
+    let mut next = interval;
+    while !sim.pipe.done(instr_budget) && sim.pipe.cycle < sim.cycle_budget {
+        sim.pipe.tick(instr_budget);
+        if let Some(ev) = &mut evidence {
+            ev.sample(&sim.pipe, &mut live);
+        }
+        if sim.pipe.cycle == next {
+            checkpoints.push(sim.golden_checkpoint());
+            next = next.saturating_add(interval);
+        }
+    }
     let end = sim.run_to_end();
     assert!(
         end == RunEnd::Completed,
@@ -1374,6 +1418,9 @@ fn finish_golden_pass(
         committed: sim.committed(),
         digest: sim.memory_digest(),
     };
+    if let Some(ev) = &mut evidence {
+        ev.cycles = golden.cycles;
+    }
     let recorder: Box<FutureRecorder> = sim.pipe.recorder.take().expect("a recording pass");
     let positions: Vec<u64> = checkpoints.iter().map(|(_, s)| s.retired()).collect();
     let checkpoints = DecodedCheckpoints {
@@ -1382,7 +1429,7 @@ fn finish_golden_pass(
         final_memory: Arc::new(sim.pipe.oracle_mem),
         future: Arc::new(recorder.finish(&positions)),
     };
-    (golden, checkpoints)
+    (golden, checkpoints, evidence)
 }
 
 /// Default cycle-window width for [`PruneEvidence`] folding. Smaller
@@ -1437,6 +1484,7 @@ pub struct PruneEvidence {
 
 impl PruneEvidence {
     fn new(window: u64) -> PruneEvidence {
+        assert!(window > 0, "evidence window must be positive");
         PruneEvidence {
             window,
             cycles: 1,
@@ -1454,69 +1502,35 @@ impl PruneEvidence {
     pub fn windows(&self) -> usize {
         self.rob_max.len()
     }
-}
 
-/// [`golden_run_checkpointed`] that additionally records the per-cycle
-/// occupancy/deadness evidence the pre-campaign site classifier
-/// consumes. The checkpoints and golden run are identical to the
-/// uninstrumented pass's (the evidence is read-only observation).
-///
-/// # Panics
-///
-/// Panics if `interval` or `window` is zero or the fault-free run does
-/// not complete cleanly.
-#[must_use]
-pub fn golden_run_with_evidence(
-    config: &MachineConfig,
-    program: &Program,
-    instr_budget: u64,
-    interval: u64,
-    window: u64,
-) -> (GoldenRun, DecodedCheckpoints, PruneEvidence) {
-    assert!(interval > 0, "checkpoint interval must be positive");
-    assert!(window > 0, "evidence window must be positive");
-    let mut sim = InjectionSim::recording(config, program, instr_budget);
-    let mut checkpoints = vec![sim.golden_checkpoint()];
-    let mut ev = PruneEvidence::new(window);
-    let rf_words = config.phys_regs.div_ceil(64);
-    let mut live = vec![0u64; rf_words];
-    loop {
-        if sim.pipe.done(sim.instr_budget) || sim.pipe.cycle >= sim.cycle_budget {
-            break;
+    /// Folds the state `pipe` holds after a tick into the window of its
+    /// cycle. `live` is scratch for the register live mask.
+    fn sample(&mut self, pipe: &Pipeline<'_>, live: &mut [u64]) {
+        let c = pipe.cycle;
+        let w = ((c - 1) / self.window) as usize;
+        if w == self.rob_max.len() {
+            self.rob_max.push(0);
+            self.iq_max.push(0);
+            self.lq_max.push(0);
+            self.sq_max.push(0);
+            self.dtlb_max.push(0);
+            self.rf_dead.push(vec![u64::MAX; live.len()]);
         }
-        sim.pipe.tick(sim.instr_budget);
-        let c = sim.pipe.cycle;
-        let w = ((c - 1) / window) as usize;
-        if w == ev.rob_max.len() {
-            ev.rob_max.push(0);
-            ev.iq_max.push(0);
-            ev.lq_max.push(0);
-            ev.sq_max.push(0);
-            ev.dtlb_max.push(0);
-            ev.rf_dead.push(vec![u64::MAX; rf_words]);
-        }
-        let pipe = &sim.pipe;
         debug_assert_eq!(
             (pipe.iq.len(), pipe.lq_count, pipe.sq_count),
             pipe.queue_counts_by_walk(),
             "queue counters drifted from the ROB at cycle {c}"
         );
-        ev.rob_max[w] = ev.rob_max[w].max(pipe.rob.len() as u64);
-        ev.iq_max[w] = ev.iq_max[w].max(pipe.iq.len() as u64);
-        ev.lq_max[w] = ev.lq_max[w].max(pipe.lq_count as u64);
-        ev.sq_max[w] = ev.sq_max[w].max(pipe.sq_count as u64);
-        ev.dtlb_max[w] = ev.dtlb_max[w].max(pipe.dtlb.resident() as u64);
-        pipe.rf.live_mask(&mut live);
-        for (dead, live) in ev.rf_dead[w].iter_mut().zip(&live) {
+        self.rob_max[w] = self.rob_max[w].max(pipe.rob.len() as u64);
+        self.iq_max[w] = self.iq_max[w].max(pipe.iq.len() as u64);
+        self.lq_max[w] = self.lq_max[w].max(pipe.lq_count as u64);
+        self.sq_max[w] = self.sq_max[w].max(pipe.sq_count as u64);
+        self.dtlb_max[w] = self.dtlb_max[w].max(pipe.dtlb.resident() as u64);
+        pipe.rf.live_mask(live);
+        for (dead, live) in self.rf_dead[w].iter_mut().zip(live.iter()) {
             *dead &= !live;
         }
-        if c.is_multiple_of(interval) {
-            checkpoints.push(sim.golden_checkpoint());
-        }
     }
-    let (golden, checkpoints) = finish_golden_pass(sim, interval, checkpoints);
-    ev.cycles = golden.cycles;
-    (golden, checkpoints, ev)
 }
 
 #[cfg(test)]

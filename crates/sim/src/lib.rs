@@ -60,9 +60,9 @@ pub use config::{BpredConfig, CacheConfig, MachineConfig};
 pub use dtlb::{Dtlb, TlbResult};
 pub use future::GoldenFuture;
 pub use inject::{
-    golden_run, golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints, FaultModel,
-    FlipEffect, GoldenRun, InjectionSim, InjectionTarget, Judgement, MaskReason, PipelineSnapshot,
-    PruneEvidence, RunEnd, Verdict, PRUNE_WINDOW,
+    golden_pass, golden_run, golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints,
+    FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, Judgement, MaskReason,
+    PipelineSnapshot, PruneEvidence, RunEnd, Verdict, PRUNE_WINDOW,
 };
 pub use pipeline::SimResult;
 pub use stats::SimStats;

@@ -10,12 +10,16 @@
 //! * golden runs and one ACE-instrumented `simulate` equal values pinned
 //!   from the always-scan loop, on the paper-baseline stressmark, the
 //!   `429.mcf` proxy and the testkit kernels, on both machines.
+//!
+//! A third check pins the checkpointing golden pass itself, with and
+//! without prune evidence: its checkpoints, their footprint, the
+//! golden-future index and the evidence.
 
 use avf_codegen::{generate, Knobs, TargetParams};
 use avf_isa::Program;
 use avf_sim::{
-    golden_run, golden_run_checkpointed, simulate, InjectionSim, MachineConfig, PipelineSnapshot,
-    RunEnd, SimStats,
+    golden_run, golden_run_checkpointed, golden_run_with_evidence, simulate, DecodedCheckpoints,
+    InjectionSim, MachineConfig, PipelineSnapshot, RunEnd, SimStats, PRUNE_WINDOW,
 };
 
 fn target_params(machine: &MachineConfig) -> TargetParams {
@@ -235,5 +239,70 @@ fn simulate_stats_equal_the_always_scan_loop() {
     };
     for ((name, got), (_, want)) in stats_fields(&stats).into_iter().zip(stats_fields(&want)) {
         assert_eq!(got, want, "429.mcf simulate: {name}");
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every checkpoint of a pass, the cycle-0 state first.
+fn all_checkpoints(checkpoints: &DecodedCheckpoints) -> Vec<(u64, &PipelineSnapshot)> {
+    checkpoints
+        .nearest(0)
+        .into_iter()
+        .chain(checkpoints.after(0))
+        .collect()
+}
+
+#[test]
+fn golden_pass_equals_the_pinned_checkpoints_and_evidence() {
+    const BUDGET: u64 = 30_000;
+    const INTERVAL: u64 = 3_750;
+    let machine = MachineConfig::baseline();
+    // (checkpoints, total bytes, golden-future bytes, FNV-1a of the
+    // evidence's `Debug` output)
+    let pinned = [
+        (
+            "stressmark",
+            stressmark(&machine),
+            (21, 12_589_476, 462_484, 0x57fa_5fb5_9246_6d1d),
+        ),
+        (
+            "429.mcf",
+            mcf(),
+            (24, 26_614_604, 281_152, 0x8805_a3bb_9056_86b8),
+        ),
+    ];
+    for (name, program, want) in &pinned {
+        let (golden, plain) = golden_run_checkpointed(&machine, program, BUDGET, INTERVAL);
+        let (golden_ev, with, evidence) =
+            golden_run_with_evidence(&machine, program, BUDGET, INTERVAL, PRUNE_WINDOW);
+        assert_eq!(golden, golden_ev, "{name}: golden run");
+        let got = (
+            plain.len(),
+            plain.total_bytes(),
+            plain.future().bytes(),
+            fnv1a(format!("{evidence:?}").as_bytes()),
+        );
+        assert_eq!(
+            got, *want,
+            "{name}: (checkpoints, bytes, future bytes, evidence hash)"
+        );
+        assert_eq!(with.total_bytes(), plain.total_bytes(), "{name}: footprint");
+        assert_eq!(with.future().bytes(), plain.future().bytes(), "{name}");
+
+        let (plain_all, with_all) = (all_checkpoints(&plain), all_checkpoints(&with));
+        assert_eq!(plain_all.len(), with_all.len(), "{name}");
+        let mut sim = InjectionSim::new(&machine, program, BUDGET);
+        for (&(at, a), &(at_ev, b)) in plain_all.iter().zip(&with_all) {
+            assert_eq!(at, at_ev, "{name}: checkpoint cycle");
+            sim.restore(a);
+            assert!(sim.matches_snapshot(b), "{name}: checkpoint at {at}");
+        }
+        assert!(plain.final_memory() == with.final_memory(), "{name}");
     }
 }
