@@ -2,35 +2,39 @@
 //! [`BrokeredEvaluator`] a GA search through the broker's worker fleet,
 //! each over one authenticated connection.
 //!
-//! Both speak the ordinary worker protocol — setup, batches, events,
-//! done; or generations, scores, done — wrapped in `MUX` frames on a
-//! persistent broker connection, so [`avf_inject::Campaign::run_on`]
-//! and [`avf_ga::optimize`] need no changes: the broker is just another
-//! venue. Both share one MUX client (hello handshake, tag allocation,
-//! the end-of-session marker, MUX unwrap with a tag check) and drain
-//! their replies with the fleet dispatcher's [`avf_service::fleet::drain`],
-//! so every event or score is matched against the trial or genome it
-//! answers exactly as on a direct `--workers` run. The broker relays
-//! each batch into its own [`avf_service::Fleet`], which means
-//! re-dispatch supervision, cache reuse, and golden-run cross-checking
-//! all come from the same dispatcher on the far side. As on every
-//! remote path, the fleet workers run the golden pass themselves; the
-//! broker relays only the setup and its `JOB_READY`.
+//! Both speak the ordinary worker protocol — the job's [`JobSpec`]
+//! setup, batches, events, done; or generations, scores, done —
+//! wrapped in `MUX` frames on a persistent broker connection, so
+//! [`avf_inject::Campaign::run_on`] and [`avf_ga::optimize`] need no
+//! changes: the broker is just another venue. Both run over one MUX
+//! client (hello handshake, tag allocation, the end-of-session marker,
+//! MUX unwrap with a tag check) that implements
+//! [`avf_service::Venue`], so the campaign session is the same
+//! [`avf_service::RemoteSession`] and the evaluator the same
+//! [`avf_service::RemoteEvaluator`] a direct `--workers` run uses. The
+//! MUX client drains its replies with the fleet dispatcher's
+//! [`avf_service::fleet::drain`], so every event or score is matched
+//! against the trial or genome it answers exactly as on a direct run,
+//! and it logs one `broker(<addr>)` dispatch record per batch. The
+//! broker relays each batch into its own [`avf_service::Fleet`], which
+//! means re-dispatch supervision, cache reuse, and golden-run
+//! cross-checking all come from the same dispatcher on the far side.
+//! As on every remote path, the fleet workers run the golden pass
+//! themselves; the broker relays only the setup and its `JOB_READY`.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 
 use avf_ga::{EvalError, FitnessEvaluator};
 use avf_inject::{
-    BackendError, CampaignBackend, CampaignSession, DispatchRecord, JobSpec, OpenedJob, Trial,
-    TrialStream, WorkerProvision,
+    BackendError, CampaignBackend, DispatchRecord, JobSpec, OpenedJob, WorkerProvision,
 };
 use avf_service::fleet::{drain, Drain, Venue, Work};
-use avf_service::protocol::{JobSetup, Mux, ServerMessage};
-use avf_service::{AuthKey, EvalContext, RemoteEvaluator, Trials};
+use avf_service::protocol::{Mux, ServerMessage};
+use avf_service::{AuthKey, EvalContext, RemoteEvaluator, RemoteSession};
 
 use crate::client::BrokerConn;
 use crate::protocol::Reply;
@@ -40,6 +44,9 @@ use crate::protocol::Reply;
 struct MuxSession {
     conn: Arc<BrokerConn>,
     tag: u64,
+    /// One record per dispatch, all to the broker: its own fleet does
+    /// the sharding and the re-dispatching.
+    log: Vec<DispatchRecord>,
 }
 
 impl MuxSession {
@@ -48,7 +55,13 @@ impl MuxSession {
         MuxSession {
             conn: Arc::clone(conn),
             tag: conn.next_tag.fetch_add(1, Ordering::Relaxed),
+            log: Vec::new(),
         }
+    }
+
+    /// The broker as a peer name: `broker(<addr>)`.
+    fn peer(&self) -> String {
+        format!("broker({})", self.conn.slot.addr)
     }
 
     fn send(&self, inner: Vec<u8>) -> Result<(), BackendError> {
@@ -83,17 +96,27 @@ impl Venue for MuxSession {
     fn dispatch<W: Work>(
         &mut self,
         work: &W,
-        _batch: u64,
+        batch: u64,
         items: Vec<W::Item>,
         tx: &Sender<Result<W::Ack, BackendError>>,
     ) -> Result<(), BackendError> {
+        let peer = self.peer();
+        self.log.push(DispatchRecord {
+            batch,
+            worker: peer.clone(),
+            trials: items.len() as u64,
+            redispatched: false,
+        });
         self.send(work.encode(&items))?;
         let mut reader = self.conn.reader.lock().expect("reader lock");
-        let peer = format!("broker({})", self.conn.slot.addr);
         match drain::<W>(|| self.recv(&mut reader), &peer, &items, tx) {
             Drain::Clean | Drain::ConsumerGone => Ok(()),
             Drain::Dead { error, .. } | Drain::Fatal(error) => Err(error),
         }
+    }
+
+    fn log(&self) -> &[DispatchRecord] {
+        &self.log
     }
 }
 
@@ -137,11 +160,10 @@ impl CampaignBackend for BrokeredBackend {
     }
 
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
-        let setup = JobSetup::delegated(spec).to_wire();
         let mux = MuxSession::open(&self.conn);
-        mux.send(setup)?;
+        mux.send(spec.to_wire())?;
         let reply = mux.recv(&mut self.conn.reader.lock().expect("reader lock"))?;
-        let peer = format!("broker({})", self.conn.slot.addr);
+        let peer = mux.peer();
         let (ready, source) = ServerMessage::expect_ready(reply, &peer)?;
         // One provision entry per fleet worker, as the broker summarized
         // the fleet's setup.
@@ -151,51 +173,7 @@ impl CampaignBackend for BrokeredBackend {
                 source,
             })
             .collect();
-        Ok(OpenedJob {
-            session: Box::new(BrokeredSession {
-                peer,
-                mux: Arc::new(Mutex::new(mux)),
-                log: Vec::new(),
-            }),
-            golden: ready.golden,
-            checkpoints: usize::try_from(ready.checkpoints).unwrap_or(usize::MAX),
-            provisioning,
-            prune: ready.prune.map(Arc::new),
-        })
-    }
-}
-
-struct BrokeredSession {
-    peer: String,
-    /// Shared with the batch's drain thread; the end-of-session marker
-    /// goes out when the last holder drops.
-    mux: Arc<Mutex<MuxSession>>,
-    log: Vec<DispatchRecord>,
-}
-
-impl CampaignSession for BrokeredSession {
-    fn submit(&mut self, trials: &[Trial]) -> Result<TrialStream, BackendError> {
-        let batch = self.log.len() as u64;
-        self.log.push(DispatchRecord {
-            batch,
-            worker: self.peer.clone(),
-            trials: trials.len() as u64,
-            redispatched: false,
-        });
-        let (tx, rx) = mpsc::channel();
-        let mux = Arc::clone(&self.mux);
-        let trials = trials.to_vec();
-        let drainer = std::thread::spawn(move || {
-            let mut mux = mux.lock().expect("session lock");
-            if let Err(e) = mux.dispatch(&Trials, batch, trials, &tx) {
-                let _ = tx.send(Err(e));
-            }
-        });
-        Ok(TrialStream::new(rx, vec![drainer]))
-    }
-
-    fn dispatch_log(&self) -> Vec<DispatchRecord> {
-        self.log.clone()
+        Ok(ready.opened(Box::new(RemoteSession::new(mux)), provisioning))
     }
 }
 

@@ -20,6 +20,9 @@
 //!   searches (`MUX`-tagged worker-protocol frames from
 //!   [`BrokeredBackend`] and [`BrokeredEvaluator`], relayed into the
 //!   broker's own run of the fleet dispatcher, [`avf_service::fleet`]).
+//!   Those clients are `avf-service`'s own campaign session and
+//!   evaluator over a broker session, and a campaign opens with the
+//!   driver's [`avf_inject::JobSpec`], as on a direct `--workers` run.
 //! * **Authenticated framing** — with `--auth-key-file`, every frame
 //!   on both planes (driver↔broker, broker↔worker) carries a keyed
 //!   SipHash tag over a per-direction sequence number; tampered,

@@ -41,8 +41,8 @@ use avf_inject::{
 };
 use avf_isa::wire::kind;
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use avf_service::protocol::{ClientMessage, JobReady, JobSetup, Mux, ServerMessage};
-use avf_service::{score_generation, EvalBatch, EvalScore, Fleet, RemoteBackend};
+use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage};
+use avf_service::{score_generation, EvalBatch, EvalScore, Fleet, RemoteBackend, Venue};
 
 use crate::metrics::BrokerStats;
 use crate::protocol::{frame_kind, CampaignPhase, CampaignSpec, LogRecord, Reply, Request};
@@ -932,19 +932,19 @@ impl Relay for Fleet {
     }
 
     fn redispatched(&self) -> u64 {
-        Fleet::redispatched(self)
+        redispatched_trials(self.log())
     }
 }
 
-/// Opens the campaign plane's fleet session for `setup` and answers the
+/// Opens the campaign plane's fleet session for `spec` and answers the
 /// driver with the fleet's summarized `JOB_READY`.
 fn open_campaign(
     inner: &Inner,
-    setup: JobSetup,
+    spec: JobSpec,
     send: &dyn Fn(Vec<u8>) -> bool,
 ) -> Result<Box<dyn CampaignSession>, String> {
     let opened = fleet_backend(inner)
-        .open(JobSpec::from(setup))
+        .open(spec)
         .map_err(|e| format!("fleet open failed: {e}"))?;
     // The fleet counts as cached only if every worker was.
     let cached = opened
@@ -988,18 +988,18 @@ fn relay_interactive(
         let _ = outbox.send(mux_error(tag, &msg));
     };
     let search = frame_kind(&first) == Some(kind::EVAL_BATCH);
-    let setup = if search {
+    let spec = if search {
         None
-    } else if let Ok(ClientMessage::Setup(setup)) = ClientMessage::from_wire(&first) {
-        Some(*setup)
+    } else if let Ok(ClientMessage::Setup(spec)) = ClientMessage::from_wire(&first) {
+        Some(*spec)
     } else {
         return fail("interactive session must open with a setup".to_owned());
     };
     let Some(_slot) = acquire_slot(inner, tenant, tag, outbox) else {
         return;
     };
-    let opened: Result<Box<dyn Relay>, String> = match setup {
-        Some(setup) => open_campaign(inner, setup, &send).map(|s| Box::new(s) as Box<dyn Relay>),
+    let opened: Result<Box<dyn Relay>, String> = match spec {
+        Some(spec) => open_campaign(inner, spec, &send).map(|s| Box::new(s) as Box<dyn Relay>),
         None => Fleet::connect(&inner.opts.workers, inner.opts.auth)
             .map(|f| Box::new(f) as Box<dyn Relay>)
             .map_err(|e| format!("fleet open failed: {e}")),

@@ -12,7 +12,7 @@ use avf_broker::{
     Broker, BrokerClient, BrokerOptions, BrokeredBackend, CampaignSpec, CampaignStore, LogRecord,
     RejectReason, SubmitError,
 };
-use avf_inject::{Campaign, CampaignConfig, CampaignReport, LocalBackend};
+use avf_inject::{Campaign, CampaignConfig, CampaignReport, DispatchRecord, LocalBackend};
 use avf_service::{spawn_local, AuthKey, ServeOptions};
 use avf_sim::MachineConfig;
 
@@ -145,6 +145,20 @@ fn interactive_brokered_backend_matches_direct_run() {
         .expect("brokered run");
     assert_eq!(brokered.workers, 2, "report must record the fleet size");
     assert_eq!(fingerprint(&brokered), fingerprint(&direct_report(13, 180)));
+    // The durable dispatch log: one record per batch, all of it sent to
+    // the broker (its own fleet does the sharding), none re-dispatched.
+    let expected: Vec<DispatchRecord> = brokered
+        .batches
+        .iter()
+        .map(|b| DispatchRecord {
+            batch: b.batch,
+            worker: format!("broker({addr})"),
+            trials: b.trials,
+            redispatched: false,
+        })
+        .collect();
+    assert_eq!(brokered.dispatches, expected);
+    assert_eq!(expected.iter().map(|d| d.trials).sum::<u64>(), 180);
     assert!(
         broker
             .render_metrics()

@@ -14,7 +14,8 @@
 //!   parallel and the driver never simulates the prefix. A `serve`
 //!   worker that already holds the pass in its cache opens the job on
 //!   it through [`LocalBackend::open_resolved`], where
-//!   [`LocalBackend::open`] ends too.
+//!   [`LocalBackend::open`] ends too. [`JobSpec::to_wire`] is the
+//!   `JOB_SETUP` frame that opens every remote session.
 //! * [`CampaignBackend::open`] — binds a job to an execution venue and
 //!   returns an [`OpenedJob`]: the [`CampaignSession`] plus the golden
 //!   run the venue resolved (measured or cached) and a per-worker
@@ -139,13 +140,68 @@ pub struct JobSpec {
     /// How queueing-structure control/tag flips are resolved (the
     /// golden run is fault-free, so the model changes trial
     /// classification only — never the store or the reference digest).
+    /// Deliberately *not* part of a worker's store cache key: trap and
+    /// replay campaigns over the same (machine, program, budget,
+    /// interval) share one checkpoint store.
     pub fault_model: FaultModel,
     /// Golden-pass checkpoint spacing in cycles (must be positive).
     pub checkpoint_interval: u64,
     /// Whether the campaign samples under a prune map: the venue
     /// captures ACE evidence during its golden pass and returns the
-    /// classifier's [`PruneMap`] in the opened job.
+    /// classifier's [`PruneMap`] in the opened job. Not part of the
+    /// cache key either: the checkpoint stream is bit-identical with
+    /// and without evidence capture.
     pub prune: bool,
+}
+
+impl JobSpec {
+    /// Serializes the job to its enveloped session-opening frame
+    /// ([`kind::JOB_SETUP`]).
+    #[must_use]
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.envelope(kind::JOB_SETUP);
+        self.machine.encode(&mut w);
+        self.program.encode(&mut w);
+        w.u64(self.instr_budget);
+        w.u8(self.fault_model.wire_code());
+        w.u8(u8::from(self.prune));
+        w.u64(self.checkpoint_interval);
+        w.into_bytes()
+    }
+
+    /// Decodes the payload of a [`kind::JOB_SETUP`] envelope whose
+    /// header `r` has already consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on truncation, unknown codes, or a zero
+    /// checkpoint interval.
+    pub fn decode_body(r: &mut WireReader<'_>) -> Result<JobSpec, WireError> {
+        let machine = MachineConfig::decode(r)?;
+        let program = Program::decode(r)?;
+        let instr_budget = r.u64()?;
+        let model_code = r.u8()?;
+        let fault_model =
+            FaultModel::from_wire_code(model_code).ok_or(WireError::BadTag(model_code))?;
+        let prune = match r.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(WireError::BadTag(t)),
+        };
+        let checkpoint_interval = r.u64()?;
+        if checkpoint_interval == 0 {
+            return Err(WireError::Invalid("checkpoint interval must be positive"));
+        }
+        Ok(JobSpec {
+            machine,
+            program,
+            instr_budget,
+            fault_model,
+            checkpoint_interval,
+            prune,
+        })
+    }
 }
 
 /// The hang watchdog every trial runs under, derived from the golden

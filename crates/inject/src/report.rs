@@ -396,7 +396,9 @@ impl CampaignReport {
             committed: r.u64()?,
             digest: r.u64()?,
         };
-        let n_targets = r.seq_len(1)?;
+        // Each count is checked against its element's least wire size,
+        // so a hostile count cannot reserve many times the frame's size.
+        let n_targets = r.seq_len(1 + 5 * 8 + 2 * 8)?;
         let mut targets = Vec::with_capacity(n_targets);
         for _ in 0..n_targets {
             let code = r.u8()?;
@@ -425,7 +427,7 @@ impl CampaignReport {
         let audited = r.u64()?;
         let stop_code = r.u8()?;
         let stop = StopReason::from_wire_code(stop_code).ok_or(WireError::BadTag(stop_code))?;
-        let n_batches = r.seq_len(1)?;
+        let n_batches = r.seq_len(3 * 8 + 1 + 8)?;
         let mut batches = Vec::with_capacity(n_batches);
         for _ in 0..n_batches {
             let batch = r.u64()?;
@@ -442,7 +444,7 @@ impl CampaignReport {
             });
         }
         let checkpoints = r.usize()?;
-        let n_prov = r.seq_len(1)?;
+        let n_prov = r.seq_len(8 + 1)?;
         let mut provisioning = Vec::with_capacity(n_prov);
         for _ in 0..n_prov {
             let worker = r.str()?;
@@ -450,7 +452,7 @@ impl CampaignReport {
             let source = StoreSource::from_wire_code(code).ok_or(WireError::BadTag(code))?;
             provisioning.push(WorkerProvision { worker, source });
         }
-        let n_disp = r.seq_len(1)?;
+        let n_disp = r.seq_len(8 + 8 + 8 + 1)?;
         let mut dispatches = Vec::with_capacity(n_disp);
         for _ in 0..n_disp {
             dispatches.push(DispatchRecord {

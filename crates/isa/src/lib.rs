@@ -2,7 +2,7 @@
 //!
 //! A compact Alpha-like 64-bit load/store ISA used as the target of the AVF
 //! stressmark code generator and as the input language of the cycle-level
-//! simulator ([`avf-sim`]).
+//! simulator (`avf-sim`).
 //!
 //! The ISA deliberately mirrors the structural properties the paper's code
 //! generator manipulates (Nair, John & Eeckhout, *AVF Stressmark*, MICRO

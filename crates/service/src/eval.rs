@@ -42,7 +42,7 @@ use std::sync::mpsc;
 use avf_ace::{FaultRates, Fitness, FitnessScope, Structure};
 use avf_codegen::{generate, Knobs, TargetParams};
 use avf_ga::{genome_bits, par_map, EvalError, FitnessEvaluator};
-use avf_inject::BackendError;
+use avf_inject::{redispatched_trials, BackendError};
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_sim::{simulate, MachineConfig};
 
@@ -456,13 +456,6 @@ impl RemoteEvaluator<Fleet> {
     ) -> Result<RemoteEvaluator, BackendError> {
         Ok(RemoteEvaluator::over(Fleet::connect(addrs, key)?, context))
     }
-
-    /// Individuals re-dispatched after worker deaths (observability;
-    /// never part of the evaluation count).
-    #[must_use]
-    pub fn redispatched(&self) -> u64 {
-        self.venue.redispatched()
-    }
 }
 
 impl<V: Venue> RemoteEvaluator<V> {
@@ -482,6 +475,13 @@ impl<V: Venue> RemoteEvaluator<V> {
     #[must_use]
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
+    }
+
+    /// Individuals re-dispatched after worker deaths (observability;
+    /// never part of the evaluation count).
+    #[must_use]
+    pub fn redispatched(&self) -> u64 {
+        redispatched_trials(self.venue.log())
     }
 }
 

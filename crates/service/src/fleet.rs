@@ -20,8 +20,7 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use avf_inject::{
-    encode_trial_batch, redispatched_trials, shard_trials, BackendError, DispatchRecord, Trial,
-    TrialEvent,
+    encode_trial_batch, shard_trials, BackendError, DispatchRecord, Trial, TrialEvent,
 };
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
@@ -252,17 +251,6 @@ impl Fleet {
         Ok(Fleet::new(slots))
     }
 
-    /// Every shard dispatched so far, in dispatch order.
-    pub(crate) fn log(&self) -> &[DispatchRecord] {
-        &self.log
-    }
-
-    /// Items re-dispatched to survivors after worker deaths.
-    #[must_use]
-    pub fn redispatched(&self) -> u64 {
-        redispatched_trials(&self.log)
-    }
-
     fn kill(&mut self, slot: usize, error: BackendError) {
         crate::log_line!("fleet: worker {} died: {error}", self.slots[slot].addr);
         self.slots[slot].stream = None;
@@ -287,6 +275,9 @@ pub trait Venue {
         items: Vec<W::Item>,
         tx: &Sender<Result<W::Ack, BackendError>>,
     ) -> Result<(), BackendError>;
+
+    /// Every dispatch so far, in dispatch order, re-dispatches included.
+    fn log(&self) -> &[DispatchRecord];
 }
 
 /// Each round writes one shard to each live worker, drains all of them
@@ -400,6 +391,10 @@ impl Venue for Fleet {
             redispatched = true;
         }
         Ok(())
+    }
+
+    fn log(&self) -> &[DispatchRecord] {
+        &self.log
     }
 }
 

@@ -14,7 +14,9 @@
 //! * [`protocol`] — the session schema (job setup → job ready →
 //!   batches → streamed events), every payload wrapped in the
 //!   `avf_isa::wire` magic + version envelope so stale or foreign
-//!   peers fail typed;
+//!   peers fail typed. The setup frame is the driver's
+//!   [`avf_inject::JobSpec`] itself, so a job has one type on both
+//!   sides of the socket;
 //! * [`cache`] — the one bounded worker-side LRU, used twice: in-memory
 //!   golden passes keyed by a content hash of the job ([`StoreCache`]),
 //!   so an identical job never re-runs the golden pass on the same
@@ -31,8 +33,10 @@
 //!   survivors. Campaign trials and GA genomes supply only a shard
 //!   policy and frame codecs;
 //! * [`RemoteBackend`] / [`RemoteEvaluator`] — the campaign and search
-//!   clients over a fleet of `serve` workers (the broker's clients in
-//!   `avf-broker` drain through the same [`fleet::drain`]);
+//!   clients over a fleet of `serve` workers. The campaign session
+//!   ([`RemoteSession`]) and the evaluator are generic over the
+//!   [`Venue`] they dispatch to, so the broker's clients in
+//!   `avf-broker` are the same two types over a broker session;
 //! * [`auth`] — keyed-hash (SipHash-2-4) frame authentication under a
 //!   shared `--auth-key-file` key: per-connection, per-direction
 //!   sequence-numbered tags reject tampered, replayed, reflected, and
@@ -82,5 +86,5 @@ pub use eval::{
 };
 pub use fleet::{Fleet, Genomes, Trials, Venue};
 pub use metrics::{spawn_metrics, ServeStats};
-pub use remote::RemoteBackend;
+pub use remote::{RemoteBackend, RemoteSession};
 pub use server::{serve, spawn_local, ServeOptions};

@@ -3,7 +3,7 @@
 //! One connection carries one campaign session:
 //!
 //! ```text
-//! client → server   JOB_SETUP    (machine, program, budget, checkpoint interval)
+//! client → server   JOB_SETUP    (the JobSpec: machine, program, budget, model, prune, interval)
 //! server → client   JOB_READY    (job key + golden run + checkpoint count + cache provenance)
 //! client → server   TRIAL_BATCH  (one adaptive batch of planned trials)
 //! server → client   TRIAL_EVENT* (one per trial, streamed as classified)
@@ -13,8 +13,10 @@
 //! server → client   SERVICE_ERROR (any time: fatal, connection closes)
 //! ```
 //!
-//! Setup is one request and one reply. The worker looks the job up by
-//! its key ([`delegated_job_key`]) in its bounded LRU
+//! Setup is one request and one reply. The request is the driver's
+//! [`JobSpec`] itself ([`JobSpec::to_wire`]): the job has no second,
+//! wire-only type. The worker looks the job up by its key
+//! ([`delegated_job_key`] over the spec's fields) in its bounded LRU
 //! ([`crate::cache::StoreCache`]); on a miss it runs the golden pass
 //! itself. Either way it answers `JOB_READY`, and a driver fanning one
 //! job across N workers cross-checks that every [`JobReady`] is
@@ -27,11 +29,16 @@
 //! worker build or a foreign peer fails with a typed magic/version
 //! error instead of a confusing mid-payload decode failure.
 
-use avf_inject::{decode_trial_batch, BackendError, JobSpec, StoreSource, Trial, TrialEvent};
+use std::sync::Arc;
+
+use avf_inject::{
+    decode_trial_batch, BackendError, CampaignSession, JobSpec, OpenedJob, StoreSource, Trial,
+    TrialEvent, WorkerProvision,
+};
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
-use avf_sim::{FaultModel, GoldenRun, MachineConfig};
+use avf_sim::{GoldenRun, MachineConfig};
 
 fn encode_golden(w: &mut WireWriter, golden: &GoldenRun) {
     w.u64(golden.cycles);
@@ -71,112 +78,6 @@ pub fn geometry_fingerprint(machine: &MachineConfig, program: &Program) -> u64 {
     content_hash64(HASH_DOMAIN_GEOMETRY, &w.into_bytes())
 }
 
-/// The session-opening frame: everything a worker needs to set a
-/// campaign up, minus any checkpoint bytes.
-#[derive(Debug, Clone)]
-pub struct JobSetup {
-    /// Machine configuration the plan was sampled against.
-    pub machine: MachineConfig,
-    /// Program under injection.
-    pub program: Program,
-    /// Committed-instruction budget of every trial and of the golden
-    /// run.
-    pub instr_budget: u64,
-    /// How the worker resolves queueing-structure control/tag flips.
-    /// Deliberately *not* part of the store cache key: the golden pass
-    /// is fault-free, so trap and replay campaigns over the same
-    /// (machine, program, budget, interval) share one checkpoint store.
-    pub fault_model: FaultModel,
-    /// Whether the campaign samples under pre-campaign site pruning
-    /// (wire v5): a pruning worker captures ACE evidence during its
-    /// golden pass and ships the classifier's [`PruneMap`] back in
-    /// `JOB_READY`. Not part of the cache key either: the checkpoint
-    /// stream is bit-identical with and without evidence capture.
-    pub prune: bool,
-    /// Golden-run checkpoint spacing in cycles (positive).
-    pub checkpoint_interval: u64,
-}
-
-impl JobSetup {
-    /// The setup frame of a job whose golden pass the worker runs.
-    #[must_use]
-    pub fn delegated(spec: JobSpec) -> JobSetup {
-        JobSetup {
-            machine: spec.machine,
-            program: spec.program,
-            instr_budget: spec.instr_budget,
-            fault_model: spec.fault_model,
-            prune: spec.prune,
-            checkpoint_interval: spec.checkpoint_interval,
-        }
-    }
-
-    /// The cache key this setup resolves to ([`delegated_job_key`]).
-    #[must_use]
-    pub fn cache_key(&self) -> u64 {
-        delegated_job_key(
-            &self.machine,
-            &self.program,
-            self.instr_budget,
-            self.checkpoint_interval,
-        )
-    }
-
-    /// Serializes the setup to an enveloped frame payload.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.envelope(kind::JOB_SETUP);
-        self.machine.encode(&mut w);
-        self.program.encode(&mut w);
-        w.u64(self.instr_budget);
-        w.u8(self.fault_model.wire_code());
-        w.u8(u8::from(self.prune));
-        w.u64(self.checkpoint_interval);
-        w.into_bytes()
-    }
-
-    fn decode_body(r: &mut WireReader<'_>) -> Result<JobSetup, WireError> {
-        let machine = MachineConfig::decode(r)?;
-        let program = Program::decode(r)?;
-        let instr_budget = r.u64()?;
-        let model_code = r.u8()?;
-        let fault_model =
-            FaultModel::from_wire_code(model_code).ok_or(WireError::BadTag(model_code))?;
-        let prune = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(WireError::BadTag(t)),
-        };
-        let checkpoint_interval = r.u64()?;
-        if checkpoint_interval == 0 {
-            return Err(WireError::Invalid("checkpoint interval must be positive"));
-        }
-        Ok(JobSetup {
-            machine,
-            program,
-            instr_budget,
-            fault_model,
-            prune,
-            checkpoint_interval,
-        })
-    }
-}
-
-impl From<JobSetup> for JobSpec {
-    /// The job a worker (or the broker) opens for a received setup.
-    fn from(setup: JobSetup) -> JobSpec {
-        JobSpec {
-            machine: setup.machine,
-            program: setup.program,
-            instr_budget: setup.instr_budget,
-            fault_model: setup.fault_model,
-            checkpoint_interval: setup.checkpoint_interval,
-            prune: setup.prune,
-        }
-    }
-}
-
 /// The worker's end-of-setup report: which job it is running and the
 /// golden run it resolved.
 ///
@@ -199,19 +100,38 @@ pub struct JobReady {
     pub prune: Option<PruneMap>,
 }
 
+impl JobReady {
+    /// The opened job a client hands the campaign driver once `session`
+    /// is bound to this ready and each worker's `provisioning` is known.
+    #[must_use]
+    pub fn opened(
+        self,
+        session: Box<dyn CampaignSession>,
+        provisioning: Vec<WorkerProvision>,
+    ) -> OpenedJob {
+        OpenedJob {
+            session,
+            golden: self.golden,
+            checkpoints: usize::try_from(self.checkpoints).unwrap_or(usize::MAX),
+            provisioning,
+            prune: self.prune.map(Arc::new),
+        }
+    }
+}
+
 /// One client-to-server message.
 #[derive(Debug, Clone)]
 pub enum ClientMessage {
-    /// Open a campaign session (boxed: a setup dwarfs the other
-    /// variants and would bloat every message otherwise).
-    Setup(Box<JobSetup>),
+    /// Open a campaign session (boxed: a job dwarfs the other variants
+    /// and would bloat every message otherwise).
+    Setup(Box<JobSpec>),
     /// One batch of planned trials.
     Batch(Vec<Trial>),
 }
 
 impl ClientMessage {
     /// Decodes a frame payload written by one of the client-side
-    /// encoders ([`JobSetup::to_wire`],
+    /// encoders ([`JobSpec::to_wire`],
     /// [`avf_inject::encode_trial_batch`]).
     ///
     /// # Errors
@@ -222,9 +142,9 @@ impl ClientMessage {
         let mut r = WireReader::new(bytes);
         match r.envelope()? {
             kind::JOB_SETUP => {
-                let setup = JobSetup::decode_body(&mut r)?;
+                let spec = JobSpec::decode_body(&mut r)?;
                 r.finish()?;
-                Ok(ClientMessage::Setup(Box::new(setup)))
+                Ok(ClientMessage::Setup(Box::new(spec)))
             }
             kind::TRIAL_BATCH => Ok(ClientMessage::Batch(decode_trial_batch(bytes)?)),
             found => Err(WireError::WrongKind {
@@ -446,7 +366,7 @@ impl Mux {
 mod tests {
     use super::*;
     use avf_inject::Outcome;
-    use avf_sim::InjectionTarget;
+    use avf_sim::{FaultModel, InjectionTarget};
 
     fn golden() -> GoldenRun {
         GoldenRun {
@@ -507,7 +427,7 @@ mod tests {
         let machine = MachineConfig::baseline();
         let program = avf_workloads::testkit::idle_loop();
         for prune in [false, true] {
-            let setup = JobSetup {
+            let setup = JobSpec {
                 machine: machine.clone(),
                 program: program.clone(),
                 instr_budget: 4_000,
@@ -516,13 +436,21 @@ mod tests {
                 checkpoint_interval: 512,
             };
             let bytes = setup.to_wire();
+            let key = |job: &JobSpec| {
+                delegated_job_key(
+                    &job.machine,
+                    &job.program,
+                    job.instr_budget,
+                    job.checkpoint_interval,
+                )
+            };
             match ClientMessage::from_wire(&bytes).unwrap() {
                 ClientMessage::Setup(back) => {
                     assert_eq!(back.instr_budget, setup.instr_budget);
                     assert_eq!(back.fault_model, setup.fault_model);
                     assert_eq!(back.prune, setup.prune);
                     assert_eq!(back.checkpoint_interval, setup.checkpoint_interval);
-                    assert_eq!(back.cache_key(), setup.cache_key());
+                    assert_eq!(key(&back), key(&setup));
                 }
                 other => panic!("expected a setup, got {other:?}"),
             }

@@ -1,21 +1,23 @@
 //! [`RemoteBackend`]: the TCP client side of the campaign service.
 //!
 //! One backend fans a campaign out over one or more `serve` workers.
-//! `open` sends the same setup frame to every worker *in parallel*;
-//! each worker runs (or cache-hits) the golden pass and answers
-//! `JOB_READY`. The driver then cross-checks that all workers resolved
+//! `open` sends the job's [`JobSpec`] setup frame to every worker *in
+//! parallel*; each worker runs (or cache-hits) the golden pass and
+//! answers `JOB_READY`. The driver then cross-checks that all workers resolved
 //! the *identical* golden run; divergence is a hard protocol error,
 //! because a worker disagreeing about the fault-free reference would
 //! silently corrupt every classification it returns.
 //!
-//! `submit` hands each batch to the [`Fleet`] dispatcher on a
-//! supervisor thread, which strides the cycle-sorted trials across live
-//! workers, streams every event into one [`TrialStream`] as it
-//! arrives, and re-dispatches the trials of a worker whose connection
-//! dies mid-batch to the survivors. Because every trial's outcome is a
-//! pure function of the trial itself (sampled from `(seed, batch,
-//! index)`), the final `CampaignReport` is bit-identical to the
-//! fault-free run; only the dispatch trajectory records the failure.
+//! The session is a [`RemoteSession`] over the [`Fleet`] dispatcher (a
+//! brokered campaign runs the same session over a broker session).
+//! `submit` hands each batch to the fleet on a supervisor thread, which
+//! strides the cycle-sorted trials across live workers, streams every
+//! event into one [`TrialStream`] as it arrives, and re-dispatches the
+//! trials of a worker whose connection dies mid-batch to the survivors.
+//! Because every trial's outcome is a pure function of the trial itself
+//! (sampled from `(seed, batch, index)`), the final `CampaignReport` is
+//! bit-identical to the fault-free run; only the dispatch trajectory
+//! records the failure.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -27,7 +29,7 @@ use avf_inject::{
 
 use crate::auth::AuthKey;
 use crate::fleet::{Fleet, Slot, Trials, Venue};
-use crate::protocol::{JobReady, JobSetup, ServerMessage};
+use crate::protocol::{JobReady, ServerMessage};
 
 /// A campaign backend executing trials on remote `serve` workers.
 pub struct RemoteBackend {
@@ -110,7 +112,7 @@ impl CampaignBackend for RemoteBackend {
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
         // Serialize the setup once; every worker receives the identical
         // bytes.
-        let setup_frame = Arc::new(JobSetup::delegated(spec).to_wire());
+        let setup_frame = Arc::new(spec.to_wire());
 
         // N workers run their golden passes in parallel.
         let handles: Vec<_> = self
@@ -140,37 +142,49 @@ impl CampaignBackend for RemoteBackend {
         // ready, prune map included — adopting worker 0's is adopting
         // all of them.
         let ready = readys.swap_remove(0).1;
-        Ok(OpenedJob {
-            session: Box::new(RemoteSession {
-                fleet: Arc::new(Mutex::new(Fleet::new(slots))),
-                batch: 0,
-            }),
-            golden: ready.golden,
-            checkpoints: usize::try_from(ready.checkpoints).unwrap_or(usize::MAX),
+        Ok(ready.opened(
+            Box::new(RemoteSession::new(Fleet::new(slots))),
             provisioning,
-            prune: ready.prune.map(Arc::new),
-        })
+        ))
     }
 }
 
-struct RemoteSession {
-    fleet: Arc<Mutex<Fleet>>,
+/// The campaign session of every remote venue: a worker [`Fleet`]
+/// (`--workers`) or a broker session fronting one (`--broker`). Each
+/// batch runs on a supervisor thread that holds the venue for the whole
+/// batch, and the venue's own log is the session's dispatch log.
+pub struct RemoteSession<V> {
+    /// Shared with the batch's supervisor thread; the venue drops with
+    /// its last holder (a broker session then sends its end-of-session
+    /// marker).
+    venue: Arc<Mutex<V>>,
     batch: u64,
 }
 
-impl CampaignSession for RemoteSession {
+impl<V: Venue> RemoteSession<V> {
+    /// A session whose batches `venue` runs, numbered from 0.
+    #[must_use]
+    pub fn new(venue: V) -> RemoteSession<V> {
+        RemoteSession {
+            venue: Arc::new(Mutex::new(venue)),
+            batch: 0,
+        }
+    }
+}
+
+impl<V: Venue + Send + 'static> CampaignSession for RemoteSession<V> {
     fn submit(&mut self, trials: &[Trial]) -> Result<TrialStream, BackendError> {
         let batch = self.batch;
         self.batch += 1;
         let (tx, rx) = mpsc::channel();
-        let fleet = Arc::clone(&self.fleet);
+        let venue = Arc::clone(&self.venue);
         let trials = trials.to_vec();
         // The supervisor owns the whole batch and terminates the stream
         // once every trial is accounted for; the driver just drains
         // events.
         let supervisor = std::thread::spawn(move || {
-            let mut fleet = fleet.lock().expect("fleet lock");
-            if let Err(e) = fleet.dispatch(&Trials, batch, trials, &tx) {
+            let mut venue = venue.lock().expect("venue lock");
+            if let Err(e) = venue.dispatch(&Trials, batch, trials, &tx) {
                 let _ = tx.send(Err(e));
             }
         });
@@ -178,7 +192,7 @@ impl CampaignSession for RemoteSession {
     }
 
     fn dispatch_log(&self) -> Vec<DispatchRecord> {
-        self.fleet.lock().expect("fleet lock").log().to_vec()
+        self.venue.lock().expect("venue lock").log().to_vec()
     }
 }
 

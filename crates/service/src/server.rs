@@ -32,7 +32,9 @@ use crate::cache::{CacheEntry, EvalCache, StoreCache};
 use crate::eval::handle_eval_session;
 use crate::frame::FrameBatcher;
 use crate::metrics::ServeStats;
-use crate::protocol::{geometry_fingerprint, ClientMessage, JobReady, JobSetup, ServerMessage};
+use crate::protocol::{
+    delegated_job_key, geometry_fingerprint, ClientMessage, JobReady, ServerMessage,
+};
 
 /// Server tuning.
 #[derive(Clone)]
@@ -156,16 +158,16 @@ pub fn spawn_local(opts: ServeOptions) -> std::io::Result<std::net::SocketAddr> 
 /// identical reference and refreshes the entry, so the next pruning
 /// session hits outright.
 fn resolve_store(
-    setup: &JobSetup,
+    spec: &JobSpec,
     key: u64,
     cache: &StoreCache,
 ) -> Result<(CacheEntry, StoreSource), BackendError> {
-    let geometry = geometry_fingerprint(&setup.machine, &setup.program);
+    let geometry = geometry_fingerprint(&spec.machine, &spec.program);
     let cached = cache.get(key, geometry);
     match &cached {
         Some(entry) => {
             crate::log_line!("serve: job {key:016x} checkpoint store HAVE (cache hit)");
-            if !setup.prune || entry.evidence.is_some() {
+            if !spec.prune || entry.evidence.is_some() {
                 return Ok((entry.clone(), StoreSource::Cached));
             }
             crate::log_line!(
@@ -177,11 +179,11 @@ fn resolve_store(
         }
     }
     let (golden, checkpoints, evidence) = golden_pass(
-        &setup.machine,
-        &setup.program,
-        setup.instr_budget,
-        setup.checkpoint_interval,
-        setup.prune.then_some(PRUNE_WINDOW),
+        &spec.machine,
+        &spec.program,
+        spec.instr_budget,
+        spec.checkpoint_interval,
+        spec.prune.then_some(PRUNE_WINDOW),
     );
     if let Some(entry) = cached.as_ref().filter(|entry| entry.golden != golden) {
         return Err(BackendError::Protocol(format!(
@@ -225,19 +227,24 @@ fn handle_connection(
     if payload.get(5) == Some(&avf_isa::wire::kind::EVAL_BATCH) {
         return handle_eval_session(stream, &mut reader, &mut writer, payload, opts, verifier);
     }
-    let ClientMessage::Setup(setup) = ClientMessage::from_wire(&payload)? else {
+    let ClientMessage::Setup(spec) = ClientMessage::from_wire(&payload)? else {
         return Err(BackendError::Protocol(
             "session must open with a job setup frame".to_owned(),
         ));
     };
-    let key = setup.cache_key();
-    let (entry, source) = resolve_store(&setup, key, &opts.cache)?;
+    let key = delegated_job_key(
+        &spec.machine,
+        &spec.program,
+        spec.instr_budget,
+        spec.checkpoint_interval,
+    );
+    let (entry, source) = resolve_store(&spec, key, &opts.cache)?;
 
     // Keep the job's geometry for batch validation: the simulator
     // *asserts* entry/bit bounds, so an out-of-geometry trial smuggled
     // over the wire must be rejected here with an error frame, not
     // allowed to panic a worker thread.
-    let machine = setup.machine.clone();
+    let machine = spec.machine.clone();
     let sizes = machine.structure_sizes();
     let backend = LocalBackend::new(opts.threads).with_trial_ends(Arc::clone(&opts.stats.trials));
     // A pruning job ships the classifier's map back with JOB_READY: the
@@ -245,7 +252,7 @@ fn handle_connection(
     // is the only source. The map derives from the session's fault
     // model; the cached evidence is model-independent.
     let opened = backend.open_resolved(
-        JobSpec::from(*setup),
+        *spec,
         entry.golden,
         entry.checkpoints,
         entry.evidence.as_deref(),
@@ -358,7 +365,7 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         {
             let mut w = BufWriter::new(&stream);
-            let setup = JobSetup {
+            let setup = JobSpec {
                 machine,
                 program,
                 instr_budget,

@@ -11,10 +11,10 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 
-use avf_inject::{BackendError, Campaign, CampaignConfig, LocalBackend};
+use avf_inject::{BackendError, Campaign, CampaignConfig, JobSpec, LocalBackend};
 use avf_service::auth::{write_frame_signed, ConnectionAuth};
 use avf_service::frame::{read_frame, write_frame};
-use avf_service::protocol::{JobSetup, ServerMessage};
+use avf_service::protocol::ServerMessage;
 use avf_service::{spawn_local, AuthKey, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
 use avf_workloads::testkit::register_chain;
@@ -49,8 +49,8 @@ fn small_config() -> CampaignConfig {
     }
 }
 
-fn delegated_setup() -> JobSetup {
-    JobSetup {
+fn delegated_setup() -> JobSpec {
+    JobSpec {
         machine: MachineConfig::baseline(),
         program: register_chain(),
         instr_budget: 4_000,

@@ -6,10 +6,10 @@
 
 use std::sync::OnceLock;
 
-use avf_inject::StoreSource;
-use avf_isa::wire::{kind, WireError, WIRE_MAGIC, WIRE_VERSION};
+use avf_inject::{JobSpec, StoreSource};
+use avf_isa::wire::{content_hash64, kind, WireError, WIRE_MAGIC, WIRE_VERSION};
 use avf_prune::PruneMap;
-use avf_service::protocol::{ClientMessage, JobReady, JobSetup, ServerMessage};
+use avf_service::protocol::{delegated_job_key, ClientMessage, JobReady, ServerMessage};
 use avf_sim::{FaultModel, GoldenRun, MachineConfig};
 use avf_workloads::testkit::{idle_loop, register_chain};
 use proptest::collection::vec;
@@ -20,11 +20,11 @@ fn any_byte() -> impl Strategy<Value = u8> {
 }
 
 /// One of eight (machine, program, fault model) combinations.
-fn setup(variant: usize, instr_budget: u64, prune: bool, checkpoint_interval: u64) -> JobSetup {
+fn setup(variant: usize, instr_budget: u64, prune: bool, checkpoint_interval: u64) -> JobSpec {
     let machines = [MachineConfig::baseline(), MachineConfig::config_a()];
     let programs = [idle_loop(), register_chain()];
     let models = [FaultModel::Replay, FaultModel::Trap];
-    JobSetup {
+    JobSpec {
         machine: machines[variant & 1].clone(),
         program: programs[(variant >> 1) & 1].clone(),
         instr_budget,
@@ -168,4 +168,56 @@ fn a_v7_setup_frame_fails_with_the_version_error() {
             expected: 8,
         })
     );
+}
+
+/// The `JOB_SETUP` bytes and the worker cache key of two fixed jobs:
+/// a change to the setup codec or to the key derivation shows up here
+/// as a changed hash, not as workers silently missing their caches.
+#[test]
+fn setup_frames_and_cache_keys_are_pinned() {
+    let jobs = [
+        (
+            JobSpec {
+                machine: MachineConfig::baseline(),
+                program: register_chain(),
+                instr_budget: 4_000,
+                fault_model: FaultModel::Replay,
+                prune: false,
+                checkpoint_interval: 512,
+            },
+            0x0bf0_1b6c_e73d_d92a,
+            0xb68e_d5a8_7c65_4b50,
+        ),
+        (
+            JobSpec {
+                machine: MachineConfig::config_a(),
+                program: idle_loop(),
+                instr_budget: 30_000,
+                fault_model: FaultModel::Trap,
+                prune: true,
+                checkpoint_interval: 750,
+            },
+            0x8207_9a90_b1ff_5316,
+            0x77ce_786d_0548_2a4a,
+        ),
+    ];
+    for (job, frame_hash, key) in jobs {
+        let bytes = job.to_wire();
+        assert_eq!(
+            content_hash64(0, &bytes),
+            frame_hash,
+            "JOB_SETUP bytes of {job:?} ({} bytes)",
+            bytes.len()
+        );
+        assert_eq!(
+            delegated_job_key(
+                &job.machine,
+                &job.program,
+                job.instr_budget,
+                job.checkpoint_interval
+            ),
+            key,
+            "cache key of {job:?}"
+        );
+    }
 }

@@ -1152,8 +1152,8 @@ fn rec_dest(e: &DynInst) -> Option<u8> {
 
 /// A resumable checkpoint of every piece of owned pipeline state.
 ///
-/// Taken by [`Pipeline::snapshot`] and reinstated by
-/// [`Pipeline::restore`]; the fault-injection engine uses it to fork a
+/// Taken by `Pipeline::snapshot` and reinstated by
+/// `Pipeline::restore`; the fault-injection engine uses it to fork a
 /// run at the sampled injection cycle, flip one bit, run the faulty
 /// future to completion, and rewind. Snapshots only exist for
 /// fault-mode pipelines (no ACE analyzer state is captured). The memory
