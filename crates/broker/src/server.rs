@@ -951,21 +951,15 @@ fn open_campaign(
         .provisioning
         .iter()
         .all(|p| p.source == StoreSource::Cached);
-    let ready = ServerMessage::Ready {
-        ready: JobReady {
-            store_hash: 0, // no store crosses the broker plane
-            golden: opened.golden,
-            checkpoints: opened.checkpoints as u64,
-            prune: opened.prune.as_deref().cloned(),
-        },
-        source: if cached {
-            StoreSource::Cached
-        } else {
-            StoreSource::GoldenRun
-        },
+    // No store crosses the broker plane: its hash reads 0.
+    let (ready, session) = JobReady::summarize(opened, 0);
+    let source = if cached {
+        StoreSource::Cached
+    } else {
+        StoreSource::GoldenRun
     };
-    send(ready.to_wire());
-    Ok(opened.session)
+    send(ServerMessage::Ready { ready, source }.to_wire());
+    Ok(session)
 }
 
 /// Runs one interactive session: admission, slot wait, fleet open, then

@@ -4,7 +4,9 @@
 //! appended as a length-prefixed wire frame (the same framing the
 //! network uses, so one codec serves both). On open, the log is
 //! replayed into per-campaign state; a truncated final record — the
-//! signature of a crash mid-append — is tolerated and dropped, since
+//! signature of a crash mid-append — is tolerated and dropped, and a
+//! whole frame that is no record is skipped without losing the records
+//! after it. Dropping is safe since
 //! every record is redundant against re-execution: campaigns are
 //! deterministic, so a lost progress checkpoint or report only means
 //! re-running the spec, never a wrong answer.
@@ -49,8 +51,10 @@ impl CampaignStore {
     ///
     /// # Errors
     ///
-    /// Fails only on filesystem errors; malformed or truncated tail
-    /// records are dropped, not fatal.
+    /// Fails only on filesystem errors. A whole frame that does not
+    /// decode to a record is skipped, and a truncated final frame
+    /// ends the replay; neither is fatal. Whatever follows the last
+    /// record that decodes is cut off the file.
     pub fn open(path: &Path) -> io::Result<(CampaignStore, Vec<StoredCampaign>)> {
         let mut campaigns: BTreeMap<u64, StoredCampaign> = BTreeMap::new();
         let mut order: Vec<u64> = Vec::new();
@@ -58,6 +62,7 @@ impl CampaignStore {
         if path.exists() {
             let file_len = std::fs::metadata(path)?.len();
             let mut reader = BufReader::new(File::open(path)?);
+            let mut read_bytes: u64 = 0;
             loop {
                 let payload = match read_frame(&mut reader) {
                     Ok(Some(p)) => p,
@@ -67,10 +72,13 @@ impl CampaignStore {
                     // to here replayed fine, so stop and move on.
                     Err(_) => break,
                 };
+                read_bytes += 4 + payload.len() as u64;
+                // A whole frame that is no record: skip it, keeping
+                // the records after it.
                 let Ok(record) = LogRecord::from_wire(&payload) else {
-                    break;
+                    continue;
                 };
-                good_bytes += 4 + payload.len() as u64;
+                good_bytes = read_bytes;
                 match record {
                     LogRecord::Accepted { id, tenant, spec } => {
                         order.push(id);
@@ -102,7 +110,8 @@ impl CampaignStore {
                     }
                 }
             }
-            // Chop the torn tail off before appending, so every record
+            // Chop off what follows the last record that decodes (a torn
+            // tail, undecodable frames) before appending, so every record
             // written from here on is reachable by the next replay.
             if good_bytes < file_len {
                 OpenOptions::new()

@@ -331,3 +331,34 @@ fn an_undecodable_tail_record_is_dropped_and_appends_replay() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_undecodable_record_between_two_good_ones_is_skipped() {
+    let dir = std::env::temp_dir().join(format!("avf-broker-mid-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("campaigns.log");
+    let accepted = |id| LogRecord::Accepted {
+        id,
+        tenant: format!("t{id}"),
+        spec: Box::new(spec(0, 96)),
+    };
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &accepted(1).to_wire()).unwrap();
+    write_frame(&mut bytes, b"not a log record").unwrap();
+    write_frame(&mut bytes, &accepted(2).to_wire()).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+
+    for reopen in 0..2 {
+        let (_store, replayed) = CampaignStore::open(&path).unwrap();
+        let ids: Vec<u64> = replayed.iter().map(|c| c.id).collect();
+        assert_eq!(ids, [1, 2], "reopen {reopen}");
+        assert_eq!(replayed[1].tenant, "t2");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "nothing before the last good record is cut"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

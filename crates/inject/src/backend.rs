@@ -43,7 +43,7 @@ use avf_isa::wire::{kind, WireError, WireReader, WireWriter};
 use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
-    golden_pass, DecodedCheckpoints, FaultModel, FlipEffect, GoldenRun, InjectionSim,
+    golden_pass, CacheFate, DecodedCheckpoints, FaultModel, FlipEffect, GoldenRun, InjectionSim,
     InjectionTarget, Judgement, MachineConfig, PruneEvidence, RunEnd, Verdict, PRUNE_WINDOW,
 };
 
@@ -533,7 +533,10 @@ pub enum TrialEnd {
     /// Equal to a golden checkpoint: the trial rejoined the golden run.
     Rejoined,
     /// Differed from a golden checkpoint only in state the golden
-    /// future never reads.
+    /// future never reads; or, for a DL1/L2 flip, decided at the flip
+    /// with no tail ([`InjectionSim::cache_fate`]): the golden pass's
+    /// line events show the fault dies unread or stays resident,
+    /// unread, to the end, and never reaches memory.
     Decided,
     /// Equal to a golden checkpoint in active state, with its oracle
     /// then shown to produce the golden outcomes to the end of the run
@@ -558,6 +561,16 @@ pub struct Settled {
 /// [`classify_trial`], settling an armed trial at the first golden
 /// checkpoint where its verdict is already fixed, and reporting how the
 /// trial ended.
+///
+/// An armed DL1/L2 trial is first looked up in the golden pass's log of
+/// line events ([`InjectionSim::cache_fate`]). A fault in a data array
+/// changes nothing the cycle loop reads until a load consumes it, so the
+/// faulty machine meets the golden run's evictions, fills, loads and
+/// stores. If the fault dies unread (a store repairs it, an eviction
+/// drops it) or stays resident, unread, until the run ends, and no dirty
+/// L2 eviction writes it to memory, the trial is Masked
+/// ([`TrialEnd::Decided`], 0 tail cycles) with no snapshot, flip or
+/// tail. A consumed or escaping fault takes the path below.
 ///
 /// At each `golden` checkpoint after the injection cycle the faulty
 /// machine is judged against the golden snapshot of that cycle
@@ -612,6 +625,18 @@ pub fn settle_trial(
         // the verdict is immediate.
         FlipEffect::Diverged => probe(Outcome::ReplayDiverged),
         FlipEffect::Armed => {
+            // A DL1/L2 fault the golden line log shows dying unread:
+            // no snapshot, flip or tail.
+            if let Some(verdict) = golden
+                .and_then(|g| sim.cache_fate(trial.target, trial.entry, trial.bit, g))
+                .and_then(CacheFate::verdict)
+            {
+                return Settled {
+                    outcome: outcome_of(verdict),
+                    end: TrialEnd::Decided,
+                    tail_cycles: 0,
+                };
+            }
             let snap = sim.snapshot();
             let armed = sim.flip_bit(trial.target, trial.entry, trial.bit);
             debug_assert_eq!(armed, FlipEffect::Armed, "probe and flip must agree");
@@ -641,11 +666,6 @@ fn run_armed_tail(
     golden_digest: u64,
     golden: Option<&DecodedCheckpoints>,
 ) -> (Outcome, TrialEnd) {
-    let outcome_of = |verdict| match verdict {
-        Verdict::Masked => Outcome::Masked,
-        Verdict::Sdc => Outcome::Sdc,
-        Verdict::Due => Outcome::Due,
-    };
     if let Some(g) = golden {
         let mut oracle_tried = false;
         for (cycle, _) in g.after(injected_at) {
@@ -678,6 +698,14 @@ fn run_armed_tail(
         RunEnd::Completed => Outcome::Sdc,
     };
     (outcome, TrialEnd::FullTail)
+}
+
+fn outcome_of(verdict: Verdict) -> Outcome {
+    match verdict {
+        Verdict::Masked => Outcome::Masked,
+        Verdict::Sdc => Outcome::Sdc,
+        Verdict::Due => Outcome::Due,
+    }
 }
 
 /// How the trials a [`LocalBackend`] ran ended, and the tail cycles

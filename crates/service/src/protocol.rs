@@ -101,6 +101,20 @@ pub struct JobReady {
 }
 
 impl JobReady {
+    /// The ready a venue reports for the job it `opened`, stored under
+    /// `store_hash`, and the session trial batches go through: the
+    /// inverse of [`JobReady::opened`].
+    #[must_use]
+    pub fn summarize(opened: OpenedJob, store_hash: u64) -> (JobReady, Box<dyn CampaignSession>) {
+        let ready = JobReady {
+            store_hash,
+            golden: opened.golden,
+            checkpoints: opened.checkpoints as u64,
+            prune: opened.prune.map(Arc::unwrap_or_clone),
+        };
+        (ready, opened.session)
+    }
+
     /// The opened job a client hands the campaign driver once `session`
     /// is bound to this ready and each worker's `provisioning` is known.
     #[must_use]

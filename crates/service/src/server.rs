@@ -258,20 +258,9 @@ fn handle_connection(
         entry.evidence.as_deref(),
         source,
     );
-    writer.push(
-        &ServerMessage::Ready {
-            ready: JobReady {
-                store_hash: key,
-                golden: opened.golden,
-                checkpoints: opened.checkpoints as u64,
-                prune: opened.prune.map(Arc::unwrap_or_clone),
-            },
-            source,
-        }
-        .to_wire(),
-    )?;
+    let (ready, mut session) = JobReady::summarize(opened, key);
+    writer.push(&ServerMessage::Ready { ready, source }.to_wire())?;
     writer.flush()?;
-    let mut session = opened.session;
 
     // Then any number of trial batches until the client hangs up.
     let mut served = 0u64;

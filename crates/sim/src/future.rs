@@ -1,6 +1,7 @@
 //! The golden future: what the fault-free run reads and overwrites after
-//! each of its checkpoints, and the outcomes its oracle produces, recorded
-//! by the golden pass as it runs.
+//! each of its checkpoints, the outcomes its oracle produces and the
+//! cache-line events its cycle loop makes, recorded by the golden pass as
+//! it runs.
 //!
 //! A faulty machine whose state equals a golden checkpoint's in every
 //! field except four *passive* parts — the oracle's register values,
@@ -15,11 +16,25 @@
 //! [`GoldenFuture::follows`] runs the faulty oracle to the end of the run
 //! and compares its addresses and directions with the recorded ones.
 //! Either way the trial's verdict is then fixed.
+//!
+//! The index also logs every golden-run event that can touch an
+//! injected cache fault: each DL1 or L2 eviction with its dirty bit,
+//! each DL1 fill and each right-path load or store issue, stamped with
+//! its cycle, in the order the cycle loop made them. A DL1/L2 flip
+//! changes nothing the cycle loop reads until a load consumes it, so the
+//! faulty machine meets exactly these events;
+//! [`GoldenFuture::cache_fate`] applies them to the one-fault set from
+//! the flip on, through the cycle loop's own [`CacheFaults`] operations.
+//! A fault that dies unread, or stays resident and unread until the run
+//! ends, without reaching memory, leaves the run golden: the trial is
+//! decided Masked at the flip.
 
 use avf_isa::{
     AccessKind, AccessSize, ExecState, Footprint, Inst, Memory, OpClass, Outcome, Program,
 };
 
+use crate::cache_faults::{CacheFault, CacheFaults};
+use crate::caches::Cache;
 use crate::inject::{Judgement, Verdict};
 
 /// Flag bit of a recorded DTLB translation that hit.
@@ -66,6 +81,63 @@ struct StreamPos {
 /// Accesses of one width, as `(ea, retired << 1 | is_store)`.
 type Accesses = Vec<(u64, u64)>;
 
+/// What a golden-run event that can touch an injected cache fault did to
+/// the line at its address ([`CacheFaults`] holds what each does to a
+/// fault).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LineOp {
+    /// The line left the DL1 (`dl1`) or the L2.
+    Evict { dl1: bool, dirty: bool },
+    /// The DL1 line was filled from the L2.
+    Fill,
+    /// A right-path load (`load`) or store of `bytes` bytes at the
+    /// address issued.
+    Access { load: bool, bytes: u8 },
+}
+
+/// A [`LineOp`] on the line or bytes at `addr`, in the tick at `cycle`.
+#[derive(Debug, Clone, Copy)]
+struct LineEvent {
+    cycle: u64,
+    addr: u64,
+    op: LineOp,
+}
+
+/// How the golden run's line events treat an injected DL1/L2 fault from
+/// its flip on ([`crate::InjectionSim::cache_fate`]). Until a load
+/// consumes it, a fault in a cache's data array changes nothing the
+/// cycle loop reads, so the faulty machine runs the golden run cycle for
+/// cycle and meets these same events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CacheFate {
+    /// A store over the faulted byte repaired its last copy.
+    Repaired,
+    /// An eviction discarded its last copy: a clean eviction, or a DL1
+    /// write-back that replaced the L2 line holding it.
+    Dropped,
+    /// It stayed in the caches, never read, until the run ended.
+    Resident,
+    /// A right-path load read it: from here the faulty machine may
+    /// leave the golden run.
+    Consumed,
+    /// A dirty L2 eviction wrote it to memory, where it is a byte
+    /// difference like any other.
+    Escaped,
+}
+
+impl CacheFate {
+    /// The trial's verdict, when the fate fixes it: a fault that dies or
+    /// stays resident without being read or written to memory leaves the
+    /// run golden, so the trial is [`Verdict::Masked`].
+    #[must_use]
+    pub fn verdict(self) -> Option<Verdict> {
+        match self {
+            CacheFate::Repaired | CacheFate::Dropped | CacheFate::Resident => Some(Verdict::Masked),
+            CacheFate::Consumed | CacheFate::Escaped => None,
+        }
+    }
+}
+
 /// What a golden pass observes, in execution order.
 #[derive(Debug, Default)]
 pub(crate) struct FutureRecorder {
@@ -86,6 +158,8 @@ pub(crate) struct FutureRecorder {
     branches: usize,
     /// The stream position of each checkpoint, in order.
     marks: Vec<StreamPos>,
+    /// Events that can touch an injected cache fault, in call order.
+    lines: Vec<LineEvent>,
 }
 
 fn width_slot(size: AccessSize) -> usize {
@@ -140,6 +214,17 @@ impl FutureRecorder {
         }
     }
 
+    /// The cycle loop did `op` on the line or bytes at `addr` in the tick
+    /// at `cycle`, where it would apply the op to any injected cache
+    /// fault.
+    pub(crate) fn line_event(&mut self, cycle: u64, addr: u64, op: LineOp) {
+        debug_assert!(
+            self.lines.last().is_none_or(|e| e.cycle <= cycle),
+            "line events recorded in cycle order"
+        );
+        self.lines.push(LineEvent { cycle, addr, op });
+    }
+
     /// Builds the index for checkpoints whose oracles had retired
     /// `positions` instructions (ascending).
     pub(crate) fn finish(self, positions: &[u64]) -> GoldenFuture {
@@ -152,6 +237,7 @@ impl FutureRecorder {
             mut directions,
             branches: _,
             marks,
+            mut lines,
         } = self;
         debug_assert_eq!(marks.len(), positions.len(), "one mark per checkpoint");
         // Backward liveness: a register is live at position i if the
@@ -177,6 +263,7 @@ impl FutureRecorder {
         evictions.shrink_to_fit();
         eas.shrink_to_fit();
         directions.shrink_to_fit();
+        lines.shrink_to_fit();
         GoldenFuture {
             live_regs,
             mem,
@@ -185,6 +272,7 @@ impl FutureRecorder {
             eas,
             directions,
             marks,
+            lines,
         }
     }
 }
@@ -208,6 +296,9 @@ pub struct GoldenFuture {
     directions: Vec<u64>,
     /// Per checkpoint: its position in the outcome stream.
     marks: Vec<StreamPos>,
+    /// The line events (see [`FutureRecorder`]), in the order the cycle
+    /// loop made them.
+    lines: Vec<LineEvent>,
 }
 
 impl GoldenFuture {
@@ -225,6 +316,66 @@ impl GoldenFuture {
             + std::mem::size_of_val(&self.eas[..])
             + std::mem::size_of_val(&self.directions[..])
             + std::mem::size_of_val(&self.marks[..])
+            + std::mem::size_of_val(&self.lines[..])
+    }
+
+    /// Applies to `faults`, in order, the golden run's line events of the
+    /// ticks at `cycles`: the events a machine that runs the golden run
+    /// cycle for cycle applies to them in those ticks. `dl1` gives the
+    /// DL1 geometry. Stops at the first event that consumes a fault or
+    /// writes one to memory, or that leaves `faults` empty (no later
+    /// event can fill it again), and returns that fate; `None` if the
+    /// range ends first.
+    pub(crate) fn walk_lines(
+        &self,
+        dl1: &Cache,
+        faults: &mut CacheFaults,
+        cycles: std::ops::Range<u64>,
+    ) -> Option<CacheFate> {
+        let from = self.lines.partition_point(|e| e.cycle < cycles.start);
+        for e in &self.lines[from..] {
+            if e.cycle >= cycles.end {
+                break;
+            }
+            match e.op {
+                LineOp::Evict {
+                    dl1: from_dl1,
+                    dirty,
+                } => {
+                    let mut escaped = false;
+                    faults.evict(from_dl1, e.addr, dirty, |_, _| escaped = true);
+                    if escaped {
+                        return Some(CacheFate::Escaped);
+                    }
+                    if faults.is_empty() {
+                        return Some(CacheFate::Dropped);
+                    }
+                }
+                LineOp::Fill => faults.fill(e.addr),
+                LineOp::Access { load: true, bytes } => {
+                    if faults.consumed(dl1.line_base(e.addr), e.addr, u64::from(bytes)) != 0 {
+                        return Some(CacheFate::Consumed);
+                    }
+                }
+                LineOp::Access { load: false, bytes } => {
+                    faults.repair(e.addr, u64::from(bytes));
+                    if faults.is_empty() {
+                        return Some(CacheFate::Repaired);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The fate of `fault`, flipped into a machine that is in the golden
+    /// run's state at the start of the tick at `cycle` (`dl1` gives the
+    /// DL1 geometry).
+    pub(crate) fn cache_fate(&self, dl1: &Cache, cycle: u64, fault: CacheFault) -> CacheFate {
+        let mut faults = CacheFaults::default();
+        faults.inject(fault);
+        self.walk_lines(dl1, &mut faults, cycle..u64::MAX)
+            .unwrap_or(CacheFate::Resident)
     }
 
     /// Runs `oracle` over `mem` from checkpoint `k`'s position to the
@@ -376,5 +527,166 @@ impl GoldenFuture {
             return Judgement::Rejoined;
         }
         Judgement::Decided(self.verdict(diff.poisoned, tick, survives))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The walk over the logged line events keeps the cycle loop's
+    //! fault set, tick by tick.
+
+    use avf_codegen::{generate, Knobs, TargetParams};
+    use avf_isa::Program;
+
+    use super::{CacheFate, GoldenFuture, LineOp};
+    use crate::cache_faults::{CacheFault, CacheFaults};
+    use crate::inject::golden_run_checkpointed;
+    use crate::pipeline::Pipeline;
+    use crate::MachineConfig;
+
+    fn stressmark(machine: &MachineConfig) -> Program {
+        let params = TargetParams {
+            rob_entries: machine.rob_entries as u32,
+            line_bytes: machine.dl1.line_bytes,
+            page_bytes: machine.page_bytes,
+            dtlb_entries: machine.dtlb_entries as u32,
+            dl1_bytes: machine.dl1.size_bytes,
+            l2_bytes: machine.l2.size_bytes,
+        };
+        generate(&Knobs::paper_baseline(), &params).program
+    }
+
+    /// What the lockstep runs saw, summed over every flip.
+    #[derive(Debug, Default)]
+    struct Seen {
+        flips: usize,
+        /// Ticks on which the fault set changed.
+        changes: usize,
+        /// Ticks on which it grew: a DL1 fill copied an L2 fault.
+        copies: usize,
+        fates: Vec<CacheFate>,
+    }
+
+    /// Faults in lines of the DL1 (`dl1`) or the L2 of `pipe` that the
+    /// golden run's line events from `cycle` on touch: for each kind of
+    /// event (an access, an eviction, a fill), the first `n` distinct
+    /// resident lines it touches, flipped in the first byte an access
+    /// covers.
+    fn upcoming(
+        future: &GoldenFuture,
+        pipe: &Pipeline<'_>,
+        dl1: bool,
+        cycle: u64,
+        n: usize,
+    ) -> Vec<CacheFault> {
+        let cache = if dl1 { &pipe.dl1 } else { &pipe.l2 };
+        let from = future.lines.partition_point(|e| e.cycle < cycle);
+        let mut by_kind: [Vec<CacheFault>; 3] = Default::default();
+        for e in &future.lines[from..] {
+            let line_base = cache.line_base(e.addr);
+            let (kind, addr) = match e.op {
+                LineOp::Access { .. } => (0, e.addr),
+                LineOp::Evict { .. } => (1, line_base + e.cycle % 64),
+                LineOp::Fill => (2, line_base + e.cycle % 64),
+            };
+            let list = &mut by_kind[kind];
+            if list.len() < n
+                && cache.probe(line_base)
+                && !list.iter().any(|f| f.line_base == line_base)
+            {
+                list.push(CacheFault {
+                    dl1,
+                    line_base,
+                    addr,
+                    mask: 1 << (e.cycle % 8),
+                });
+            }
+        }
+        by_kind.concat()
+    }
+
+    /// Injects DL1 and L2 faults at several cycles of `program`'s
+    /// golden run, steps the cycle loop, and after every tick checks
+    /// that the walk over that tick's logged line events reaches the
+    /// cycle loop's fault set, until a load consumes a fault or one is
+    /// written to memory.
+    fn lockstep(name: &str, machine: &MachineConfig, program: &Program, seen: &mut Seen) {
+        const BUDGET: u64 = 10_000;
+        const FLIPS: u64 = 8;
+        let (golden, checkpoints) = golden_run_checkpointed(machine, program, BUDGET, 256);
+        let future = checkpoints.future();
+        for k in 1..=FLIPS {
+            let cycle = golden.cycles * k / (FLIPS + 1);
+            let (_, snap) = checkpoints.nearest(cycle).expect("cycle-0 checkpoint");
+            let mut at_flip = Pipeline::new_faulty_at(machine, program, BUDGET, snap);
+            while at_flip.cycle < cycle {
+                at_flip.tick(BUDGET);
+            }
+            let snap = at_flip.snapshot();
+            for dl1 in [true, false] {
+                for fault in upcoming(future, &at_flip, dl1, cycle, 3) {
+                    let mut pipe = Pipeline::new_faulty_at(machine, program, BUDGET, &snap);
+                    pipe.cache_faults.inject(fault);
+                    let mut walk: CacheFaults = pipe.cache_faults.clone();
+                    seen.flips += 1;
+                    let fate = loop {
+                        if pipe.done(BUDGET) {
+                            break CacheFate::Resident;
+                        }
+                        let t = pipe.cycle;
+                        let before = pipe.cache_faults.clone();
+                        pipe.tick(BUDGET);
+                        let fate = future.walk_lines(&pipe.dl1, &mut walk, t..t + 1);
+                        if let Some(end @ (CacheFate::Consumed | CacheFate::Escaped)) = fate {
+                            break end;
+                        }
+                        assert_eq!(
+                            walk, pipe.cache_faults,
+                            "{name}: {fault:?} flipped at {cycle}, after the tick at {t}"
+                        );
+                        seen.changes += usize::from(before != pipe.cache_faults);
+                        seen.copies += usize::from(before.len() < pipe.cache_faults.len());
+                        if let Some(end) = fate {
+                            break end;
+                        }
+                    };
+                    seen.fates.push(fate);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_line_walk_keeps_the_cycle_loops_fault_set() {
+        let mcf = avf_workloads::by_name("429.mcf")
+            .expect("the 429.mcf proxy exists")
+            .build();
+        let mut seen = Seen::default();
+        for machine in [MachineConfig::baseline(), MachineConfig::config_a()] {
+            let programs = [
+                ("stressmark", stressmark(&machine)),
+                ("429.mcf", mcf.clone()),
+                ("register_chain", avf_workloads::testkit::register_chain()),
+                ("idle_loop", avf_workloads::testkit::idle_loop()),
+                ("line_churn", avf_workloads::testkit::line_churn()),
+            ];
+            for (name, program) in &programs {
+                let name = format!("{name} on {}", machine.name);
+                lockstep(&name, &machine, program, &mut seen);
+            }
+        }
+        // The runs exercise the walk: faults move between the caches,
+        // die, are consumed and reach memory.
+        assert!(seen.flips >= 100, "{seen:?}");
+        assert!(seen.changes >= 40 && seen.copies > 0, "{seen:?}");
+        for fate in [
+            CacheFate::Resident,
+            CacheFate::Consumed,
+            CacheFate::Dropped,
+            CacheFate::Repaired,
+            CacheFate::Escaped,
+        ] {
+            assert!(seen.fates.contains(&fate), "no {fate:?}: {seen:?}");
+        }
     }
 }

@@ -56,9 +56,10 @@ use std::sync::Arc;
 use avf_ace::{Structure, StructureSizes};
 use avf_isa::{AccessSize, Inst, Memory, OpClass, Opcode, Program, PAGE_BYTES};
 
+use crate::cache_faults::CacheFault;
 use crate::config::MachineConfig;
 use crate::dyninst::{iq_field_of, rob_control_field_of, IqField, RobControlField, Stage};
-use crate::future::{FutureRecorder, GoldenFuture};
+use crate::future::{CacheFate, FutureRecorder, GoldenFuture};
 use crate::pipeline::{Pipeline, ReplayEnd};
 
 pub use crate::pipeline::PipelineSnapshot;
@@ -1176,21 +1177,76 @@ impl<'a> InjectionSim<'a> {
     /// it architectural), and a clean eviction discards it — the next
     /// fill restores clean data, exactly as in hardware.
     fn flip_cache_line(&mut self, dl1: bool, idx: usize, bit: u32, apply: bool) -> FlipEffect {
-        let cache = if dl1 { &self.pipe.dl1 } else { &self.pipe.l2 };
-        let Some(base) = cache.valid_line(idx) else {
+        let Some(fault) = self.cache_fault(dl1, idx, bit) else {
             return FlipEffect::Masked(MaskReason::Vacant);
         };
         if apply {
-            let addr = base + u64::from(bit / 8);
-            let mask = 1u8 << (bit % 8);
-            self.pipe.cache_faults.push(crate::pipeline::CacheFault {
-                dl1,
-                line_base: base,
-                addr,
-                mask,
-            });
+            self.pipe.cache_faults.inject(fault);
         }
         FlipEffect::Armed
+    }
+
+    /// The fault a flip of bit `bit` of line `idx` of the DL1 (`dl1`) or
+    /// the L2 injects, or `None` if the line is vacant.
+    fn cache_fault(&self, dl1: bool, idx: usize, bit: u32) -> Option<CacheFault> {
+        let cache = if dl1 { &self.pipe.dl1 } else { &self.pipe.l2 };
+        let line_base = cache.valid_line(idx)?;
+        Some(CacheFault {
+            dl1,
+            line_base,
+            addr: line_base + u64::from(bit / 8),
+            mask: 1u8 << (bit % 8),
+        })
+    }
+
+    /// The fate of a flip of bit `bit` of `entry` in the DL1 or L2 data
+    /// array at the current cycle, read from the golden pass's log of
+    /// line events without flipping or simulating anything: `None` for
+    /// another target or a vacant line. The machine must be in the
+    /// golden run's state at its current cycle, and `golden` must come
+    /// from the golden pass of this machine, program and instruction
+    /// budget.
+    ///
+    /// A fault in a data array changes nothing the cycle loop reads
+    /// until a load consumes it, so until then the faulty machine runs
+    /// the golden run cycle for cycle and meets the golden run's
+    /// evictions, fills, loads and stores in the same order. If the
+    /// fault dies ([`CacheFate::Repaired`], [`CacheFate::Dropped`]) or
+    /// is still resident when the run ends ([`CacheFate::Resident`])
+    /// without being consumed or written to memory, the run completes
+    /// exactly as the golden one: its verdict is [`Verdict::Masked`]
+    /// ([`CacheFate::verdict`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` or `bit` exceed the target's geometry.
+    #[must_use]
+    pub fn cache_fate(
+        &self,
+        target: InjectionTarget,
+        entry: u64,
+        bit: u32,
+        golden: &DecodedCheckpoints,
+    ) -> Option<CacheFate> {
+        let dl1 = match target {
+            InjectionTarget::Dl1 => true,
+            InjectionTarget::L2 => false,
+            _ => return None,
+        };
+        assert!(
+            entry < target.entries(self.pipe.cfg) && bit < target.entry_bits(&self.pipe.sizes),
+            "entry or bit index out of range"
+        );
+        debug_assert!(
+            self.pipe.cache_faults.is_empty(),
+            "a machine on the golden run"
+        );
+        let fault = self.cache_fault(dl1, entry as usize, bit)?;
+        Some(
+            golden
+                .future
+                .cache_fate(&self.pipe.dl1, self.pipe.cycle, fault),
+        )
     }
 }
 

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod bpred;
+mod cache_faults;
 mod caches;
 mod config;
 mod dtlb;
@@ -58,7 +59,7 @@ pub use bpred::BranchPredictor;
 pub use caches::{AccessResult, Cache};
 pub use config::{BpredConfig, CacheConfig, MachineConfig};
 pub use dtlb::{Dtlb, TlbResult};
-pub use future::GoldenFuture;
+pub use future::{CacheFate, GoldenFuture};
 pub use inject::{
     golden_pass, golden_run, golden_run_checkpointed, golden_run_with_evidence, DecodedCheckpoints,
     FaultModel, FlipEffect, GoldenRun, InjectionSim, InjectionTarget, Judgement, MaskReason,

@@ -17,11 +17,12 @@ use avf_ace::{
 use avf_isa::{text_addr, ExecState, Memory, OpClass, Opcode, Program};
 
 use crate::bpred::BranchPredictor;
+use crate::cache_faults::CacheFaults;
 use crate::caches::Cache;
 use crate::config::MachineConfig;
 use crate::dtlb::Dtlb;
 use crate::dyninst::{DynInst, Stage};
-use crate::future::{FutureRecorder, Passive};
+use crate::future::{FutureRecorder, LineOp, Passive};
 use crate::regfile::PhysRegFile;
 use crate::stats::SimStats;
 
@@ -54,22 +55,6 @@ pub(crate) enum ReplayEnd {
 pub(crate) struct Recovery {
     resume_cycle: u64,
     pc: u32,
-}
-
-/// An injected cache-array fault whose fate follows the line: a dirty
-/// eviction writes the corruption back (it persists), a clean eviction
-/// discards it (the next fill restores clean data), so the flip must be
-/// reverted from the merged oracle memory image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CacheFault {
-    /// `true` for DL1, `false` for L2.
-    pub(crate) dl1: bool,
-    /// Base address of the corrupted line.
-    pub(crate) line_base: u64,
-    /// Byte address of the flipped bit.
-    pub(crate) addr: u64,
-    /// Bit mask within the byte.
-    pub(crate) mask: u8,
 }
 
 pub(crate) struct Pipeline<'a> {
@@ -112,7 +97,7 @@ pub(crate) struct Pipeline<'a> {
     pub(crate) halted: bool,
     pub(crate) last_commit_cycle: u64,
     /// Injected cache faults still resident in their line (fault mode).
-    pub(crate) cache_faults: Vec<CacheFault>,
+    pub(crate) cache_faults: CacheFaults,
     pub(crate) stats: SimStats,
     /// Event gate of the writeback stage: no `Executing` entry completes
     /// before this cycle. Derived state (see [`Pipeline::restore`]).
@@ -223,7 +208,7 @@ impl<'a> Pipeline<'a> {
             fetch_done: false,
             halted: false,
             last_commit_cycle: 0,
-            cache_faults: Vec::new(),
+            cache_faults: CacheFaults::default(),
             stats: SimStats::default(),
             next_complete: 0,
             issue_armed: true,
@@ -233,76 +218,28 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Settles any injected fault in an evicted line. A clean eviction
-    /// discards the corrupted line — the fault dies with it. A dirty
-    /// DL1 eviction writes the line (fault included) back into the L2;
-    /// a dirty L2 eviction writes it back to main memory, at which
-    /// point the corruption becomes architectural.
-    fn settle_cache_fault(&mut self, dl1: bool, victim_base: u64, dirty: bool) {
+    /// Records an event that can touch an injected cache fault on a
+    /// golden pass, stamped with the current cycle.
+    fn record_line(&mut self, addr: u64, op: LineOp) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.line_event(self.cycle, addr, op);
+        }
+    }
+
+    /// A line left the DL1 (`dl1`) or the L2: settles any injected fault
+    /// in it ([`CacheFaults::evict`]). A fault a dirty L2 eviction
+    /// writes back becomes architectural.
+    fn evict_line(&mut self, dl1: bool, victim_base: u64, dirty: bool) {
+        self.record_line(victim_base, LineOp::Evict { dl1, dirty });
         if self.cache_faults.is_empty() {
             return;
         }
-        let mut demoted: Vec<CacheFault> = Vec::new();
-        let mut escaped: Vec<(u64, u8)> = Vec::new();
-        self.cache_faults.retain(|f| {
-            if f.line_base != victim_base {
-                return true;
-            }
-            if f.dl1 != dl1 {
-                // A dirty DL1 writeback replaces the whole L2 line, so
-                // whatever fault state the L2 held for it (e.g. the
-                // original of a fault propagated into the DL1 on fill)
-                // is superseded by the DL1 copy being demoted below —
-                // keeping it would double-apply the flip or resurrect a
-                // store-repaired one.
-                return !(dl1 && dirty && !f.dl1);
-            }
-            if dirty {
-                if dl1 {
-                    demoted.push(CacheFault { dl1: false, ..*f });
-                } else {
-                    escaped.push((f.addr, f.mask));
-                }
-            }
-            false
-        });
-        self.cache_faults.extend(demoted);
-        for (addr, mask) in escaped {
-            let byte = self.oracle_mem.read_u8(addr);
-            self.oracle_mem.write_u8(addr, byte ^ mask);
-        }
-    }
-
-    /// A DL1 fill reads the line out of the L2: any injected L2 fault
-    /// on it is copied into the new DL1-resident line.
-    fn propagate_l2_faults_into_dl1(&mut self, line_base: u64) {
-        let copies: Vec<CacheFault> = self
-            .cache_faults
-            .iter()
-            .filter(|f| !f.dl1 && f.line_base == line_base)
-            .map(|f| CacheFault { dl1: true, ..*f })
-            .collect();
-        self.cache_faults.extend(copies);
-    }
-
-    /// XOR mask (in loaded-value bit order) of the injected DL1 faults
-    /// a load of `bytes` bytes at `ea` consumes.
-    fn consumed_load_fault_mask(&self, ea: u64, bytes: u64) -> u64 {
-        let line = self.dl1.line_base(ea);
-        let mut xor = 0u64;
-        for f in &self.cache_faults {
-            if f.dl1 && f.line_base == line && f.addr >= ea && f.addr < ea + bytes {
-                xor |= u64::from(f.mask) << ((f.addr - ea) * 8);
-            }
-        }
-        xor
-    }
-
-    /// A committed store overwrites the faulted bytes it covers: those
-    /// faults are repaired in place.
-    fn clear_overwritten_faults(&mut self, ea: u64, bytes: u64) {
+        let mem = &mut self.oracle_mem;
         self.cache_faults
-            .retain(|f| !(f.dl1 && f.addr >= ea && f.addr < ea + bytes));
+            .evict(dl1, victim_base, dirty, |addr, mask| {
+                let byte = mem.read_u8(addr);
+                mem.write_u8(addr, byte ^ mask);
+            });
     }
 
     /// Corrupts the in-flight instruction's destination value through
@@ -840,18 +777,28 @@ impl<'a> Pipeline<'a> {
             (e.inst.op, e.wrong_path, e.outcome.and_then(|o| o.ea))
         };
         let (latency, data_return) = self.execute_latency(op, wrong_path, ea, cycle);
-        if self.fault_mode && !self.cache_faults.is_empty() && !wrong_path {
+        if let (false, Some(ea), Some(size)) = (wrong_path, ea, op.access_size()) {
             // Injected cache faults interact with the access at its
             // timing-accurate issue point: a load consumes the
             // corrupted bytes it covers, a store repairs them.
-            if let (Some(ea), Some(size)) = (ea, op.access_size()) {
-                if op.is_load() {
-                    let xor = self.consumed_load_fault_mask(ea, size.bytes());
+            let (load, bytes) = (op.is_load(), size.bytes());
+            self.record_line(
+                ea,
+                LineOp::Access {
+                    load,
+                    bytes: bytes as u8,
+                },
+            );
+            if self.fault_mode && !self.cache_faults.is_empty() {
+                if load {
+                    let xor = self
+                        .cache_faults
+                        .consumed(self.dl1.line_base(ea), ea, bytes);
                     if xor != 0 {
                         self.corrupt_dest_value(idx, xor);
                     }
                 } else {
-                    self.clear_overwritten_faults(ea, size.bytes());
+                    self.cache_faults.repair(ea, bytes);
                 }
             }
         }
@@ -931,7 +878,7 @@ impl<'a> Pipeline<'a> {
         self.stats.dl1_misses += 1;
         let stamp = cycle + u64::from(lat);
         if let Some((victim, dirty)) = r.victim {
-            self.settle_cache_fault(true, victim, dirty);
+            self.evict_line(true, victim, dirty);
             if let Some(az) = self.analyzer.as_mut() {
                 az.dl1_evict(victim, stamp);
             }
@@ -939,7 +886,7 @@ impl<'a> Pipeline<'a> {
                 // Writeback-allocate into the L2.
                 let wb = self.l2.access(victim, true);
                 if let Some((v2, d2)) = wb.victim {
-                    self.settle_cache_fault(false, v2, d2);
+                    self.evict_line(false, v2, d2);
                 }
                 if let Some(az) = self.analyzer.as_mut() {
                     if !wb.hit {
@@ -962,7 +909,7 @@ impl<'a> Pipeline<'a> {
             lat += self.cfg.mem_latency;
             let stamp = cycle + u64::from(lat);
             if let Some((v2, d2)) = l2r.victim {
-                self.settle_cache_fault(false, v2, d2);
+                self.evict_line(false, v2, d2);
             }
             if let Some(az) = self.analyzer.as_mut() {
                 if let Some((v2, _)) = l2r.victim {
@@ -977,8 +924,10 @@ impl<'a> Pipeline<'a> {
             az.l2_read(line, line_bytes, stamp);
             az.dl1_fill(line, stamp);
         }
+        // The DL1 fill reads the line out of the L2, faults included.
+        self.record_line(line, LineOp::Fill);
         if self.fault_mode && !self.cache_faults.is_empty() {
-            self.propagate_l2_faults_into_dl1(line);
+            self.cache_faults.fill(line);
         }
         lat
     }
@@ -1061,7 +1010,7 @@ impl<'a> Pipeline<'a> {
                     let l2r = self.l2.access(text_addr(pc), false);
                     if let Some((v2, d2)) = l2r.victim {
                         // An I-side refill can evict a faulted data line.
-                        self.settle_cache_fault(false, v2, d2);
+                        self.evict_line(false, v2, d2);
                     }
                     let penalty =
                         self.cfg.l2.latency + if l2r.hit { 0 } else { self.cfg.mem_latency };
@@ -1183,7 +1132,7 @@ pub struct PipelineSnapshot {
     fetch_done: bool,
     halted: bool,
     last_commit_cycle: u64,
-    cache_faults: Vec<CacheFault>,
+    cache_faults: CacheFaults,
     stats: SimStats,
 }
 
@@ -1424,6 +1373,6 @@ impl PipelineSnapshot {
             + self.dtlb.heap_bytes()
             + self.rf.heap_bytes()
             + (self.fetch_queue.capacity() + self.rob.capacity()) * std::mem::size_of::<DynInst>()
-            + std::mem::size_of_val(&self.cache_faults[..])
+            + self.cache_faults.heap_bytes()
     }
 }

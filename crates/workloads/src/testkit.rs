@@ -60,3 +60,39 @@ pub fn idle_loop() -> Program {
     b.halt();
     b.build().expect("valid program")
 }
+
+/// A kernel that moves 64 lines through the whole cache hierarchy of the
+/// paper-baseline machine (2-way 64 kB DL1, direct-mapped 1 MB L2,
+/// 64-byte lines), one pass over the lines per step: it stores to each
+/// line; evicts each dirty from the DL1 into the L2 with two loads that
+/// map to its DL1 set (32 kB apart); loads each line's last quad back
+/// out of the L2; and loads the line 1 MB above each, whose L2 fill
+/// writes the dirty line back to memory.
+#[must_use]
+pub fn line_churn() -> Program {
+    const LINES: i16 = 64;
+    const SET_STRIDE: i32 = 32 << 10;
+    const L2_STRIDE: i32 = 1 << 20;
+    let (offset, counter, data, sink) = (Reg::of(1), Reg::of(2), Reg::of(3), Reg::of(4));
+    let line = DATA_BASE as i32 + 0x1000;
+    let mut b = ProgramBuilder::new("line-churn");
+    b.addi(data, Reg::ZERO, 0x55);
+    let each_line = |b: &mut ProgramBuilder, body: &dyn Fn(&mut ProgramBuilder)| {
+        b.addi(offset, Reg::ZERO, 0);
+        b.addi(counter, Reg::ZERO, LINES);
+        let top = b.here();
+        body(b);
+        b.addi(offset, offset, 64);
+        b.subi(counter, counter, 1);
+        b.bne(counter, top);
+    };
+    each_line(&mut b, &|b| b.stq(data, offset, line));
+    each_line(&mut b, &|b| {
+        b.ldq(sink, offset, line + SET_STRIDE);
+        b.ldq(sink, offset, line + 2 * SET_STRIDE);
+    });
+    each_line(&mut b, &|b| b.ldq(sink, offset, line + 56));
+    each_line(&mut b, &|b| b.ldq(sink, offset, line + L2_STRIDE));
+    b.halt();
+    b.build().expect("valid program")
+}
