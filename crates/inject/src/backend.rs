@@ -44,7 +44,8 @@ use avf_isa::Program;
 use avf_prune::PruneMap;
 use avf_sim::{
     golden_pass, CacheFate, DecodedCheckpoints, FaultModel, FlipEffect, GoldenRun, InjectionSim,
-    InjectionTarget, Judgement, MachineConfig, PruneEvidence, RunEnd, Verdict, PRUNE_WINDOW,
+    InjectionTarget, Judgement, MachineConfig, PipelineSnapshot, PruneEvidence, RunEnd, Verdict,
+    PRUNE_WINDOW,
 };
 
 use crate::plan::Trial;
@@ -530,13 +531,19 @@ pub enum TrialEnd {
     /// Settled without a tail: masked or diverged at the probe,
     /// unreached, or trapped at the flip itself.
     Probe,
+    /// Settled at the flip, with no tail: a DL1/L2 fault that the golden
+    /// pass's line events show dying unread, or staying resident,
+    /// unread, to the end without reaching memory
+    /// ([`InjectionSim::cache_fate`]); or a flip that changed only
+    /// passive state, judged against the golden state it was made in
+    /// ([`InjectionSim::judge`]) and, when the golden future reads a
+    /// difference, finished on its oracle from the flip
+    /// ([`InjectionSim::oracle_tail`]).
+    AtFlip,
     /// Equal to a golden checkpoint: the trial rejoined the golden run.
     Rejoined,
     /// Differed from a golden checkpoint only in state the golden
-    /// future never reads; or, for a DL1/L2 flip, decided at the flip
-    /// with no tail ([`InjectionSim::cache_fate`]): the golden pass's
-    /// line events show the fault dies unread or stays resident,
-    /// unread, to the end, and never reaches memory.
+    /// future never reads.
     Decided,
     /// Equal to a golden checkpoint in active state, with its oracle
     /// then shown to produce the golden outcomes to the end of the run
@@ -558,9 +565,9 @@ pub struct Settled {
     pub tail_cycles: u64,
 }
 
-/// [`classify_trial`], settling an armed trial at the first golden
-/// checkpoint where its verdict is already fixed, and reporting how the
-/// trial ended.
+/// [`classify_trial`], settling an armed trial at its flip or at the
+/// first golden checkpoint where its verdict is already fixed, and
+/// reporting how the trial ended.
 ///
 /// An armed DL1/L2 trial is first looked up in the golden pass's log of
 /// line events ([`InjectionSim::cache_fate`]). A fault in a data array
@@ -569,22 +576,29 @@ pub struct Settled {
 /// stores. If the fault dies unread (a store repairs it, an eviction
 /// drops it) or stays resident, unread, until the run ends, and no dirty
 /// L2 eviction writes it to memory, the trial is Masked
-/// ([`TrialEnd::Decided`], 0 tail cycles) with no snapshot, flip or
-/// tail. A consumed or escaping fault takes the path below.
+/// ([`TrialEnd::AtFlip`]) with no snapshot, flip or tail. A consumed or
+/// escaping fault takes the path below.
 ///
-/// At each `golden` checkpoint after the injection cycle the faulty
-/// machine is judged against the golden snapshot of that cycle
-/// ([`InjectionSim::judge`]). Every field but four passive parts (the
-/// oracle's registers, its memory bytes, the DTLB poison flag and the
-/// in-flight micro-ops' values) must be equal, and no differing register
-/// or byte may be read later in the golden future. Then the faulty
-/// machine runs the golden future cycle for cycle, so its verdict is
-/// fixed without simulating the rest of the tail: DUE if the golden
-/// future hits the poisoned DTLB entry before evicting it, else SDC if a
-/// differing byte is never stored to again, else Masked. With no
-/// difference at all the trial has rejoined the golden run (Masked).
+/// Any other armed trial is judged first against the snapshot taken
+/// just before its flip, which is the golden run's state of that cycle,
+/// and then at each `golden` checkpoint after the injection cycle
+/// against the checkpoint's snapshot ([`InjectionSim::judge`]; one
+/// settle at the golden state's oracle position either way). Every field
+/// but four passive parts (the oracle's registers, its memory bytes, the
+/// DTLB poison flag and the in-flight micro-ops' values) must be equal,
+/// and no differing register or byte may be read later in the golden
+/// future. Then the faulty machine runs the golden future cycle for
+/// cycle, so its verdict is fixed without simulating the rest of the
+/// tail: DUE if the golden future hits the poisoned DTLB entry before
+/// evicting it, else SDC if a differing byte is never stored to again,
+/// else Masked. With no difference at all the trial has rejoined the
+/// golden run (Masked). A flip that writes only passive state (a
+/// register-file or result-value flip, a DTLB poison, store data, a
+/// replayed result that changes no address or direction) is settled at
+/// the flip this way ([`TrialEnd::AtFlip`]); a flip of active state
+/// (queue control, addresses) waits for a checkpoint.
 ///
-/// At the first checkpoint where only the second condition fails
+/// At the first judgement where only the second condition fails
 /// ([`Judgement::Live`]), the trial's oracle is run alone to the end of
 /// the run and checked against the golden addresses and branch
 /// directions ([`InjectionSim::oracle_tail`]). If it follows them, the
@@ -594,7 +608,8 @@ pub struct Settled {
 /// the trial goes on in the cycle loop and never tries the oracle tail
 /// again: with no cache fault pending its architectural path is fixed
 /// from the flip onward, so it would leave the golden path at the same
-/// instruction. So each trial runs at most one oracle pass.
+/// instruction. So each trial runs at most one oracle pass, the flip
+/// included.
 ///
 /// The verdict is therefore always the full-tail one, provided `golden`
 /// holds the checkpoints of the golden pass of `sim`'s machine, program
@@ -609,21 +624,21 @@ pub fn settle_trial(
     golden_digest: u64,
     golden: Option<&DecodedCheckpoints>,
 ) -> Settled {
-    let probe = |outcome| Settled {
+    let ended = |outcome, end| Settled {
         outcome,
-        end: TrialEnd::Probe,
+        end,
         tail_cycles: 0,
     };
     if !sim.run_to_cycle(trial.cycle) {
-        return probe(Outcome::Unreached);
+        return ended(Outcome::Unreached, TrialEnd::Probe);
     }
     // Dry-probe first: provably masked flips touch no machine state, so
     // they need neither the snapshot nor the rewind.
     match sim.probe_bit(trial.target, trial.entry, trial.bit) {
-        FlipEffect::Masked(_) => probe(Outcome::Masked),
+        FlipEffect::Masked(_) => ended(Outcome::Masked, TrialEnd::Probe),
         // An architecturally impossible decode mutates nothing either:
         // the verdict is immediate.
-        FlipEffect::Diverged => probe(Outcome::ReplayDiverged),
+        FlipEffect::Diverged => ended(Outcome::ReplayDiverged, TrialEnd::Probe),
         FlipEffect::Armed => {
             // A DL1/L2 fault the golden line log shows dying unread:
             // no snapshot, flip or tail.
@@ -631,59 +646,81 @@ pub fn settle_trial(
                 .and_then(|g| sim.cache_fate(trial.target, trial.entry, trial.bit, g))
                 .and_then(CacheFate::verdict)
             {
-                return Settled {
-                    outcome: outcome_of(verdict),
-                    end: TrialEnd::Decided,
-                    tail_cycles: 0,
-                };
+                return ended(outcome_of(verdict), TrialEnd::AtFlip);
             }
             let snap = sim.snapshot();
             let armed = sim.flip_bit(trial.target, trial.entry, trial.bit);
             debug_assert_eq!(armed, FlipEffect::Armed, "probe and flip must agree");
-            let (outcome, end) = run_armed_tail(sim, trial.cycle, golden_digest, golden);
-            let tail_cycles = sim.cycle() - trial.cycle;
+            let mut oracle_tried = false;
+            // `snap` is the golden run's state of the flip's cycle.
+            let at_flip = golden.and_then(|g| settle_against(sim, g, &snap, &mut oracle_tried));
+            let settled = match at_flip {
+                Some((outcome, _)) => ended(outcome, TrialEnd::AtFlip),
+                None => {
+                    let (outcome, end) =
+                        run_armed_tail(sim, trial.cycle, golden_digest, golden, oracle_tried);
+                    let tail_cycles = sim.cycle() - trial.cycle;
+                    Settled {
+                        outcome,
+                        // A flip that sets the trap flag ends the run
+                        // before a single tail cycle.
+                        end: if tail_cycles == 0 {
+                            TrialEnd::Probe
+                        } else {
+                            end
+                        },
+                        tail_cycles,
+                    }
+                }
+            };
             sim.restore(&snap);
-            Settled {
-                outcome,
-                // A flip that sets the trap flag ends the run before a
-                // single tail cycle.
-                end: if tail_cycles == 0 {
-                    TrialEnd::Probe
-                } else {
-                    end
-                },
-                tail_cycles,
-            }
+            settled
         }
     }
 }
 
+/// Judges a flipped machine against `golden_state`, the golden run's
+/// state of its current cycle: the verdict and how the trial ends if
+/// it is fixed, else `None` (keep simulating). A [`Judgement::Live`]
+/// machine is finished on its oracle unless `oracle_tried`, which is
+/// then set.
+fn settle_against(
+    sim: &mut InjectionSim<'_>,
+    golden: &DecodedCheckpoints,
+    golden_state: &PipelineSnapshot,
+    oracle_tried: &mut bool,
+) -> Option<(Outcome, TrialEnd)> {
+    match sim.judge(golden, golden_state) {
+        Judgement::Open => None,
+        Judgement::Live if *oracle_tried => None,
+        Judgement::Live => {
+            *oracle_tried = true;
+            let verdict = sim.oracle_tail(golden, golden_state)?;
+            Some((outcome_of(verdict), TrialEnd::OracleTail))
+        }
+        Judgement::Rejoined => Some((Outcome::Masked, TrialEnd::Rejoined)),
+        Judgement::Decided(verdict) => Some((outcome_of(verdict), TrialEnd::Decided)),
+    }
+}
+
 /// Runs a flipped machine to its verdict, judging it at each golden
-/// checkpoint after `injected_at`.
+/// checkpoint after `injected_at` (with no oracle pass if
+/// `oracle_tried`).
 fn run_armed_tail(
     sim: &mut InjectionSim<'_>,
     injected_at: u64,
     golden_digest: u64,
     golden: Option<&DecodedCheckpoints>,
+    mut oracle_tried: bool,
 ) -> (Outcome, TrialEnd) {
     if let Some(g) = golden {
-        let mut oracle_tried = false;
-        for (cycle, _) in g.after(injected_at) {
+        for (cycle, snap) in g.after(injected_at) {
             // A run that ends (or times out) first is settled by `run_to_end`.
             if !sim.run_to_cycle(cycle) {
                 break;
             }
-            match sim.judge(g) {
-                Judgement::Open => {}
-                Judgement::Live if oracle_tried => {}
-                Judgement::Live => {
-                    oracle_tried = true;
-                    if let Some(verdict) = sim.oracle_tail(g) {
-                        return (outcome_of(verdict), TrialEnd::OracleTail);
-                    }
-                }
-                Judgement::Rejoined => return (Outcome::Masked, TrialEnd::Rejoined),
-                Judgement::Decided(verdict) => return (outcome_of(verdict), TrialEnd::Decided),
+            if let Some(settled) = settle_against(sim, g, snap, &mut oracle_tried) {
+                return settled;
             }
         }
     }
@@ -715,6 +752,8 @@ fn outcome_of(verdict: Verdict) -> Outcome {
 pub struct TrialEnds {
     /// Trials settled without a tail ([`TrialEnd::Probe`]).
     probe: AtomicU64,
+    /// Armed trials settled at their flip ([`TrialEnd::AtFlip`]).
+    at_flip: AtomicU64,
     /// Armed trials that rejoined the golden run at a checkpoint.
     rejoined: AtomicU64,
     /// Armed trials decided Masked at a checkpoint.
@@ -723,7 +762,7 @@ pub struct TrialEnds {
     decided_sdc: AtomicU64,
     /// Armed trials decided DUE at a checkpoint.
     decided_due: AtomicU64,
-    /// Armed trials finished on the oracle alone.
+    /// Armed trials finished on the oracle alone from a checkpoint.
     oracle_tail: AtomicU64,
     /// Armed trials that ran their tail until the run ended.
     full_tail: AtomicU64,
@@ -736,6 +775,7 @@ impl TrialEnds {
     pub fn record(&self, settled: &Settled) {
         let counter = match (settled.end, settled.outcome) {
             (TrialEnd::Probe, _) => &self.probe,
+            (TrialEnd::AtFlip, _) => &self.at_flip,
             (TrialEnd::Rejoined, _) => &self.rejoined,
             (TrialEnd::Decided, Outcome::Sdc) => &self.decided_sdc,
             (TrialEnd::Decided, Outcome::Due) => &self.decided_due,
@@ -750,10 +790,11 @@ impl TrialEnds {
 
     /// Every counter with its metric-style name, in a fixed order.
     #[must_use]
-    pub fn values(&self) -> [(&'static str, u64); 8] {
+    pub fn values(&self) -> [(&'static str, u64); 9] {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         [
             ("trials_probe", load(&self.probe)),
+            ("trials_at_flip", load(&self.at_flip)),
             ("trials_rejoined", load(&self.rejoined)),
             ("trials_decided_masked", load(&self.decided_masked)),
             ("trials_decided_sdc", load(&self.decided_sdc)),

@@ -118,7 +118,7 @@ fn check(
             "{t:?} under {model} ({fate:?}): {early:?}, full tail {full:?}"
         ));
     }
-    let at_flip = early.end == TrialEnd::Decided && early.tail_cycles == 0;
+    let at_flip = early.end == TrialEnd::AtFlip;
     let fixed = fate.and_then(CacheFate::verdict).is_some();
     if at_flip != fixed {
         return Err(format!(
@@ -259,7 +259,7 @@ fn assert_fate(fx: &Fixture, t: &Trial, fate: CacheFate, outcome: Outcome) {
     if fate.verdict().is_some() {
         assert_eq!(
             (settled.end, settled.tail_cycles),
-            (TrialEnd::Decided, 0),
+            (TrialEnd::AtFlip, 0),
             "{t:?}"
         );
     } else {

@@ -1,17 +1,18 @@
 //! Golden-future verdicts equal full-tail verdicts.
 //!
-//! `settle_trial` settles an armed trial at a golden checkpoint
-//! when the faulty machine differs from the checkpoint only in oracle
-//! registers, memory bytes or a DTLB poison that the golden future never
-//! reads. The property test checks the settled verdict against the
+//! `settle_trial` settles an armed trial at its flip or at a golden
+//! checkpoint when the faulty machine differs from the golden run's state
+//! of that cycle only in oracle registers, memory bytes or a DTLB poison
+//! that the golden future never reads. The property test checks the settled verdict against the
 //! full-tail `classify_trial` on the testkit kernels, the paper-baseline
 //! stressmark, the `429.mcf` proxy (all at reduced budgets) and a kernel
 //! that loads back what it stored 64 iterations earlier, under both fault
 //! models. Store-queue flips, which put differences into memory, are
 //! drawn more often than the other targets. The deterministic cases show each rule firing on a
-//! small program: an SDC, a DUE from a later DTLB hit, Masked after a
-//! DTLB eviction and after an overwriting store, and no decision while a
-//! differing byte is still to be loaded.
+//! small program, at the flip and at the first checkpoint after it: an
+//! SDC, a DUE from a later DTLB hit, Masked after a DTLB eviction and
+//! after an overwriting store, and no decision while a differing byte
+//! is still to be loaded.
 
 use std::sync::OnceLock;
 
@@ -219,18 +220,29 @@ fn judgements(fx: &Fixture, t: &Trial) -> Vec<Judgement> {
     assert!(sim.run_to_cycle(t.cycle));
     assert_eq!(sim.flip_bit(t.target, t.entry, t.bit), FlipEffect::Armed);
     let mut out = Vec::new();
-    for (cycle, _) in fx.checkpoints.after(t.cycle) {
+    for (cycle, snap) in fx.checkpoints.after(t.cycle) {
         if !sim.run_to_cycle(cycle) {
             break;
         }
-        out.push(sim.judge(&fx.checkpoints));
+        out.push(sim.judge(&fx.checkpoints, snap));
     }
     out
 }
 
-/// Asserts `t` is decided `verdict` at the first checkpoint after its
-/// flip, and that the full tail agrees.
+/// Judges `t` at its flip, against the state just before it.
+fn judge_at_flip(fx: &Fixture, t: &Trial) -> Judgement {
+    let mut sim = sim_at(fx, FaultModel::Replay, t.cycle);
+    assert!(sim.run_to_cycle(t.cycle));
+    let before = sim.snapshot();
+    assert_eq!(sim.flip_bit(t.target, t.entry, t.bit), FlipEffect::Armed);
+    sim.judge(&fx.checkpoints, &before)
+}
+
+/// Asserts `t` is decided `verdict` at its flip and at the first
+/// checkpoint after it, that `settle_trial` settles it at the flip, and
+/// that the full tail agrees.
 fn assert_decided_at_once(fx: &Fixture, t: &Trial, verdict: Verdict, outcome: Outcome) {
+    assert_eq!(judge_at_flip(fx, t), Judgement::Decided(verdict), "{t:?}");
     let js = judgements(fx, t);
     assert_eq!(
         js.first(),
@@ -238,7 +250,10 @@ fn assert_decided_at_once(fx: &Fixture, t: &Trial, verdict: Verdict, outcome: Ou
         "{t:?}: {js:?}"
     );
     let settled = settle(fx, t);
-    assert_eq!((settled.outcome, settled.end), (outcome, TrialEnd::Decided));
+    assert_eq!(
+        (settled.outcome, settled.end, settled.tail_cycles),
+        (outcome, TrialEnd::AtFlip, 0)
+    );
     assert_eq!(full_tail(fx, t), outcome, "the full tail agrees");
 }
 
@@ -278,6 +293,7 @@ fn a_byte_loaded_later_is_not_decided_before_the_load() {
         },
     );
     let t = first_armed(&fx, InjectionTarget::Sq, 0, STORE_DATA_BIT);
+    assert_eq!(judge_at_flip(&fx, &t), Judgement::Live);
     let js = judgements(&fx, &t);
     let live = js.iter().take_while(|&&j| j == Judgement::Live).count();
     assert!(live >= 5, "live through the pause: {js:?}");

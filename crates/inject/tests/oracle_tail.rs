@@ -1,10 +1,11 @@
 //! Oracle-tail verdicts equal full-tail verdicts.
 //!
-//! When an armed trial's active state equals a golden checkpoint's but a
-//! live register or byte differs, `settle_trial` runs the trial's oracle
-//! alone to the end of the run and checks every effective address and
-//! branch direction against the golden pass's outcome stream. If all
-//! match, the machine runs the golden timing and the verdict follows
+//! When an armed trial's active state equals the golden run's state at
+//! its flip or at a golden checkpoint but a live register or byte
+//! differs, `settle_trial` runs the trial's oracle alone to the end of
+//! the run and checks every effective address and branch direction
+//! against the golden pass's outcome stream from that position on. If
+//! all match, the machine runs the golden timing and the verdict follows
 //! from the poisoned DTLB entry and the oracle's final memory.
 //!
 //! The property test checks, on the testkit kernels, the stressmark, the
@@ -13,11 +14,13 @@
 //! the settled verdict is the full tail's, that a trial the oracle tail
 //! settles really runs the golden timing (its full tail ends on the
 //! golden run's last cycle), and that no trial runs more than one oracle
-//! pass. The deterministic kernels show each case on a small program:
-//! data that is only stored (SDC) or ANDed away (Masked), a corrupted
-//! base register and a flipped branch over arithmetic (full tail), a corrupted branch
-//! operand that keeps its direction (decided early), and a live register
-//! next to a poisoned DTLB page that the golden run hits later (DUE).
+//! pass, the flip included. The deterministic kernels show each case on
+//! a small program, live at the flip and at the first checkpoint after
+//! it: data that is only stored (SDC) or ANDed away (Masked), a
+//! corrupted base register and a flipped branch over arithmetic (full
+//! tail), a corrupted branch operand that keeps its direction (settled
+//! at the flip), and a live register next to a poisoned DTLB page that
+//! the golden run hits later (DUE).
 
 use std::sync::OnceLock;
 
@@ -160,8 +163,8 @@ fn trial(target: InjectionTarget, entry: u64, bit: u32, cycle: u64) -> Trial {
 }
 
 /// Settles `t` early and in full, checks the property, and returns the
-/// early settlement.
-fn check(fx: &Fixture, model: FaultModel, t: &Trial) -> Result<Settled, String> {
+/// early settlement and the oracle passes it ran.
+fn check(fx: &Fixture, model: FaultModel, t: &Trial) -> Result<(Settled, u64), String> {
     let mut sim = sim_at(fx, model, t.cycle);
     let early = settle_trial(&mut sim, t, fx.golden.digest, Some(&fx.checkpoints));
     let full = settle_trial(&mut sim_at(fx, model, t.cycle), t, fx.golden.digest, None);
@@ -176,9 +179,11 @@ fn check(fx: &Fixture, model: FaultModel, t: &Trial) -> Result<Settled, String> 
             sim.oracle_passes()
         ));
     }
-    if early.end == TrialEnd::OracleTail
-        && early.outcome != Outcome::Due
-        && t.cycle + full.tail_cycles != fx.golden.cycles
+    // An oracle pass that settles the trial, at the flip or at a
+    // checkpoint.
+    let on_oracle =
+        sim.oracle_passes() == 1 && matches!(early.end, TrialEnd::AtFlip | TrialEnd::OracleTail);
+    if on_oracle && early.outcome != Outcome::Due && t.cycle + full.tail_cycles != fx.golden.cycles
     {
         return Err(format!(
             "{t:?} under {model}: settled on the oracle, but its full tail ends at cycle {} \
@@ -187,7 +192,7 @@ fn check(fx: &Fixture, model: FaultModel, t: &Trial) -> Result<Settled, String> 
             fx.golden.cycles
         ));
     }
-    Ok(early)
+    Ok((early, sim.oracle_passes()))
 }
 
 /// Target codes past `InjectionTarget::ALL` draw the register file
@@ -248,8 +253,10 @@ fn a_stressmark_campaign_settles_trials_on_the_oracle() {
     let mut oracle = 0;
     for model in [FaultModel::Replay, FaultModel::Trap] {
         for t in plan.trials() {
-            let settled = check(fx, model, t).unwrap_or_else(|e| panic!("{e}"));
-            oracle += usize::from(settled.end == TrialEnd::OracleTail);
+            let (settled, passes) = check(fx, model, t).unwrap_or_else(|e| panic!("{e}"));
+            oracle += usize::from(
+                passes == 1 && matches!(settled.end, TrialEnd::AtFlip | TrialEnd::OracleTail),
+            );
         }
     }
     assert!(oracle >= 10, "{oracle} trials settled on the oracle");
@@ -297,7 +304,7 @@ fn flip_of(fx: &Fixture, r: u8) -> Trial {
     )
 }
 
-fn settle(fx: &Fixture, t: &Trial) -> Settled {
+fn settle(fx: &Fixture, t: &Trial) -> (Settled, u64) {
     check(fx, FaultModel::Replay, t).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -307,29 +314,37 @@ fn judgements(fx: &Fixture, t: &Trial) -> Vec<Judgement> {
     assert!(sim.run_to_cycle(t.cycle));
     assert_eq!(sim.flip_bit(t.target, t.entry, t.bit), FlipEffect::Armed);
     let mut out = Vec::new();
-    for (cycle, _) in fx.checkpoints.after(t.cycle) {
+    for (cycle, snap) in fx.checkpoints.after(t.cycle) {
         if !sim.run_to_cycle(cycle) {
             break;
         }
-        out.push(sim.judge(&fx.checkpoints));
+        out.push(sim.judge(&fx.checkpoints, snap));
     }
     out
 }
 
-/// Asserts `t` is live at the first checkpoint after its flip and ends
-/// `outcome` by `end` (the property's checks included).
+/// Judges `t` at its flip, against the state just before it.
+fn judge_at_flip(fx: &Fixture, t: &Trial) -> Judgement {
+    let mut sim = sim_at(fx, FaultModel::Replay, t.cycle);
+    assert!(sim.run_to_cycle(t.cycle));
+    let before = sim.snapshot();
+    assert_eq!(sim.flip_bit(t.target, t.entry, t.bit), FlipEffect::Armed);
+    sim.judge(&fx.checkpoints, &before)
+}
+
+/// Asserts `t` is live at its flip and at the first checkpoint after
+/// it, runs one oracle pass, and ends `outcome` by `end` (the property's
+/// checks included): settled on the oracle at the flip
+/// ([`TrialEnd::AtFlip`], no tail), or by its full tail.
 fn assert_ends(fx: &Fixture, t: &Trial, outcome: Outcome, end: TrialEnd) {
+    assert_eq!(judge_at_flip(fx, t), Judgement::Live, "{t:?}");
     let js = judgements(fx, t);
     assert_eq!(js.first(), Some(&Judgement::Live), "{t:?}: {js:?}");
-    let settled = settle(fx, t);
+    let (settled, passes) = settle(fx, t);
     assert_eq!((settled.outcome, settled.end), (outcome, end), "{t:?}");
-    if end == TrialEnd::OracleTail {
-        let (first, _) = fx.checkpoints.after(t.cycle).next().expect("a checkpoint");
-        assert_eq!(
-            settled.tail_cycles,
-            first - t.cycle,
-            "settled at the first one"
-        );
+    assert_eq!(passes, 1, "{t:?}");
+    if end == TrialEnd::AtFlip {
+        assert_eq!(settled.tail_cycles, 0, "settled at the flip");
     }
 }
 
@@ -339,7 +354,7 @@ fn a_live_register_that_is_only_stored_decides_sdc() {
         |_| {},
         |b| b.stq(Reg::of(DATA), Reg::ZERO, DATA_BASE as i32),
     );
-    assert_ends(&fx, &flip_of(&fx, DATA), Outcome::Sdc, TrialEnd::OracleTail);
+    assert_ends(&fx, &flip_of(&fx, DATA), Outcome::Sdc, TrialEnd::AtFlip);
 }
 
 #[test]
@@ -351,12 +366,7 @@ fn a_value_anded_with_zero_before_it_is_stored_decides_masked() {
             b.stq(Reg::of(5), Reg::ZERO, DATA_BASE as i32);
         },
     );
-    assert_ends(
-        &fx,
-        &flip_of(&fx, DATA),
-        Outcome::Masked,
-        TrialEnd::OracleTail,
-    );
+    assert_ends(&fx, &flip_of(&fx, DATA), Outcome::Masked, TrialEnd::AtFlip);
 }
 
 #[test]
@@ -384,12 +394,7 @@ fn branch_over_a_product(branch: fn(&mut ProgramBuilder, Reg, Label)) -> Fixture
 fn a_branch_operand_that_keeps_its_direction_decides_early() {
     // 0 >= 0 and 8 >= 0: taken either way.
     let fx = branch_over_a_product(ProgramBuilder::bge);
-    assert_ends(
-        &fx,
-        &flip_of(&fx, COND),
-        Outcome::Masked,
-        TrialEnd::OracleTail,
-    );
+    assert_ends(&fx, &flip_of(&fx, COND), Outcome::Masked, TrialEnd::AtFlip);
 }
 
 #[test]
@@ -424,12 +429,12 @@ fn a_live_register_beside_a_poisoned_page_the_golden_run_hits_decides_due() {
     assert_eq!(full.run_to_end(), RunEnd::Trapped);
 
     let mut sim = flipped();
-    let (first, _) = fx.checkpoints.after(t.cycle).next().expect("a checkpoint");
+    let (first, snap) = fx.checkpoints.after(t.cycle).next().expect("a checkpoint");
     assert!(sim.run_to_cycle(first));
-    assert_eq!(sim.judge(&fx.checkpoints), Judgement::Live);
-    assert_eq!(sim.oracle_tail(&fx.checkpoints), Some(Verdict::Due));
+    assert_eq!(sim.judge(&fx.checkpoints, snap), Judgement::Live);
+    assert_eq!(sim.oracle_tail(&fx.checkpoints, snap), Some(Verdict::Due));
     assert_eq!(sim.oracle_passes(), 1);
     // The machine is left as it was found: its full tail still traps.
-    assert_eq!(sim.judge(&fx.checkpoints), Judgement::Live);
+    assert_eq!(sim.judge(&fx.checkpoints, snap), Judgement::Live);
     assert_eq!(sim.run_to_end(), RunEnd::Trapped);
 }

@@ -8,11 +8,12 @@
 //! full-tail `classify_trial`. The deterministic tests show that the
 //! check really fires (so the property cannot hold vacuously), that a
 //! corruption which never disappears is never mistaken for a match but
-//! is decided once nothing reads it, that a corruption the golden future
-//! keeps reading is never decided by the index (the oracle tail settles
-//! it when it only reaches stored data), that one which steers an
-//! address runs its full tail, and that a flip which traps at once ends
-//! as a probe.
+//! is decided once nothing reads it (at the flip, and at every
+//! checkpoint after it), that a corruption the golden future keeps
+//! reading is never decided by the index (the oracle tail settles it
+//! at the flip when it only reaches stored data), that one which steers
+//! an address runs its full tail, and that a flip which traps at once
+//! ends as a probe.
 
 use std::sync::OnceLock;
 
@@ -153,6 +154,16 @@ fn an_overwritten_register_flip_stops_at_the_next_checkpoint() {
         classify_with_budget_at_last_checkpoint(fx, &t, true),
         Outcome::Masked
     );
+    // `settle_trial` already decides it at the flip (nothing reads r8
+    // before the rewrite); the first checkpoint settles it too.
+    let judgements = judgements_after_flip(fx, &t);
+    assert!(
+        matches!(
+            judgements.first(),
+            Some(Judgement::Rejoined | Judgement::Decided(Verdict::Masked))
+        ),
+        "{judgements:?}"
+    );
 }
 
 /// Flips `t` on a fresh campaign-configured machine and judges it at
@@ -162,11 +173,11 @@ fn judgements_after_flip(fx: &Fixture, t: &Trial) -> Vec<Judgement> {
     assert!(sim.run_to_cycle(t.cycle));
     assert_eq!(sim.flip_bit(t.target, t.entry, t.bit), FlipEffect::Armed);
     let mut judgements = Vec::new();
-    for (cycle, _) in fx.checkpoints.after(t.cycle) {
+    for (cycle, snap) in fx.checkpoints.after(t.cycle) {
         if !sim.run_to_cycle(cycle) {
             break;
         }
-        judgements.push(sim.judge(&fx.checkpoints));
+        judgements.push(sim.judge(&fx.checkpoints, snap));
     }
     judgements
 }
@@ -176,8 +187,8 @@ fn a_lingering_corruption_never_matches_a_checkpoint() {
     // r20 is never written or read by the idle loop: the flip survives
     // to the end (Masked by the final memory, since nothing is stored),
     // so the machine state never equals a golden snapshot. Nothing reads
-    // r20 either, so the trial is decided Masked at the first checkpoint
-    // after the flip.
+    // r20 either, so the trial is decided Masked at the flip, as it
+    // would be at every checkpoint after it.
     let fx = &fixtures()[1];
     let t = trial(InjectionTarget::RegFile, 20, 5, 2);
     let full = classify_trial(&mut sim_at(fx, FaultModel::Replay, 0), &t, fx.golden.digest);
@@ -197,14 +208,8 @@ fn a_lingering_corruption_never_matches_a_checkpoint() {
         Some(&fx.checkpoints),
     );
     assert_eq!(
-        (settled.outcome, settled.end),
-        (Outcome::Masked, TrialEnd::Decided)
-    );
-    let (first, _) = fx.checkpoints.after(t.cycle).next().expect("a checkpoint");
-    assert_eq!(
-        settled.tail_cycles,
-        first - t.cycle,
-        "settled at the first one"
+        (settled.outcome, settled.end, settled.tail_cycles),
+        (Outcome::Masked, TrialEnd::AtFlip, 0)
     );
     assert_eq!(
         classify_with_budget_at_last_checkpoint(fx, &t, true),
@@ -242,7 +247,7 @@ fn a_corruption_the_golden_future_reads_is_never_settled_early() {
     // one of them is read at every checkpoint after it and ends SDC. The
     // index never decides it, but the value only ever flows into stored
     // data, never into an address or a branch, so the oracle tail
-    // settles it at the first checkpoint.
+    // settles it at the flip.
     let fx = &fixtures()[0];
     let flips = chain_register_flips(fx);
     let (sdc, settled, _) = flips
@@ -256,18 +261,8 @@ fn a_corruption_the_golden_future_reads_is_never_settled_early() {
         "{judgements:?}"
     );
     assert_eq!(
-        (settled.outcome, settled.end),
-        (Outcome::Sdc, TrialEnd::OracleTail)
-    );
-    let (first, _) = fx
-        .checkpoints
-        .after(sdc.cycle)
-        .next()
-        .expect("a checkpoint");
-    assert_eq!(
-        settled.tail_cycles,
-        first - sdc.cycle,
-        "settled at the first one"
+        (settled.outcome, settled.end, settled.tail_cycles),
+        (Outcome::Sdc, TrialEnd::AtFlip, 0)
     );
 }
 

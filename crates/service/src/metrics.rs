@@ -215,6 +215,7 @@ mod tests {
             "avf_serve_batches_served 3",
             "avf_serve_sessions_ok 0",
             "avf_serve_trials_probe 0",
+            "avf_serve_trials_at_flip 0",
             "avf_serve_trials_rejoined 0",
             "avf_serve_trials_decided_masked 0",
             "avf_serve_trials_decided_sdc 0",

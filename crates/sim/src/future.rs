@@ -1,21 +1,27 @@
 //! The golden future: what the fault-free run reads and overwrites after
-//! each of its checkpoints, the outcomes its oracle produces and the
+//! each oracle execution, the outcomes its oracle produces and the
 //! cache-line events its cycle loop makes, recorded by the golden pass as
 //! it runs.
 //!
-//! A faulty machine whose state equals a golden checkpoint's in every
-//! field except four *passive* parts — the oracle's register values,
-//! its memory bytes, the DTLB's poison flag and the in-flight micro-ops'
-//! values — runs the golden future cycle for cycle as long as its oracle
-//! produces the golden outcomes: the timing pipeline sees the oracle
-//! only through each execution's branch direction and next PC, its
-//! effective address, its halt flag and a PC-out-of-text error. The
-//! index answers that question two ways. [`GoldenFuture::settle`] checks
-//! that the golden future never reads a differing register or byte
-//! before overwriting it, so the outcomes cannot differ;
-//! [`GoldenFuture::follows`] runs the faulty oracle to the end of the run
-//! and compares its addresses and directions with the recorded ones.
-//! Either way the trial's verdict is then fixed.
+//! A faulty machine whose state equals the golden run's state of the same
+//! cycle in every field except four *passive* parts — the oracle's
+//! register values, its memory bytes, the DTLB's poison flag and the
+//! in-flight micro-ops' values — runs the golden future cycle for cycle
+//! as long as its oracle produces the golden outcomes: the timing
+//! pipeline sees the oracle only through each execution's branch
+//! direction and next PC, its effective address, its halt flag and a
+//! PC-out-of-text error. The golden state may be a checkpoint or the
+//! snapshot a trial takes just before its flip. The index answers that
+//! question two ways, at any oracle position (the number of executions
+//! the oracle has retired). [`GoldenFuture::settle`] checks that the
+//! golden future never reads a differing register or byte before
+//! overwriting it, so the outcomes cannot differ: it reads the
+//! registers live at the position from a backward live mask kept per
+//! execution. [`GoldenFuture::follows`] runs the faulty oracle to the end
+//! of the run and compares its addresses and directions with the
+//! recorded ones, starting at the position's offset into the outcome
+//! stream (kept per 64 executions, with a bit per execution that is a
+//! memory op or a branch). Either way the trial's verdict is then fixed.
 //!
 //! The index also logs every golden-run event that can touch an
 //! injected cache fault: each DL1 or L2 eviction with its dirty bit,
@@ -44,19 +50,19 @@ const HIT: u64 = 1 << 63;
 /// with more is left to [`GoldenFuture::follows`].
 const PASSIVE_BYTES: usize = 256;
 
-/// A faulty machine's passive parts next to a golden checkpoint's, its
-/// active state being equal.
+/// A faulty machine's passive parts next to those of the golden run's
+/// state of the same cycle, its active state being equal.
 pub(crate) struct Passive<'a> {
     /// Bit `r` set: oracle register `r` differs.
     pub(crate) regs: u32,
     /// Some in-flight micro-op's result or recorded operands differ.
     pub(crate) values: bool,
-    /// The faulty machine's poisoned DTLB VPN, when the checkpoint has
+    /// The faulty machine's poisoned DTLB VPN, when the golden state has
     /// no poison.
     pub(crate) poisoned: Option<u64>,
     /// The faulty machine's memory.
     pub(crate) ours: &'a Memory,
-    /// The checkpoint's memory.
+    /// The golden state's memory.
     pub(crate) theirs: &'a Memory,
 }
 
@@ -72,10 +78,38 @@ impl Passive<'_> {
 
 /// A position in the recorded outcome stream: the memory ops and the
 /// branches executed before it.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StreamPos {
     ea: usize,
     branch: usize,
+}
+
+/// The outcome stream over 64 consecutive oracle executions, the first
+/// numbered a multiple of 64.
+#[derive(Debug, Clone, Copy)]
+struct StreamBlock {
+    /// Memory ops executed before the first.
+    ea: u32,
+    /// Branches executed before the first.
+    branch: u32,
+    /// Bit `i` set: the block's execution `i` is a memory op.
+    mem: u64,
+    /// Bit `i` set: the block's execution `i` is a branch.
+    branches: u64,
+}
+
+impl StreamBlock {
+    /// An empty block whose first execution follows `eas` memory ops
+    /// and `branches` branches.
+    fn at(eas: usize, branches: usize) -> StreamBlock {
+        let narrow = |n: usize| u32::try_from(n).expect("fewer than 2^32 oracle executions");
+        StreamBlock {
+            ea: narrow(eas),
+            branch: narrow(branches),
+            mem: 0,
+            branches: 0,
+        }
+    }
 }
 
 /// Accesses of one width, as `(ea, retired << 1 | is_store)`.
@@ -95,12 +129,63 @@ pub(crate) enum LineOp {
     Access { load: bool, bytes: u8 },
 }
 
-/// A [`LineOp`] on the line or bytes at `addr`, in the tick at `cycle`.
+impl LineOp {
+    /// The op in one byte: the kind in bits 6–7 (fill 0, eviction 1,
+    /// access 2), then an eviction's `dl1` (bit 1) and `dirty` (bit 0),
+    /// or an access's `load` (bit 5) and `bytes` (bits 0–4).
+    fn code(self) -> u8 {
+        match self {
+            LineOp::Fill => 0,
+            LineOp::Evict { dl1, dirty } => 0x40 | u8::from(dl1) << 1 | u8::from(dirty),
+            LineOp::Access { load, bytes } => {
+                debug_assert!(bytes < 0x20, "an access of at most 31 bytes");
+                0x80 | u8::from(load) << 5 | bytes
+            }
+        }
+    }
+
+    /// The op [`LineOp::code`] gave `code`.
+    fn decode(code: u8) -> LineOp {
+        match code >> 6 {
+            0 => LineOp::Fill,
+            1 => LineOp::Evict {
+                dl1: code & 2 != 0,
+                dirty: code & 1 != 0,
+            },
+            _ => LineOp::Access {
+                load: code & 0x20 != 0,
+                bytes: code & 0x1f,
+            },
+        }
+    }
+}
+
+/// A [`LineOp`] on the line or bytes at `addr`, in the tick at cycle
+/// `stamp >> 8`; the low byte of `stamp` is the op's [`LineOp::code`].
 #[derive(Debug, Clone, Copy)]
 struct LineEvent {
-    cycle: u64,
+    stamp: u64,
     addr: u64,
-    op: LineOp,
+}
+
+const _: () = assert!(std::mem::size_of::<LineEvent>() == 16);
+
+impl LineEvent {
+    fn new(cycle: u64, addr: u64, op: LineOp) -> LineEvent {
+        debug_assert!(cycle < 1 << 56, "a cycle stamp fits in 56 bits");
+        LineEvent {
+            stamp: cycle << 8 | u64::from(op.code()),
+            addr,
+        }
+    }
+
+    fn cycle(self) -> u64 {
+        self.stamp >> 8
+    }
+
+    fn op(self) -> LineOp {
+        LineOp::decode(self.stamp as u8)
+    }
 }
 
 /// How the golden run's line events treat an injected DL1/L2 fault from
@@ -141,8 +226,10 @@ impl CacheFate {
 /// What a golden pass observes, in execution order.
 #[derive(Debug, Default)]
 pub(crate) struct FutureRecorder {
-    /// Per oracle execution: `reads | writes << 32` register masks.
-    regs: Vec<u64>,
+    /// Per oracle execution: the registers it reads.
+    reads: Vec<u32>,
+    /// Per oracle execution: the registers it writes.
+    writes: Vec<u32>,
     /// Memory accesses, `[word, quad]`.
     mem: [Accesses; 2],
     /// Per DTLB translation (the one at tick `t` at index `t - 1`): the
@@ -156,8 +243,8 @@ pub(crate) struct FutureRecorder {
     directions: Vec<u64>,
     /// Branches recorded in `directions`.
     branches: usize,
-    /// The stream position of each checkpoint, in order.
-    marks: Vec<StreamPos>,
+    /// The outcome stream, 64 executions a block.
+    stream: Vec<StreamBlock>,
     /// Events that can touch an injected cache fault, in call order.
     lines: Vec<LineEvent>,
 }
@@ -173,18 +260,21 @@ impl FutureRecorder {
     /// The oracle executed `inst`, its instruction number `retired`,
     /// with outcome `out`.
     pub(crate) fn executed(&mut self, retired: u64, inst: &Inst, out: &Outcome) {
-        debug_assert_eq!(
-            retired,
-            self.regs.len() as u64,
-            "executions recorded in order"
-        );
+        let i = self.reads.len();
+        debug_assert_eq!(retired, i as u64, "executions recorded in order");
+        if i.is_multiple_of(64) {
+            self.stream
+                .push(StreamBlock::at(self.eas.len(), self.branches));
+        }
+        let block = self.stream.last_mut().expect("a block per 64 executions");
         let fp = Footprint::of(inst, out);
-        self.regs
-            .push(u64::from(fp.reads) | u64::from(fp.writes) << 32);
+        self.reads.push(fp.reads);
+        self.writes.push(fp.writes);
         if let Some(m) = fp.mem {
             let store = u64::from(m.kind == AccessKind::Store);
             self.mem[width_slot(m.size)].push((m.ea, retired << 1 | store));
             self.eas.push(m.ea);
+            block.mem |= 1 << (i % 64);
         }
         if inst.op.is_branch() {
             let bit = self.branches % 64;
@@ -193,15 +283,8 @@ impl FutureRecorder {
             }
             *self.directions.last_mut().expect("pushed above") |= u64::from(out.taken) << bit;
             self.branches += 1;
+            block.branches |= 1 << (i % 64);
         }
-    }
-
-    /// A checkpoint is taken after the executions recorded so far.
-    pub(crate) fn checkpoint(&mut self) {
-        self.marks.push(StreamPos {
-            ea: self.eas.len(),
-            branch: self.branches,
-        });
     }
 
     /// The DTLB's translation at `tick` of `vpn` hit or missed, evicting
@@ -219,69 +302,71 @@ impl FutureRecorder {
     /// fault.
     pub(crate) fn line_event(&mut self, cycle: u64, addr: u64, op: LineOp) {
         debug_assert!(
-            self.lines.last().is_none_or(|e| e.cycle <= cycle),
+            self.lines.last().is_none_or(|e| e.cycle() <= cycle),
             "line events recorded in cycle order"
         );
-        self.lines.push(LineEvent { cycle, addr, op });
+        self.lines.push(LineEvent::new(cycle, addr, op));
     }
 
-    /// Builds the index for checkpoints whose oracles had retired
-    /// `positions` instructions (ascending).
-    pub(crate) fn finish(self, positions: &[u64]) -> GoldenFuture {
+    /// Builds the index.
+    pub(crate) fn finish(self) -> GoldenFuture {
         let FutureRecorder {
-            regs,
+            reads,
+            writes,
             mut mem,
             mut translates,
             mut evictions,
             mut eas,
             mut directions,
-            branches: _,
-            marks,
+            branches,
+            mut stream,
             mut lines,
         } = self;
-        debug_assert_eq!(marks.len(), positions.len(), "one mark per checkpoint");
-        // Backward liveness: a register is live at position i if the
-        // first access to it at or after i is a read.
-        let mut live_regs = vec![0u32; positions.len()];
-        let mut live = 0u32;
-        let mut k = positions.len();
-        for i in (0..=regs.len()).rev() {
-            if let Some(&rw) = regs.get(i) {
-                live = rw as u32 | (live & !((rw >> 32) as u32));
-            }
-            while k > 0 && positions[k - 1] == i as u64 {
-                k -= 1;
-                live_regs[k] = live;
-            }
+        // Backward liveness, in place over the reads: a register is live
+        // at position i if the first access to it by execution i or
+        // later is a read.
+        let mut live = reads;
+        live.push(0);
+        for (i, &w) in writes.iter().enumerate().rev() {
+            live[i] |= live[i + 1] & !w;
         }
-        debug_assert_eq!(k, 0, "every checkpoint lies inside the run");
+        // The end of the run is a position too: give it a block when it
+        // starts one.
+        if writes.len().is_multiple_of(64) {
+            stream.push(StreamBlock::at(eas.len(), branches));
+        }
+        drop(writes);
         for list in &mut mem {
             list.sort_unstable();
             list.shrink_to_fit();
         }
+        live.shrink_to_fit();
         translates.shrink_to_fit();
         evictions.shrink_to_fit();
         eas.shrink_to_fit();
         directions.shrink_to_fit();
+        stream.shrink_to_fit();
         lines.shrink_to_fit();
         GoldenFuture {
-            live_regs,
+            live,
             mem,
             translates,
             evictions,
             eas,
             directions,
-            marks,
+            stream,
             lines,
         }
     }
 }
 
-/// The golden run's future reads and writes, indexed per checkpoint.
+/// The golden run's future reads and writes, indexed per oracle
+/// position: the number of executions the oracle has retired.
 #[derive(Debug, Default)]
 pub struct GoldenFuture {
-    /// Per checkpoint: registers whose first future access is a read.
-    live_regs: Vec<u32>,
+    /// Per position, the end of the run included: registers whose first
+    /// access at or after it is a read.
+    live: Vec<u32>,
     /// The oracle's memory accesses, `[word, quad]`, each sorted by
     /// address, then retired index.
     mem: [Accesses; 2],
@@ -294,8 +379,10 @@ pub struct GoldenFuture {
     eas: Vec<u64>,
     /// The outcome stream's branch directions, one bit each.
     directions: Vec<u64>,
-    /// Per checkpoint: its position in the outcome stream.
-    marks: Vec<StreamPos>,
+    /// The outcome stream, 64 executions a block, with one more block
+    /// when the run's length is a multiple of 64: every position from 0
+    /// to the end of the run lies in a block.
+    stream: Vec<StreamBlock>,
     /// The line events (see [`FutureRecorder`]), in the order the cycle
     /// loop made them.
     lines: Vec<LineEvent>,
@@ -305,7 +392,7 @@ impl GoldenFuture {
     /// Heap bytes of the index.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(&self.live_regs[..])
+        std::mem::size_of_val(&self.live[..])
             + self
                 .mem
                 .iter()
@@ -315,8 +402,24 @@ impl GoldenFuture {
             + std::mem::size_of_val(&self.evictions[..])
             + std::mem::size_of_val(&self.eas[..])
             + std::mem::size_of_val(&self.directions[..])
-            + std::mem::size_of_val(&self.marks[..])
+            + std::mem::size_of_val(&self.stream[..])
             + std::mem::size_of_val(&self.lines[..])
+    }
+
+    /// Registers whose first access by execution `position` or later is
+    /// a read.
+    fn live_at(&self, position: u64) -> u32 {
+        self.live[position as usize]
+    }
+
+    /// The outcome stream's position before execution `position`.
+    fn stream_at(&self, position: u64) -> StreamPos {
+        let block = self.stream[(position / 64) as usize];
+        let below = (1u64 << (position % 64)) - 1;
+        StreamPos {
+            ea: block.ea as usize + (block.mem & below).count_ones() as usize,
+            branch: block.branch as usize + (block.branches & below).count_ones() as usize,
+        }
     }
 
     /// Applies to `faults`, in order, the golden run's line events of the
@@ -332,12 +435,12 @@ impl GoldenFuture {
         faults: &mut CacheFaults,
         cycles: std::ops::Range<u64>,
     ) -> Option<CacheFate> {
-        let from = self.lines.partition_point(|e| e.cycle < cycles.start);
+        let from = self.lines.partition_point(|e| e.cycle() < cycles.start);
         for e in &self.lines[from..] {
-            if e.cycle >= cycles.end {
+            if e.cycle() >= cycles.end {
                 break;
             }
-            match e.op {
+            match e.op() {
                 LineOp::Evict {
                     dl1: from_dl1,
                     dirty,
@@ -378,27 +481,27 @@ impl GoldenFuture {
             .unwrap_or(CacheFate::Resident)
     }
 
-    /// Runs `oracle` over `mem` from checkpoint `k`'s position to the
-    /// end of the run (`budget` executions, or a halt), checking each
-    /// execution against the golden outcome stream: every memory op must
-    /// access the golden effective address and every branch take the
-    /// golden direction. Returns `false` at the first that does not, or
-    /// at a PC outside the text; `oracle` and `mem` are then left where
-    /// it stopped.
+    /// Runs `oracle` over `mem` from its position (`oracle.retired`,
+    /// which must be a position of the golden run) to the end of the run
+    /// (`budget` executions, or a halt), checking each execution against
+    /// the golden outcome stream from that position on: every memory op
+    /// must access the golden effective address and every branch take
+    /// the golden direction. Returns `false` at the first that does not,
+    /// or at a PC outside the text; `oracle` and `mem` are then left
+    /// where it stopped.
     ///
-    /// An oracle at checkpoint `k`'s position that follows the stream
-    /// executes the golden instruction sequence, and each execution has
-    /// the golden direction, next PC, effective address and halt flag:
-    /// the instruction fixes the rest.
+    /// An oracle at the golden run's PC for its position that follows
+    /// the stream executes the golden instruction sequence, and each
+    /// execution has the golden direction, next PC, effective address
+    /// and halt flag: the instruction fixes the rest.
     pub(crate) fn follows(
         &self,
-        k: usize,
         program: &Program,
         oracle: &mut ExecState,
         mem: &mut Memory,
         budget: u64,
     ) -> bool {
-        let StreamPos { mut ea, mut branch } = self.marks[k];
+        let StreamPos { mut ea, mut branch } = self.stream_at(oracle.retired);
         while oracle.retired < budget && !oracle.is_halted() {
             let Some(&inst) = program.fetch(oracle.pc) else {
                 return false;
@@ -485,9 +588,10 @@ impl GoldenFuture {
         }
     }
 
-    /// Judges a faulty machine that equals checkpoint `k` (whose oracle
-    /// had retired `retired` instructions and whose DTLB stood at tick
-    /// `tick`) except for the passive parts `diff`. It is
+    /// Judges a faulty machine that equals the golden run's state of its
+    /// cycle (whose oracle had retired `retired` instructions and whose
+    /// DTLB stood at tick `tick`) except for the passive parts `diff`.
+    /// It is
     /// [`Judgement::Live`] when the golden future reads a differing
     /// register or byte before overwriting it (or when more than
     /// [`PASSIVE_BYTES`] bytes differ). Otherwise the machine runs the
@@ -500,14 +604,8 @@ impl GoldenFuture {
     ///
     /// The cheap checks come first: registers, then memory, which stops
     /// at the first byte the golden future loads.
-    pub(crate) fn settle(
-        &self,
-        k: usize,
-        retired: u64,
-        tick: u64,
-        diff: &Passive<'_>,
-    ) -> Judgement {
-        if diff.regs & self.live_regs[k] != 0 {
+    pub(crate) fn settle(&self, retired: u64, tick: u64, diff: &Passive<'_>) -> Judgement {
+        if diff.regs & self.live_at(retired) != 0 {
             return Judgement::Live;
         }
         let (mut bytes, mut survives) = (0usize, false);
@@ -533,12 +631,15 @@ impl GoldenFuture {
 #[cfg(test)]
 mod tests {
     //! The walk over the logged line events keeps the cycle loop's
-    //! fault set, tick by tick.
+    //! fault set, tick by tick; the line events round-trip through their
+    //! packed stamps; and the index answers at every oracle position what
+    //! a plain architectural run shows, and at each checkpoint what the
+    //! per-checkpoint index it replaced recorded.
 
     use avf_codegen::{generate, Knobs, TargetParams};
-    use avf_isa::Program;
+    use avf_isa::{ExecState, Footprint, Memory, OpClass, Program};
 
-    use super::{CacheFate, GoldenFuture, LineOp};
+    use super::{CacheFate, GoldenFuture, LineEvent, LineOp, StreamPos};
     use crate::cache_faults::{CacheFault, CacheFaults};
     use crate::inject::golden_run_checkpointed;
     use crate::pipeline::Pipeline;
@@ -580,14 +681,14 @@ mod tests {
         n: usize,
     ) -> Vec<CacheFault> {
         let cache = if dl1 { &pipe.dl1 } else { &pipe.l2 };
-        let from = future.lines.partition_point(|e| e.cycle < cycle);
+        let from = future.lines.partition_point(|e| e.cycle() < cycle);
         let mut by_kind: [Vec<CacheFault>; 3] = Default::default();
         for e in &future.lines[from..] {
             let line_base = cache.line_base(e.addr);
-            let (kind, addr) = match e.op {
+            let (kind, addr) = match e.op() {
                 LineOp::Access { .. } => (0, e.addr),
-                LineOp::Evict { .. } => (1, line_base + e.cycle % 64),
-                LineOp::Fill => (2, line_base + e.cycle % 64),
+                LineOp::Evict { .. } => (1, line_base + e.cycle() % 64),
+                LineOp::Fill => (2, line_base + e.cycle() % 64),
             };
             let list = &mut by_kind[kind];
             if list.len() < n
@@ -598,7 +699,7 @@ mod tests {
                     dl1,
                     line_base,
                     addr,
-                    mask: 1 << (e.cycle % 8),
+                    mask: 1 << (e.cycle() % 8),
                 });
             }
         }
@@ -687,6 +788,123 @@ mod tests {
             CacheFate::Escaped,
         ] {
             assert!(seen.fates.contains(&fate), "no {fate:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn line_events_round_trip_through_their_stamps() {
+        let mut ops = vec![LineOp::Fill];
+        for (dl1, dirty) in [(false, false), (false, true), (true, false), (true, true)] {
+            ops.push(LineOp::Evict { dl1, dirty });
+        }
+        for load in [false, true] {
+            for bytes in [1, 4, 8, 31] {
+                ops.push(LineOp::Access { load, bytes });
+            }
+        }
+        for op in ops {
+            for cycle in [0, 1, 75_664, (1 << 56) - 1] {
+                let e = LineEvent::new(cycle, 0x1234, op);
+                assert_eq!((e.cycle(), e.op(), e.addr), (cycle, op, 0x1234));
+            }
+        }
+    }
+
+    /// `program` run `budget` instructions on the architectural machine
+    /// alone: each execution's footprint and whether it is a branch.
+    fn plain_run(program: &Program, budget: u64) -> Vec<(Footprint, bool)> {
+        let mut mem = Memory::new();
+        let mut oracle = ExecState::new(program, &mut mem);
+        let mut out = Vec::new();
+        while oracle.retired < budget && !oracle.is_halted() {
+            let inst = *program.fetch(oracle.pc).expect("the PC is in the text");
+            let outcome = oracle
+                .exec(program, &mut mem)
+                .expect("the PC is in the text");
+            out.push((
+                Footprint::of(&inst, &outcome),
+                inst.op.class() == OpClass::Branch,
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn the_index_at_every_position_matches_a_plain_run() {
+        const BUDGET: u64 = 2_000;
+        let machine = MachineConfig::baseline();
+        let mcf = avf_workloads::by_name("429.mcf")
+            .expect("the 429.mcf proxy exists")
+            .build();
+        for (name, program) in [
+            ("stressmark", stressmark(&machine)),
+            ("429.mcf", mcf),
+            ("register_chain", avf_workloads::testkit::register_chain()),
+            ("idle_loop", avf_workloads::testkit::idle_loop()),
+        ] {
+            let (_, checkpoints) = golden_run_checkpointed(&machine, &program, BUDGET, 256);
+            let future = checkpoints.future();
+            let run = plain_run(&program, BUDGET);
+            assert_eq!(future.live.len(), run.len() + 1, "{name}");
+            let mut pos = StreamPos::default();
+            for p in 0..=run.len() {
+                // Forward scan: a register is live if its first access
+                // from here on is a read (an execution reads before it
+                // writes).
+                let (mut live, mut seen) = (0u32, 0u32);
+                for (fp, _) in &run[p..] {
+                    live |= fp.reads & !seen;
+                    seen |= fp.reads | fp.writes;
+                }
+                assert_eq!(future.live_at(p as u64), live, "{name} at {p}");
+                assert_eq!(future.stream_at(p as u64), pos, "{name} at {p}");
+                if let Some((fp, branch)) = run.get(p) {
+                    pos.ea += usize::from(fp.mem.is_some());
+                    pos.branch += usize::from(*branch);
+                }
+            }
+        }
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn the_index_at_each_checkpoint_equals_the_per_checkpoint_one() {
+        let machine = MachineConfig::baseline();
+        let mcf = avf_workloads::by_name("429.mcf")
+            .expect("the 429.mcf proxy exists")
+            .build();
+        let sm = stressmark(&machine);
+        // (program, budget, interval, checkpoints, FNV-1a of the `Debug`
+        // output of the list of `(live mask, memory ops, branches)` at
+        // each checkpoint), pinned from the index that kept the live
+        // masks and stream positions per checkpoint.
+        let pinned = [
+            ("stressmark", &sm, 30_000, 3_750, 21, 0xa2e2_8a71_80c6_2cbb),
+            ("429.mcf", &mcf, 30_000, 3_750, 24, 0xf7e1_8a45_b504_ed87),
+            ("stressmark", &sm, 3_000, 256, 35, 0x9c50_942d_fa21_a6ac),
+            ("429.mcf", &mcf, 3_000, 256, 38, 0x14b9_1f0b_b249_2ab9),
+        ];
+        for (name, program, budget, interval, len, hash) in pinned {
+            let (_, checkpoints) = golden_run_checkpointed(&machine, program, budget, interval);
+            let future = checkpoints.future();
+            let rows: Vec<(u32, usize, usize)> = checkpoints
+                .nearest(0)
+                .into_iter()
+                .chain(checkpoints.after(0))
+                .map(|(_, snap)| {
+                    let at = snap.retired();
+                    let StreamPos { ea, branch } = future.stream_at(at);
+                    (future.live_at(at), ea, branch)
+                })
+                .collect();
+            let got = (rows.len(), fnv1a(format!("{rows:?}").as_bytes()));
+            assert_eq!(got, (len, hash), "{name} at {budget}/{interval}: {rows:?}");
         }
     }
 }

@@ -439,17 +439,6 @@ impl<'a> InjectionSim<'a> {
         sim
     }
 
-    /// A golden pass's checkpoint of the current cycle, its position in
-    /// the recorded outcome stream marked.
-    fn golden_checkpoint(&mut self) -> (u64, PipelineSnapshot) {
-        self.pipe
-            .recorder
-            .as_mut()
-            .expect("a recording pass")
-            .checkpoint();
-        (self.pipe.cycle, self.pipe.snapshot())
-    }
-
     /// Overrides the cycle budget (campaigns tighten it around the
     /// golden run's length so hangs are detected quickly).
     pub fn set_cycle_budget(&mut self, cycles: u64) {
@@ -552,8 +541,12 @@ impl<'a> InjectionSim<'a> {
         self.pipe.matches(snap)
     }
 
-    /// Judges the machine against `golden`'s checkpoint of its current
-    /// cycle ([`Judgement::Open`] if there is none).
+    /// Judges the machine against `golden_state`, the golden run's state
+    /// of its current cycle: one of `golden`'s checkpoints, or a snapshot
+    /// the machine took on the golden run just before a flip
+    /// ([`Judgement::Open`] if the cycles differ). Either way the golden
+    /// future is read from the state's oracle position on, through the
+    /// one [`GoldenFuture`] of `golden`.
     ///
     /// Every field [`InjectionSim::matches_snapshot`] compares must be
     /// equal except four passive parts: the oracle's register values,
@@ -574,18 +567,17 @@ impl<'a> InjectionSim<'a> {
     ///
     /// The verdict is the one running to the end would give, provided
     /// `golden` comes from the golden pass of this machine, program and
-    /// instruction budget, and the cycle budget covers the golden run.
+    /// instruction budget, `golden_state` is that golden run's state of
+    /// the current cycle, and the cycle budget covers the golden run.
     #[must_use]
-    pub fn judge(&self, golden: &DecodedCheckpoints) -> Judgement {
-        let Some(k) = golden.position(self.pipe.cycle) else {
-            return Judgement::Open;
-        };
-        let snap = &golden.checkpoints[k].1;
-        match self.pipe.compare(snap) {
+    pub fn judge(&self, golden: &DecodedCheckpoints, golden_state: &PipelineSnapshot) -> Judgement {
+        match self.pipe.compare(golden_state) {
             None => Judgement::Open,
-            Some(diff) => golden
-                .future
-                .settle(k, snap.retired(), snap.dtlb_tick(), &diff),
+            Some(diff) => {
+                golden
+                    .future
+                    .settle(golden_state.retired(), golden_state.dtlb_tick(), &diff)
+            }
         }
     }
 
@@ -593,33 +585,34 @@ impl<'a> InjectionSim<'a> {
     /// alone, without the cycle loop: the verdict, or `None` if the
     /// oracle leaves the golden path.
     ///
-    /// The machine's active state must equal `golden`'s checkpoint of its
-    /// current cycle (else `None`). Its oracle then runs from its
-    /// frontier to the end of the run, and every execution is checked
-    /// against the golden pass's outcome stream: each memory op must
-    /// access the golden effective address and each branch take the
-    /// golden direction. If all do, every execution has the golden
-    /// direction, next PC, effective address and halt flag, and runs no
-    /// PC out of the text — all the cycle loop reads of the oracle. By
-    /// the induction of [`InjectionSim::judge`], the machine runs the
-    /// golden timing cycle for cycle: it cannot time out, deadlock or
-    /// take a new trap. Its verdict is [`Verdict::Due`] if the golden
-    /// future hits its poisoned DTLB entry before evicting it, else
-    /// [`Verdict::Sdc`] if the oracle's final memory differs from the
-    /// golden image, else [`Verdict::Masked`]. Same precondition as
-    /// `judge`: `golden` comes from the golden pass of this machine,
-    /// program and instruction budget, and the cycle budget covers the
-    /// golden run.
+    /// The machine's active state must equal `golden_state`, the golden
+    /// run's state of its current cycle (else `None`), as in
+    /// [`InjectionSim::judge`]. Its oracle then runs from its frontier
+    /// to the end of the run, and every execution is checked against
+    /// the golden pass's outcome stream from the frontier's position on:
+    /// each memory op must access the golden effective address and each
+    /// branch take the golden direction. If all do, every execution has
+    /// the golden direction, next PC, effective address and halt flag,
+    /// and runs no PC out of the text — all the cycle loop reads of the
+    /// oracle. By the induction of [`InjectionSim::judge`], the machine
+    /// runs the golden timing cycle for cycle: it cannot time out,
+    /// deadlock or take a new trap. Its verdict is [`Verdict::Due`] if
+    /// the golden future hits its poisoned DTLB entry before evicting it,
+    /// else [`Verdict::Sdc`] if the oracle's final memory differs from
+    /// the golden image, else [`Verdict::Masked`]. Same precondition as
+    /// `judge`.
     ///
     /// Returns `None` at the first execution that differs, or at a PC
     /// outside the text. The machine is left as it was found either way:
     /// the oracle's registers and memory handle are saved before the run
     /// and put back after it (the memory pages are shared copy-on-write,
     /// so saving them copies pointers).
-    pub fn oracle_tail(&mut self, golden: &DecodedCheckpoints) -> Option<Verdict> {
-        let k = golden.position(self.pipe.cycle)?;
-        let snap = &golden.checkpoints[k].1;
-        let poisoned = self.pipe.compare(snap)?.poisoned;
+    pub fn oracle_tail(
+        &mut self,
+        golden: &DecodedCheckpoints,
+        golden_state: &PipelineSnapshot,
+    ) -> Option<Verdict> {
+        let poisoned = self.pipe.compare(golden_state)?.poisoned;
         self.oracle_passes += 1;
         let saved_regs = self.pipe.oracle.clone();
         let saved_mem = self.pipe.oracle_mem.clone();
@@ -627,7 +620,6 @@ impl<'a> InjectionSim<'a> {
         let verdict = golden
             .future
             .follows(
-                k,
                 pipe.program,
                 &mut pipe.oracle,
                 &mut pipe.oracle_mem,
@@ -635,7 +627,9 @@ impl<'a> InjectionSim<'a> {
             )
             .then(|| {
                 let differs = pipe.oracle_mem != *golden.final_memory();
-                golden.future.verdict(poisoned, snap.dtlb_tick(), differs)
+                golden
+                    .future
+                    .verdict(poisoned, golden_state.dtlb_tick(), differs)
             });
         pipe.oracle = saved_regs;
         pipe.oracle_mem = saved_mem;
@@ -1311,13 +1305,6 @@ impl DecodedCheckpoints {
         Some((*c, snap))
     }
 
-    /// Index of the checkpoint taken at exactly `cycle`.
-    fn position(&self, cycle: u64) -> Option<usize> {
-        self.checkpoints
-            .binary_search_by_key(&cycle, |&(c, _)| c)
-            .ok()
-    }
-
     /// The checkpoints strictly after `cycle`, in ascending cycle order.
     pub fn after(&self, cycle: u64) -> impl Iterator<Item = (u64, &PipelineSnapshot)> {
         let idx = self.checkpoints.partition_point(|&(c, _)| c <= cycle);
@@ -1452,7 +1439,7 @@ pub fn golden_pass(
     let mut sim = InjectionSim::recording(config, program, instr_budget);
     let mut evidence = evidence_window.map(PruneEvidence::new);
     let mut live = vec![0u64; config.phys_regs.div_ceil(64)];
-    let mut checkpoints = vec![sim.golden_checkpoint()];
+    let mut checkpoints = vec![(0, sim.pipe.snapshot())];
     let mut next = interval;
     while !sim.pipe.done(instr_budget) && sim.pipe.cycle < sim.cycle_budget {
         sim.pipe.tick(instr_budget);
@@ -1460,7 +1447,7 @@ pub fn golden_pass(
             ev.sample(&sim.pipe, &mut live);
         }
         if sim.pipe.cycle == next {
-            checkpoints.push(sim.golden_checkpoint());
+            checkpoints.push((next, sim.pipe.snapshot()));
             next = next.saturating_add(interval);
         }
     }
@@ -1478,12 +1465,11 @@ pub fn golden_pass(
         ev.cycles = golden.cycles;
     }
     let recorder: Box<FutureRecorder> = sim.pipe.recorder.take().expect("a recording pass");
-    let positions: Vec<u64> = checkpoints.iter().map(|(_, s)| s.retired()).collect();
     let checkpoints = DecodedCheckpoints {
         interval,
         checkpoints: checkpoints.into(),
         final_memory: Arc::new(sim.pipe.oracle_mem),
-        future: Arc::new(recorder.finish(&positions)),
+        future: Arc::new(recorder.finish()),
     };
     (golden, checkpoints, evidence)
 }
@@ -1778,7 +1764,7 @@ mod tests {
             edit(&mut sim.pipe.rob[idx]);
             assert!(!sim.matches_snapshot(snap), "edit {i} went unnoticed");
             assert_eq!(
-                sim.judge(&checkpoints),
+                sim.judge(&checkpoints, snap),
                 Judgement::Decided(Verdict::Masked),
                 "edit {i}"
             );

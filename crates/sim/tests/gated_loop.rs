@@ -265,18 +265,20 @@ fn golden_pass_equals_the_pinned_checkpoints_and_evidence() {
     let machine = MachineConfig::baseline();
     // (checkpoints, total bytes, golden-future bytes, FNV-1a of the
     // evidence's `Debug` output). The golden-future bytes include the
-    // log of line events, 24 bytes each: 15,068 on the stressmark and
-    // 10,722 on 429.mcf.
+    // log of line events, 16 bytes each: 15,068 on the stressmark and
+    // 10,722 on 429.mcf; and, for the 30,000 oracle executions of
+    // either, a 4-byte live mask per position (30,001) and a 24-byte
+    // outcome-stream block per 64 executions (469).
     let pinned = [
         (
             "stressmark",
             stressmark(&machine),
-            (21, 12_951_108, 824_116, 0x57fa_5fb5_9246_6d1d),
+            (21, 12_961_404, 834_412, 0x57fa_5fb5_9246_6d1d),
         ),
         (
             "429.mcf",
             mcf(),
-            (24, 26_871_932, 538_480, 0x8805_a3bb_9056_86b8),
+            (24, 26_916_936, 583_484, 0x8805_a3bb_9056_86b8),
         ),
     ];
     for (name, program, want) in &pinned {

@@ -132,15 +132,22 @@ for metric in \
 done
 echo "ok: metrics endpoint reports a healthy fleet"
 
-# How worker 1's trials ended (avf_serve_trials_*, avf_serve_tail_cycles).
+# How worker 1's trials ended (avf_serve_trials_*, avf_serve_tail_cycles):
+# some settled at their flip, and some at a golden checkpoint (rejoined,
+# decided or finished on the oracle there).
 ENDS=$(curl -sf "http://127.0.0.1:$W1_METRICS_PORT/metrics" | grep -E '^avf_serve_(trials_|tail_cycles)')
 echo "$ENDS"
-DECIDED=$(awk '/^avf_serve_trials_decided_/ { n += $2 } END { print n + 0 }' <<< "$ENDS")
-if [ "$DECIDED" -le 0 ]; then
-  echo "error: worker 1 decided no trial at a golden checkpoint" >&2
+AT_FLIP=$(awk '/^avf_serve_trials_at_flip / { n += $2 } END { print n + 0 }' <<< "$ENDS")
+AT_CHECKPOINT=$(awk '/^avf_serve_trials_(rejoined|decided_[a-z]+|oracle_tail) / { n += $2 } END { print n + 0 }' <<< "$ENDS")
+if [ "$AT_FLIP" -le 0 ]; then
+  echo "error: worker 1 settled no trial at its flip" >&2
   exit 1
 fi
-echo "ok: worker 1 decided $DECIDED trial(s) at golden checkpoints"
+if [ "$AT_CHECKPOINT" -le 0 ]; then
+  echo "error: worker 1 settled no trial at a golden checkpoint" >&2
+  exit 1
+fi
+echo "ok: worker 1 settled $AT_FLIP trial(s) at the flip and $AT_CHECKPOINT at golden checkpoints"
 
 trap 'rm -rf "$WORK"' EXIT
 reap "$BROKER_PID" "broker"
