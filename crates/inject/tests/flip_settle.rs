@@ -20,7 +20,10 @@
 //! flip must read at the flip's position and not at a checkpoint's: a
 //! register read and then rewritten between the flip and the next
 //! checkpoint is live at the flip, and an oracle that starts between
-//! checkpoints follows the outcome stream from its own position.
+//! checkpoints follows the outcome stream from its own position. A
+//! trial settled at the flip copies no cache block, and no page or
+//! page group but the one its flip writes, checked through block and
+//! page identities.
 
 use std::sync::OnceLock;
 
@@ -209,6 +212,71 @@ fn a_stressmark_plan_settles_hundreds_of_trials_at_the_flip() {
         on_oracle >= 10,
         "{on_oracle} settled on the oracle at the flip"
     );
+}
+
+#[test]
+fn a_trial_settled_at_the_flip_copies_no_cache_block_and_no_page() {
+    // Snapshot, flip, judge (and, when live, the oracle tail), restore:
+    // the steps `settle_trial` takes for a passive flip. The snapshot
+    // shares every cache block and memory page with the machine; the
+    // flip copies no cache block, and at most the one page (with its
+    // page group) it writes when it corrupts a store already in memory;
+    // the judgement and the oracle tail copy nothing; and the restore
+    // hands the snapshot's blocks and pages back.
+    let identities = |sim: &InjectionSim<'_>| {
+        let mut pages: Vec<usize> = sim.memory().page_identities().collect();
+        pages.sort_unstable();
+        (sim.cache_block_identities().collect::<Vec<_>>(), pages)
+    };
+    // Identities in `a` that `b` lacks.
+    let copied = |a: &[usize], b: &[usize]| a.iter().filter(|id| !b.contains(id)).count();
+    for fx in &fixtures()[STRESSMARK..] {
+        let plan = SamplingPlan::new(
+            &fx.machine,
+            &InjectionTarget::ALL,
+            400,
+            fx.golden.cycles,
+            11,
+            None,
+        );
+        let mut at_flip = 0;
+        for t in plan.trials() {
+            if matches!(t.target, InjectionTarget::Dl1 | InjectionTarget::L2) {
+                continue; // settled from the line log, with no snapshot
+            }
+            let mut sim = sim_at(fx, FaultModel::Replay, t.cycle);
+            if !sim.run_to_cycle(t.cycle)
+                || sim.probe_bit(t.target, t.entry, t.bit) != FlipEffect::Armed
+            {
+                continue;
+            }
+            let snap = sim.snapshot();
+            let (blocks, pages) = identities(&sim);
+            assert!(
+                snap.cache_block_identities().eq(blocks.iter().copied()),
+                "{t:?}: the snapshot shares the cache blocks"
+            );
+            sim.flip_bit(t.target, t.entry, t.bit);
+            let flipped = identities(&sim);
+            assert_eq!(flipped.0, blocks, "{t:?}: the flip copied a cache block");
+            assert!(copied(&flipped.1, &pages) <= 1, "{t:?}: flip pages");
+            let settled = match sim.judge(&fx.checkpoints, &snap) {
+                Judgement::Open => false,
+                Judgement::Live => sim.oracle_tail(&fx.checkpoints, &snap).is_some(),
+                Judgement::Rejoined | Judgement::Decided(_) => true,
+            };
+            if settled {
+                assert!(
+                    identities(&sim) == flipped,
+                    "{t:?}: copies in the judgement"
+                );
+                at_flip += 1;
+            }
+            sim.restore(&snap);
+            assert!(identities(&sim) == (blocks, pages), "{t:?}: restored");
+        }
+        assert!(at_flip >= 50, "{at_flip} trials settled at the flip");
+    }
 }
 
 // ---- deterministic kernels -------------------------------------------------

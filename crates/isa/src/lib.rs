@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod cow;
 mod disasm;
 mod error;
 mod exec;
@@ -50,6 +51,7 @@ mod reg;
 pub mod wire;
 
 pub use builder::{Label, ProgramBuilder};
+pub use cow::CowBlock;
 pub use disasm::listing;
 pub use error::IsaError;
 pub use exec::{replay_eval, AccessKind, ExecState, Footprint, MemAccess, Outcome};

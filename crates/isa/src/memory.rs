@@ -1,9 +1,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::cow::CowBlock;
+
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+/// Log2 of the pages per group: the unit of the page table that
+/// [`Memory`] shares and copies on write.
+const GROUP_SHIFT: u64 = 6;
+const GROUP_PAGES: usize = 1 << GROUP_SHIFT;
+const GROUP_MASK: u64 = (GROUP_PAGES as u64) - 1;
 
 /// Bytes per memory page: the unit [`Memory`] materializes, shares and
 /// copies on write.
@@ -11,32 +19,47 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 
 type Page = [u8; PAGE_SIZE];
 
+/// The pages of one aligned run of [`GROUP_PAGES`] page numbers, each
+/// `None` until written.
+type Group = CowBlock<Option<Arc<Page>>>;
+
 /// Sparse byte-addressable functional memory with copy-on-write pages.
 ///
 /// Pages are allocated on demand and zero-filled, so programs may touch any
-/// address. A clone shares every page with its source; a write copies only
-/// the page it touches, and only while that page is still shared. Cloning
-/// (and [`Clone::clone_from`]) therefore costs one pointer per resident
-/// page, not the image.
+/// address. The page table is itself shared copy-on-write, in groups of
+/// 64 pages ([`CowBlock`]s): a clone shares every group (and so every
+/// page) with its source, and a write copies only the page it touches
+/// and that page's group, and each only while it is still shared.
+/// Cloning (and [`Clone::clone_from`]) therefore costs one pointer per
+/// resident group, not per page, and not the image, plus a copy of the
+/// page pointers of each group written since the last clone.
 ///
 /// Equality is semantic: two memories are equal iff every address reads
-/// the same value in both. Pointer-equal pages are skipped without
-/// comparing bytes, and a missing page equals a zero-filled one, so `==`
-/// agrees with [`Memory::digest`].
+/// the same value in both. Pointer-equal groups, then pointer-equal
+/// pages, are skipped without comparing bytes, and a missing page equals
+/// a zero-filled one, so `==` agrees with [`Memory::digest`].
 #[derive(Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<Page>>,
+    groups: HashMap<u64, Group>,
 }
 
 impl Clone for Memory {
     fn clone(&self) -> Memory {
         Memory {
-            pages: self.pages.clone(),
+            groups: self.groups.clone(),
         }
     }
 
+    /// Rewinds to `source` group by group, keeping the groups that
+    /// already share `source`'s.
     fn clone_from(&mut self, source: &Memory) {
-        self.pages.clone_from(&source.pages);
+        self.groups.retain(|gid, _| source.groups.contains_key(gid));
+        for (&gid, group) in &source.groups {
+            match self.groups.get_mut(&gid) {
+                Some(ours) => ours.clone_from(group),
+                None => drop(self.groups.insert(gid, group.clone())),
+            }
+        }
     }
 }
 
@@ -60,25 +83,35 @@ impl Memory {
     /// distinct identities across many memories gives the pages they pin
     /// together, each [`PAGE_BYTES`] long.
     pub fn page_identities(&self) -> impl Iterator<Item = usize> + '_ {
-        self.pages.values().map(|page| Arc::as_ptr(page) as usize)
+        self.groups
+            .values()
+            .flat_map(|group| group.items().iter().flatten())
+            .map(|page| Arc::as_ptr(page) as usize)
     }
 
-    /// The page `id`, materialized and unshared for writing.
+    /// The page `id`, if resident.
+    fn page(&self, id: u64) -> Option<&Page> {
+        self.groups.get(&(id >> GROUP_SHIFT))?.items()[(id & GROUP_MASK) as usize].as_deref()
+    }
+
+    /// The page `id`, materialized and unshared (with its group) for
+    /// writing.
     fn page_mut(&mut self, id: u64) -> &mut Page {
+        let group = self
+            .groups
+            .entry(id >> GROUP_SHIFT)
+            .or_insert_with(|| CowBlock::new(vec![None; GROUP_PAGES].into()));
         Arc::make_mut(
-            self.pages
-                .entry(id)
-                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
+            group.items_mut()[(id & GROUP_MASK) as usize]
+                .get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
         )
     }
 
     /// Reads one byte.
     #[must_use]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(page) => page[(addr & OFFSET_MASK) as usize],
-            None => 0,
-        }
+        self.page(addr >> PAGE_SHIFT)
+            .map_or(0, |page| page[(addr & OFFSET_MASK) as usize])
     }
 
     /// Writes one byte, materializing the page if needed.
@@ -118,7 +151,7 @@ impl Memory {
         while !buf.is_empty() {
             let off = (addr & OFFSET_MASK) as usize;
             let (chunk, rest) = buf.split_at_mut(buf.len().min(PAGE_SIZE - off));
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+            match self.page(addr >> PAGE_SHIFT) {
                 Some(page) => chunk.copy_from_slice(&page[off..off + chunk.len()]),
                 None => chunk.fill(0),
             }
@@ -141,9 +174,9 @@ impl Memory {
     /// Calls `f` with the address of every byte at which `self` and
     /// `other` read differently, in no particular order, until `f`
     /// returns `false`; returns whether every call returned `true`.
-    /// Pages the two share are skipped without comparing bytes, equal
-    /// pages cost one slice comparison, and a missing page reads as
-    /// zeroes.
+    /// Groups, then pages, the two share are skipped without comparing
+    /// bytes, equal pages cost one slice comparison, and a missing page
+    /// reads as zeroes.
     pub fn each_difference(&self, other: &Memory, mut f: impl FnMut(u64) -> bool) -> bool {
         const ZERO: Page = [0; PAGE_SIZE];
         let mut scan = |id: u64, ours: &Page, theirs: &Page| {
@@ -155,20 +188,37 @@ impl Memory {
                     .filter(|(_, (a, b))| a != b)
                     .all(|(off, _)| f((id << PAGE_SHIFT) + off as u64))
         };
-        for (&id, page) in &self.pages {
-            let ok = match other.pages.get(&id) {
-                Some(theirs) => Arc::ptr_eq(page, theirs) || scan(id, page, theirs),
-                None => scan(id, page, &ZERO),
+        let mut scan_group = |gid: u64, ours: Option<&Group>, theirs: Option<&Group>| {
+            let (ours, theirs) = (ours.map(Group::items), theirs.map(Group::items));
+            (0..GROUP_PAGES).all(|i| {
+                let id = gid << GROUP_SHIFT | i as u64;
+                match (
+                    ours.and_then(|g| g[i].as_ref()),
+                    theirs.and_then(|g| g[i].as_ref()),
+                ) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b) || scan(id, a, b),
+                    (Some(a), None) => scan(id, a, &ZERO),
+                    (None, Some(b)) => scan(id, &ZERO, b),
+                    (None, None) => true,
+                }
+            })
+        };
+        for (&gid, group) in &self.groups {
+            let ok = match other.groups.get(&gid) {
+                Some(theirs) => {
+                    group.shares_with(theirs) || scan_group(gid, Some(group), Some(theirs))
+                }
+                None => scan_group(gid, Some(group), None),
             };
             if !ok {
                 return false;
             }
         }
         other
-            .pages
+            .groups
             .iter()
-            .filter(|(id, _)| !self.pages.contains_key(id))
-            .all(|(&id, page)| scan(id, &ZERO, page))
+            .filter(|(gid, _)| !self.groups.contains_key(gid))
+            .all(|(&gid, group)| scan_group(gid, None, Some(group)))
     }
 
     /// Order-independent digest of the memory's *semantic* contents.
@@ -179,21 +229,24 @@ impl Memory {
     /// untouched page. Workers cross-check their golden runs by it.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut page_ids: Vec<u64> = self.pages.keys().copied().collect();
-        page_ids.sort_unstable();
+        let mut group_ids: Vec<u64> = self.groups.keys().copied().collect();
+        group_ids.sort_unstable();
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
         let mix = |h: &mut u64, v: u64| {
             for b in v.to_le_bytes() {
                 *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        for id in page_ids {
-            let page = &self.pages[&id];
-            for (word_idx, chunk) in page.chunks_exact(8).enumerate() {
-                let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                if word != 0 {
-                    mix(&mut h, (id << PAGE_SHIFT) + 8 * word_idx as u64);
-                    mix(&mut h, word);
+        for gid in group_ids {
+            for (i, page) in self.groups[&gid].items().iter().enumerate() {
+                let Some(page) = page else { continue };
+                let id = gid << GROUP_SHIFT | i as u64;
+                for (word_idx, chunk) in page.chunks_exact(8).enumerate() {
+                    let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                    if word != 0 {
+                        mix(&mut h, (id << PAGE_SHIFT) + 8 * word_idx as u64);
+                        mix(&mut h, word);
+                    }
                 }
             }
         }

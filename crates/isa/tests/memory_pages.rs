@@ -9,18 +9,36 @@ use avf_isa::{Memory, PAGE_BYTES};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Edits land in the first few pages, so clones and bases overlap.
-const SPAN: u64 = 6 * PAGE_BYTES as u64;
+const PAGE: u64 = PAGE_BYTES as u64;
+
+/// Bytes per page-table group of `Memory`: 64 pages.
+const GROUP: u64 = 64 * PAGE;
+
+/// Edits land in six pages around the first page-group boundary, so
+/// clones and bases overlap and an edit may cross from one group into
+/// the next.
+const ORIGIN: u64 = GROUP - 3 * PAGE;
+const SPAN: u64 = 6 * PAGE;
+
+/// A far address, alone in its group, where a few sparse bytes may
+/// cross a page and a group boundary.
+const FAR: u64 = 0x7fff_ffc0_0000_0000;
 
 /// One write: a start address and its bytes (mostly small values, so
-/// zeroes are common).
+/// zeroes are common), usually near the origin, sometimes far away.
 fn edit() -> impl Strategy<Value = (u64, Vec<u8>)> {
-    (0..SPAN, vec(0u8..3, 1..(2 * PAGE_BYTES + 40)))
+    let near = || (ORIGIN..ORIGIN + SPAN, vec(0u8..3, 1..(2 * PAGE_BYTES + 40)));
+    prop_oneof![near(), near(), near(), far()]
 }
 
-/// A sparse edit: a few bytes somewhere in the span.
+/// A sparse edit: a few bytes somewhere in the span, or far away.
 fn sparse() -> impl Strategy<Value = (u64, Vec<u8>)> {
-    (0..SPAN, vec(0u8..3, 1..12))
+    prop_oneof![(ORIGIN..ORIGIN + SPAN, vec(0u8..3, 1..12)), far()]
+}
+
+/// A few bytes at the far address.
+fn far() -> impl Strategy<Value = (u64, Vec<u8>)> {
+    (FAR - 8..FAR + 8, vec(0u8..3, 1..12))
 }
 
 type Model = BTreeMap<u64, u8>;
@@ -41,6 +59,13 @@ fn reads_as(mem: &Memory, model: &Model, from: u64, to: u64) -> bool {
     buf.iter()
         .enumerate()
         .all(|(i, &b)| b == model.get(&(from + i as u64)).copied().unwrap_or(0))
+}
+
+/// Whether `mem` reads as `model` around the origin and the far
+/// address: everywhere an edit may land, and a page beyond.
+fn reads_everywhere(mem: &Memory, model: &Model) -> bool {
+    reads_as(mem, model, ORIGIN - PAGE, ORIGIN + SPAN + 3 * PAGE)
+        && reads_as(mem, model, FAR - PAGE, FAR + PAGE)
 }
 
 /// The model's semantic content: addresses that read non-zero.
@@ -64,10 +89,10 @@ proptest! {
         let mut clone = original.clone();
         let mut clone_model = model.clone();
         apply(&mut clone, &mut clone_model, &ours);
-        prop_assert!(reads_as(&original, &model, 0, SPAN + 3 * PAGE_BYTES as u64));
+        prop_assert!(reads_everywhere(&original, &model));
         apply(&mut original, &mut model, &theirs);
-        prop_assert!(reads_as(&clone, &clone_model, 0, SPAN + 3 * PAGE_BYTES as u64));
-        prop_assert!(reads_as(&original, &model, 0, SPAN + 3 * PAGE_BYTES as u64));
+        prop_assert!(reads_everywhere(&clone, &clone_model));
+        prop_assert!(reads_everywhere(&original, &model));
         // `clone_from` rewinds to the source, sharing its pages again.
         clone.clone_from(&original);
         prop_assert!(clone == original);
@@ -82,7 +107,7 @@ proptest! {
     #[test]
     fn page_crossing_accesses_agree_with_a_byte_map(
         edits in vec(edit(), 1..6),
-        reads in vec((0..SPAN, 1usize..(3 * PAGE_BYTES)), 1..6),
+        reads in vec((ORIGIN..ORIGIN + SPAN, 1usize..(3 * PAGE_BYTES)), 1..6),
     ) {
         let (mut mem, mut model) = (Memory::new(), Model::new());
         apply(&mut mem, &mut model, &edits);
@@ -100,7 +125,7 @@ proptest! {
         shared in vec(sparse(), 0..4),
         extra in vec(sparse(), 0..3),
         diverge in 0u8..2,
-        fresh in (0u64..4, 0u64..(PAGE_BYTES as u64 - 64), 1usize..64),
+        fresh in (0u64..4, 0u64..(PAGE - 64), 1usize..64),
     ) {
         let (mut a, mut model_a) = (Memory::new(), Model::new());
         apply(&mut a, &mut model_a, &base);
@@ -110,10 +135,11 @@ proptest! {
         if diverge == 1 {
             apply(&mut b, &mut model_b, &extra);
         }
-        // Zeroes written to a page neither side had: resident, yet
-        // reads exactly as the missing page on the other side.
+        // Zeroes written to a page neither side had, in a group the
+        // edits reach or in one neither side has: resident, yet reads
+        // exactly as the missing page on the other side.
         let (page, off, len) = fresh;
-        let zeroes = [(SPAN + 8 * PAGE_BYTES as u64 + page * PAGE_BYTES as u64 + off, vec![0; len])];
+        let zeroes = [(ORIGIN + SPAN + (8 + 40 * page) * PAGE + off, vec![0; len])];
         apply(&mut b, &mut model_b, &zeroes);
         let same = nonzero(&model_a) == nonzero(&model_b);
         prop_assert_eq!(a == b, same);

@@ -4,14 +4,55 @@
 //! come from the functional oracle. ACE lifetime events are emitted by the
 //! pipeline, which consults the [`AccessResult`]s returned here.
 
+use avf_isa::CowBlock;
+
 use crate::config::CacheConfig;
 
+/// Lines per copy-on-write block: the unit a [`Cache`] shares with its
+/// clones and copies on its first write after a clone. A block holds
+/// whole sets, so it holds fewer lines when the associativity does not
+/// divide this or when the cache is smaller.
+const BLOCK_LINES: usize = 64;
+
+/// `Line::stamp` flag: the line holds a tag.
+const VALID: u64 = 1;
+/// `Line::stamp` flag: the line was written since it was filled.
+const DIRTY: u64 = 2;
+/// Bits of `Line::stamp` below the LRU tick.
+const FLAG_BITS: u32 = 2;
+
+/// One line: its tag, and its LRU tick with the valid and dirty flags
+/// in the low bits. Ticks are distinct and counted per access, so
+/// stamps order as their ticks do; the tag keeps all 64 bits, which a
+/// one-set cache of one-byte lines needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
+    stamp: u64,
+}
+
+// Two words: a block copy or compare touches 1 KiB of full-width lines.
+const _: () = assert!(std::mem::size_of::<Line>() == 16);
+
+impl Line {
+    fn filled(tag: u64, tick: u64, dirty: bool) -> Line {
+        Line {
+            tag,
+            stamp: tick << FLAG_BITS | if dirty { DIRTY } else { 0 } | VALID,
+        }
+    }
+
+    fn valid(self) -> bool {
+        self.stamp & VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.stamp & DIRTY != 0
+    }
+
+    fn holds(self, tag: u64) -> bool {
+        self.valid() && self.tag == tag
+    }
 }
 
 /// What happened on a cache access.
@@ -24,17 +65,44 @@ pub struct AccessResult {
 }
 
 /// One level of set-associative cache (timing state only).
-#[derive(Debug, Clone)]
+///
+/// The lines are held in blocks of whole sets shared copy-on-write: a
+/// clone (and [`Clone::clone_from`]) costs one pointer per block plus a
+/// copy of each block the source wrote since it was last cloned or
+/// rewound, a write copies a block only while it is still shared, and
+/// [`Cache::same_state`] skips the blocks two caches share. The cache
+/// writes the blocks it owns in place, touching no reference count.
+#[derive(Debug)]
 pub struct Cache {
-    lines: Vec<Line>,
+    blocks: Vec<CowBlock<Line>>,
     sets: usize,
     ways: usize,
     line_shift: u32,
+    /// Log2 of the sets per block.
+    block_shift: u32,
     tick: u64,
     /// Total accesses.
     pub accesses: u64,
     /// Total misses.
     pub misses: u64,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache {
+            blocks: self.blocks.clone(),
+            ..*self
+        }
+    }
+
+    /// Rewinds to `source`, keeping the blocks that already share its.
+    fn clone_from(&mut self, source: &Cache) {
+        self.blocks.clone_from(&source.blocks);
+        *self = Cache {
+            blocks: std::mem::take(&mut self.blocks),
+            ..*source
+        };
+    }
 }
 
 impl Cache {
@@ -48,11 +116,17 @@ impl Cache {
         let sets = cfg.sets() as usize;
         let ways = cfg.ways as usize;
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
+        // The most whole sets that fit a block, as a power of two.
+        let block_sets = (BLOCK_LINES / ways).max(1).ilog2().min(sets.ilog2());
+        let block_lines = ways << block_sets;
         Cache {
-            lines: vec![Line::default(); sets * ways],
+            blocks: (0..sets >> block_sets)
+                .map(|_| CowBlock::new(vec![Line::default(); block_lines].into()))
+                .collect(),
             sets,
             ways,
             line_shift: cfg.line_bytes.trailing_zeros(),
+            block_shift: block_sets,
             tick: 0,
             accesses: 0,
             misses: 0,
@@ -78,74 +152,82 @@ impl Cache {
         ((tag << self.sets.trailing_zeros()) | set as u64) << self.line_shift
     }
 
+    /// The block holding `set`, and the offset of the set's first way
+    /// in it.
+    fn locate(&self, set: usize) -> (usize, usize) {
+        let within = set & ((1 << self.block_shift) - 1);
+        (set >> self.block_shift, within * self.ways)
+    }
+
+    /// The ways of `set`.
+    #[inline]
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let (block, first) = self.locate(set);
+        &self.blocks[block].items()[first..first + self.ways]
+    }
+
+    /// The ways of `set`, their block unshared for writing.
+    #[inline]
+    fn set_lines_mut(&mut self, set: usize) -> &mut [Line] {
+        let (block, first) = self.locate(set);
+        &mut self.blocks[block].items_mut()[first..first + self.ways]
+    }
+
     /// Base address of the line held in the `idx`-th physical line slot
     /// (set-major order), or `None` if the slot is invalid or out of
     /// range. Used by the fault-injection engine to sample resident
     /// lines.
     #[must_use]
     pub fn valid_line(&self, idx: usize) -> Option<u64> {
-        let line = self.lines.get(idx)?;
-        if !line.valid {
+        let set = idx / self.ways;
+        if set >= self.sets {
             return None;
         }
-        let set = idx / self.ways;
-        Some(self.rebuild_addr(line.tag, set))
+        let line = self.set_lines(set)[idx % self.ways];
+        line.valid().then(|| self.rebuild_addr(line.tag, set))
     }
 
     /// Looks up `addr` without changing state (no LRU update, no fill).
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        self.lines[set * self.ways..(set + 1) * self.ways]
+        self.set_lines(self.set_of(addr))
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.holds(tag))
     }
 
     /// Accesses `addr`, allocating on miss; `is_write` marks the line dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
         self.tick += 1;
         self.accesses += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= is_write;
-                return AccessResult {
-                    hit: true,
-                    victim: None,
-                };
-            }
+        let (set, tag, tick) = (self.set_of(addr), self.tag_of(addr), self.tick);
+        let ways = self.set_lines_mut(set);
+        if let Some(line) = ways.iter_mut().find(|l| l.holds(tag)) {
+            *line = Line::filled(tag, tick, is_write || line.dirty());
+            return AccessResult {
+                hit: true,
+                victim: None,
+            };
         }
-        self.misses += 1;
         // Choose victim: invalid way first, else least-recently used.
-        let mut victim_way = 0;
-        let mut victim_lru = u64::MAX;
-        for way in 0..self.ways {
-            let line = &self.lines[base + way];
-            if !line.valid {
-                victim_way = way;
+        let mut victim = 0;
+        for way in 0..ways.len() {
+            if !ways[way].valid() {
+                victim = way;
                 break;
             }
-            if line.lru < victim_lru {
-                victim_lru = line.lru;
-                victim_way = way;
+            if ways[way].stamp < ways[victim].stamp {
+                victim = way;
             }
         }
-        let victim_line = self.lines[base + victim_way];
-        let victim = victim_line
-            .valid
-            .then(|| (self.rebuild_addr(victim_line.tag, set), victim_line.dirty));
-        self.lines[base + victim_way] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.tick,
-        };
-        AccessResult { hit: false, victim }
+        let old = std::mem::replace(&mut ways[victim], Line::filled(tag, tick, is_write));
+        self.misses += 1;
+        AccessResult {
+            hit: false,
+            victim: old
+                .valid()
+                .then(|| (self.rebuild_addr(old.tag, set), old.dirty())),
+        }
     }
 
     /// Marks the line containing `addr` dirty if present (used for
@@ -153,13 +235,13 @@ impl Cache {
     pub fn mark_dirty(&mut self, addr: u64) {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.dirty = true;
-                return;
-            }
+        // A line already dirty is left shared.
+        if let Some(way) = self
+            .set_lines(set)
+            .iter()
+            .position(|l| l.holds(tag) && !l.dirty())
+        {
+            self.set_lines_mut(set)[way].stamp |= DIRTY;
         }
     }
 
@@ -174,15 +256,33 @@ impl Cache {
     }
 
     /// Whether `self` and `other` behave identically from here on: the
-    /// LRU clock and every line match. The `accesses`/`misses` counters
-    /// never feed back into behavior and are not compared.
-    pub(crate) fn same_state(&self, other: &Cache) -> bool {
-        self.tick == other.tick && self.lines == other.lines
+    /// LRU clock and every line match. Blocks the two share are skipped
+    /// without comparing lines. The `accesses`/`misses` counters never
+    /// feed back into behavior and are not compared.
+    #[must_use]
+    pub fn same_state(&self, other: &Cache) -> bool {
+        self.tick == other.tick
+            && self.blocks.len() == other.blocks.len()
+            && self
+                .blocks
+                .iter()
+                .zip(&other.blocks)
+                .all(|(a, b)| a.shares_with(b) || a.items() == b.items())
     }
 
-    /// Heap bytes of the line array.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.lines[..])
+    /// Identities of the line blocks: two caches (or a cache and its
+    /// snapshot) yield the same identity for a block they share, and
+    /// the first write to a shared block gives it a new one.
+    pub fn block_identities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.blocks.iter().map(CowBlock::identity)
+    }
+
+    /// Each block's identity (as [`Cache::block_identities`]) with its
+    /// heap bytes, so that callers can count each distinct block once.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.blocks
+            .iter()
+            .map(|b| (b.identity(), std::mem::size_of_val(b.items())))
     }
 }
 

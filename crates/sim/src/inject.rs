@@ -49,7 +49,7 @@
 //! register holding no live definition reads stale content modeled as
 //! zero; and clean-cache-line flips hit the backing store directly.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -516,8 +516,9 @@ impl<'a> InjectionSim<'a> {
     }
 
     /// Captures the complete machine state. The memory image costs one
-    /// pointer per resident page (pages are shared copy-on-write); the
-    /// caches, queues and register state are copied.
+    /// pointer per group of resident pages and the cache arrays one per
+    /// block of lines (both are shared copy-on-write); the queues and
+    /// register state are copied.
     #[must_use]
     pub fn snapshot(&self) -> PipelineSnapshot {
         self.pipe.snapshot()
@@ -539,6 +540,18 @@ impl<'a> InjectionSim<'a> {
     #[must_use]
     pub fn matches_snapshot(&self, snap: &PipelineSnapshot) -> bool {
         self.pipe.matches(snap)
+    }
+
+    /// Identities of the machine's cache line blocks, L1I, DL1 then L2:
+    /// equal to a snapshot's
+    /// ([`PipelineSnapshot::cache_block_identities`]) for every block
+    /// the two still share (see [`crate::Cache::block_identities`]).
+    pub fn cache_block_identities(&self) -> impl Iterator<Item = usize> + '_ {
+        let pipe = &self.pipe;
+        pipe.l1i
+            .block_identities()
+            .chain(pipe.dl1.block_identities())
+            .chain(pipe.l2.block_identities())
     }
 
     /// Judges the machine against `golden_state`, the golden run's state
@@ -1324,18 +1337,21 @@ impl DecodedCheckpoints {
         &self.future
     }
 
-    /// Bytes the checkpoints pin: each distinct memory page once (pages
-    /// shared between checkpoints and the final image count once), plus
+    /// Bytes the checkpoints pin: each distinct memory page and cache
+    /// line block once (pages shared between checkpoints and the final
+    /// image, and blocks shared between checkpoints, count once), plus
     /// every snapshot's own state and the golden-future index.
     #[must_use]
     pub fn total_bytes(&self) -> usize {
         let mut pages = HashSet::new();
+        let mut blocks = HashMap::new();
         for (_, snap) in self.checkpoints.iter() {
             pages.extend(snap.memory().page_identities());
+            blocks.extend(snap.cache_blocks());
         }
         pages.extend(self.final_memory.page_identities());
         let state: usize = self.checkpoints.iter().map(|(_, s)| s.state_bytes()).sum();
-        pages.len() * PAGE_BYTES + state + self.future.bytes()
+        pages.len() * PAGE_BYTES + blocks.values().sum::<usize>() + state + self.future.bytes()
     }
 
     /// Another handle on the same checkpoints; no bytes are parsed or
@@ -1867,11 +1883,17 @@ mod tests {
         let (_, checkpoints) = golden_run_checkpointed(&cfg, &p, 6_000, 200);
         let n = checkpoints.len();
         assert!(n >= 4, "{n} checkpoints");
+        let blocks: HashMap<usize, usize> = checkpoints
+            .checkpoints
+            .iter()
+            .flat_map(|(_, s)| s.cache_blocks())
+            .collect();
         let state: usize = checkpoints
             .checkpoints
             .iter()
             .map(|(_, s)| s.state_bytes())
             .sum::<usize>()
+            + blocks.values().sum::<usize>()
             + checkpoints.future().bytes();
         let total = checkpoints.total_bytes();
         assert_eq!((total - state) % PAGE_BYTES, 0);

@@ -1179,8 +1179,10 @@ impl Pipeline<'_> {
     }
 
     /// Rewinds the machine to a previously captured snapshot, reusing
-    /// this pipeline's allocations (`clone_from`). The memory image
-    /// costs one pointer per resident page: pages stay shared with the
+    /// this pipeline's allocations (`clone_from`). The memory image and
+    /// the cache arrays cost one pointer per page group and per line
+    /// block, plus a copy of those the machine wrote since it last
+    /// shared them with the snapshot: they stay shared with the
     /// snapshot until the machine writes them.
     pub(crate) fn restore(&mut self, snap: &PipelineSnapshot) {
         self.oracle.clone_from(&snap.oracle);
@@ -1363,16 +1365,30 @@ impl PipelineSnapshot {
     }
 
     /// Bytes of the snapshot's own state: everything but the memory
-    /// pages, which it shares with other snapshots of the same run.
+    /// pages and the cache blocks, which it shares with other snapshots
+    /// of the same run (see [`PipelineSnapshot::cache_blocks`]).
     pub(crate) fn state_bytes(&self) -> usize {
         std::mem::size_of::<PipelineSnapshot>()
             + self.bpred.heap_bytes()
-            + self.l1i.heap_bytes()
-            + self.dl1.heap_bytes()
-            + self.l2.heap_bytes()
             + self.dtlb.heap_bytes()
             + self.rf.heap_bytes()
             + (self.fetch_queue.capacity() + self.rob.capacity()) * std::mem::size_of::<DynInst>()
             + self.cache_faults.heap_bytes()
+    }
+
+    /// Identity and heap bytes of every cache line block the snapshot
+    /// holds, shared or not: counting each identity once gives the
+    /// blocks many snapshots pin together.
+    pub(crate) fn cache_blocks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.l1i
+            .blocks()
+            .chain(self.dl1.blocks())
+            .chain(self.l2.blocks())
+    }
+
+    /// Identities of the cache line blocks (see
+    /// [`Cache::block_identities`]).
+    pub fn cache_block_identities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cache_blocks().map(|(id, _)| id)
     }
 }

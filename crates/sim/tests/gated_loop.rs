@@ -268,17 +268,24 @@ fn golden_pass_equals_the_pinned_checkpoints_and_evidence() {
     // log of line events, 16 bytes each: 15,068 on the stressmark and
     // 10,722 on 429.mcf; and, for the 30,000 oracle executions of
     // either, a 4-byte live mask per position (30,001) and a 24-byte
-    // outcome-stream block per 64 executions (469).
+    // outcome-stream block per 64 executions (469). The total bytes
+    // count each distinct 1 KiB cache block (64 lines of 16 bytes) once,
+    // as they count pages: the pages, snapshot state and golden future
+    // of the flat-array accounting (12,961,404 and 26,916,936 bytes,
+    // which held 24 bytes for each of the baseline's 18,432 lines in
+    // each checkpoint: 442,368 bytes a checkpoint) plus the blocks.
+    // Stressmark: 12,961,404 - 21 x 442,368 + 783 x 1,024 = 4,473,468.
+    // 429.mcf: 26,916,936 - 24 x 442,368 + 2,611 x 1,024 = 18,973,768.
     let pinned = [
         (
             "stressmark",
             stressmark(&machine),
-            (21, 12_961_404, 834_412, 0x57fa_5fb5_9246_6d1d),
+            (21, 4_473_468, 834_412, 0x57fa_5fb5_9246_6d1d),
         ),
         (
             "429.mcf",
             mcf(),
-            (24, 26_916_936, 583_484, 0x8805_a3bb_9056_86b8),
+            (24, 18_973_768, 583_484, 0x8805_a3bb_9056_86b8),
         ),
     ];
     for (name, program, want) in &pinned {
