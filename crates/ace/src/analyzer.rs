@@ -1,17 +1,8 @@
-use crate::cam::CamAnalysis;
 use crate::deadness::DeadnessEngine;
 use crate::lifetime::{CacheLifetime, TlbLifetime};
 use crate::record::{DynId, InstrRecord, PregRecord};
 use crate::report::AvfReport;
 use crate::structures::{Structure, StructureSizes};
-
-/// Options controlling the analysis.
-#[derive(Debug, Clone, Default)]
-pub struct AceConfig {
-    /// Enable the O(n²) Hamming-distance-1 CAM refinement for the DTLB tag
-    /// array. Off by default; intended for targeted studies.
-    pub cam_analysis: bool,
-}
 
 /// Facade over the full ACE analysis: the deadness engine for the commit
 /// stream, lifetime analyzers for DL1/L2/DTLB, and the final AVF roll-up.
@@ -31,39 +22,19 @@ pub struct AvfAnalyzer {
     dl1: CacheLifetime,
     l2: CacheLifetime,
     dtlb: TlbLifetime,
-    cam: Option<CamAnalysis>,
     sizes: StructureSizes,
     name: String,
-}
-
-impl std::fmt::Debug for DeadnessEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeadnessEngine")
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
 }
 
 impl AvfAnalyzer {
     /// Creates an analyzer for a machine with the given structure sizes.
     #[must_use]
     pub fn new(name: impl Into<String>, sizes: StructureSizes) -> AvfAnalyzer {
-        AvfAnalyzer::with_config(name, sizes, AceConfig::default())
-    }
-
-    /// Creates an analyzer with explicit [`AceConfig`].
-    #[must_use]
-    pub fn with_config(
-        name: impl Into<String>,
-        sizes: StructureSizes,
-        config: AceConfig,
-    ) -> AvfAnalyzer {
         AvfAnalyzer {
             engine: DeadnessEngine::new(),
             dl1: CacheLifetime::new(u64::from(sizes.line_bytes), sizes.dl1_tag_bits),
             l2: CacheLifetime::new(u64::from(sizes.line_bytes), sizes.l2_tag_bits),
             dtlb: TlbLifetime::new(sizes.dtlb_entry_bits),
-            cam: config.cam_analysis.then(CamAnalysis::new),
             sizes,
             name: name.into(),
         }
@@ -129,9 +100,6 @@ impl AvfAnalyzer {
     /// DTLB fill of `vpn`.
     pub fn dtlb_fill(&mut self, vpn: u64, cycle: u64) {
         self.dtlb.fill(vpn, cycle);
-        if let Some(cam) = &mut self.cam {
-            cam.insert(vpn, cycle);
-        }
     }
 
     /// DTLB translation used by an ACE memory access.
@@ -140,21 +108,15 @@ impl AvfAnalyzer {
     }
 
     /// DTLB entry eviction.
-    pub fn dtlb_evict(&mut self, vpn: u64, cycle: u64) {
+    pub fn dtlb_evict(&mut self, vpn: u64) {
         self.dtlb.evict(vpn);
-        if let Some(cam) = &mut self.cam {
-            cam.remove(vpn, cycle);
-        }
     }
 
     /// Closes all analyses at `cycles` and produces the report.
     #[must_use]
     pub fn finish(mut self, cycles: u64) -> AvfReport {
         self.engine.finish();
-        let mut ace = [0u128; Structure::ALL.len()];
-        for s in Structure::ALL {
-            ace[s.index()] = self.engine.accumulator().get(s);
-        }
+        let mut ace = Structure::ALL.map(|s| self.engine.bit_cycles(s));
         let (dl1_data, dl1_tag) = self.dl1.finish(cycles);
         ace[Structure::Dl1Data.index()] += dl1_data;
         ace[Structure::Dl1Tag.index()] += dl1_tag;
@@ -162,9 +124,6 @@ impl AvfAnalyzer {
         ace[Structure::L2Data.index()] += l2_data;
         ace[Structure::L2Tag.index()] += l2_tag;
         ace[Structure::Dtlb.index()] += self.dtlb.finish();
-        if let Some(mut cam) = self.cam.take() {
-            ace[Structure::Dtlb.index()] += cam.finish(cycles);
-        }
         AvfReport::new(
             self.name,
             cycles.max(1),
@@ -214,17 +173,6 @@ mod tests {
         let report = a.finish(100);
         let expect = (64.0 * 8.0 * 100.0) / (sizes.bits(Structure::Dl1Data) as f64 * 100.0);
         assert!((report.avf(Structure::Dl1Data) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dtlb_and_cam_combine() {
-        let sizes = StructureSizes::baseline();
-        let mut a = AvfAnalyzer::with_config("t", sizes, AceConfig { cam_analysis: true });
-        a.dtlb_fill(8, 0);
-        a.dtlb_fill(9, 0); // hamming distance 1 from 8
-        a.dtlb_read(8, 10);
-        let report = a.finish(10);
-        assert!(report.avf(Structure::Dtlb) > 0.0);
     }
 
     #[test]

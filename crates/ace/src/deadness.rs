@@ -1,23 +1,47 @@
-//! Transitive dynamic-dead-instruction resolution over the commit stream.
+//! Dynamic-dead-instruction analysis over the commit stream, in one backward
+//! sweep.
 //!
 //! Mukherjee et al. classify dynamically dead instructions as un-ACE; Butts &
 //! Sohi observe 3–16% of dynamic instructions are dead. This module decides,
 //! for every committed instruction, whether its result transitively reaches a
-//! program output (memory contents or control flow), and defers AVF crediting
-//! until that decision is made:
+//! program output (memory contents or control flow):
 //!
-//! * **branches / halt** are ACE immediately (they steered committed control
-//!   flow);
-//! * **NOPs** are un-ACE immediately;
-//! * a **value producer** (ALU op or load) is ACE iff at least one transitive
-//!   consumer is ACE; it is dead once its destination register is overwritten
-//!   with all consumers resolved dead;
-//! * a **store** is ACE iff a committed load reads any stored word before it
-//!   is overwritten, or some word survives to the end of the run (live-out
-//!   memory is treated as program output, matching the lifetime-analysis
-//!   Write⇒Evict rule).
+//! * **branches / halt** are ACE (they steered committed control flow);
+//! * **NOPs** are un-ACE;
+//! * a **value producer** (ALU op or load) is ACE iff an ACE instruction
+//!   reads its destination register before the register is written again,
+//!   so one without a destination is un-ACE;
+//! * a **store** is ACE iff a committed load (ACE or not) reads one of its
+//!   words before a later store overwrites it, or one of its words is never
+//!   overwritten (live-out memory is treated as program output, matching the
+//!   lifetime-analysis Write⇒Evict rule).
+//!
+//! Every rule looks only forward in program order, so [`DeadnessEngine`]
+//! records the stream and decides it in [`DeadnessEngine::finish`] by walking
+//! it backward once — the live-variable idiom, with one liveness bit per
+//! architected register and one state per memory word. Per committed
+//! instruction it holds a 16-byte record (kind, source-register mask,
+//! destination, memory words, number of deferred credits) and one 16-byte
+//! credit per residency slice with data bits; per freed physical register,
+//! its write cycle and its `(reader, read cycle)` pairs.
+//!
+//! Mukherjee's dead-instruction refinement applies to *data* fields only: a
+//! dynamically dead instruction's value is un-ACE (never consumed), but its
+//! control and tag fields stay ACE — a corrupted address redirects the write,
+//! a corrupted operand or destination tag misroutes a value, a corrupted
+//! opcode decodes to a different micro-op; each corrupts *unrelated live*
+//! state, which injection (and the micro-op replay oracle in particular)
+//! observes as SDC or a detected error regardless of the occupant's own
+//! deadness. So the control bits — the ROB entry minus its 64-bit result
+//! field, the whole IQ entry, both LSQ tag arrays — and every bit of a branch
+//! or halt are credited at commit, and only data bits wait for the sweep.
+//! NOPs are the one exception: the model makes them un-ACE outright (they
+//! route nothing, so there is no misroute to credit), and the injection
+//! engine masks every NOP-entry flip to match; the flipped-NOP-opcode gap
+//! both sides share is recorded in the ROADMAP.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::record::{AceKind, DynId, InstrRecord, PregRecord, Slice};
 use crate::structures::Structure;
@@ -28,48 +52,11 @@ use crate::structures::Structure;
 /// occupants.
 const ROB_RESULT_FIELD_BITS: u32 = 64;
 
-/// Resolution state of a dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Liveness {
-    /// Not yet known.
-    Unknown,
-    /// ACE: contributes its residency to AVF.
-    Live,
-    /// un-ACE: residency discarded.
-    Dead,
-}
+/// `Committed::dest` of an instruction that writes no register.
+const NO_DEST: u8 = u8::MAX;
 
-/// Accumulated ACE bit-cycles per structure.
-#[derive(Debug, Clone, Default)]
-pub struct AceAccumulator {
-    bit_cycles: [u128; Structure::ALL.len()],
-}
-
-impl AceAccumulator {
-    /// Creates a zeroed accumulator.
-    #[must_use]
-    pub fn new() -> AceAccumulator {
-        AceAccumulator::default()
-    }
-
-    /// Adds `amount` ACE bit-cycles to `structure`.
-    pub fn add(&mut self, structure: Structure, amount: u128) {
-        self.bit_cycles[structure.index()] += amount;
-    }
-
-    /// Total ACE bit-cycles recorded for `structure`.
-    #[must_use]
-    pub fn get(&self, structure: Structure) -> u128 {
-        self.bit_cycles[structure.index()]
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &AceAccumulator) {
-        for (a, b) in self.bit_cycles.iter_mut().zip(other.bit_cycles.iter()) {
-            *a += b;
-        }
-    }
-}
+/// Items per [`Log`] block: 64 KiB of 16-byte records.
+const LOG_BLOCK: usize = 4096;
 
 /// Aggregate counts reported by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,79 +81,108 @@ impl DeadnessStats {
     }
 }
 
-/// `Node::producers` slot holding no producer.
-const NO_PRODUCER: u64 = u64::MAX;
-
-/// An unresolved instruction. Kept small: a run whose stores stay
-/// live-out until the end holds one per committed instruction.
-struct Node {
-    kind: AceKind,
-    closed: bool,
-    unresolved_consumers: u32,
-    /// For stores: number of covered memory words not yet overwritten.
-    words_outstanding: u32,
-    /// Unresolved producer ids by source slot, [`NO_PRODUCER`] if none.
-    producers: [u64; 3],
-    /// The residency to credit once the liveness is known.
-    credits: Box<[Credit]>,
-    /// Physical-register lifetimes waiting on this instruction's liveness:
-    /// `(pending preg key, read cycle)`.
-    preg_waiters: Vec<(u64, u64)>,
+/// An append-only sequence kept in fixed blocks rather than one doubling
+/// `Vec`, whose buffers reach 1 MiB per 30k instructions: with blocks, the
+/// 429.mcf campaign benchmark's per-operation peak RSS read about 5 MiB
+/// lower.
+struct Log<T> {
+    blocks: Vec<Vec<T>>,
 }
 
-impl Node {
-    fn producers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.producers.iter().copied().filter(|&p| p != NO_PRODUCER)
+impl<T> Default for Log<T> {
+    fn default() -> Self {
+        Log { blocks: Vec::new() }
     }
 }
 
-/// A residency slice reduced to what crediting it needs.
-#[derive(Clone, Copy)]
+impl<T> Log<T> {
+    fn push(&mut self, item: T) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < LOG_BLOCK => block.push(item),
+            _ => {
+                let mut block = Vec::with_capacity(LOG_BLOCK);
+                block.push(item);
+                self.blocks.push(block);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
+        self.blocks.iter().flatten()
+    }
+}
+
+/// One committed instruction, as the backward sweep reads it.
+struct Committed {
+    /// First 4-byte word of its memory access.
+    first_word: u64,
+    /// The registers it reads, one bit per register.
+    srcs: u32,
+    kind: AceKind,
+    /// The register it writes, or [`NO_DEST`].
+    dest: u8,
+    /// Number of words its memory access covers; 0 without one.
+    words: u8,
+    /// Number of its data credits: the ones pushed to
+    /// `DeadnessEngine::credits` after the previous instruction's.
+    credits: u8,
+}
+
+/// Data-field residency, credited only if its instruction is live.
 struct Credit {
     cycles: u64,
     bits: u32,
     structure: Structure,
 }
 
-impl Credit {
-    fn of(slice: &Slice) -> Credit {
-        Credit {
-            cycles: slice.end.saturating_sub(slice.start),
-            bits: slice.bits,
-            structure: slice.structure,
-        }
-    }
-
-    /// [`Slice::bit_cycles`] of the slice with `bits` bits.
-    fn bit_cycles(self, bits: u32) -> u128 {
-        u128::from(self.cycles) * u128::from(bits)
-    }
-}
-
-struct PregPending {
+/// A freed physical register. Its RF ACE interval runs from `write_cycle`
+/// to its latest read by a live instruction.
+struct Preg {
     write_cycle: u64,
     bits: u32,
-    remaining: u32,
-    latest_live_read: Option<u64>,
+    /// Number of its reads: the ones pushed to `DeadnessEngine::reads`
+    /// after the previous register's.
+    reads: u32,
 }
 
-/// The deadness engine: consumes the commit stream, resolves liveness, and
-/// credits ACE bit-cycles for resolved-live residency intervals.
+/// The deadness engine: records the commit stream, then resolves liveness
+/// and credits ACE bit-cycles in [`DeadnessEngine::finish`].
+#[derive(Default)]
 pub struct DeadnessEngine {
-    states: Vec<Liveness>,
-    nodes: HashMap<u64, Node>,
-    last_def: [Option<u64>; 32],
-    mem_defs: HashMap<u64, u64>,
-    pregs: HashMap<u64, PregPending>,
-    next_preg: u64,
-    ace: AceAccumulator,
+    committed: Log<Committed>,
+    credits: Log<Credit>,
+    pregs: Log<Preg>,
+    reads: Log<(DynId, u64)>,
+    /// Each committed instruction's liveness, filled by `finish`.
+    live: Vec<bool>,
+    bit_cycles: [u128; Structure::ALL.len()],
     stats: DeadnessStats,
-    worklist: Vec<u64>,
 }
 
-impl Default for DeadnessEngine {
-    fn default() -> Self {
-        DeadnessEngine::new()
+impl fmt::Debug for DeadnessEngine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DeadnessEngine")
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+/// `r`, checked to fit a register mask.
+///
+/// # Panics
+///
+/// Panics if `r` is not an architected register (0–31).
+fn reg(r: u8) -> u8 {
+    assert!(r < 32, "register {r} out of range");
+    r
+}
+
+/// The bits of `slice` credited whatever its instruction's liveness.
+fn control_bits(slice: &Slice) -> u32 {
+    match slice.structure {
+        Structure::Rob => slice.bits.saturating_sub(ROB_RESULT_FIELD_BITS),
+        Structure::Iq | Structure::LqTag | Structure::SqTag => slice.bits,
+        _ => 0,
     }
 }
 
@@ -174,354 +190,163 @@ impl DeadnessEngine {
     /// Creates an empty engine.
     #[must_use]
     pub fn new() -> DeadnessEngine {
-        DeadnessEngine {
-            states: Vec::new(),
-            nodes: HashMap::new(),
-            last_def: [None; 32],
-            mem_defs: HashMap::new(),
-            pregs: HashMap::new(),
-            next_preg: 0,
-            ace: AceAccumulator::new(),
-            stats: DeadnessStats::default(),
-            worklist: Vec::new(),
-        }
+        DeadnessEngine::default()
     }
 
-    /// Processes one committed instruction; returns its id.
+    /// Records one committed instruction and credits the residency its
+    /// liveness cannot change; returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source or destination is not an architected register.
     pub fn commit(&mut self, rec: InstrRecord) -> DynId {
-        let id = self.states.len() as u64;
-        self.states.push(Liveness::Unknown);
+        let id = DynId(self.stats.committed);
         self.stats.committed += 1;
-
-        // Register producer edges (before the destination update, so
-        // read-modify-write instructions link to the previous definition).
-        let mut producers = [NO_PRODUCER; 3];
-        let mut n_edges = 0;
-        for (slot, src) in rec.srcs.iter().enumerate() {
-            if let Some(r) = src {
-                if let Some(pid) = self.last_def[usize::from(*r)] {
-                    if self.states[pid as usize] == Liveness::Unknown {
-                        if let Some(pn) = self.nodes.get_mut(&pid) {
-                            pn.unresolved_consumers += 1;
-                            producers[slot] = pid;
-                            n_edges += 1;
-                        }
-                    }
+        let mut credits = 0u8;
+        for slice in rec.residency.iter() {
+            let (now, deferred) = match rec.kind {
+                AceKind::Branch | AceKind::Halt => (slice.bits, 0),
+                AceKind::Nop => (0, 0),
+                AceKind::Value | AceKind::Store => {
+                    let control = control_bits(slice);
+                    (control, slice.bits - control)
                 }
+            };
+            let cycles = slice.end.saturating_sub(slice.start);
+            self.credit(slice.structure, cycles, now);
+            if deferred > 0 && cycles > 0 {
+                self.credits.push(Credit {
+                    cycles,
+                    bits: deferred,
+                    structure: slice.structure,
+                });
+                credits += 1;
             }
         }
-        let _ = n_edges;
-
-        let node = Node {
+        let (first_word, words) = rec
+            .mem
+            .map_or((0, 0), |m| (m.addr / 4, m.words().count() as u8));
+        self.committed.push(Committed {
+            first_word,
+            srcs: rec.srcs.iter().flatten().fold(0, |m, &r| m | 1 << reg(r)),
             kind: rec.kind,
-            closed: false,
-            unresolved_consumers: 0,
-            words_outstanding: 0,
-            producers,
-            credits: rec.residency.iter().map(Credit::of).collect(),
-            preg_waiters: Vec::new(),
-        };
-        self.nodes.insert(id, node);
-
-        // Memory effects.
-        match rec.kind {
-            AceKind::Store => {
-                if let Some(mem) = rec.mem {
-                    let mut outstanding = 0;
-                    let mut kills = Vec::new();
-                    for w in mem.words() {
-                        if let Some(prev) = self.mem_defs.insert(w, id) {
-                            if prev != id {
-                                kills.push(prev);
-                            }
-                        }
-                        outstanding += 1;
-                    }
-                    self.nodes
-                        .get_mut(&id)
-                        .expect("node just inserted")
-                        .words_outstanding = outstanding;
-                    for prev in kills {
-                        self.kill_store_word(prev);
-                    }
-                }
-            }
-            AceKind::Value => {
-                if let Some(mem) = rec.mem {
-                    // A committed load: its reads keep covering stores ACE.
-                    for w in mem.words() {
-                        if let Some(&sid) = self.mem_defs.get(&w) {
-                            self.mark_live(sid);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-
-        // Destination bookkeeping: close the previous definition.
-        if let Some(dest) = rec.dest {
-            let prev = self.last_def[usize::from(dest)].replace(id);
-            if let Some(pid) = prev {
-                self.close(pid);
-            }
-        }
-
-        // Immediate resolutions by kind.
-        match rec.kind {
-            AceKind::Branch | AceKind::Halt => self.mark_live(id),
-            AceKind::Nop => self.mark_dead(id),
-            AceKind::Value if rec.dest.is_none() => {
-                // A value producer with no architected destination can never
-                // acquire consumers (e.g. a write to the zero register).
-                self.mark_dead(id);
-            }
-            _ => {}
-        }
-        DynId(id)
+            dest: rec.dest.map_or(NO_DEST, reg),
+            words,
+            credits,
+        });
+        id
     }
 
-    /// Registers a freed physical register's lifetime; the RF ACE interval
-    /// is credited once every reader's liveness is known.
+    /// Records a freed physical register's lifetime; its RF ACE interval is
+    /// credited in [`DeadnessEngine::finish`]. Reads by instructions not yet
+    /// committed count as dead.
     pub fn preg_freed(&mut self, rec: PregRecord) {
-        let mut pending = PregPending {
+        let mut reads = 0;
+        for (DynId(reader), cycle) in rec.reads {
+            if reader < self.stats.committed {
+                self.reads.push((DynId(reader), cycle));
+                reads += 1;
+            }
+        }
+        self.pregs.push(Preg {
             write_cycle: rec.write_cycle,
             bits: rec.bits,
-            remaining: 0,
-            latest_live_read: None,
-        };
-        let key = self.next_preg;
-        let mut deferred = Vec::new();
-        for (DynId(reader), cycle) in rec.reads {
-            match self
-                .states
-                .get(reader as usize)
-                .copied()
-                .unwrap_or(Liveness::Dead)
-            {
-                Liveness::Live => {
-                    pending.latest_live_read =
-                        Some(pending.latest_live_read.map_or(cycle, |c| c.max(cycle)));
-                }
-                Liveness::Dead => {}
-                Liveness::Unknown => {
-                    pending.remaining += 1;
-                    deferred.push((reader, cycle));
-                }
-            }
-        }
-        if pending.remaining == 0 {
-            self.credit_preg(&pending);
-            return;
-        }
-        for (reader, cycle) in deferred {
-            if let Some(node) = self.nodes.get_mut(&reader) {
-                node.preg_waiters.push((key, cycle));
-            } else {
-                // Node vanished between state check and here: impossible in
-                // single-threaded use, but be safe and drop the dependency.
-                pending.remaining -= 1;
-            }
-        }
-        if pending.remaining == 0 {
-            self.credit_preg(&pending);
-        } else {
-            self.pregs.insert(key, pending);
-            self.next_preg += 1;
-        }
+            reads,
+        });
     }
 
-    /// Forces resolution of everything still unknown: unresolved stores are
-    /// live-out (their data is program output), remaining value producers
-    /// are dead (their results were never consumed).
+    /// Resolves every committed instruction's liveness in one backward
+    /// sweep, then credits live data residency and register lifetimes.
     pub fn finish(&mut self) {
-        let unresolved: Vec<u64> = self.nodes.keys().copied().collect();
-        let mut stores: Vec<u64> = unresolved
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.nodes
-                    .get(id)
-                    .map(|n| n.kind == AceKind::Store)
-                    .unwrap_or(false)
-            })
-            .collect();
-        stores.sort_unstable();
-        for id in stores {
-            self.mark_live(id);
-        }
-        let mut rest: Vec<u64> = self.nodes.keys().copied().collect();
-        rest.sort_unstable();
-        for id in rest {
-            if self.states[id as usize] == Liveness::Unknown {
-                self.mark_dead(id);
+        let committed = std::mem::take(&mut self.committed);
+        let pregs = std::mem::take(&mut self.pregs);
+        let credits = std::mem::take(&mut self.credits);
+        let reads = std::mem::take(&mut self.reads);
+        let mut live = vec![false; self.stats.committed as usize];
+        // Registers a live instruction reads before the next write.
+        let mut live_regs = 0u32;
+        // Whether a word's value is read before it is next overwritten; an
+        // absent word is never overwritten again, so it is live-out.
+        let mut word_read: HashMap<u64, bool> = HashMap::new();
+        let mut credits = credits.iter().rev();
+        for (i, c) in (0..live.len()).rev().zip(committed.iter().rev()) {
+            let dest = if c.dest == NO_DEST { 0 } else { 1 << c.dest };
+            let dest_live = live_regs & dest != 0;
+            live_regs &= !dest;
+            let words = c.first_word..c.first_word + u64::from(c.words);
+            live[i] = match c.kind {
+                AceKind::Branch | AceKind::Halt => true,
+                AceKind::Nop => false,
+                AceKind::Value => {
+                    // An absent word already reads as live.
+                    for w in words {
+                        if let Some(read) = word_read.get_mut(&w) {
+                            *read = true;
+                        }
+                    }
+                    dest_live
+                }
+                AceKind::Store => {
+                    let mut read = c.words == 0;
+                    for w in words {
+                        read |= word_read.insert(w, false).unwrap_or(true);
+                    }
+                    dest_live || read
+                }
+            };
+            if live[i] {
+                live_regs |= c.srcs;
+            }
+            for d in credits.by_ref().take(usize::from(c.credits)) {
+                if live[i] {
+                    self.credit(d.structure, d.cycles, d.bits);
+                }
             }
         }
-        // Any preg lifetime still pending had only dead readers left.
-        let keys: Vec<u64> = self.pregs.keys().copied().collect();
-        for key in keys {
-            if let Some(p) = self.pregs.remove(&key) {
-                self.credit_preg(&p);
+        let mut reads = reads.iter();
+        for p in pregs.iter() {
+            let latest_live_read = reads
+                .by_ref()
+                .take(p.reads as usize)
+                .filter(|&&(DynId(reader), _)| live[reader as usize])
+                .map(|&(_, cycle)| cycle)
+                .max();
+            if let Some(last) = latest_live_read.filter(|&last| last > p.write_cycle) {
+                self.credit(Structure::RegFile, last - p.write_cycle, p.bits);
             }
         }
+        self.stats.live = live.iter().filter(|&&l| l).count() as u64;
+        self.stats.dead = self.stats.committed - self.stats.live;
+        self.live = live;
     }
 
-    /// Liveness of a committed instruction.
+    /// Whether committed instruction `id` is ACE.
+    ///
+    /// # Panics
+    ///
+    /// Panics before [`DeadnessEngine::finish`], or if `id` was not
+    /// returned by [`DeadnessEngine::commit`].
     #[must_use]
-    pub fn liveness(&self, id: DynId) -> Liveness {
-        self.states
-            .get(id.0 as usize)
-            .copied()
-            .unwrap_or(Liveness::Unknown)
+    pub fn is_live(&self, id: DynId) -> bool {
+        self.live[id.0 as usize]
     }
 
-    /// Aggregate resolution counts.
+    /// Aggregate resolution counts; `live` and `dead` are set by
+    /// [`DeadnessEngine::finish`].
     #[must_use]
     pub fn stats(&self) -> DeadnessStats {
         self.stats
     }
 
-    /// The ACE bit-cycle accumulator (populated as instructions resolve).
+    /// ACE bit-cycles credited to `structure` (complete after
+    /// [`DeadnessEngine::finish`]).
     #[must_use]
-    pub fn accumulator(&self) -> &AceAccumulator {
-        &self.ace
+    pub fn bit_cycles(&self, structure: Structure) -> u128 {
+        self.bit_cycles[structure.index()]
     }
 
-    fn credit_preg(&mut self, pending: &PregPending) {
-        if let Some(last) = pending.latest_live_read {
-            if last > pending.write_cycle {
-                self.ace.add(
-                    Structure::RegFile,
-                    u128::from(last - pending.write_cycle) * u128::from(pending.bits),
-                );
-            }
-        }
-    }
-
-    fn kill_store_word(&mut self, store_id: u64) {
-        if self.states[store_id as usize] != Liveness::Unknown {
-            return;
-        }
-        let dead = match self.nodes.get_mut(&store_id) {
-            Some(node) => {
-                node.words_outstanding = node.words_outstanding.saturating_sub(1);
-                node.words_outstanding == 0
-            }
-            None => false,
-        };
-        if dead {
-            self.mark_dead(store_id);
-        }
-    }
-
-    fn close(&mut self, id: u64) {
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.closed = true;
-            if node.kind == AceKind::Value && node.unresolved_consumers == 0 {
-                self.mark_dead(id);
-            }
-        }
-    }
-
-    fn mark_live(&mut self, id: u64) {
-        debug_assert!(self.worklist.is_empty());
-        self.worklist.push(id);
-        while let Some(n) = self.worklist.pop() {
-            if self.states[n as usize] != Liveness::Unknown {
-                continue;
-            }
-            let Some(node) = self.nodes.remove(&n) else {
-                continue;
-            };
-            self.states[n as usize] = Liveness::Live;
-            self.stats.live += 1;
-            for c in &node.credits {
-                self.ace.add(c.structure, c.bit_cycles(c.bits));
-            }
-            for p in node.producers() {
-                if self.states[p as usize] == Liveness::Unknown {
-                    self.worklist.push(p);
-                }
-            }
-            self.notify_preg_waiters(&node.preg_waiters, true);
-        }
-    }
-
-    fn mark_dead(&mut self, id: u64) {
-        let mut dead_list = vec![id];
-        while let Some(n) = dead_list.pop() {
-            if self.states[n as usize] != Liveness::Unknown {
-                continue;
-            }
-            let Some(node) = self.nodes.remove(&n) else {
-                continue;
-            };
-            self.states[n as usize] = Liveness::Dead;
-            self.stats.dead += 1;
-            // Mukherjee's dead-instruction refinement applies to *data*
-            // fields only: a dynamically dead instruction's value is
-            // un-ACE (never consumed), but its control and tag fields
-            // stay ACE — a corrupted address redirects the write, a
-            // corrupted operand or destination tag misroutes a value, a
-            // corrupted opcode decodes to a different micro-op; each
-            // corrupts *unrelated live* state, which injection (and the
-            // micro-op replay oracle in particular) observes as SDC or a
-            // detected error regardless of the occupant's own deadness.
-            // Credit the control/tag residency even as the data-field
-            // residency is dropped: the ROB keeps its 12 control bits
-            // (entry minus the 64-bit result field), the IQ entry is all
-            // control, and both LSQ tag arrays stay whole. NOPs are the
-            // one exception — the model resolves them un-ACE outright
-            // (they route nothing, so there is no misroute to credit),
-            // and the injection engine masks every NOP-entry flip to
-            // match; the flipped-NOP-opcode gap both sides share is
-            // recorded in the ROADMAP.
-            if node.kind != AceKind::Nop {
-                for c in &node.credits {
-                    let control_bits = match c.structure {
-                        Structure::Rob => c.bits.saturating_sub(ROB_RESULT_FIELD_BITS),
-                        Structure::Iq | Structure::LqTag | Structure::SqTag => c.bits,
-                        _ => 0,
-                    };
-                    if control_bits > 0 {
-                        self.ace.add(c.structure, c.bit_cycles(control_bits));
-                    }
-                }
-            }
-            for p in node.producers() {
-                if self.states[p as usize] != Liveness::Unknown {
-                    continue;
-                }
-                if let Some(pn) = self.nodes.get_mut(&p) {
-                    pn.unresolved_consumers = pn.unresolved_consumers.saturating_sub(1);
-                    if pn.kind == AceKind::Value && pn.closed && pn.unresolved_consumers == 0 {
-                        dead_list.push(p);
-                    }
-                }
-            }
-            self.notify_preg_waiters(&node.preg_waiters, false);
-        }
-    }
-
-    fn notify_preg_waiters(&mut self, waiters: &[(u64, u64)], live: bool) {
-        for &(key, cycle) in waiters {
-            let done = match self.pregs.get_mut(&key) {
-                Some(p) => {
-                    p.remaining -= 1;
-                    if live {
-                        p.latest_live_read =
-                            Some(p.latest_live_read.map_or(cycle, |c| c.max(cycle)));
-                    }
-                    p.remaining == 0
-                }
-                None => false,
-            };
-            if done {
-                if let Some(p) = self.pregs.remove(&key) {
-                    self.credit_preg(&p);
-                }
-            }
-        }
+    fn credit(&mut self, structure: Structure, cycles: u64, bits: u32) {
+        self.bit_cycles[structure.index()] += u128::from(cycles) * u128::from(bits);
     }
 }
 
@@ -556,27 +381,48 @@ mod tests {
     }
 
     #[test]
+    fn per_instruction_records_stay_16_bytes() {
+        assert_eq!(std::mem::size_of::<Committed>(), 16);
+        assert_eq!(std::mem::size_of::<Credit>(), 16);
+        assert_eq!(std::mem::size_of::<Preg>(), 16);
+    }
+
+    #[test]
     fn branch_is_immediately_live() {
         let mut e = DeadnessEngine::new();
-        let id = e.commit(InstrRecord::of_kind(AceKind::Branch));
-        assert_eq!(e.liveness(id), Liveness::Live);
+        let mut br = InstrRecord::of_kind(AceKind::Branch);
+        br.residency.push(Slice {
+            structure: Structure::Rob,
+            start: 0,
+            end: 3,
+            bits: 76,
+        });
+        let id = e.commit(br);
+        // Every bit of a branch is credited at commit.
+        assert_eq!(e.bit_cycles(Structure::Rob), 3 * 76);
+        e.finish();
+        assert!(e.is_live(id));
     }
 
     #[test]
     fn nop_is_immediately_dead() {
         let mut e = DeadnessEngine::new();
         let id = e.commit(InstrRecord::of_kind(AceKind::Nop));
-        assert_eq!(e.liveness(id), Liveness::Dead);
+        e.finish();
+        assert!(!e.is_live(id));
     }
 
     #[test]
     fn overwritten_unread_value_is_dead() {
         let mut e = DeadnessEngine::new();
         let a = e.commit(value(Some(1), &[]));
-        assert_eq!(e.liveness(a), Liveness::Unknown);
         let b = e.commit(value(Some(1), &[])); // overwrites r1 without reading
-        assert_eq!(e.liveness(a), Liveness::Dead);
-        assert_eq!(e.liveness(b), Liveness::Unknown);
+        let mut br = InstrRecord::of_kind(AceKind::Branch);
+        br.srcs[0] = Some(1);
+        e.commit(br);
+        e.finish();
+        assert!(!e.is_live(a));
+        assert!(e.is_live(b));
     }
 
     #[test]
@@ -584,12 +430,13 @@ mod tests {
         let mut e = DeadnessEngine::new();
         let a = e.commit(value(Some(1), &[]));
         let s = e.commit(store(&[1], 0x100, 8));
-        assert_eq!(e.liveness(a), Liveness::Unknown);
         let l = e.commit(load(2, 0x100));
-        assert_eq!(e.liveness(s), Liveness::Live);
+        e.commit(store(&[], 0x100, 8)); // the load read s's words first
+        e.finish();
+        assert!(e.is_live(s));
         // The store being live makes its data producer live.
-        assert_eq!(e.liveness(a), Liveness::Live);
-        let _ = l;
+        assert!(e.is_live(a));
+        assert!(!e.is_live(l), "its value is never used");
     }
 
     #[test]
@@ -597,13 +444,13 @@ mod tests {
         let mut e = DeadnessEngine::new();
         let a = e.commit(value(Some(1), &[]));
         let s1 = e.commit(store(&[1], 0x100, 8));
-        let b = e.commit(value(Some(1), &[])); // closes a's register def
-        let s2 = e.commit(store(&[1], 0x100, 8)); // kills s1's words
-        assert_eq!(e.liveness(s1), Liveness::Dead);
-        // `a` fed only the dead store (its register def was closed by `b`).
-        assert_eq!(e.liveness(a), Liveness::Dead);
-        assert_eq!(e.liveness(s2), Liveness::Unknown);
-        let _ = b;
+        e.commit(value(Some(1), &[])); // ends a's register definition
+        let s2 = e.commit(store(&[1], 0x100, 8)); // overwrites s1's words
+        e.finish();
+        assert!(!e.is_live(s1));
+        // `a` fed only the dead store.
+        assert!(!e.is_live(a));
+        assert!(e.is_live(s2), "live-out");
     }
 
     #[test]
@@ -614,8 +461,22 @@ mod tests {
         let mut br = InstrRecord::of_kind(AceKind::Branch);
         br.srcs[0] = Some(2);
         e.commit(br);
-        assert_eq!(e.liveness(a), Liveness::Live);
-        assert_eq!(e.liveness(b), Liveness::Live);
+        e.finish();
+        assert!(e.is_live(a));
+        assert!(e.is_live(b));
+    }
+
+    #[test]
+    fn read_modify_write_keeps_the_previous_definition_live() {
+        let mut e = DeadnessEngine::new();
+        let a = e.commit(value(Some(1), &[]));
+        let b = e.commit(value(Some(1), &[1])); // r1 = f(r1)
+        let mut br = InstrRecord::of_kind(AceKind::Branch);
+        br.srcs[0] = Some(1);
+        e.commit(br);
+        e.finish();
+        assert!(e.is_live(a));
+        assert!(e.is_live(b));
     }
 
     #[test]
@@ -625,9 +486,9 @@ mod tests {
         let s = e.commit(store(&[1], 0x40, 8));
         let v = e.commit(value(Some(3), &[]));
         e.finish();
-        assert_eq!(e.liveness(s), Liveness::Live, "live-out store");
-        assert_eq!(e.liveness(a), Liveness::Live, "feeds live-out store");
-        assert_eq!(e.liveness(v), Liveness::Dead, "never consumed");
+        assert!(e.is_live(s), "live-out store");
+        assert!(e.is_live(a), "feeds live-out store");
+        assert!(!e.is_live(v), "never consumed");
     }
 
     #[test]
@@ -649,12 +510,12 @@ mod tests {
             bits: 76,
         });
         e.commit(dead_rec);
-        // Both values die (overwritten unread / unresolved at finish):
-        // their 64-bit result fields are un-ACE, but the 12 control bits
-        // of each entry stay ACE — a misdirected writeback corrupts
-        // unrelated live state no matter how dead the occupant is.
+        // Both values die (overwritten unread / never read): their 64-bit
+        // result fields are un-ACE, but the 12 control bits of each entry
+        // stay ACE — a misdirected writeback corrupts unrelated live state
+        // no matter how dead the occupant is.
         e.finish();
-        assert_eq!(e.accumulator().get(Structure::Rob), 2 * 10 * 12);
+        assert_eq!(e.bit_cycles(Structure::Rob), 2 * 10 * 12);
     }
 
     #[test]
@@ -674,9 +535,10 @@ mod tests {
             bits: 32,
         });
         e.commit(nop);
+        e.finish();
         // NOPs are un-ACE outright — no control-credit exception.
-        assert_eq!(e.accumulator().get(Structure::Rob), 0);
-        assert_eq!(e.accumulator().get(Structure::Iq), 0);
+        assert_eq!(e.bit_cycles(Structure::Rob), 0);
+        assert_eq!(e.bit_cycles(Structure::Iq), 0);
     }
 
     #[test]
@@ -697,9 +559,10 @@ mod tests {
         });
         e.commit(dead_rec);
         e.commit(value(Some(1), &[])); // overwrite -> dead
-                                       // IQ entries are all control; LQ data is pure data.
-        assert_eq!(e.accumulator().get(Structure::Iq), 4 * 32);
-        assert_eq!(e.accumulator().get(Structure::LqData), 0);
+        e.finish();
+        // IQ entries are all control; LQ data is pure data.
+        assert_eq!(e.bit_cycles(Structure::Iq), 4 * 32);
+        assert_eq!(e.bit_cycles(Structure::LqData), 0);
     }
 
     #[test]
@@ -707,10 +570,10 @@ mod tests {
         let mut e = DeadnessEngine::new();
         let mut rec = value(Some(1), &[]);
         rec.residency.push(Slice {
-            structure: Structure::Iq,
+            structure: Structure::Rob,
             start: 5,
             end: 9,
-            bits: 32,
+            bits: 76,
         });
         e.commit(rec);
         let mut br = InstrRecord::of_kind(AceKind::Branch);
@@ -722,15 +585,15 @@ mod tests {
             bits: 76,
         });
         e.commit(br);
-        assert_eq!(e.accumulator().get(Structure::Iq), 4 * 32);
-        assert_eq!(e.accumulator().get(Structure::Rob), 2 * 76);
+        e.finish();
+        assert_eq!(e.bit_cycles(Structure::Rob), 4 * 76 + 2 * 76);
     }
 
     #[test]
     fn preg_interval_uses_latest_live_read() {
         let mut e = DeadnessEngine::new();
-        let a = e.commit(value(Some(1), &[]));
-        // Two readers of r1: one becomes live (feeds branch), one dead.
+        e.commit(value(Some(1), &[]));
+        // Two readers of r1: one live (feeds a branch), one dead.
         let live_reader = e.commit(value(Some(2), &[1]));
         let dead_reader = e.commit(value(Some(3), &[1]));
         let mut br = InstrRecord::of_kind(AceKind::Branch);
@@ -741,10 +604,9 @@ mod tests {
             reads: vec![(live_reader, 110), (dead_reader, 150)],
             bits: 64,
         });
-        // dead_reader still unknown; close it by overwriting r3.
-        e.commit(value(Some(3), &[]));
-        assert_eq!(e.accumulator().get(Structure::RegFile), 10 * 64);
-        let _ = a;
+        e.commit(value(Some(3), &[])); // r3's first value is never read
+        e.finish();
+        assert_eq!(e.bit_cycles(Structure::RegFile), 10 * 64);
     }
 
     #[test]
@@ -755,11 +617,11 @@ mod tests {
         e.commit(value(Some(2), &[])); // kill the reader
         e.preg_freed(PregRecord {
             write_cycle: 0,
-            reads: vec![(r, 50)],
+            reads: vec![(r, 50), (DynId(99), 60)], // 99 never committed
             bits: 64,
         });
         e.finish();
-        assert_eq!(e.accumulator().get(Structure::RegFile), 0);
+        assert_eq!(e.bit_cycles(Structure::RegFile), 0);
     }
 
     #[test]
@@ -778,11 +640,18 @@ mod tests {
 
     #[test]
     fn partial_store_overwrite_keeps_store_alive_until_all_words_killed() {
+        // Words 0x40 and 0x41, then 0x40 only: one word of `s` survives.
         let mut e = DeadnessEngine::new();
-        let s = e.commit(store(&[], 0x100, 8)); // words 0x40, 0x41
-        e.commit(store(&[], 0x100, 4)); // kills word 0x40 only
-        assert_eq!(e.liveness(s), Liveness::Unknown);
-        e.commit(store(&[], 0x104, 4)); // kills word 0x41
-        assert_eq!(e.liveness(s), Liveness::Dead);
+        let s = e.commit(store(&[], 0x100, 8));
+        e.commit(store(&[], 0x100, 4));
+        e.finish();
+        assert!(e.is_live(s));
+        // Then 0x41 too: both words are overwritten unread.
+        let mut e = DeadnessEngine::new();
+        let s = e.commit(store(&[], 0x100, 8));
+        e.commit(store(&[], 0x100, 4));
+        e.commit(store(&[], 0x104, 4));
+        e.finish();
+        assert!(!e.is_live(s));
     }
 }

@@ -16,12 +16,12 @@
 //! to obtain SER ("AVF + Sum of Failure Rates"):
 //!
 //! * [`DeadnessEngine`] resolves *dynamically dead* instructions (Butts &
-//!   Sohi) over the commit stream, deferring AVF credit until each
-//!   instruction's ACE-ness is known;
+//!   Sohi): it keeps a 16-byte record per committed instruction (kind,
+//!   source registers, destination, memory words) plus the data-field
+//!   residency and register lifetimes still to credit, and decides every
+//!   instruction's ACE-ness in one backward sweep at the end of the run;
 //! * [`CacheLifetime`] / [`TlbLifetime`] perform Biswas-style lifetime
 //!   analysis on address-based structures (Fill⇒Read, Write⇒Evict, ...);
-//! * [`CamAnalysis`] optionally refines the DTLB CAM with Hamming-distance-1
-//!   exposure;
 //! * [`FaultRates`] holds the paper's Figure 8(a) fault-rate tables;
 //! * [`AvfAnalyzer`] is the facade a simulator drives, producing an
 //!   [`AvfReport`] whose [`SerReport`] reproduces the paper's normalized
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod analyzer;
-mod cam;
 mod deadness;
 mod faultrates;
 mod fitness;
@@ -61,9 +60,8 @@ mod record;
 mod report;
 mod structures;
 
-pub use analyzer::{AceConfig, AvfAnalyzer};
-pub use cam::CamAnalysis;
-pub use deadness::{AceAccumulator, DeadnessEngine, DeadnessStats, Liveness};
+pub use analyzer::AvfAnalyzer;
+pub use deadness::{DeadnessEngine, DeadnessStats};
 pub use faultrates::FaultRates;
 pub use fitness::{Fitness, FitnessScope};
 pub use lifetime::{CacheLifetime, TlbLifetime};

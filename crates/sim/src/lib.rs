@@ -68,7 +68,6 @@ pub use inject::{
 pub use pipeline::SimResult;
 pub use stats::SimStats;
 
-use avf_ace::AceConfig;
 use avf_isa::Program;
 
 /// Simulates `program` on `config` until `max_instructions` commit (or the
@@ -78,17 +77,5 @@ use avf_isa::Program;
 /// the workload studies.
 #[must_use]
 pub fn simulate(config: &MachineConfig, program: &Program, max_instructions: u64) -> SimResult {
-    simulate_with(config, program, max_instructions, AceConfig::default())
-}
-
-/// [`simulate`] with explicit [`AceConfig`] (e.g. to enable the DTLB CAM
-/// Hamming-distance refinement).
-#[must_use]
-pub fn simulate_with(
-    config: &MachineConfig,
-    program: &Program,
-    max_instructions: u64,
-    ace: AceConfig,
-) -> SimResult {
-    pipeline::Pipeline::new(config, program, ace).run(max_instructions)
+    pipeline::Pipeline::new(config, program).run(max_instructions)
 }

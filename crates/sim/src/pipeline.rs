@@ -11,9 +11,7 @@
 
 use std::collections::VecDeque;
 
-use avf_ace::{
-    AceConfig, AceKind, AvfAnalyzer, InstrRecord, MemRef, Slice, Structure, StructureSizes,
-};
+use avf_ace::{AceKind, AvfAnalyzer, InstrRecord, MemRef, Slice, Structure, StructureSizes};
 use avf_isa::{text_addr, ExecState, Memory, OpClass, Opcode, Program};
 
 use crate::bpred::BranchPredictor;
@@ -120,14 +118,10 @@ pub(crate) struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    pub(crate) fn new(
-        cfg: &'a MachineConfig,
-        program: &'a Program,
-        ace_config: AceConfig,
-    ) -> Pipeline<'a> {
+    pub(crate) fn new(cfg: &'a MachineConfig, program: &'a Program) -> Pipeline<'a> {
         let mut oracle_mem = Memory::new();
         let oracle = ExecState::new(program, &mut oracle_mem);
-        Pipeline::new_inner(cfg, program, Some(ace_config), oracle, oracle_mem)
+        Pipeline::new_inner(cfg, program, true, oracle, oracle_mem)
     }
 
     /// Builds a pipeline for fault-injection runs: no ACE analyzer, a
@@ -140,7 +134,7 @@ impl<'a> Pipeline<'a> {
     ) -> Pipeline<'a> {
         let mut oracle_mem = Memory::new();
         let oracle = ExecState::new(program, &mut oracle_mem);
-        let mut p = Pipeline::new_inner(cfg, program, None, oracle, oracle_mem);
+        let mut p = Pipeline::new_inner(cfg, program, false, oracle, oracle_mem);
         p.fault_mode = true;
         p.fetch_budget = fetch_budget;
         p
@@ -158,7 +152,7 @@ impl<'a> Pipeline<'a> {
         let mut p = Pipeline::new_inner(
             cfg,
             program,
-            None,
+            false,
             snap.oracle.clone(),
             snap.oracle_mem.clone(),
         );
@@ -171,13 +165,12 @@ impl<'a> Pipeline<'a> {
     fn new_inner(
         cfg: &'a MachineConfig,
         program: &'a Program,
-        ace_config: Option<AceConfig>,
+        analyze: bool,
         oracle: ExecState,
         oracle_mem: Memory,
     ) -> Pipeline<'a> {
         let sizes = cfg.structure_sizes();
-        let analyzer =
-            ace_config.map(|ace| AvfAnalyzer::with_config(program.name(), sizes.clone(), ace));
+        let analyzer = analyze.then(|| AvfAnalyzer::new(program.name(), sizes.clone()));
         Pipeline {
             cfg,
             program,
@@ -862,7 +855,7 @@ impl<'a> Pipeline<'a> {
             lat += self.cfg.dtlb_miss_penalty;
             if let Some(az) = self.analyzer.as_mut() {
                 if let Some(vpn) = t.evicted {
-                    az.dtlb_evict(vpn, cycle + u64::from(lat));
+                    az.dtlb_evict(vpn);
                 }
                 let vpn = self.dtlb.vpn(ea);
                 az.dtlb_fill(vpn, cycle + u64::from(lat));
