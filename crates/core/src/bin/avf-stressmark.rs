@@ -631,7 +631,9 @@ commands:
             local thread pool [default, 0 = all cores], --workers
             host:port,... fans each generation out to `serve` processes
             — workers code-generate and simulate candidates from their
-            genomes, memoize scores in a genome-keyed cache, and a
+            genomes and memoize scores per (context, program), so
+            elites and genomes that build an already-scored program
+            are not re-simulated (the local pool does the same); a
             worker's unacknowledged individuals re-dispatch to
             survivors if it dies mid-generation; --broker host:port
             [--tenant NAME] routes generations through the campaign

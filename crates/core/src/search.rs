@@ -5,17 +5,17 @@
 //! [`SearchBackend`] selects who implements it: an in-process memoizing
 //! thread pool, a fleet of `serve` workers spoken to directly, or the
 //! campaign broker. Scores are deterministic functions of
-//! (machine, fitness, budget, genome), so at a fixed seed the GA
-//! history — per-generation best fitness, final genome, and evaluation
-//! count — is bit-identical across all three venues, including runs
-//! where a worker dies mid-generation and its unacknowledged
-//! individuals are re-dispatched.
+//! (machine, fitness, budget, genome), through the program the genome
+//! generates, so at a fixed seed the GA history — per-generation best
+//! fitness, final genome, and evaluation count — is bit-identical
+//! across all three venues, including runs where a worker dies
+//! mid-generation and its unacknowledged individuals are re-dispatched.
 
 use avf_ace::Fitness;
 use avf_broker::BrokeredEvaluator;
 use avf_codegen::{generate, Knobs, Stressmark, GENOME_LEN};
 use avf_ga::{optimize, EvalError, GaParams, GaResult, LocalEvaluator};
-use avf_service::{evaluate_genome, AuthKey, EvalContext, RemoteEvaluator};
+use avf_service::{AuthKey, EvalContext, RemoteEvaluator, ScoreCache, Scorer};
 use avf_sim::{simulate, MachineConfig, SimResult};
 
 pub use avf_service::target_params;
@@ -24,7 +24,8 @@ pub use avf_service::target_params;
 #[derive(Debug, Clone)]
 pub enum SearchBackend {
     /// In-process evaluation on a persistent memoizing thread pool
-    /// ([`LocalEvaluator`]).
+    /// ([`LocalEvaluator`]), scoring each distinct program once through
+    /// a [`ScoreCache`] as a `serve` worker does.
     Local {
         /// Worker threads (0 = all available cores).
         threads: usize,
@@ -134,9 +135,9 @@ pub struct SearchOutcome {
 pub fn generate_stressmark(config: &SearchConfig) -> Result<SearchOutcome, EvalError> {
     let ga = match &config.backend {
         SearchBackend::Local { threads } => {
-            let ctx = config.eval_context();
+            let scorer = Scorer::new(config.eval_context(), ScoreCache::shared());
             let mut evaluator =
-                LocalEvaluator::new(*threads, move |genes: &[f64]| evaluate_genome(&ctx, genes));
+                LocalEvaluator::new(*threads, move |genes: &[f64]| scorer.score(genes));
             optimize(GENOME_LEN, &config.ga, &mut evaluator)?
         }
         SearchBackend::Workers { addrs, auth } => {

@@ -1,4 +1,4 @@
-//! Bounded worker-side caches: one LRU, two uses.
+//! Bounded worker-side caches: golden passes and fitness scores.
 //!
 //! Re-running the golden pass for every campaign is the biggest fixed
 //! cost of a worker: the pass is a pure function of `(machine, program,
@@ -6,22 +6,30 @@
 //! re-runs the same four programs per invocation. The service therefore
 //! keys every job by a 64-bit content hash of those parameters
 //! ([`avf_isa::wire::content_hash64`]), and a worker that finds the job
-//! in its [`StoreCache`] skips the golden pass entirely. Its
-//! [`EvalCache`] does the same for GA fitness:
-//! elite genomes re-scored across generations (and across searches
-//! sharing a worker) hit there instead of paying a simulation.
+//! in its [`StoreCache`] skips the golden pass entirely.
 //!
-//! Both are the one [`Lru`]: bounded by entry count and by total
-//! charged bytes, evicting least-recently-used entries first, so a
-//! long-lived `serve` process cannot grow without limit no matter how
-//! many distinct jobs pass through it. One cache is shared by every
-//! connection of a server (`Arc` + mutex — store entries hold `Arc`s,
-//! so a hit never copies snapshots under the lock).
+//! The [`ScoreCache`] does the same for GA fitness. A score depends on
+//! the evaluation context and on the generated program, not on the
+//! genome that produced it: `Knobs::from_genome` clamps and rounds, and
+//! the generator maps many knob sets to one program. So scores are
+//! memoized per (context fingerprint, program contents), and both an
+//! elite re-scored in a later generation and a new genome that builds
+//! an already-scored program hit there instead of paying a
+//! simulation. The local search and `serve`'s evaluation sessions use
+//! the same cache type and key.
+//!
+//! Both caches are bounded by entry count and by total charged bytes,
+//! evicting least-recently-used entries first, so a long-lived `serve`
+//! process cannot grow without limit no matter how many distinct jobs
+//! pass through it. One cache is shared by every connection of a
+//! server (`Arc` + mutex — store entries hold `Arc`s, so a hit never
+//! copies snapshots under the lock).
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use avf_isa::{Inst, Program};
 use avf_sim::{DecodedCheckpoints, GoldenRun, PruneEvidence};
 
 /// Default entry bound of a server's store cache.
@@ -31,9 +39,14 @@ pub const DEFAULT_CACHE_ENTRIES: usize = 16;
 /// ([`CacheEntry::footprint`]).
 pub const DEFAULT_CACHE_BYTES: usize = 512 << 20;
 
-/// Default entry bound of a worker's genome score cache (no byte
-/// bound: a score is a handful of bytes).
-pub const DEFAULT_EVAL_CACHE_ENTRIES: usize = 4096;
+/// Default entry bound of a [`ScoreCache`].
+pub const DEFAULT_SCORE_CACHE_ENTRIES: usize = 4096;
+
+/// Default byte bound of a [`ScoreCache`]: every entry's key plus each
+/// distinct data segment once. A search over one machine holds two
+/// segments (one per chase template), and a full entry bound of keys
+/// is at most ~8 MiB.
+pub const DEFAULT_SCORE_CACHE_BYTES: usize = 64 << 20;
 
 /// One cached job setup: the golden run and its in-memory checkpoints,
 /// so a cache hit skips the golden pass.
@@ -107,9 +120,6 @@ pub struct Lru<K, V> {
 
 /// The checkpoint-store cache: `job content hash → golden pass`.
 pub type StoreCache = Lru<u64, CacheEntry>;
-
-/// The genome score cache: `(context fingerprint, genome bits) → score`.
-pub type EvalCache = Lru<(u64, Vec<u64>), f64>;
 
 impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     /// A cache bounded by `max_entries` entries (clamped to at least
@@ -214,25 +224,241 @@ impl StoreCache {
     }
 }
 
-impl EvalCache {
-    /// A score cache bounded to `max_entries` scores, with no byte
-    /// bound (entries are charged their key's genome bytes, for
-    /// observability only).
-    #[must_use]
-    pub fn with_capacity(max_entries: usize) -> EvalCache {
-        Lru::with_bounds(max_entries, usize::MAX, |(_, bits), _| 8 * bits.len() + 16)
+/// Bytes an entry is charged beyond its instructions: the rest of its
+/// key, its score cell and its recency stamp.
+const SCORE_ENTRY_OVERHEAD: usize = 64;
+
+/// The fitness score cache: `(context fingerprint, program) → score`.
+///
+/// The key is everything a score depends on: the
+/// [`EvalContext`](crate::EvalContext) fingerprint and the program's
+/// exact contents — instructions, entry point, data-segment base and
+/// data bytes. The program name is left out, because simulation never
+/// reads it. Every key byte is compared, so no match rests on a hash
+/// alone.
+///
+/// The data segment is the large part: the L2-miss chase template
+/// carries ~2 MiB of data behind at most ~2 KB of instructions.
+/// It depends only on the footprint and the machine, so the cache
+/// interns each distinct segment once, charges it once against the
+/// byte bound, and keys entries on the interned segment's id. A lookup
+/// hashes only the instructions and a few scalars; it finds the
+/// program's segment by comparing
+/// its bytes (one `memcmp`) against the interned segments of the same
+/// length, and never hashes or copies it. A segment is copied in only
+/// when no entry holds an equal one, and dropped with its last entry.
+/// An entry is charged its instructions (16 bytes each) plus 64 bytes
+/// for the rest of its key, its score cell and its recency stamp.
+pub struct ScoreCache {
+    inner: Mutex<ScoreInner>,
+    max_entries: usize,
+    max_bytes: usize,
+}
+
+/// One interned data segment.
+struct Segment {
+    id: u64,
+    bytes: Box<[u8]>,
+    /// Entries keyed on this segment.
+    refs: usize,
+}
+
+/// A [`ScoreCache`] entry.
+struct ScoreEntry {
+    cell: Arc<OnceLock<f64>>,
+    /// Recency stamp.
+    stamp: u64,
+    /// Length of the entry's data segment (the segment's bucket).
+    data_len: usize,
+}
+
+/// Everything a score depends on, with the data segment replaced by the
+/// id of its interned copy.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct ScoreKey {
+    /// [`EvalContext::fingerprint`](crate::EvalContext::fingerprint).
+    context: u64,
+    entry: u32,
+    data_base: u64,
+    insts: Vec<Inst>,
+    segment: u64,
+}
+
+impl ScoreKey {
+    fn charge(&self) -> usize {
+        std::mem::size_of_val(self.insts.as_slice()) + SCORE_ENTRY_OVERHEAD
+    }
+}
+
+struct ScoreInner {
+    map: HashMap<ScoreKey, ScoreEntry>,
+    /// Interned data segments, bucketed by length.
+    segments: HashMap<usize, Vec<Segment>>,
+    next_segment: u64,
+    /// Monotonic use counter backing the LRU order.
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl ScoreInner {
+    /// The id of the interned segment equal to `data`, interning a copy
+    /// if there is none.
+    fn segment_id(&mut self, data: &[u8]) -> u64 {
+        let bucket = self.segments.entry(data.len()).or_default();
+        if let Some(seg) = bucket.iter().find(|seg| *seg.bytes == *data) {
+            return seg.id;
+        }
+        let id = self.next_segment;
+        self.next_segment += 1;
+        bucket.push(Segment {
+            id,
+            bytes: data.into(),
+            refs: 0,
+        });
+        self.stats.bytes += data.len();
+        id
     }
 
-    /// A shareable score cache at the default capacity.
+    /// Changes the entry count of segment `id` (of length `len`) by
+    /// `delta`, dropping the segment when no entry holds it.
+    fn add_refs(&mut self, len: usize, id: u64, delta: isize) {
+        let bucket = self.segments.get_mut(&len).expect("segment bucket");
+        let at = bucket
+            .iter()
+            .position(|seg| seg.id == id)
+            .expect("interned segment");
+        bucket[at].refs = bucket[at]
+            .refs
+            .checked_add_signed(delta)
+            .expect("segment refs");
+        if bucket[at].refs == 0 {
+            bucket.swap_remove(at);
+            self.stats.bytes -= len;
+            if bucket.is_empty() {
+                self.segments.remove(&len);
+            }
+        }
+    }
+}
+
+/// A lookup's handle on one [`ScoreCache`] entry.
+///
+/// The entry is created on a miss, before its score exists, so every
+/// lookup of the same program — in the same batch, on another thread,
+/// or in another session — shares one cell and the program is
+/// simulated once: the first [`ScoreSlot::score`] call computes it and
+/// concurrent callers wait for that result.
+pub struct ScoreSlot {
+    cell: Arc<OnceLock<f64>>,
+    hit: bool,
+}
+
+impl ScoreSlot {
+    /// Whether the lookup found the program already in the cache
+    /// (scored, or being scored by an earlier lookup).
     #[must_use]
-    pub fn shared() -> Arc<EvalCache> {
-        Arc::new(EvalCache::with_capacity(DEFAULT_EVAL_CACHE_ENTRIES))
+    pub fn hit(&self) -> bool {
+        self.hit
     }
 
-    /// Looks a score up under `(context fingerprint, genome bits)`.
+    /// The score, computed by `simulate` unless an earlier call for
+    /// this entry already computed it.
+    pub fn score(&self, simulate: impl FnOnce() -> f64) -> f64 {
+        *self.cell.get_or_init(simulate)
+    }
+}
+
+impl ScoreCache {
+    /// A score cache bounded by `max_entries` entries (clamped to at
+    /// least one) and `max_bytes` of keys plus interned segments.
+    /// An entry larger than the byte bound is still admitted alone.
     #[must_use]
-    pub fn lookup(&self, ctx: u64, bits: &[u64]) -> Option<f64> {
-        self.get_if(&(ctx, bits.to_vec()), |_| true)
+    pub fn new(max_entries: usize, max_bytes: usize) -> ScoreCache {
+        ScoreCache {
+            inner: Mutex::new(ScoreInner {
+                map: HashMap::new(),
+                segments: HashMap::new(),
+                next_segment: 0,
+                clock: 0,
+                stats: CacheStats::default(),
+            }),
+            max_entries: max_entries.max(1),
+            max_bytes,
+        }
+    }
+
+    /// A default-bounded score cache behind the `Arc` a server clones
+    /// per connection.
+    #[must_use]
+    pub fn shared() -> Arc<ScoreCache> {
+        Arc::new(ScoreCache::new(
+            DEFAULT_SCORE_CACHE_ENTRIES,
+            DEFAULT_SCORE_CACHE_BYTES,
+        ))
+    }
+
+    /// Looks `program` up under `context` (an
+    /// [`EvalContext::fingerprint`](crate::EvalContext::fingerprint)),
+    /// refreshing its recency, and counts a hit or a miss. A miss
+    /// inserts an empty entry, evicting least-recently-used entries
+    /// until both bounds hold.
+    #[must_use]
+    pub fn slot(&self, context: u64, program: &Program) -> ScoreSlot {
+        let data = &program.data().bytes;
+        let mut guard = self.inner.lock().expect("score cache lock");
+        let inner = &mut *guard;
+        inner.clock += 1;
+        let clock = inner.clock;
+        let key = ScoreKey {
+            context,
+            entry: program.entry(),
+            data_base: program.data().base,
+            insts: program.insts().to_vec(),
+            segment: inner.segment_id(data),
+        };
+        if let Some(entry) = inner.map.get_mut(&key) {
+            entry.stamp = clock;
+            inner.stats.hits += 1;
+            return ScoreSlot {
+                cell: Arc::clone(&entry.cell),
+                hit: true,
+            };
+        }
+        inner.stats.misses += 1;
+        inner.stats.bytes += key.charge();
+        inner.add_refs(data.len(), key.segment, 1);
+        let cell = Arc::new(OnceLock::new());
+        let entry = ScoreEntry {
+            cell: Arc::clone(&cell),
+            stamp: clock,
+            data_len: data.len(),
+        };
+        inner.map.insert(key, entry);
+        while inner.map.len() > self.max_entries
+            || (inner.stats.bytes > self.max_bytes && inner.map.len() > 1)
+        {
+            let lru = inner
+                .map
+                .iter()
+                .min_by_key(|(_, entry)| entry.stamp)
+                .map(|(k, _)| k.clone())
+                .expect("non-empty map");
+            let evicted = inner.map.remove(&lru).expect("lru key present");
+            inner.stats.bytes -= lru.charge();
+            inner.stats.evictions += 1;
+            inner.add_refs(evicted.data_len, lru.segment, -1);
+        }
+        ScoreSlot { cell, hit: false }
+    }
+
+    /// Current counters. `bytes` counts keys and interned segments.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        let inner = self.inner.lock().expect("score cache lock");
+        CacheStats {
+            entries: inner.map.len(),
+            ..inner.stats
+        }
     }
 }
 
@@ -344,24 +570,62 @@ mod tests {
         );
     }
 
+    fn program(name: &str, data: u8) -> Program {
+        let mut segment = avf_isa::DataSegment::zeroed(64);
+        segment.bytes[0] = data;
+        Program::new(name, vec![avf_isa::Inst::halt()], segment, 0).expect("valid program")
+    }
+
     #[test]
     fn eval_cache_hits_and_evicts() {
-        let cache = EvalCache::with_capacity(2);
-        let bits_a = avf_ga::genome_bits(&[0.1]);
-        let bits_b = avf_ga::genome_bits(&[0.2]);
-        let bits_c = avf_ga::genome_bits(&[0.3]);
-        assert_eq!(cache.lookup(1, &bits_a), None);
-        cache.insert((1, bits_a.clone()), 10.0);
-        assert_eq!(cache.lookup(1, &bits_a), Some(10.0));
-        assert_eq!(cache.lookup(2, &bits_a), None, "context keys are distinct");
-        cache.insert((1, bits_b.clone()), 20.0);
+        let cache = ScoreCache::new(2, usize::MAX);
+        let (a, b, c) = (program("a", 1), program("b", 2), program("c", 3));
+        let slot = cache.slot(1, &a);
+        assert!(!slot.hit());
+        assert_eq!(slot.score(|| 10.0), 10.0);
+        let again = cache.slot(1, &a);
+        assert!(again.hit());
+        assert_eq!(again.score(|| unreachable!("scored once")), 10.0);
+        assert_eq!(cache.slot(1, &b).score(|| 20.0), 20.0);
         // Touch A so B is the LRU victim when C arrives.
-        assert_eq!(cache.lookup(1, &bits_a), Some(10.0));
-        cache.insert((1, bits_c.clone()), 30.0);
-        assert_eq!(cache.lookup(1, &bits_b), None, "LRU entry evicted");
-        assert_eq!(cache.lookup(1, &bits_c), Some(30.0));
+        assert!(cache.slot(1, &a).hit());
+        assert_eq!(cache.slot(1, &c).score(|| 30.0), 30.0);
+        assert!(!cache.slot(1, &b).hit(), "LRU entry evicted");
+        assert!(!cache.slot(2, &c).hit(), "context keys are distinct");
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
+        assert_eq!((stats.hits, stats.misses), (2, 5));
         assert_eq!(stats.entries, 2);
+        assert_eq!(stats.evictions, 3);
+    }
+
+    #[test]
+    fn each_distinct_segment_is_charged_once_and_dropped_with_its_last_entry() {
+        let cache = ScoreCache::new(2, usize::MAX);
+        let shared = program("x", 7);
+        // Same data behind different instructions: a second key, not a
+        // second segment.
+        let longer = Program::new(
+            "y",
+            vec![avf_isa::Inst::halt(), avf_isa::Inst::halt()],
+            shared.data().clone(),
+            0,
+        )
+        .expect("valid program");
+        let _ = cache.slot(1, &shared);
+        let _ = cache.slot(1, &longer);
+        let charge = |p: &Program| std::mem::size_of_val(p.insts()) + SCORE_ENTRY_OVERHEAD;
+        assert_eq!(
+            cache.stats().bytes,
+            shared.data().len() + charge(&shared) + charge(&longer)
+        );
+        // Two entries on other data evict both: the shared segment goes
+        // with the last entry that held it.
+        let (d, e) = (program("d", 8), program("e", 9));
+        let _ = cache.slot(1, &d);
+        let _ = cache.slot(1, &e);
+        assert_eq!(
+            cache.stats().bytes,
+            d.data().len() + e.data().len() + charge(&d) + charge(&e)
+        );
     }
 }

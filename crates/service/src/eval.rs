@@ -15,21 +15,28 @@
 //! The batch ships **knobs, not programs**: each individual is a genome,
 //! and the worker materializes the candidate itself (`Knobs::from_genome`
 //! → `generate` → `simulate` → `Fitness::score`). That keeps a generation
-//! frame a few kilobytes regardless of candidate size, and it lets the
-//! worker memoize by genome: elite individuals re-scored across
-//! generations are [`crate::EvalCache`] hits, not simulations, counted
-//! by `avf_eval_cache_hits` on `serve --metrics`. The misses of a batch
-//! are scored through [`avf_ga::par_map`] on the worker's threads.
+//! frame a few kilobytes regardless of candidate size. The worker builds
+//! each individual's program once and looks it up in its
+//! [`ScoreCache`], keyed per (context, program): an elite re-scored in a
+//! later generation and a new genome that builds an already-scored
+//! program both hit there instead of simulating, counted by
+//! `avf_eval_cache_hits` on `serve --metrics`. A batch is scored through
+//! [`avf_ga::par_map`] on the worker's threads; a miss inserts its
+//! entry before simulating, so a later individual of the batch that
+//! builds the same program hits it and waits for that one simulation.
 //!
 //! Driver-side, a generation goes through the same [`Fleet`] dispatcher
 //! as campaign trials, sharded with genome-keyed affinity
 //! ([`crate::fleet::Genomes`]) so a re-scored elite lands on the worker
-//! whose cache holds it. Individuals unacknowledged when a worker dies
-//! are re-sent to survivors, and the search result is bit-identical to
-//! a fault-free run because every score is a deterministic function of
-//! (context, genome). [`RemoteEvaluator`] adapts any [`Venue`] —
-//! a fleet, or a broker session — to the GA's [`FitnessEvaluator`]
-//! trait and counts *distinct* genomes evaluated — the same number
+//! whose cache holds it. Routing is by genome, not by program (that
+//! would need code generation on the driver), so a program reached by
+//! genomes routed to two workers is simulated once on each. Individuals
+//! unacknowledged when a worker dies are re-sent to survivors, and the
+//! search result is bit-identical to a fault-free run because every
+//! score is a deterministic function of (context, genome).
+//! [`RemoteEvaluator`] adapts any [`Venue`] — a fleet, or a broker
+//! session — to the GA's [`FitnessEvaluator`] trait and counts
+//! *distinct* genomes evaluated — the same number
 //! [`avf_ga::LocalEvaluator`] reports — so `GaResult::evaluations`
 //! agrees across local, remote, and brokered venues regardless of
 //! worker deaths or cache evictions.
@@ -37,16 +44,18 @@
 use std::collections::HashSet;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use avf_ace::{FaultRates, Fitness, FitnessScope, Structure};
-use avf_codegen::{generate, Knobs, TargetParams};
+use avf_codegen::{generate, Knobs, TargetParams, GENOME_LEN};
 use avf_ga::{genome_bits, par_map, EvalError, FitnessEvaluator};
 use avf_inject::{redispatched_trials, BackendError};
 use avf_isa::wire::{content_hash64, kind, WireError, WireReader, WireWriter};
+use avf_isa::Program;
 use avf_sim::{simulate, MachineConfig};
 
 use crate::auth::{read_frame_verified, AuthKey, AuthVerifier};
+use crate::cache::ScoreCache;
 use crate::fleet::{Fleet, Genomes, Venue};
 use crate::frame::FrameBatcher;
 use crate::protocol::{ServerMessage, HASH_DOMAIN_EVAL};
@@ -223,8 +232,10 @@ impl EvalBatch {
         for _ in 0..count {
             let index = r.u64()?;
             let genes_len = r.seq_len(8)?;
-            if genes_len == 0 {
-                return Err(WireError::Invalid("an individual needs at least one gene"));
+            if genes_len != GENOME_LEN {
+                return Err(WireError::Invalid(
+                    "an individual needs exactly GENOME_LEN genes",
+                ));
             }
             let mut genes = Vec::with_capacity(genes_len);
             for _ in 0..genes_len {
@@ -248,7 +259,10 @@ pub struct EvalScore {
     pub index: u64,
     /// Fitness score, bit-exact as computed.
     pub score: f64,
-    /// Whether the worker answered from its genome cache.
+    /// Whether the worker answered without simulating: the individual's
+    /// program was already in its [`ScoreCache`] under this context
+    /// (an elite, a genome that builds an already-scored program, or a
+    /// duplicate of an earlier individual of the same batch).
     pub cached: bool,
 }
 
@@ -313,6 +327,26 @@ impl EvalReply {
     }
 }
 
+/// The candidate program a genome encodes for `ctx`'s machine
+/// (`Knobs::from_genome` → `generate`).
+///
+/// # Panics
+///
+/// Panics if `genes.len() != GENOME_LEN` (the wire decoder refuses such
+/// individuals).
+#[must_use]
+pub fn candidate_program(ctx: &EvalContext, genes: &[f64]) -> Program {
+    let params = target_params(&ctx.machine);
+    generate(&Knobs::from_genome(genes, &params), &params).program
+}
+
+/// Scores a built candidate against a context: simulate it at the
+/// context's budget and apply the fitness.
+fn score_program(ctx: &EvalContext, program: &Program) -> f64 {
+    let result = simulate(&ctx.machine, program, ctx.instr_budget);
+    ctx.fitness.score(&result.report)
+}
+
 /// Scores one genome against a context: materialize the candidate from
 /// its knobs, simulate it, and apply the fitness. Deterministic — every
 /// venue that scores the same (context, genome) pair produces the same
@@ -320,11 +354,55 @@ impl EvalReply {
 /// in the search result.
 #[must_use]
 pub fn evaluate_genome(ctx: &EvalContext, genes: &[f64]) -> f64 {
-    let params = target_params(&ctx.machine);
-    let knobs = Knobs::from_genome(genes, &params);
-    let candidate = generate(&knobs, &params);
-    let result = simulate(&ctx.machine, &candidate.program, ctx.instr_budget);
-    ctx.fitness.score(&result.report)
+    score_program(ctx, &candidate_program(ctx, genes))
+}
+
+/// Scores genomes against one context through a [`ScoreCache`]: each
+/// genome's program is built once and simulated only if no equal
+/// program has been scored under this context. Scores are the bits
+/// [`evaluate_genome`] returns.
+pub struct Scorer {
+    context: EvalContext,
+    fingerprint: u64,
+    cache: Arc<ScoreCache>,
+}
+
+impl Scorer {
+    /// Binds `cache` to `context`.
+    #[must_use]
+    pub fn new(context: EvalContext, cache: Arc<ScoreCache>) -> Scorer {
+        Scorer {
+            fingerprint: context.fingerprint(),
+            context,
+            cache,
+        }
+    }
+
+    /// Scores one genome, simulating on a miss. Concurrent calls for
+    /// one program simulate it once.
+    #[must_use]
+    pub fn score(&self, genes: &[f64]) -> f64 {
+        self.score_cached(genes).0
+    }
+
+    /// Scores a batch on `threads` threads: one `(score, cached)` pair
+    /// per genome, in input order. Each distinct program missing from
+    /// the cache is simulated once; a later individual of the batch
+    /// that builds it is a hit and waits for that score.
+    #[must_use]
+    pub fn score_batch(&self, threads: usize, genomes: &[&[f64]]) -> Vec<(f64, bool)> {
+        par_map(threads, genomes, |genes| self.score_cached(genes))
+    }
+
+    /// Builds `genes`' program, looks it up and scores it on a miss. The
+    /// program is dropped on return, so a thread holds one candidate at
+    /// a time (an L2-miss candidate carries ~2 MiB of data).
+    fn score_cached(&self, genes: &[f64]) -> (f64, bool) {
+        let program = candidate_program(&self.context, genes);
+        let slot = self.cache.slot(self.fingerprint, &program);
+        let score = slot.score(|| score_program(&self.context, &program));
+        (score, slot.hit())
+    }
 }
 
 /// Drives one evaluation session over one connection (worker side).
@@ -341,32 +419,18 @@ pub(crate) fn handle_eval_session(
     let mut served = 0u64;
     loop {
         let batch = EvalBatch::from_wire(&payload)?;
-        let fingerprint = batch.context.fingerprint();
-        let mut results: Vec<EvalScore> = Vec::with_capacity(batch.individuals.len());
-        let mut misses: Vec<(u64, Vec<f64>, Vec<u64>)> = Vec::new();
-        for (index, genes) in &batch.individuals {
-            let bits = genome_bits(genes);
-            if let Some(score) = opts.eval_cache.lookup(fingerprint, &bits) {
-                results.push(EvalScore {
-                    index: *index,
-                    score,
-                    cached: true,
-                });
-            } else {
-                misses.push((*index, genes.clone(), bits));
-            }
-        }
-        let scores = par_map(opts.threads, &misses, |(_, genes, _)| {
-            evaluate_genome(&batch.context, genes)
-        });
-        for ((index, _, bits), score) in misses.into_iter().zip(scores) {
-            opts.eval_cache.insert((fingerprint, bits), score);
-            results.push(EvalScore {
-                index,
+        let scorer = Scorer::new(batch.context, Arc::clone(&opts.eval_cache));
+        let genomes: Vec<&[f64]> = batch.individuals.iter().map(|(_, g)| &g[..]).collect();
+        let mut results: Vec<EvalScore> = batch
+            .individuals
+            .iter()
+            .zip(scorer.score_batch(opts.threads, &genomes))
+            .map(|((index, _), (score, cached))| EvalScore {
+                index: *index,
                 score,
-                cached: false,
-            });
-        }
+                cached,
+            })
+            .collect();
         results.sort_by_key(|s| s.index);
 
         let replies = results.iter().map(|s| Ok(s.to_wire()));
@@ -517,7 +581,10 @@ mod tests {
         EvalBatch {
             context: context(),
             generation: 7,
-            individuals: vec![(0, vec![0.1, 0.2, 0.3]), (3, vec![0.9, -0.0, 1.0])],
+            individuals: vec![
+                (0, vec![0.1; GENOME_LEN]),
+                (3, [vec![0.9, -0.0], vec![1.0; GENOME_LEN - 2]].concat()),
+            ],
         }
     }
 
@@ -653,6 +720,16 @@ mod tests {
             EvalBatch::from_wire(&b.to_wire()),
             Err(WireError::Invalid(_))
         ));
+        // `Knobs::from_genome` asserts the genome length, so a short or
+        // long individual must be refused here, not panic a worker.
+        for len in [1, GENOME_LEN - 1, GENOME_LEN + 1] {
+            let mut b = batch();
+            b.individuals[1].1.resize(len, 0.5);
+            assert!(matches!(
+                EvalBatch::from_wire(&b.to_wire()),
+                Err(WireError::Invalid(_))
+            ));
+        }
         let mut b = batch();
         b.context.instr_budget = 0;
         assert!(matches!(

@@ -17,10 +17,11 @@
 //!   peers fail typed. The setup frame is the driver's
 //!   [`avf_inject::JobSpec`] itself, so a job has one type on both
 //!   sides of the socket;
-//! * [`cache`] — the one bounded worker-side LRU, used twice: in-memory
+//! * [`cache`] — bounded worker-side LRU caches: in-memory
 //!   golden passes keyed by a content hash of the job ([`StoreCache`]),
 //!   so an identical job never re-runs the golden pass on the same
-//!   worker, and GA scores keyed by genome ([`EvalCache`]);
+//!   worker, and GA scores keyed by (context, program) ([`ScoreCache`]),
+//!   which the local search uses too;
 //! * [`serve`] / [`spawn_local`] — the long-running job server
 //!   (`avf-stressmark serve`), a thin wire adapter over the same
 //!   `LocalBackend` the in-process path uses — including worker-side
@@ -79,10 +80,10 @@ mod remote;
 mod server;
 
 pub use auth::{AuthKey, ConnectionAuth};
-pub use cache::{CacheStats, EvalCache, StoreCache};
+pub use cache::{CacheStats, ScoreCache, ScoreSlot, StoreCache};
 pub use eval::{
-    evaluate_genome, genome_key, score_generation, target_params, EvalBatch, EvalContext,
-    EvalReply, EvalScore, RemoteEvaluator,
+    candidate_program, evaluate_genome, genome_key, score_generation, target_params, EvalBatch,
+    EvalContext, EvalReply, EvalScore, RemoteEvaluator, Scorer,
 };
 pub use fleet::{Fleet, Genomes, Trials, Venue};
 pub use metrics::{spawn_metrics, ServeStats};

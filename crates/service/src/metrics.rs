@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use avf_inject::TrialEnds;
 
-use crate::cache::{CacheStats, EvalCache, StoreCache};
+use crate::cache::{CacheStats, ScoreCache, StoreCache};
 
 /// Session/stream counters a `serve` worker exposes alongside its
 /// cache stats. All relaxed atomics: these are monotone operational
@@ -69,7 +69,7 @@ impl ServeStats {
     /// Renders the worker's `/metrics` lines (both caches, session
     /// counters and trial ends).
     #[must_use]
-    pub fn render(&self, cache: &StoreCache, eval_cache: &EvalCache) -> String {
+    pub fn render(&self, cache: &StoreCache, eval_cache: &ScoreCache) -> String {
         let mut out = String::new();
         render_cache(&mut out, "store_cache", cache.stats());
         render_cache(&mut out, "eval_cache", eval_cache.stats());
@@ -193,11 +193,14 @@ mod tests {
     #[test]
     fn render_reports_both_caches_and_the_session_counters() {
         let cache = StoreCache::new(4, usize::MAX);
-        let eval_cache = EvalCache::with_capacity(2);
+        let eval_cache = ScoreCache::new(2, usize::MAX);
         assert!(cache.get(1, 0).is_none());
-        eval_cache.insert((7, vec![1, 2]), 0.5);
-        assert_eq!(eval_cache.lookup(7, &[1, 2]), Some(0.5));
-        assert_eq!(eval_cache.lookup(8, &[1, 2]), None);
+        let program = avf_workloads::testkit::idle_loop();
+        assert_eq!(eval_cache.slot(7, &program).score(|| 0.5), 0.5);
+        assert!(eval_cache.slot(7, &program).hit());
+        let bytes = eval_cache.stats().bytes;
+        assert!(bytes > program.data().len(), "key and segment are charged");
+        let bytes_line = format!("avf_eval_cache_bytes {bytes}");
         let stats = ServeStats::default();
         stats.batches_served.fetch_add(3, Ordering::Relaxed);
         let page = stats.render(&cache, &eval_cache);
@@ -211,7 +214,7 @@ mod tests {
             "avf_eval_cache_misses 1",
             "avf_eval_cache_evictions 0",
             "avf_eval_cache_entries 1",
-            "avf_eval_cache_bytes 32",
+            bytes_line.as_str(),
             "avf_serve_batches_served 3",
             "avf_serve_sessions_ok 0",
             "avf_serve_trials_probe 0",

@@ -64,8 +64,8 @@ pub const HASH_DOMAIN_DELEGATED_JOB: u8 = 1;
 pub const HASH_DOMAIN_GEOMETRY: u8 = 2;
 
 /// Hash domain of fitness-evaluation content (wire v7): the evaluation
-/// context fingerprint and the genome routing/logging key — the two
-/// halves of a worker's [`crate::EvalCache`] key.
+/// context fingerprint (the first field of a [`crate::ScoreCache`] key)
+/// and the genome routing key.
 pub const HASH_DOMAIN_EVAL: u8 = 3;
 
 /// Fingerprint of the machine/program pair cached checkpoints are only

@@ -28,7 +28,7 @@ use avf_inject::{BackendError, JobSpec, LocalBackend, StoreSource, PRUNE_WINDOW}
 use avf_sim::golden_pass;
 
 use crate::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
-use crate::cache::{CacheEntry, EvalCache, StoreCache};
+use crate::cache::{CacheEntry, ScoreCache, StoreCache};
 use crate::eval::handle_eval_session;
 use crate::frame::FrameBatcher;
 use crate::metrics::ServeStats;
@@ -56,11 +56,12 @@ pub struct ServeOptions {
     pub auth: Option<AuthKey>,
     /// Session counters the metrics endpoint renders.
     pub stats: Arc<ServeStats>,
-    /// The genome→fitness score cache shared by every evaluation
-    /// session (wire v7), the fitness analogue of `cache`: elite
-    /// genomes re-scored across generations hit here instead of
-    /// re-simulating.
-    pub eval_cache: Arc<EvalCache>,
+    /// The fitness score cache shared by every evaluation session
+    /// (wire v7), the fitness analogue of `cache`. Scores are memoized
+    /// per (context, program), so elites re-scored across generations
+    /// and distinct genomes that build one program all hit here instead
+    /// of re-simulating.
+    pub eval_cache: Arc<ScoreCache>,
 }
 
 impl Default for ServeOptions {
@@ -71,7 +72,7 @@ impl Default for ServeOptions {
             cache: StoreCache::shared(),
             auth: None,
             stats: ServeStats::shared(),
-            eval_cache: EvalCache::shared(),
+            eval_cache: ScoreCache::shared(),
         }
     }
 }

@@ -7,6 +7,7 @@
 //! exactly.
 
 use avf_ace::{FaultRates, Fitness, FitnessScope};
+use avf_codegen::GENOME_LEN;
 use avf_inject::{decode_trial_batch, encode_trial_batch, Outcome, Trial, TrialEvent};
 use avf_isa::wire::{kind, WireError, WIRE_MAGIC, WIRE_VERSION};
 use avf_service::protocol::{Mux, ServerMessage};
@@ -49,7 +50,7 @@ fn batch(variant: usize, generation: u64, genes: &[u64]) -> EvalBatch {
         },
         generation,
         individuals: genes
-            .chunks(3)
+            .chunks_exact(GENOME_LEN)
             .enumerate()
             .map(|(i, g)| (i as u64 * 7, g.iter().map(|&b| f64::from_bits(b)).collect()))
             .collect(),
@@ -68,7 +69,12 @@ fn frames(seed: u64) -> Vec<Vec<u8>> {
         ServerMessage::Event(ev).to_wire(),
         ServerMessage::Done { events: seed }.to_wire(),
         ServerMessage::Error(format!("worker error {seed}")).to_wire(),
-        batch(seed as usize, seed, &[seed, !seed, seed >> 1]).to_wire(),
+        batch(
+            seed as usize,
+            seed,
+            &[seed, !seed, seed >> 1].repeat(GENOME_LEN),
+        )
+        .to_wire(),
         EvalScore {
             index: seed,
             score: f64::from_bits(seed),
@@ -172,7 +178,7 @@ proptest! {
     fn eval_frames_round_trip_exactly(
         variant in 0usize..12,
         generation: u64,
-        genes in vec(0u64..u64::MAX, 3..90),
+        genes in vec(0u64..u64::MAX, GENOME_LEN..8 * GENOME_LEN),
         index: u64,
         bits: u64,
         cached: bool,

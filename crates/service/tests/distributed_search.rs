@@ -13,7 +13,7 @@ use avf_broker::{Broker, BrokerOptions, BrokeredEvaluator};
 use avf_codegen::GENOME_LEN;
 use avf_ga::{optimize, GaParams, GaResult, LocalEvaluator};
 use avf_service::{
-    evaluate_genome, spawn_local, EvalCache, EvalContext, RemoteEvaluator, ServeOptions,
+    evaluate_genome, spawn_local, EvalContext, RemoteEvaluator, ScoreCache, ServeOptions,
 };
 use avf_sim::MachineConfig;
 
@@ -125,7 +125,7 @@ fn all_workers_dead_surfaces_typed_error() {
 
 #[test]
 fn worker_cache_is_visible_to_the_spawner() {
-    let cache = EvalCache::shared();
+    let cache = ScoreCache::shared();
     let addr = spawn_local(ServeOptions {
         threads: 1,
         eval_cache: cache.clone(),

@@ -4,9 +4,10 @@
 # report (knobs, SER breakdown, per-generation history) must be
 # bit-identical to the same-seed local run — scores are pure functions
 # of (machine, fitness, budget, genome), so the venue may never leak
-# into the result. The workers' /metrics must also show the genome
-# cache taking hits: elite genomes re-scored across generations are
-# cache hits, not re-simulations.
+# into the result. The workers' /metrics must also show the program
+# cache taking hits: elite genomes re-scored across generations, and
+# genomes that build an already-scored program, are cache hits, not
+# re-simulations.
 set -euo pipefail
 . "$(dirname "$0")/lib.sh"
 
@@ -52,9 +53,10 @@ if ! diff "$WORK/local.txt" "$WORK/remote.txt"; then
 fi
 echo "ok: 2-worker search report is bit-identical to the local run"
 
-# Elite genomes survive into the next generation and are re-submitted;
-# the worker-side genome cache must serve those re-evaluations. Both
-# workers must answer the scrape.
+# Elite genomes survive into the next generation and are re-submitted,
+# and distinct genomes can build one program; the worker-side program
+# cache must serve those re-evaluations. Both workers must answer the
+# scrape.
 HITS=0
 for port in "$W1_METRICS_PORT" "$W2_METRICS_PORT"; do
   if ! PAGE=$(curl -sf "http://127.0.0.1:$port/metrics"); then
@@ -64,10 +66,10 @@ for port in "$W1_METRICS_PORT" "$W2_METRICS_PORT"; do
   HITS=$((HITS + $(awk '$1 == "avf_eval_cache_hits" { n += $2 } END { print n + 0 }' <<< "$PAGE")))
 done
 if [ "$HITS" -le 0 ]; then
-  echo "error: no worker cache hits — elite re-evaluations were re-simulated" >&2
+  echo "error: no worker program cache hits — elite re-evaluations were re-simulated" >&2
   exit 1
 fi
-echo "ok: worker genome cache served $HITS elite re-evaluation(s)"
+echo "ok: worker program cache served $HITS re-evaluation(s)"
 
 trap 'rm -rf "$WORK"' EXIT
 reap "$W1_PID" "worker 1"
