@@ -25,13 +25,6 @@ use avf_isa::Program;
 use avf_prune::PruneMode;
 use avf_sim::{FaultModel, MachineConfig};
 
-/// The frame kind of an enveloped payload, without consuming it —
-/// byte 5, after the 4-byte magic and the version byte.
-#[must_use]
-pub fn frame_kind(payload: &[u8]) -> Option<u8> {
-    payload.get(5).copied()
-}
-
 /// Everything the broker needs to run one campaign on behalf of a
 /// tenant: the full machine and program (by value — the broker is
 /// workload-agnostic) plus the campaign knobs of
@@ -672,12 +665,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn frame_kind_peeks_without_consuming() {
-        let frame = Request::Attach { id: 1 }.to_wire();
-        assert_eq!(frame_kind(&frame), Some(kind::BROKER_ATTACH));
-        assert_eq!(frame_kind(&[]), None);
     }
 }

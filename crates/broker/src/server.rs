@@ -28,7 +28,7 @@
 //!   campaigns are never starved by chatty drivers.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -39,13 +39,13 @@ use avf_inject::{
     redispatched_trials, BackendError, Campaign, CampaignBackend, CampaignSession, DispatchRecord,
     JobSpec, OpenedJob, StoreSource, Trial, TrialStream,
 };
-use avf_isa::wire::kind;
+use avf_isa::wire::{kind, peek_kind};
 use avf_service::auth::{read_frame_verified, write_frame_signed, AuthKey, ConnectionAuth};
 use avf_service::protocol::{ClientMessage, JobReady, Mux, ServerMessage};
 use avf_service::{score_generation, EvalBatch, EvalScore, Fleet, RemoteBackend, Venue};
 
 use crate::metrics::BrokerStats;
-use crate::protocol::{frame_kind, CampaignPhase, CampaignSpec, LogRecord, Reply, Request};
+use crate::protocol::{CampaignPhase, CampaignSpec, LogRecord, Reply, Request};
 use crate::queue::FairQueue;
 use crate::store::{CampaignStore, StoredCampaign};
 
@@ -559,15 +559,14 @@ impl CampaignSession for ObservedSession {
 /// per-direction sequence number, so tag order has to match byte order
 /// on the socket. One writer thread per connection guarantees it.
 fn spawn_outbox_writer(
-    stream: TcpStream,
+    mut stream: TcpStream,
     auth: Option<Arc<ConnectionAuth>>,
 ) -> mpsc::Sender<Vec<u8>> {
     let (tx, rx) = mpsc::channel::<Vec<u8>>();
     std::thread::spawn(move || {
-        let mut w = BufWriter::new(stream);
         while let Ok(payload) = rx.recv() {
             let signer = auth.as_ref().map(|a| a.signer.as_ref());
-            if write_frame_signed(&mut w, &payload, signer).is_err() || w.flush().is_err() {
+            if write_frame_signed(&mut stream, &payload, signer).is_err() {
                 return; // connection gone; senders will see closed channel
             }
         }
@@ -616,7 +615,7 @@ fn handle_driver(inner: &Arc<Inner>, stream: TcpStream) {
                 return;
             }
         };
-        match frame_kind(&payload) {
+        match peek_kind(&payload) {
             Some(kind::MUX) => {
                 let Ok(mux) = Mux::from_wire(&payload) else {
                     let _ = outbox.send(failed("malformed MUX frame"));
@@ -981,7 +980,7 @@ fn relay_interactive(
     let fail = |msg: String| {
         let _ = outbox.send(mux_error(tag, &msg));
     };
-    let search = frame_kind(&first) == Some(kind::EVAL_BATCH);
+    let search = peek_kind(&first) == Some(kind::EVAL_BATCH);
     let spec = if search {
         None
     } else if let Ok(ClientMessage::Setup(spec)) = ClientMessage::from_wire(&first) {

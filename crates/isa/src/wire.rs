@@ -69,6 +69,17 @@ pub const WIRE_VERSION: u8 = 8;
 /// Bytes an envelope occupies on the wire: magic + version + kind.
 pub const ENVELOPE_BYTES: usize = 6;
 
+/// The kind byte of an enveloped payload, without decoding it: the
+/// envelope's last byte, after the magic and the version. `None` for a
+/// payload shorter than an envelope. Magic and version are not checked;
+/// the payload's own decoder does that.
+#[must_use]
+pub fn peek_kind(payload: &[u8]) -> Option<u8> {
+    payload
+        .get(..ENVELOPE_BYTES)
+        .map(|envelope| envelope[ENVELOPE_BYTES - 1])
+}
+
 /// Registry of envelope kind bytes, so the payload kinds that cross
 /// process boundaries cannot collide.
 pub mod kind {
@@ -586,6 +597,25 @@ mod tests {
                 expected: kind::JOB_SETUP,
             })
         );
+    }
+
+    #[test]
+    fn peek_kind_reads_the_envelope_without_consuming() {
+        let mut w = WireWriter::new();
+        w.envelope(kind::BROKER_ATTACH);
+        w.u64(1);
+        let bytes = w.into_bytes();
+        assert_eq!(peek_kind(&bytes), Some(kind::BROKER_ATTACH));
+        assert_eq!(
+            peek_kind(&bytes[..ENVELOPE_BYTES]),
+            Some(kind::BROKER_ATTACH)
+        );
+        assert_eq!(peek_kind(&bytes[..ENVELOPE_BYTES - 1]), None);
+        assert_eq!(peek_kind(&[]), None);
+        // Peeking leaves the payload for its decoder.
+        let mut r = WireReader::new(&bytes);
+        r.expect_envelope(kind::BROKER_ATTACH).unwrap();
+        assert_eq!(r.u64().unwrap(), 1);
     }
 
     #[test]

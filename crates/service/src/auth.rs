@@ -40,13 +40,13 @@
 //!
 //! [`WireError::Invalid`]: avf_isa::wire::WireError::Invalid
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use avf_inject::BackendError;
 
-use crate::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+use crate::frame::{read_frame, MAX_FRAME_BYTES};
 
 /// Bytes of an authentication tag (a SipHash-2-4 output).
 pub const AUTH_TAG_BYTES: usize = 8;
@@ -337,24 +337,26 @@ impl ConnectionAuth {
 
 // -------------------------------------------------------------------- framing
 
-/// [`write_frame`] with an optional signature: when `signer` is set,
-/// the frame's length header covers `payload + tag` and the tag is the
-/// trailing [`AUTH_TAG_BYTES`] inside it (see the module docs for why
-/// this layout can never deadlock a mismatched peer).
+/// Writes one frame, signed when `signer` is set: the frame's length
+/// header covers `payload + tag` and the tag is the trailing
+/// [`AUTH_TAG_BYTES`] inside it (see the module docs for why this
+/// layout can never deadlock a mismatched peer). This is the one frame
+/// encoder: [`write_frame`](crate::frame::write_frame) and
+/// [`FrameBatcher`](crate::frame::FrameBatcher) (whose buffer is the
+/// writer) go through it. The frame goes out in vectored writes, one
+/// syscall on a socket, without copying the payload.
 ///
 /// # Errors
 ///
-/// Returns a [`BackendError`] on transport failure or an oversized
-/// payload.
+/// Returns a [`BackendError`] on transport failure, or
+/// [`BackendError::Oversized`] for a payload beyond [`MAX_FRAME_BYTES`]
+/// (nothing is written and the signer's sequence does not advance).
 pub fn write_frame_signed(
     w: &mut impl Write,
     payload: &[u8],
     signer: Option<&AuthSigner>,
 ) -> Result<(), BackendError> {
-    let Some(signer) = signer else {
-        return write_frame(w, payload);
-    };
-    let framed = payload.len() + AUTH_TAG_BYTES;
+    let framed = payload.len() + signer.map_or(0, |_| AUTH_TAG_BYTES);
     let len = u32::try_from(framed)
         .ok()
         .filter(|&l| l <= MAX_FRAME_BYTES)
@@ -362,10 +364,20 @@ pub fn write_frame_signed(
             len: framed as u64,
             max: u64::from(MAX_FRAME_BYTES),
         })?;
-    let tag = signer.sign(payload);
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&tag)?;
+    // Signed only after the size check, so a rejected frame never
+    // consumes a sequence number.
+    let tag = signer.map(|s| s.sign(payload));
+    let header = len.to_le_bytes();
+    let mut parts = [&header[..], payload, tag.as_ref().map_or(&[], |t| t)].map(IoSlice::new);
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
@@ -403,6 +415,7 @@ pub fn read_frame_verified(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_frame;
     use std::io::Cursor;
 
     fn key() -> AuthKey {

@@ -18,12 +18,17 @@
 //! simulation. The local search and `serve`'s evaluation sessions use
 //! the same cache type and key.
 //!
-//! Both caches are bounded by entry count and by total charged bytes,
-//! evicting least-recently-used entries first, so a long-lived `serve`
-//! process cannot grow without limit no matter how many distinct jobs
-//! pass through it. One cache is shared by every connection of a
-//! server (`Arc` + mutex — store entries hold `Arc`s, so a hit never
-//! copies snapshots under the lock).
+//! Both caches are built on one private LRU core, which owns the map,
+//! the use clock, the hit/miss/eviction counters and the bounds: entry
+//! count and total charged bytes, evicting least-recently-used entries
+//! first, so a long-lived `serve` process cannot grow without limit no
+//! matter how many distinct jobs pass through it. A store entry is
+//! charged its checkpoints' footprint. The score cache adds only what
+//! is its own — interned data segments with reference counts — and the
+//! core hands every evicted entry back so its segment can be released.
+//! One cache is shared by every connection of a server (`Arc` + mutex
+//! — store entries hold `Arc`s, so a hit never copies snapshots under
+//! the lock).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -101,111 +106,116 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-struct Inner<K, V> {
-    /// `key -> (value, recency stamp)`.
-    map: HashMap<K, (V, u64)>,
+/// The LRU core both caches are built on: every entry carries the bytes
+/// it is charged and a recency stamp from one use clock, lookups count
+/// hits and misses, and admitting an entry evicts least-recently-used
+/// entries until the entry and byte bounds hold.
+struct Lru<K, V> {
+    map: HashMap<K, Held<V>>,
     /// Monotonic use counter backing the LRU order.
     clock: u64,
     stats: CacheStats,
-}
-
-/// A bounded, thread-safe LRU.
-pub struct Lru<K, V> {
-    inner: Mutex<Inner<K, V>>,
     max_entries: usize,
     max_bytes: usize,
-    /// Bytes an entry is charged against `max_bytes`.
-    weigh: fn(&K, &V) -> usize,
 }
 
-/// The checkpoint-store cache: `job content hash → golden pass`.
-pub type StoreCache = Lru<u64, CacheEntry>;
+/// One [`Lru`] entry.
+struct Held<V> {
+    value: V,
+    /// Bytes charged against the byte bound for this entry.
+    bytes: usize,
+    /// Recency stamp.
+    stamp: u64,
+}
 
-impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    /// A cache bounded by `max_entries` entries (clamped to at least
-    /// one, so a cache can never refuse everything) and `max_bytes`
-    /// total `weigh`ed bytes.
-    #[must_use]
-    pub fn with_bounds(max_entries: usize, max_bytes: usize, weigh: fn(&K, &V) -> usize) -> Self {
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+    /// An empty core bounded by `max_entries` entries (clamped to at
+    /// least one, so a cache can never refuse everything) and
+    /// `max_bytes` charged bytes.
+    fn new(max_entries: usize, max_bytes: usize) -> Self {
         Lru {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                clock: 0,
-                stats: CacheStats::default(),
-            }),
+            map: HashMap::new(),
+            clock: 0,
+            stats: CacheStats::default(),
             max_entries: max_entries.max(1),
             max_bytes,
-            weigh,
         }
     }
 
     /// Looks `key` up, refreshing its recency, and counts a hit or a
     /// miss. An entry `valid` rejects is a miss and is not served.
-    pub fn get_if(&self, key: &K, valid: impl FnOnce(&V) -> bool) -> Option<V> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let hit = match inner.map.get_mut(key) {
-            Some((value, stamp)) if valid(value) => {
-                *stamp = clock;
-                Some(value.clone())
+    fn touch(&mut self, key: &K, valid: impl FnOnce(&V) -> bool) -> Option<&V> {
+        self.clock += 1;
+        match self.map.get_mut(key) {
+            Some(held) if valid(&held.value) => {
+                held.stamp = self.clock;
+                self.stats.hits += 1;
+                Some(&held.value)
             }
-            _ => None,
-        };
-        if hit.is_some() {
-            inner.stats.hits += 1;
-        } else {
-            inner.stats.misses += 1;
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
         }
-        hit
     }
 
-    /// Inserts (or refreshes) `key`, evicting least-recently-used
-    /// entries until both bounds hold. An entry larger than the byte
+    /// Charges `bytes` that belong to no one entry.
+    fn charge(&mut self, bytes: usize) {
+        self.stats.bytes += bytes;
+    }
+
+    /// Inserts (or replaces) `key`, charged `bytes`, then evicts
+    /// least-recently-used entries until both bounds hold, handing each
+    /// victim to `evicted`, which returns the bytes its eviction freed
+    /// beyond the entry's own charge. An entry larger than the byte
     /// bound is still admitted alone — its cost is already paid, so
     /// refusing would only force the next lookup to pay it again.
-    pub fn insert(&self, key: K, value: V) {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let size = (self.weigh)(&key, &value);
-        if let Some((old, _)) = inner.map.remove(&key) {
-            inner.stats.bytes -= (self.weigh)(&key, &old);
+    fn admit(&mut self, key: K, value: V, bytes: usize, mut evicted: impl FnMut(K, V) -> usize) {
+        self.clock += 1;
+        let stamp = self.clock;
+        let held = Held {
+            value,
+            bytes,
+            stamp,
+        };
+        if let Some(old) = self.map.insert(key, held) {
+            self.stats.bytes -= old.bytes;
         }
-        inner.map.insert(key, (value, clock));
-        inner.stats.bytes += size;
-        while inner.map.len() > self.max_entries
-            || (inner.stats.bytes > self.max_bytes && inner.map.len() > 1)
+        self.stats.bytes += bytes;
+        while self.map.len() > self.max_entries
+            || (self.stats.bytes > self.max_bytes && self.map.len() > 1)
         {
-            let lru = inner
+            let lru = self
                 .map
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .min_by_key(|(_, held)| held.stamp)
                 .map(|(k, _)| k.clone())
                 .expect("non-empty map");
-            let (evicted, _) = inner.map.remove(&lru).expect("lru key present");
-            inner.stats.bytes -= (self.weigh)(&lru, &evicted);
-            inner.stats.evictions += 1;
+            let (key, held) = self.map.remove_entry(&lru).expect("lru key present");
+            self.stats.bytes -= held.bytes + evicted(key, held.value);
+            self.stats.evictions += 1;
         }
     }
 
     /// Current counters.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
+    fn stats(&self) -> CacheStats {
         CacheStats {
-            entries: inner.map.len(),
-            ..inner.stats
+            entries: self.map.len(),
+            ..self.stats
         }
     }
 }
 
+/// The checkpoint-store cache: `job content hash → golden pass`, each
+/// entry charged its [`CacheEntry::footprint`].
+pub struct StoreCache(Mutex<Lru<u64, CacheEntry>>);
+
 impl StoreCache {
-    /// A store cache bounded by `max_entries` entries and `max_bytes`
-    /// of [`CacheEntry::footprint`].
+    /// A store cache bounded by `max_entries` entries (clamped to at
+    /// least one) and `max_bytes` of [`CacheEntry::footprint`].
     #[must_use]
     pub fn new(max_entries: usize, max_bytes: usize) -> StoreCache {
-        Lru::with_bounds(max_entries, max_bytes, |_, entry| entry.footprint())
+        StoreCache(Mutex::new(Lru::new(max_entries, max_bytes)))
     }
 
     /// A default-bounded store cache behind the `Arc` the server clones
@@ -215,12 +225,32 @@ impl StoreCache {
         Arc::new(StoreCache::new(DEFAULT_CACHE_ENTRIES, DEFAULT_CACHE_BYTES))
     }
 
-    /// Looks a job up. An entry whose geometry fingerprint disagrees
-    /// with `geometry` (a key collision across machine/program pairs)
-    /// is a miss: its snapshots must not be served to this job.
+    /// Looks a job up, refreshing its recency, and counts a hit or a
+    /// miss. An entry whose geometry fingerprint disagrees with
+    /// `geometry` (a key collision across machine/program pairs) is a
+    /// miss: its snapshots must not be served to this job.
     #[must_use]
     pub fn get(&self, hash: u64, geometry: u64) -> Option<CacheEntry> {
-        self.get_if(&hash, |entry| entry.geometry == geometry)
+        self.0
+            .lock()
+            .expect("cache lock")
+            .touch(&hash, |entry| entry.geometry == geometry)
+            .cloned()
+    }
+
+    /// Inserts (or refreshes) a job, evicting least-recently-used
+    /// entries until both bounds hold. An entry larger than the byte
+    /// bound is still admitted alone.
+    pub fn insert(&self, hash: u64, entry: CacheEntry) {
+        let bytes = entry.footprint();
+        let mut lru = self.0.lock().expect("cache lock");
+        lru.admit(hash, entry, bytes, |_, _| 0);
+    }
+
+    /// Current counters.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        self.0.lock().expect("cache lock").stats()
     }
 }
 
@@ -243,31 +273,21 @@ const SCORE_ENTRY_OVERHEAD: usize = 64;
 /// interns each distinct segment once, charges it once against the
 /// byte bound, and keys entries on the interned segment's id. A lookup
 /// hashes only the instructions and a few scalars; it finds the
-/// program's segment by comparing
-/// its bytes (one `memcmp`) against the interned segments of the same
-/// length, and never hashes or copies it. A segment is copied in only
-/// when no entry holds an equal one, and dropped with its last entry.
-/// An entry is charged its instructions (16 bytes each) plus 64 bytes
-/// for the rest of its key, its score cell and its recency stamp.
-pub struct ScoreCache {
-    inner: Mutex<ScoreInner>,
-    max_entries: usize,
-    max_bytes: usize,
-}
+/// program's segment by comparing its bytes (one `memcmp`) against the
+/// interned segments of the same length, and never hashes or copies it.
+/// A segment is copied in only when no entry holds an equal one, and
+/// dropped with its last entry. An entry is charged its instructions
+/// (16 bytes each) plus 64 bytes for the rest of its key and its cell.
+pub struct ScoreCache(Mutex<ScoreInner>);
 
-/// One interned data segment.
-struct Segment {
-    id: u64,
-    bytes: Box<[u8]>,
-    /// Entries keyed on this segment.
-    refs: usize,
+struct ScoreInner {
+    lru: Lru<ScoreKey, ScoreEntry>,
+    segments: Segments,
 }
 
 /// A [`ScoreCache`] entry.
 struct ScoreEntry {
     cell: Arc<OnceLock<f64>>,
-    /// Recency stamp.
-    stamp: u64,
     /// Length of the entry's data segment (the segment's bucket).
     data_len: usize,
 }
@@ -290,39 +310,44 @@ impl ScoreKey {
     }
 }
 
-struct ScoreInner {
-    map: HashMap<ScoreKey, ScoreEntry>,
-    /// Interned data segments, bucketed by length.
-    segments: HashMap<usize, Vec<Segment>>,
-    next_segment: u64,
-    /// Monotonic use counter backing the LRU order.
-    clock: u64,
-    stats: CacheStats,
+/// One interned data segment.
+struct Segment {
+    id: u64,
+    bytes: Box<[u8]>,
+    /// Entries keyed on this segment.
+    refs: usize,
 }
 
-impl ScoreInner {
+/// The interned data segments, bucketed by length.
+#[derive(Default)]
+struct Segments {
+    by_len: HashMap<usize, Vec<Segment>>,
+    next_id: u64,
+}
+
+impl Segments {
     /// The id of the interned segment equal to `data`, interning a copy
-    /// if there is none.
-    fn segment_id(&mut self, data: &[u8]) -> u64 {
-        let bucket = self.segments.entry(data.len()).or_default();
+    /// if there is none, and the bytes that copy newly charges.
+    fn intern(&mut self, data: &[u8]) -> (u64, usize) {
+        let bucket = self.by_len.entry(data.len()).or_default();
         if let Some(seg) = bucket.iter().find(|seg| *seg.bytes == *data) {
-            return seg.id;
+            return (seg.id, 0);
         }
-        let id = self.next_segment;
-        self.next_segment += 1;
+        let id = self.next_id;
+        self.next_id += 1;
         bucket.push(Segment {
             id,
             bytes: data.into(),
             refs: 0,
         });
-        self.stats.bytes += data.len();
-        id
+        (id, data.len())
     }
 
     /// Changes the entry count of segment `id` (of length `len`) by
-    /// `delta`, dropping the segment when no entry holds it.
-    fn add_refs(&mut self, len: usize, id: u64, delta: isize) {
-        let bucket = self.segments.get_mut(&len).expect("segment bucket");
+    /// `delta`, dropping the segment when no entry holds it. Returns the
+    /// bytes a dropped segment frees.
+    fn add_refs(&mut self, len: usize, id: u64, delta: isize) -> usize {
+        let bucket = self.by_len.get_mut(&len).expect("segment bucket");
         let at = bucket
             .iter()
             .position(|seg| seg.id == id)
@@ -331,13 +356,14 @@ impl ScoreInner {
             .refs
             .checked_add_signed(delta)
             .expect("segment refs");
-        if bucket[at].refs == 0 {
-            bucket.swap_remove(at);
-            self.stats.bytes -= len;
-            if bucket.is_empty() {
-                self.segments.remove(&len);
-            }
+        if bucket[at].refs > 0 {
+            return 0;
         }
+        bucket.swap_remove(at);
+        if bucket.is_empty() {
+            self.by_len.remove(&len);
+        }
+        len
     }
 }
 
@@ -374,17 +400,10 @@ impl ScoreCache {
     /// An entry larger than the byte bound is still admitted alone.
     #[must_use]
     pub fn new(max_entries: usize, max_bytes: usize) -> ScoreCache {
-        ScoreCache {
-            inner: Mutex::new(ScoreInner {
-                map: HashMap::new(),
-                segments: HashMap::new(),
-                next_segment: 0,
-                clock: 0,
-                stats: CacheStats::default(),
-            }),
-            max_entries: max_entries.max(1),
-            max_bytes,
-        }
+        ScoreCache(Mutex::new(ScoreInner {
+            lru: Lru::new(max_entries, max_bytes),
+            segments: Segments::default(),
+        }))
     }
 
     /// A default-bounded score cache behind the `Arc` a server clones
@@ -401,64 +420,44 @@ impl ScoreCache {
     /// [`EvalContext::fingerprint`](crate::EvalContext::fingerprint)),
     /// refreshing its recency, and counts a hit or a miss. A miss
     /// inserts an empty entry, evicting least-recently-used entries
-    /// until both bounds hold.
+    /// until both bounds hold; an evicted entry releases its segment.
     #[must_use]
     pub fn slot(&self, context: u64, program: &Program) -> ScoreSlot {
         let data = &program.data().bytes;
-        let mut guard = self.inner.lock().expect("score cache lock");
-        let inner = &mut *guard;
-        inner.clock += 1;
-        let clock = inner.clock;
+        let mut guard = self.0.lock().expect("score cache lock");
+        let ScoreInner { lru, segments } = &mut *guard;
+        let (segment, interned) = segments.intern(data);
+        lru.charge(interned);
         let key = ScoreKey {
             context,
             entry: program.entry(),
             data_base: program.data().base,
             insts: program.insts().to_vec(),
-            segment: inner.segment_id(data),
+            segment,
         };
-        if let Some(entry) = inner.map.get_mut(&key) {
-            entry.stamp = clock;
-            inner.stats.hits += 1;
+        if let Some(entry) = lru.touch(&key, |_| true) {
             return ScoreSlot {
                 cell: Arc::clone(&entry.cell),
                 hit: true,
             };
         }
-        inner.stats.misses += 1;
-        inner.stats.bytes += key.charge();
-        inner.add_refs(data.len(), key.segment, 1);
+        segments.add_refs(data.len(), segment, 1);
         let cell = Arc::new(OnceLock::new());
+        let charge = key.charge();
         let entry = ScoreEntry {
             cell: Arc::clone(&cell),
-            stamp: clock,
             data_len: data.len(),
         };
-        inner.map.insert(key, entry);
-        while inner.map.len() > self.max_entries
-            || (inner.stats.bytes > self.max_bytes && inner.map.len() > 1)
-        {
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map");
-            let evicted = inner.map.remove(&lru).expect("lru key present");
-            inner.stats.bytes -= lru.charge();
-            inner.stats.evictions += 1;
-            inner.add_refs(evicted.data_len, lru.segment, -1);
-        }
+        lru.admit(key, entry, charge, |key, entry| {
+            segments.add_refs(entry.data_len, key.segment, -1)
+        });
         ScoreSlot { cell, hit: false }
     }
 
     /// Current counters. `bytes` counts keys and interned segments.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("score cache lock");
-        CacheStats {
-            entries: inner.map.len(),
-            ..inner.stats
-        }
+        self.0.lock().expect("score cache lock").lru.stats()
     }
 }
 

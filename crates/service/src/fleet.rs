@@ -14,11 +14,12 @@
 //! what it measured.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read};
 use std::net::TcpStream;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
+use avf_ga::par_map;
 use avf_inject::{
     encode_trial_batch, shard_trials, BackendError, DispatchRecord, Trial, TrialEvent,
 };
@@ -190,13 +191,11 @@ impl Slot {
 
     /// Signs and writes one frame.
     pub fn send(&self, payload: &[u8]) -> Result<(), BackendError> {
-        let mut w = BufWriter::new(self.stream());
         write_frame_signed(
-            &mut w,
+            &mut self.stream(),
             payload,
             self.auth.as_ref().map(|a| a.signer.as_ref()),
-        )?;
-        w.flush().map_err(BackendError::from)
+        )
     }
 
     /// Reads one verified frame; `None` on a clean close.
@@ -344,24 +343,14 @@ impl Venue for Fleet {
                 }
             }
 
-            // Join the whole round before re-dispatching, so a survivor
-            // is never written to while its reader is mid-stream.
+            // One thread per shard drains the round; the whole round is
+            // joined before re-dispatching, so a survivor is never
+            // written to while its reader is mid-stream.
             let slots = &self.slots;
-            let fates: Vec<Drain<W::Item>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = round
-                    .iter()
-                    .map(|(slot, shard)| {
-                        let slot = &slots[*slot];
-                        scope.spawn(move || {
-                            let mut reader = slot.reader();
-                            drain::<W>(|| slot.recv(&mut reader), &slot.addr, shard, tx)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
+            let fates = par_map(round.len(), &round, |(slot, shard)| {
+                let slot = &slots[*slot];
+                let mut reader = slot.reader();
+                drain::<W>(|| slot.recv(&mut reader), &slot.addr, shard, tx)
             });
             let mut fatal = None;
             let mut consumer_gone = false;

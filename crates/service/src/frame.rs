@@ -14,13 +14,16 @@ use std::time::{Duration, Instant};
 
 use avf_inject::BackendError;
 
-use crate::auth::{AuthSigner, AUTH_TAG_BYTES};
+use crate::auth::{write_frame_signed, AuthSigner};
 
 /// Upper bound on a single frame payload.
 ///
-/// Sized for the largest legitimate payload — a job setup carrying a
-/// full checkpoint store (tens of snapshots at a few hundred KiB) — with
-/// an order of magnitude of headroom.
+/// Checkpoint stores never cross the wire: every worker runs (or
+/// cache-hits) the golden pass itself. The largest legitimate payload is
+/// a job setup or broker submission carrying a whole program, whose data
+/// segment is 8 MiB for the largest workload proxies; trial and genome
+/// batches, events, scores and campaign reports are far smaller. The
+/// bound leaves more than an order of magnitude of headroom over that.
 pub const MAX_FRAME_BYTES: u32 = 256 << 20;
 
 /// Writes one frame (length header + payload).
@@ -31,16 +34,7 @@ pub const MAX_FRAME_BYTES: u32 = 256 << 20;
 /// [`BackendError::Oversized`] for a payload beyond [`MAX_FRAME_BYTES`]
 /// (nothing is written in that case).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), BackendError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_BYTES)
-        .ok_or(BackendError::Oversized {
-            len: payload.len() as u64,
-            max: u64::from(MAX_FRAME_BYTES),
-        })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(())
+    write_frame_signed(w, payload, None)
 }
 
 /// Reads one frame, or `None` on a clean end-of-stream (the peer closed
@@ -135,8 +129,7 @@ impl<W: Write> FrameBatcher<W> {
 
     /// Attaches a frame signer: every queued frame is tagged with the
     /// signer's next sequence number, in push order, using the
-    /// tag-inside-length layout of
-    /// [`write_frame_signed`](crate::auth::write_frame_signed).
+    /// tag-inside-length layout of [`write_frame_signed`].
     #[must_use]
     pub fn with_signer(mut self, signer: Option<Arc<AuthSigner>>) -> FrameBatcher<W> {
         self.signer = signer;
@@ -151,22 +144,7 @@ impl<W: Write> FrameBatcher<W> {
     /// [`MAX_FRAME_BYTES`] (nothing is queued), or the transport error
     /// of a triggered flush.
     pub fn push(&mut self, payload: &[u8]) -> Result<(), BackendError> {
-        let framed = payload.len() + self.signer.as_ref().map_or(0, |_| AUTH_TAG_BYTES);
-        let len = u32::try_from(framed)
-            .ok()
-            .filter(|&l| l <= MAX_FRAME_BYTES)
-            .ok_or(BackendError::Oversized {
-                len: framed as u64,
-                max: u64::from(MAX_FRAME_BYTES),
-            })?;
-        // Sign only after the size check: a rejected frame must not
-        // advance the sequence counter (nothing of it hits the wire).
-        let tag = self.signer.as_ref().map(|s| s.sign(payload));
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        if let Some(tag) = tag {
-            self.buf.extend_from_slice(&tag);
-        }
+        write_frame_signed(&mut self.buf, payload, self.signer.as_deref())?;
         self.pending += 1;
         let oldest = *self.oldest.get_or_insert_with(Instant::now);
         if self.pending >= self.max_frames || oldest.elapsed() >= self.max_delay {
@@ -201,7 +179,7 @@ impl<W: Write> FrameBatcher<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{Cursor, IoSlice};
 
     /// A sink that counts write syscalls.
     #[derive(Default)]
@@ -232,6 +210,41 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![7u8; 1000]);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A sink that takes at most three bytes per vectored write.
+    struct TrickleSink(Vec<u8>);
+
+    impl Write for TrickleSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut left = 3;
+            for buf in bufs {
+                let n = buf.len().min(left);
+                self.0.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(3 - left)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_vectored_writes_still_write_the_whole_frame() {
+        for payload in [&b""[..], b"a", b"alpha", &[9u8; 100]] {
+            let mut whole = Vec::new();
+            write_frame(&mut whole, payload).unwrap();
+            let mut sink = TrickleSink(Vec::new());
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.0, whole);
+            assert_eq!(whole[4..], *payload);
+        }
     }
 
     #[test]

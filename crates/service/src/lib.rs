@@ -17,7 +17,7 @@
 //!   peers fail typed. The setup frame is the driver's
 //!   [`avf_inject::JobSpec`] itself, so a job has one type on both
 //!   sides of the socket;
-//! * [`cache`] — bounded worker-side LRU caches: in-memory
+//! * [`cache`] — bounded worker-side caches on one LRU core: in-memory
 //!   golden passes keyed by a content hash of the job ([`StoreCache`]),
 //!   so an identical job never re-runs the golden pass on the same
 //!   worker, and GA scores keyed by (context, program) ([`ScoreCache`]),

@@ -22,6 +22,7 @@
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
+use avf_ga::par_map;
 use avf_inject::{
     BackendError, CampaignBackend, CampaignSession, DispatchRecord, JobSpec, OpenedJob,
     StoreSource, Trial, TrialStream, WorkerProvision,
@@ -112,24 +113,19 @@ impl CampaignBackend for RemoteBackend {
     fn open(&self, spec: JobSpec) -> Result<OpenedJob, BackendError> {
         // Serialize the setup once; every worker receives the identical
         // bytes.
-        let setup_frame = Arc::new(spec.to_wire());
+        let setup_frame = spec.to_wire();
 
-        // N workers run their golden passes in parallel.
-        let handles: Vec<_> = self
-            .addrs
-            .iter()
-            .map(|addr| {
-                let addr = addr.clone();
-                let setup_frame = Arc::clone(&setup_frame);
-                let key = self.auth;
-                std::thread::spawn(move || open_worker(&addr, &setup_frame, key))
-            })
-            .collect();
+        // N workers run their golden passes in parallel, one thread
+        // each; every setup finishes before the first failure (in
+        // address order) is returned.
+        let opened = par_map(self.addrs.len(), &self.addrs, |addr| {
+            open_worker(addr, &setup_frame, self.auth)
+        });
         let mut slots = Vec::with_capacity(self.addrs.len());
         let mut readys = Vec::with_capacity(self.addrs.len());
         let mut provisioning = Vec::with_capacity(self.addrs.len());
-        for (handle, addr) in handles.into_iter().zip(&self.addrs) {
-            let (slot, ready, source) = handle.join().expect("setup thread panicked")?;
+        for (opened, addr) in opened.into_iter().zip(&self.addrs) {
+            let (slot, ready, source) = opened?;
             slots.push(slot);
             readys.push((addr.clone(), ready));
             provisioning.push(WorkerProvision {

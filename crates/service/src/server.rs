@@ -19,7 +19,7 @@
 //! with no error frame — exactly what a worker crash looks like from
 //! the driver's side.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -119,13 +119,11 @@ pub fn serve(listener: TcpListener, opts: &ServeOptions) -> std::io::Result<()> 
                     // gone, and either way the session is over. Signed when
                     // the server is keyed — an authenticated driver must
                     // never trust an unsigned error frame.
-                    let mut w = BufWriter::new(&stream);
                     let _ = write_frame_signed(
-                        &mut w,
+                        &mut &stream,
                         &ServerMessage::Error(e.to_string()).to_wire(),
                         auth.as_ref().map(|a| a.signer.as_ref()),
                     );
-                    let _ = w.flush();
                     crate::log_line!("serve: session with {peer} failed: {e}");
                 }
             }
@@ -225,7 +223,7 @@ fn handle_connection(
     let Some(payload) = read_frame_verified(&mut reader, verifier)? else {
         return Ok(()); // connected and left; nothing to do
     };
-    if payload.get(5) == Some(&avf_isa::wire::kind::EVAL_BATCH) {
+    if avf_isa::wire::peek_kind(&payload) == Some(avf_isa::wire::kind::EVAL_BATCH) {
         return handle_eval_session(stream, &mut reader, &mut writer, payload, opts, verifier);
     }
     let ClientMessage::Setup(spec) = ClientMessage::from_wire(&payload)? else {
@@ -333,6 +331,7 @@ mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
     use avf_sim::MachineConfig;
+    use std::io::{BufWriter, Write};
 
     #[test]
     fn empty_connection_is_a_clean_session() {

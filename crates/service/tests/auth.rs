@@ -6,14 +6,16 @@
 //! line: every rejected frame surfaces as a typed error on the driver
 //! side, moves the worker's `auth_rejects`/`sessions_failed` counters,
 //! and never takes the worker down — a subsequent well-formed session
-//! on the same process must still succeed.
+//! on the same process must still succeed. The frame writers are
+//! checked to agree byte for byte, signed and plain.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Cursor, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 use avf_inject::{BackendError, Campaign, CampaignConfig, JobSpec, LocalBackend};
-use avf_service::auth::{write_frame_signed, ConnectionAuth};
-use avf_service::frame::{read_frame, write_frame};
+use avf_service::auth::{read_frame_verified, write_frame_signed, ConnectionAuth, AUTH_TAG_BYTES};
+use avf_service::frame::{read_frame, write_frame, FrameBatcher, MAX_FRAME_BYTES};
 use avf_service::protocol::ServerMessage;
 use avf_service::{spawn_local, AuthKey, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
@@ -260,5 +262,98 @@ fn wire_version_skew_is_a_typed_mismatch_not_a_decode_panic() {
             );
         }
         other => panic!("expected an error frame, got {other:?}"),
+    }
+}
+
+/// Writes `payloads` through a [`FrameBatcher`] and, separately, one
+/// [`write_frame_signed`] call each, each writer signing with its own
+/// fresh client half when `keyed`; returns both byte streams.
+fn both_writers(payloads: &[Vec<u8>], keyed: bool) -> (Vec<u8>, Vec<u8>) {
+    let batched_auth = keyed.then(|| ConnectionAuth::client(key()));
+    let direct_auth = keyed.then(|| ConnectionAuth::client(key()));
+    let mut batched = Vec::new();
+    let mut b = FrameBatcher::new(&mut batched)
+        .with_signer(batched_auth.as_ref().map(|a| Arc::clone(&a.signer)));
+    for p in payloads {
+        b.push(p).unwrap();
+    }
+    b.flush().unwrap();
+    drop(b);
+    let mut direct = Vec::new();
+    for p in payloads {
+        let signer = direct_auth.as_ref().map(|a| a.signer.as_ref());
+        write_frame_signed(&mut direct, p, signer).unwrap();
+    }
+    (batched, direct)
+}
+
+#[test]
+fn frame_writers_agree_byte_for_byte() {
+    let payloads = vec![
+        b"alpha".to_vec(),
+        Vec::new(),
+        vec![7u8; 1000],
+        delegated_setup().to_wire(),
+    ];
+    let (batched, direct) = both_writers(&payloads, false);
+    assert_eq!(batched, direct, "plain frames differ");
+    let mut plain = Vec::new();
+    for p in &payloads {
+        write_frame(&mut plain, p).unwrap();
+    }
+    assert_eq!(
+        direct, plain,
+        "an unsigned write_frame_signed is write_frame"
+    );
+
+    let (batched, direct) = both_writers(&payloads, true);
+    assert_eq!(batched, direct, "signed frames differ");
+    assert_eq!(
+        direct.len(),
+        plain.len() + payloads.len() * AUTH_TAG_BYTES,
+        "each signed frame carries one tag inside its length"
+    );
+    let server = ConnectionAuth::server(key());
+    let mut r = Cursor::new(direct);
+    for p in &payloads {
+        let got = read_frame_verified(&mut r, Some(&server.verifier)).unwrap();
+        assert_eq!(got.as_ref(), Some(p));
+    }
+}
+
+#[test]
+fn oversized_frames_are_rejected_by_both_writers_without_consuming_a_sequence_number() {
+    // Fits unsigned, but not with its tag: only a signed writer must
+    // reject it. The zeroed buffer is never touched, so it costs no
+    // resident memory.
+    let huge = vec![0u8; MAX_FRAME_BYTES as usize - AUTH_TAG_BYTES + 1];
+    let oversized = BackendError::Oversized {
+        len: u64::from(MAX_FRAME_BYTES) + 1,
+        max: u64::from(MAX_FRAME_BYTES),
+    };
+
+    let batched_auth = ConnectionAuth::client(key());
+    let mut batched = Vec::new();
+    let mut b = FrameBatcher::new(&mut batched).with_signer(Some(Arc::clone(&batched_auth.signer)));
+    assert_eq!(b.push(&huge), Err(oversized.clone()));
+    b.push(b"next").unwrap();
+    b.flush().unwrap();
+    drop(b);
+
+    let direct_auth = ConnectionAuth::client(key());
+    let mut direct = Vec::new();
+    assert_eq!(
+        write_frame_signed(&mut direct, &huge, Some(&direct_auth.signer)),
+        Err(oversized)
+    );
+    write_frame_signed(&mut direct, b"next", Some(&direct_auth.signer)).unwrap();
+
+    assert_eq!(batched, direct, "nothing of the rejected frame was written");
+    // The next frame still carries sequence number 0, so a fresh
+    // verifier accepts it.
+    for stream in [batched, direct] {
+        let server = ConnectionAuth::server(key());
+        let got = read_frame_verified(&mut Cursor::new(stream), Some(&server.verifier));
+        assert_eq!(got, Ok(Some(b"next".to_vec())));
     }
 }

@@ -7,7 +7,7 @@
 //! produce the same outcome counts, intervals, batch trajectory, and
 //! stop reason over either.
 
-use avf_inject::{Campaign, CampaignConfig, LocalBackend, StoreSource};
+use avf_inject::{BackendError, Campaign, CampaignConfig, LocalBackend, StoreSource};
 use avf_service::{spawn_local, RemoteBackend, ServeOptions};
 use avf_sim::MachineConfig;
 
@@ -213,4 +213,44 @@ fn unreachable_worker_fails_loudly_not_wrongly() {
         .run_on(&backend)
         .expect_err("connecting to a dead port must fail");
     assert!(err.to_string().contains("connect"), "{err}");
+}
+
+#[test]
+fn a_dead_address_in_a_live_fleet_fails_typed_and_the_live_worker_serves_on() {
+    let machine = MachineConfig::baseline();
+    let program = register_chain();
+    let mut config = adaptive_config();
+    config.ci_target = Some(0.2);
+    config.injections = 256;
+    let local = Campaign::new(&machine, &program, config.clone())
+        .run_on(&LocalBackend::new(1))
+        .expect("local run");
+
+    let dead = "127.0.0.1:1".to_owned();
+    for dead_first in [false, true] {
+        let opts = serve_options(1);
+        let cache = std::sync::Arc::clone(&opts.cache);
+        let live = spawn_local(opts).expect("live worker").to_string();
+        let addrs = if dead_first {
+            vec![dead.clone(), live.clone()]
+        } else {
+            vec![live.clone(), dead.clone()]
+        };
+        let err = Campaign::new(&machine, &program, config.clone())
+            .run_on(&RemoteBackend::new(addrs))
+            .expect_err("a dead address must fail the campaign");
+        assert!(
+            matches!(&err, BackendError::Io(detail) if detail.starts_with(&format!("connect {dead}:"))),
+            "dead first: {dead_first}: {err:?}"
+        );
+        // Every setup finished before the failure was returned: the
+        // live worker already holds the job's golden pass.
+        assert_eq!(cache.stats().entries, 1, "dead first: {dead_first}");
+
+        let fresh = Campaign::new(&machine, &program, config.clone())
+            .run_on(&RemoteBackend::new(vec![live]))
+            .expect("the live worker serves a fresh campaign");
+        assert_reports_identical(&local, &fresh);
+        assert_eq!(fresh.provisioning[0].source, StoreSource::Cached);
+    }
 }
